@@ -100,7 +100,7 @@ def bench_egress_flush(n_frames: int,
     from repro.runtime.codec import encode_datagram, encode_packet
 
     frame = encode_packet(
-        Packet(src="a", dst="b", payload=("reply", 7, True)), "ewc2")
+        Packet(src="a", dst="b", payload=("reply", 7, True)))
     frames = [frame] * frames_per
     packed = encode_datagram(frames)
     rounds = n_frames // frames_per

@@ -111,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="kill the active sequencing element (chain "
                              "head, or the routed sequencer) at simulated "
                              "time T")
-    parser.add_argument("--wire", choices=("ewc1", "ewc2"), default="ewc1",
-                        help="wire codec for serialized paths (the sim "
-                             "only serializes under paranoid codec)")
     parser.add_argument("--seq-batch", type=int, default=1, metavar="N",
                         help="stamp up to N queued groupcasts per "
                              "sequencer wakeup (also pipelines N chain "
@@ -201,8 +198,6 @@ def build_udpsmoke_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chain", type=int, default=0, metavar="N",
                         help="front Eris with an N-node chain-replicated "
                              "sequencer (N=2..3; 0 = single sequencer)")
-    parser.add_argument("--wire", choices=("ewc1", "ewc2"), default="ewc1",
-                        help="frame codec on the loopback wire")
     parser.add_argument("--batch", type=int, default=1, metavar="N",
                         help="enable the batching stack at depth N: "
                              "sequencer stamping, chain pipelining, "
@@ -346,7 +341,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                 n_clients=args.clients, min_commits=args.min_commits,
                 timeout=args.timeout, workload=args.workload,
                 distributed_fraction=args.distributed, n_keys=args.keys,
-                seed=args.seed, chain=args.chain, wire=args.wire,
+                seed=args.seed, chain=args.chain,
                 batch=args.batch, fast_path=args.fast_path,
                 run_dir=args.run_dir,
                 trace=bool(args.trace), metrics=bool(args.metrics_out),
@@ -361,7 +356,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                 n_clients=args.clients, min_commits=args.min_commits,
                 timeout=args.timeout, workload=args.workload,
                 distributed_fraction=args.distributed, n_keys=args.keys,
-                seed=args.seed, chain=args.chain, wire=args.wire,
+                seed=args.seed, chain=args.chain,
                 batch=args.batch, fast_path=args.fast_path,
                 trace_path=args.trace,
                 metrics_path=args.metrics_out,
@@ -382,7 +377,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                else "asyncio-udp (loopback)")
     rows = [["backend", backend],
             ["shards x replicas", f"{args.shards} x {args.replicas}"],
-            ["wire / batch", f"{args.wire} / {args.batch}"],
+            ["batch", args.batch],
             ["chain", args.chain or "off"],
             ["fast path", "on" if args.fast_path else "off"],
             ["committed", result.committed],
@@ -417,8 +412,7 @@ def run(args: argparse.Namespace):
                                                   False),
                            commutative_apply=getattr(args, "commutative",
                                                      False),
-                           net=NetConfig(drop_rate=args.drop_rate,
-                                         wire=getattr(args, "wire", "ewc1")))
+                           net=NetConfig(drop_rate=args.drop_rate))
     registry = ProcedureRegistry()
     count_filter = None
     if args.workload == "counters":

@@ -154,12 +154,8 @@ class Cluster:
         self.partitioner = partitioner
         if config.backend == "udp":
             from repro.runtime.asyncio_udp import AsyncioUdpRuntime
-            # The wire format is part of the fabric config (NetConfig):
-            # the sim uses it for the paranoid round-trip, the UDP
-            # backend for every frame that crosses loopback.
             self.runtime = AsyncioUdpRuntime(
-                seed=config.seed, wire=config.net.wire,
-                batch_frames=config.udp_batch_frames)
+                seed=config.seed, batch_frames=config.udp_batch_frames)
         else:
             self.loop = EventLoop()
             self.rng = SplitRandom(config.seed)

@@ -40,8 +40,8 @@ class ReplicaSnapshot:
     fed: int
     #: The full log, as the protocol's own LogEntry dataclasses.
     entries: tuple[LogEntry, ...]
-    #: Store contents as (key, value) pairs: KVStore keys are ints,
-    #: which a dict-valued wire field would not round-trip as JSON.
+    #: Store contents as (key, value) pairs sorted by key: a canonical,
+    #: hashable form of the store, as a frozen dataclass field needs.
     store: tuple[tuple[Any, Any], ...]
 
 

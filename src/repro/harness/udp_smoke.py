@@ -75,8 +75,7 @@ class SmokeResult:
 
 
 def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
-                         seed: int = 7, chain: int = 0,
-                         wire: str = "ewc1", batch: int = 1,
+                         seed: int = 7, chain: int = 0, batch: int = 1,
                          fast_path: bool = False) -> ClusterConfig:
     """The canonical UDP-smoke :class:`ClusterConfig`.
 
@@ -88,7 +87,6 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
     ``fast_path`` turns on both coordination-free knobs (Harmonia fast
     reads + commutative early apply); replicas report execution
     watermarks on their sync cadence."""
-    from repro.net.network import NetConfig
     return ClusterConfig(
         system="eris", backend="udp", n_shards=n_shards,
         n_replicas=n_replicas, seed=seed,
@@ -97,7 +95,6 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
         server_service_time=0.0, execution_cost=0.0,
         client_retry_timeout=100e-3,
         sequencer_chain=chain,
-        net=NetConfig(wire=wire),
         sequencer_batch=batch, chain_pipeline=batch,
         udp_batch_frames=batch,
         read_fast_path=fast_path, commutative_apply=fast_path,
@@ -108,16 +105,15 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
 
 def build_udp_cluster(n_shards: int = 2, n_replicas: int = 3,
                       n_keys: int = 200, seed: int = 7, chain: int = 0,
-                      wire: str = "ewc1", batch: int = 1,
-                      counters: bool = False,
+                      batch: int = 1, counters: bool = False,
                       fast_path: bool = False) -> Cluster:
     """An Eris cluster on the asyncio-UDP runtime, keys loaded.
 
-    ``wire`` selects the frame codec (ewc1/ewc2); ``batch > 1`` turns
-    on the whole batching stack at that depth — sequencer stamp
-    batching, chain forward pipelining, replica reply coalescing, and
-    EWCB datagram packing; ``chain`` fronts the system with an N-node
-    chain-replicated sequencer as in the simulator experiments.
+    ``batch > 1`` turns on the whole batching stack at that depth —
+    sequencer stamp batching, chain forward pipelining, replica reply
+    coalescing, and EWCB datagram packing; ``chain`` fronts the system
+    with an N-node chain-replicated sequencer as in the simulator
+    experiments.
     ``counters`` registers/loads the coordination-free counters
     workload instead of YCSB; ``fast_path`` turns on both
     coordination-free knobs."""
@@ -131,7 +127,7 @@ def build_udp_cluster(n_shards: int = 2, n_replicas: int = 3,
     partitioner = Partitioner(n_shards)
     config = smoke_cluster_config(n_shards=n_shards,
                                   n_replicas=n_replicas, seed=seed,
-                                  chain=chain, wire=wire, batch=batch,
+                                  chain=chain, batch=batch,
                                   fast_path=fast_path)
     return build_cluster(config, registry, partitioner, loader=loader)
 
@@ -175,8 +171,7 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
                   timeout: float = 30.0, workload: str = "mrmw",
                   distributed_fraction: float = 0.5, n_keys: int = 200,
                   seed: int = 7, check: bool = True, chain: int = 0,
-                  wire: str = "ewc1", batch: int = 1,
-                  fast_path: bool = False,
+                  batch: int = 1, fast_path: bool = False,
                   trace_path: Optional[str] = None,
                   metrics_path: Optional[str] = None,
                   metrics_interval: float = 0.05,
@@ -212,7 +207,7 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
     """
     cluster = build_udp_cluster(n_shards=n_shards, n_replicas=n_replicas,
                                 n_keys=n_keys, seed=seed, chain=chain,
-                                wire=wire, batch=batch,
+                                batch=batch,
                                 counters=(workload == "counters"),
                                 fast_path=fast_path)
     runtime = cluster.runtime

@@ -58,18 +58,12 @@ class NetConfig:
     #: corrupting its peers. Costs ~one encode+decode per delivery;
     #: off by default.
     paranoid_codec: bool = False
-    #: Wire format used by the paranoid round-trip: ``"ewc1"`` (tagged
-    #: JSON, the reference) or ``"ewc2"`` (compact binary). Both must
-    #: preserve every payload bit-exactly, so digests are identical.
-    wire: str = "ewc1"
 
     def validate(self) -> None:
         if self.base_latency < 0 or self.jitter < 0:
             raise NetworkError("latencies must be non-negative")
         if not 0.0 <= self.drop_rate < 1.0:
             raise NetworkError(f"drop_rate must be in [0, 1): {self.drop_rate}")
-        from repro.runtime.codec import check_wire
-        check_wire(self.wire)
 
 
 class Network(Runtime):
@@ -280,5 +274,5 @@ class Network(Runtime):
             # over a real transport. The codec preserves packet/trace
             # ids, so tracing and sequencer bookkeeping are unchanged.
             from repro.runtime.codec import decode_packet, encode_packet
-            packet = decode_packet(encode_packet(packet, self.config.wire))
+            packet = decode_packet(encode_packet(packet))
         node.deliver(packet)

@@ -28,15 +28,10 @@ The runtime is single-process and single-threaded: drive it with
 synchronous harness code. Protocol callbacks run inside the asyncio
 loop exactly as they run inside the simulated event loop.
 
-Two performance knobs, both off by default:
-
-- ``wire="ewc2"`` serializes frames with the compact binary format
-  instead of the tagged-JSON reference codec (same registry, same
-  message set; receivers auto-detect by magic).
-- ``batch_frames=N`` packs up to N frames per datagram in a
-  length-prefixed EWCB container, flushed once per event-loop
-  iteration, so a sequencer wakeup's burst of stamped copies (or a
-  replica's coalesced replies) shares syscalls and headers.
+One performance knob, off by default: ``batch_frames=N`` packs up to
+N frames per datagram in a length-prefixed EWCB container, flushed once
+per event-loop iteration, so a sequencer wakeup's burst of stamped
+copies (or a replica's coalesced replies) shares syscalls and headers.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from repro.net.message import Address, Packet
 from repro.runtime.codec import (
     MAX_DATAGRAM_FRAMES,
     CodecError,
-    check_wire,
     decode_datagram,
     encode_datagram,
     encode_packet,
@@ -169,10 +163,9 @@ class AsyncioUdpRuntime(Runtime):
     backend = "asyncio-udp"
 
     def __init__(self, seed: int = 0, host: str = "127.0.0.1",
-                 wire: str = "ewc1", batch_frames: int = 1):
+                 batch_frames: int = 1):
         super().__init__()
         self.host = host
-        self.wire = check_wire(wire)
         if not 1 <= batch_frames <= MAX_DATAGRAM_FRAMES:
             raise NetworkError(
                 f"batch_frames must be in [1, {MAX_DATAGRAM_FRAMES}]: "
@@ -343,7 +336,7 @@ class AsyncioUdpRuntime(Runtime):
         if addr is None:
             self._drop(packet, "dead-destination")
             return
-        data = encode_packet(packet, self.wire)
+        data = encode_packet(packet)
         if self.tracer is not None:
             self.tracer.packet_tx(packet)
         if not self._egress_up():

@@ -2,68 +2,50 @@
 
 The simulator passes payloads between endpoints as shared Python
 object references; a real transport cannot. This codec gives every
-message dataclass in the repository a compact, self-describing wire
-form so the same protocol classes run over real sockets — and so the
-simulator can round-trip deliveries ("paranoid codec" mode,
+message dataclass in the repository a compact binary wire form so the
+same protocol classes run over real sockets — and so the simulator can
+round-trip deliveries ("paranoid codec" mode,
 :attr:`repro.net.network.NetConfig.paranoid_codec`) to prove no
 handler mutates a received message or relies on cross-recipient
 payload aliasing.
 
-Two wire formats share one value model and one message registry:
-
-**EWC1** (default, the paranoid-codec reference): a 4-byte
-magic/version prefix followed by a UTF-8 JSON document in which every
-composite value is a tagged array::
-
-    ["t", ...]            tuple
-    ["l", ...]            list
-    ["s", ...]            set            ["fs", ...]  frozenset
-    ["d", [k, v], ...]    dict (keys may be any encodable value)
-    ["b", "<base64>"]     bytes
-    ["m", "TxnReply", [<field values in declared order>]]   dataclass
-
-Scalars (str, int, float, bool, None) encode natively, so the common
-case stays small while the tags keep decoding unambiguous (a raw JSON
-array never appears untagged). Scalar *subclasses* (``IntEnum``, str
-subclasses) are rejected at encode time — they would silently decode
-as their base type — and non-finite floats raise :class:`CodecError`
-(JSON has no NaN/Infinity; only our own decoder would accept the
-extension literals ``json.dumps`` emits by default).
-
-**EWC2** (the fast path): a compact binary encoding behind the same
-registry. One tag byte per value, LEB128 varints for lengths and
-integers (zigzag for signed), 8-byte little-endian doubles, UTF-8
-string bodies, and message dataclasses as a varint *interned type id*
-— an index into the sorted registered-class table — followed by the
-field values positionally. Small non-negative ints (0..127) fold into
-the tag byte. Packet envelopes use a struct-packed frame header
+**EWC2** is the one frame format, on the data plane and the launcher's
+control plane alike. After a 4-byte magic comes one tag byte per
+value, LEB128 varints for lengths and integers (zigzag for signed),
+8-byte little-endian doubles, UTF-8 string bodies, and message
+dataclasses as a varint *interned type id* — an index into the sorted
+registered-class table — followed by the field values positionally.
+Small non-negative ints (0..127) fold into the tag byte, and
+:data:`repro.store.kv.MISSING` (the read result of an absent key) has
+a tag of its own. Packet envelopes use a struct-packed frame header
 (magic, frame tag, flags byte, varint ids, then the multicast headers)
 and the decoder walks a :class:`memoryview`, so batched-datagram
 parsing slices payload frames zero-copy out of the receive buffer.
+Scalar *subclasses* (``IntEnum``, str subclasses) are rejected at
+encode time — they would silently decode as their base type — and so
+are non-finite floats.
 
-**EWCB** is a length-prefixed multi-frame container: several EWC1/EWC2
+**EWCB** is a length-prefixed multi-frame container: several EWC2
 packet frames packed into one datagram (``encode_datagram`` /
 ``decode_datagram``), the syscall-amortizing batching the eRPC paper
 shows recovers most of the specialized-stack win on commodity UDP.
 
-Message types are registered by class name in a module-level registry;
-decoding an unregistered type, a truncated buffer, or a malformed
-document raises :class:`CodecError` rather than an arbitrary
-exception. Decoding is defensive on both formats: truncation at any
-byte, trailing garbage, duplicate dict/set keys, unknown interned ids,
-and nesting beyond :data:`MAX_DEPTH` all raise :class:`CodecError`.
+Message types are registered by class name in a module-level registry.
+Decoding is defensive: a foreign magic, truncation at any byte,
+trailing garbage, duplicate dict/set keys, unknown interned ids, and
+nesting beyond :data:`MAX_DEPTH` all raise :class:`CodecError` rather
+than an arbitrary exception.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
-import json
 import math
 import struct
 from typing import Any, Iterable
 
 from repro.errors import ReproError
+from repro.store.kv import MISSING
 
 
 class CodecError(ReproError):
@@ -71,16 +53,12 @@ class CodecError(ReproError):
     unsupported types, truncated buffers, malformed documents."""
 
 
-_MAGIC = b"EWC1"
-_MAGIC2 = b"EWC2"
+_MAGIC = b"EWC2"
 _MAGIC_BATCH = b"EWCB"
 
-#: Supported wire formats, in registry-stability order.
-WIRE_CODECS = ("ewc1", "ewc2")
-
-#: Composite nesting bound for both formats. Protocol messages nest a
-#: handful of levels; a forged frame claiming unbounded nesting must
-#: fail with a typed error, not a RecursionError.
+#: Composite nesting bound. Protocol messages nest a handful of levels;
+#: a forged frame claiming unbounded nesting must fail with a typed
+#: error, not a RecursionError.
 MAX_DEPTH = 200
 
 #: Sanity bound on frames per EWCB container (a 64 KiB datagram cannot
@@ -169,124 +147,7 @@ def _intern_types() -> None:
             _FAST_NEW.add(cls)
 
 
-def check_wire(wire: str) -> str:
-    if wire not in WIRE_CODECS:
-        raise CodecError(
-            f"unknown wire codec {wire!r}; pick one of {WIRE_CODECS}")
-    return wire
-
-
-# -- EWC1 value encoding ---------------------------------------------------
-
-def encode_value(value: Any, _depth: int = 0) -> Any:
-    """Recursively transform ``value`` into the tagged-JSON form."""
-    # Exact-type scalar fast path: subclasses (IntEnum, str subclasses)
-    # must NOT pass here — they would decode as plain int/str with no
-    # error, silently narrowing the type across the wire.
-    cls = value.__class__ if value is not None else type(None)
-    if cls is str or cls is bool or cls is int:
-        return value
-    if value is None:
-        return None
-    if cls is float:
-        if not math.isfinite(value):
-            raise CodecError(f"non-finite float is not encodable: {value!r}")
-        return value
-    if _depth >= MAX_DEPTH:
-        raise CodecError(f"nesting deeper than {MAX_DEPTH} levels")
-    depth = _depth + 1
-    if cls is tuple:
-        return ["t", *[encode_value(v, depth) for v in value]]
-    if cls is list:
-        return ["l", *[encode_value(v, depth) for v in value]]
-    if cls is dict:
-        return ["d", *[[encode_value(k, depth), encode_value(v, depth)]
-                       for k, v in value.items()]]
-    if cls is set:
-        return ["s", *[encode_value(v, depth) for v in value]]
-    if cls is frozenset:
-        return ["fs", *[encode_value(v, depth) for v in value]]
-    if cls is bytes:
-        return ["b", base64.b64encode(value).decode("ascii")]
-    if dataclasses.is_dataclass(cls):
-        fields = _FIELD_NAMES.get(cls)
-        if fields is None:
-            _ensure_registry()
-            fields = _FIELD_NAMES.get(cls)
-        if fields is None or _REGISTRY.get(cls.__name__) is not cls:
-            raise CodecError(
-                f"unregistered wire message type {cls.__module__}."
-                f"{cls.__name__}")
-        return ["m", cls.__name__,
-                [encode_value(getattr(value, name), depth)
-                 for name in fields]]
-    # Scalar subclasses, tuple subclasses (e.g. namedtuples), and other
-    # exotica are not wire types; failing loudly beats silently
-    # narrowing or flattening them.
-    raise CodecError(f"cannot encode value of type {cls.__name__}: {value!r}")
-
-
-def decode_value(obj: Any, _depth: int = 0) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    if not isinstance(obj, list) or not obj:
-        raise CodecError(f"malformed wire value: {obj!r}")
-    if _depth >= MAX_DEPTH:
-        raise CodecError(f"nesting deeper than {MAX_DEPTH} levels")
-    depth = _depth + 1
-    tag = obj[0]
-    if tag == "t":
-        return tuple(decode_value(v, depth) for v in obj[1:])
-    if tag == "l":
-        return [decode_value(v, depth) for v in obj[1:]]
-    if tag == "d":
-        try:
-            decoded = {decode_value(k, depth): decode_value(v, depth)
-                       for k, v in obj[1:]}
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"malformed dict entry: {obj!r}") from exc
-        if len(decoded) != len(obj) - 1:
-            raise CodecError(f"duplicate dict keys: {obj!r}")
-        return decoded
-    if tag == "s" or tag == "fs":
-        try:
-            decoded = {decode_value(v, depth) for v in obj[1:]}
-        except TypeError as exc:
-            raise CodecError(f"unhashable set element: {obj!r}") from exc
-        if len(decoded) != len(obj) - 1:
-            raise CodecError(f"duplicate set elements: {obj!r}")
-        return decoded if tag == "s" else frozenset(decoded)
-    if tag == "b":
-        if len(obj) != 2 or not isinstance(obj[1], str):
-            raise CodecError(f"malformed bytes value: {obj!r}")
-        try:
-            return base64.b64decode(obj[1], validate=True)
-        except Exception as exc:
-            raise CodecError(f"malformed base64 payload: {obj[1]!r}") from exc
-    if tag == "m":
-        if len(obj) != 3 or not isinstance(obj[1], str) \
-                or not isinstance(obj[2], list):
-            raise CodecError(f"malformed message value: {obj!r}")
-        _ensure_registry()
-        cls = _REGISTRY.get(obj[1])
-        if cls is None:
-            raise CodecError(f"unknown wire message type {obj[1]!r}")
-        fields = _FIELD_NAMES[cls]
-        if len(obj[2]) != len(fields):
-            raise CodecError(
-                f"{obj[1]}: expected {len(fields)} fields, "
-                f"got {len(obj[2])}")
-        kwargs = {name: decode_value(v, depth)
-                  for name, v in zip(fields, obj[2])}
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot rebuild {obj[1]}: {exc}") from exc
-    raise CodecError(f"unknown wire tag {tag!r}")
-
-
-# -- EWC2 binary value encoding --------------------------------------------
+# -- value encoding ---------------------------------------------------------
 #
 # One tag byte per value; tags >= 0x80 are small non-negative ints
 # folded into the tag itself (group ids, sequence numbers, and workload
@@ -307,6 +168,7 @@ _T_FSET = 0x0A
 _T_DICT = 0x0B
 _T_MSG = 0x0C
 _T_SREF = 0x0D        # back-reference to the n-th string of this frame
+_T_MISSING = 0x0E     # store.kv.MISSING: a read of an absent key
 _T_PACKET = 0x0F      # frame-level tag, only valid right after magic
 _SMALL_INT = 0x80     # 0x80 | n encodes int n in [0, 0x7F]
 
@@ -348,18 +210,18 @@ def _read_svarint(buf, pos: int, end: int) -> tuple[int, int]:
     return (u >> 1) ^ -(u & 1), pos
 
 
-def _encode2(out: bytearray, value: Any, depth: int,
-             interns: dict,
-             # Hot constants/helpers bound as defaults: locals are one
-             # array load in CPython, module globals a dict probe each.
-             _SMALL_INT=_SMALL_INT, _T_INT=_T_INT, _T_STR=_T_STR,
-             _T_SREF=_T_SREF, _T_NONE=_T_NONE, _T_TRUE=_T_TRUE,
-             _T_FALSE=_T_FALSE, _T_FLOAT=_T_FLOAT, _T_TUPLE=_T_TUPLE,
-             _T_LIST=_T_LIST, _T_DICT=_T_DICT, _T_SET=_T_SET,
-             _T_FSET=_T_FSET, _T_BYTES=_T_BYTES, _T_MSG=_T_MSG,
-             _write_uvarint=_write_uvarint, _write_svarint=_write_svarint,
-             _pack_double=_pack_double, _isfinite=math.isfinite,
-             MAX_DEPTH=MAX_DEPTH) -> None:
+def _encode(out: bytearray, value: Any, depth: int,
+            interns: dict,
+            # Hot constants/helpers bound as defaults: locals are one
+            # array load in CPython, module globals a dict probe each.
+            _SMALL_INT=_SMALL_INT, _T_INT=_T_INT, _T_STR=_T_STR,
+            _T_SREF=_T_SREF, _T_NONE=_T_NONE, _T_TRUE=_T_TRUE,
+            _T_FALSE=_T_FALSE, _T_FLOAT=_T_FLOAT, _T_TUPLE=_T_TUPLE,
+            _T_LIST=_T_LIST, _T_DICT=_T_DICT, _T_SET=_T_SET,
+            _T_FSET=_T_FSET, _T_BYTES=_T_BYTES, _T_MSG=_T_MSG,
+            _write_uvarint=_write_uvarint, _write_svarint=_write_svarint,
+            _pack_double=_pack_double, _isfinite=math.isfinite,
+            MAX_DEPTH=MAX_DEPTH) -> None:
     """Append the EWC2 encoding of ``value`` to ``out``. ``interns``
     maps each string already written in this frame to its occurrence
     index: repeats encode as a tiny back-reference (protocol payloads
@@ -432,7 +294,7 @@ def _encode2(out: bytearray, value: Any, depth: int,
                 out.append(_T_SREF)
                 out.append(interns[item])
             else:
-                _encode2(out, item, depth, interns)
+                _encode(out, item, depth, interns)
         return
     # The container loops below fold small non-negative ints and
     # already-interned short strings in place (mirroring the
@@ -453,7 +315,7 @@ def _encode2(out: bytearray, value: Any, depth: int,
                 out.append(_T_SREF)
                 out.append(interns[item])
             else:
-                _encode2(out, item, depth, interns)
+                _encode(out, item, depth, interns)
         return
     if cls is dict:
         out.append(_T_DICT)
@@ -467,7 +329,7 @@ def _encode2(out: bytearray, value: Any, depth: int,
                 out.append(_T_SREF)
                 out.append(interns[key])
             else:
-                _encode2(out, key, depth, interns)
+                _encode(out, key, depth, interns)
             icls = item.__class__
             if icls is int and 0 <= item <= 0x7F:
                 out.append(_SMALL_INT | item)
@@ -475,7 +337,7 @@ def _encode2(out: bytearray, value: Any, depth: int,
                 out.append(_T_SREF)
                 out.append(interns[item])
             else:
-                _encode2(out, item, depth, interns)
+                _encode(out, item, depth, interns)
         return
     if cls is set or cls is frozenset:
         out.append(_T_SET if cls is set else _T_FSET)
@@ -492,12 +354,15 @@ def _encode2(out: bytearray, value: Any, depth: int,
                 out.append(_T_SREF)
                 out.append(interns[item])
             else:
-                _encode2(out, item, depth, interns)
+                _encode(out, item, depth, interns)
         return
     if cls is bytes:
         out.append(_T_BYTES)
         _write_uvarint(out, len(value))
         out += value
+        return
+    if value is MISSING:
+        out.append(_T_MISSING)
         return
     if dataclasses.is_dataclass(cls):
         raise CodecError(
@@ -506,15 +371,15 @@ def _encode2(out: bytearray, value: Any, depth: int,
     raise CodecError(f"cannot encode value of type {cls.__name__}: {value!r}")
 
 
-def _decode2(buf, pos: int, end: int, depth: int,
-             strings: list,
-             # Hot constants/helpers bound as defaults: locals are one
-             # array load in CPython, module globals a dict probe each.
-             _SMALL_INT=_SMALL_INT, _T_STR=_T_STR, _T_INT=_T_INT,
-             _T_NONE=_T_NONE, _T_TRUE=_T_TRUE, _T_FALSE=_T_FALSE,
-             _T_FLOAT=_T_FLOAT, _T_BYTES=_T_BYTES,
-             _read_uvarint=_read_uvarint, _read_svarint=_read_svarint,
-             _unpack_double=_unpack_double) -> tuple[Any, int]:
+def _decode(buf, pos: int, end: int, depth: int,
+            strings: list,
+            # Hot constants/helpers bound as defaults: locals are one
+            # array load in CPython, module globals a dict probe each.
+            _SMALL_INT=_SMALL_INT, _T_STR=_T_STR, _T_INT=_T_INT,
+            _T_NONE=_T_NONE, _T_TRUE=_T_TRUE, _T_FALSE=_T_FALSE,
+            _T_FLOAT=_T_FLOAT, _T_BYTES=_T_BYTES,
+            _read_uvarint=_read_uvarint, _read_svarint=_read_svarint,
+            _unpack_double=_unpack_double) -> tuple[Any, int]:
     """Decode one EWC2 value from ``buf[pos:end]``; returns
     ``(value, next_pos)``. ``buf`` may be bytes or a memoryview —
     slices taken for string/bytes bodies are zero-copy until
@@ -529,12 +394,12 @@ def _decode2(buf, pos: int, end: int, depth: int,
     pos += 1
     if tag & _SMALL_INT:
         return tag & 0x7F, pos
-    # Composite tags (and SREF) numerically follow the scalar tags;
+    # Composite tags (and SREF, MISSING) numerically follow the scalar tags;
     # one range compare routes them past the scalar if-chain. After
     # the loop-level peeks, most values that still reach this function
     # are messages and containers, so they are dispatched first.
     if tag >= _T_BYTES:
-        return _decode2_composite(buf, pos, end, depth, strings, tag)
+        return _decode_composite(buf, pos, end, depth, strings, tag)
     if tag == _T_STR:
         if pos >= end:
             raise CodecError("truncated varint")
@@ -569,15 +434,16 @@ def _decode2(buf, pos: int, end: int, depth: int,
 
 
 
-def _decode2_composite(buf, pos: int, end: int, depth: int,
-                       strings: list, tag: int,
-                       _T_SREF=_T_SREF, _T_MSG=_T_MSG, _T_TUPLE=_T_TUPLE,
-                       _T_LIST=_T_LIST, _T_DICT=_T_DICT, _T_SET=_T_SET,
-                       _T_FSET=_T_FSET, _T_BYTES=_T_BYTES,
-                       _read_uvarint=_read_uvarint,
-                       _object_new=_object_new,
-                       MAX_DEPTH=MAX_DEPTH) -> tuple[Any, int]:
-    """Container/message/back-reference arm of :func:`_decode2` (tags
+def _decode_composite(buf, pos: int, end: int, depth: int,
+                      strings: list, tag: int,
+                      _T_SREF=_T_SREF, _T_MISSING=_T_MISSING,
+                      _T_MSG=_T_MSG, _T_TUPLE=_T_TUPLE,
+                      _T_LIST=_T_LIST, _T_DICT=_T_DICT, _T_SET=_T_SET,
+                      _T_FSET=_T_FSET, _T_BYTES=_T_BYTES,
+                      _read_uvarint=_read_uvarint,
+                      _object_new=_object_new,
+                      MAX_DEPTH=MAX_DEPTH) -> tuple[Any, int]:
+    """Container/message/back-reference arm of :func:`_decode` (tags
     ``>= _T_BYTES``), split out so the scalar hot path stays short."""
     if tag == _T_SREF:
         if pos >= end:
@@ -590,6 +456,8 @@ def _decode2_composite(buf, pos: int, end: int, depth: int,
         if ref >= len(strings):
             raise CodecError(f"string back-reference {ref} out of range")
         return strings[ref], pos
+    if tag == _T_MISSING:
+        return MISSING, pos
     if depth >= MAX_DEPTH:
         raise CodecError(f"nesting deeper than {MAX_DEPTH} levels")
     depth += 1
@@ -633,11 +501,11 @@ def _decode2_composite(buf, pos: int, end: int, depth: int,
                         pos += 2
                         continue
                     if b >= _T_BYTES and b != _T_SREF:
-                        fields[name], pos = _decode2_composite(
+                        fields[name], pos = _decode_composite(
                             buf, pos + 1, end, depth, strings, b)
                         continue
-                fields[name], pos = _decode2(buf, pos, end, depth,
-                                             strings)
+                fields[name], pos = _decode(buf, pos, end, depth,
+                                            strings)
             return obj, pos
         if cls in _VALIDATED_NEW:
             obj = _object_new(cls)
@@ -656,11 +524,11 @@ def _decode2_composite(buf, pos: int, end: int, depth: int,
                         pos += 2
                         continue
                     if b >= _T_BYTES and b != _T_SREF:
-                        fields[name], pos = _decode2_composite(
+                        fields[name], pos = _decode_composite(
                             buf, pos + 1, end, depth, strings, b)
                         continue
-                fields[name], pos = _decode2(buf, pos, end, depth,
-                                             strings)
+                fields[name], pos = _decode(buf, pos, end, depth,
+                                            strings)
             try:
                 obj.__post_init__()
             except (TypeError, ValueError) as exc:
@@ -673,7 +541,7 @@ def _decode2_composite(buf, pos: int, end: int, depth: int,
                 kwargs[name] = buf[pos] & 0x7F
                 pos += 1
             else:
-                kwargs[name], pos = _decode2(buf, pos, end, depth, strings)
+                kwargs[name], pos = _decode(buf, pos, end, depth, strings)
         try:
             return cls(**kwargs), pos
         except (TypeError, ValueError) as exc:
@@ -696,22 +564,22 @@ def _decode2_composite(buf, pos: int, end: int, depth: int,
                     pos += 2
                     continue
                 if b >= _T_BYTES and b != _T_SREF:
-                    item, pos = _decode2_composite(
+                    item, pos = _decode_composite(
                         buf, pos + 1, end, depth, strings, b)
                     append(item)
                     continue
-            item, pos = _decode2(buf, pos, end, depth, strings)
+            item, pos = _decode(buf, pos, end, depth, strings)
             append(item)
         return (tuple(items) if tag == _T_TUPLE else items), pos
     if tag == _T_DICT:
         decoded = {}
         for _ in range(count):
-            key, pos = _decode2(buf, pos, end, depth, strings)
+            key, pos = _decode(buf, pos, end, depth, strings)
             if pos < end and buf[pos] & 0x80:
                 item = buf[pos] & 0x7F
                 pos += 1
             else:
-                item, pos = _decode2(buf, pos, end, depth, strings)
+                item, pos = _decode(buf, pos, end, depth, strings)
             try:
                 decoded[key] = item
             except TypeError as exc:
@@ -735,7 +603,7 @@ def _decode2_composite(buf, pos: int, end: int, depth: int,
                     add(strings[buf[pos + 1]])
                     pos += 2
                     continue
-            item, pos = _decode2(buf, pos, end, depth, strings)
+            item, pos = _decode(buf, pos, end, depth, strings)
             try:
                 add(item)
             except TypeError as exc:
@@ -754,52 +622,27 @@ def _decode2_composite(buf, pos: int, end: int, depth: int,
 
 # -- message / packet framing ---------------------------------------------
 
-def encode_message(message: Any, wire: str = "ewc1") -> bytes:
+def encode_message(message: Any) -> bytes:
     """Serialize one protocol message (or any encodable value)."""
-    if wire == "ewc1":
-        try:
-            body = json.dumps(encode_value(message), separators=(",", ":"),
-                              allow_nan=False)
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot serialize message: {exc}") from exc
-        return _MAGIC + body.encode("utf-8")
-    check_wire(wire)
-    out = bytearray(_MAGIC2)
-    _encode2(out, message, 0, {})
+    out = bytearray(_MAGIC)
+    _encode(out, message, 0, {})
     return bytes(out)
 
 
 def decode_message(buffer: bytes) -> Any:
-    """Inverse of :func:`encode_message` (wire format auto-detected
-    from the magic prefix)."""
+    """Inverse of :func:`encode_message`."""
     if not isinstance(buffer, (bytes, bytearray, memoryview)):
         raise CodecError(f"expected bytes, got {type(buffer).__name__}")
-    if len(buffer) < 4:
+    if bytes(buffer[:4]) != _MAGIC:
         raise CodecError("truncated or foreign buffer (bad magic)")
-    magic = bytes(buffer[:4])
-    if magic == _MAGIC2:
-        # bytes indexing is faster than memoryview indexing; only keep
-        # a view when the caller handed us one (zero-copy container
-        # slices) or a mutable buffer.
-        view = buffer if type(buffer) is bytes else memoryview(buffer)
-        value, pos = _decode2(view, 4, len(view), 0, [])
-        if pos != len(view):
-            raise CodecError(
-                f"{len(view) - pos} trailing bytes after EWC2 value")
-        return value
-    if magic != _MAGIC:
-        raise CodecError("truncated or foreign buffer (bad magic)")
-    buffer = bytes(buffer)
-    try:
-        obj = json.loads(buffer[4:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as exc:
-        raise CodecError(f"truncated or malformed wire document: {exc}") \
-            from exc
-    try:
-        return decode_value(obj)
-    except RecursionError as exc:
-        raise CodecError("nesting too deep to decode") from exc
+    # bytes indexing is faster than memoryview indexing; only keep a
+    # view when the caller handed us one (zero-copy container slices)
+    # or a mutable buffer.
+    view = buffer if type(buffer) is bytes else memoryview(buffer)
+    value, pos = _decode(view, 4, len(view), 0, [])
+    if pos != len(view):
+        raise CodecError(f"{len(view) - pos} trailing bytes after EWC2 value")
+    return value
 
 
 # Packet/header classes, bound lazily (repro.net.message imports this
@@ -816,7 +659,7 @@ def _bind_packet_types() -> None:
     _MultiStamp = MultiStamp
 
 
-# Packet frame header flag bits (EWC2).
+# Packet frame header flag bits.
 _F_SEQUENCED = 0x01
 _F_HAS_DST = 0x02
 _F_HAS_GROUPCAST = 0x04
@@ -824,26 +667,13 @@ _F_HAS_MULTISTAMP = 0x08
 _F_HAS_TRACE = 0x10
 
 
-def encode_packet(packet: Any, wire: str = "ewc1") -> bytes:
+def encode_packet(packet: Any) -> bytes:
     """Serialize a full :class:`~repro.net.message.Packet` envelope
     (headers + payload) for a real transport or a paranoid round-trip."""
     if _Packet is None:
         _bind_packet_types()
     if type(packet) is not _Packet:
         raise CodecError(f"expected Packet, got {type(packet).__name__}")
-    if wire == "ewc1":
-        envelope = ["t", packet.src, packet.dst,
-                    encode_value(packet.payload),
-                    encode_value(packet.groupcast),
-                    encode_value(packet.multistamp), packet.sequenced,
-                    packet.packet_id, packet.trace_id]
-        try:
-            body = json.dumps(envelope, separators=(",", ":"),
-                              allow_nan=False)
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot serialize packet: {exc}") from exc
-        return _MAGIC + body.encode("utf-8")
-    check_wire(wire)
     flags = 0
     if packet.sequenced:
         flags |= _F_SEQUENCED
@@ -855,7 +685,7 @@ def encode_packet(packet: Any, wire: str = "ewc1") -> bytes:
         flags |= _F_HAS_MULTISTAMP
     if packet.trace_id is not None:
         flags |= _F_HAS_TRACE
-    out = bytearray(_MAGIC2)
+    out = bytearray(_MAGIC)
     append = out.append
     append(_T_PACKET)
     append(flags)
@@ -898,7 +728,7 @@ def encode_packet(packet: Any, wire: str = "ewc1") -> bytes:
             append(z) if z < 0x80 else _write_uvarint(out, z)
             z = seq << 1 if seq >= 0 else ((-seq) << 1) - 1
             append(z) if z < 0x80 else _write_uvarint(out, z)
-    _encode2(out, packet.payload, 0, {})
+    _encode(out, packet.payload, 0, {})
     return bytes(out)
 
 
@@ -914,124 +744,102 @@ def _read_str(buf, pos: int, end: int) -> tuple[str, int]:
 
 
 def decode_packet(buffer: bytes) -> Any:
-    """Inverse of :func:`encode_packet` (wire format auto-detected).
-    The decoded packet keeps the sender-assigned
-    ``packet_id``/``trace_id`` so causal tracing and sequencer
-    bookkeeping are stable across the wire."""
+    """Inverse of :func:`encode_packet`. The decoded packet keeps the
+    sender-assigned ``packet_id``/``trace_id`` so causal tracing and
+    sequencer bookkeeping are stable across the wire."""
     if _Packet is None:
         _bind_packet_types()
     if not isinstance(buffer, (bytes, bytearray, memoryview)):
         raise CodecError(f"expected bytes, got {type(buffer).__name__}")
-    if len(buffer) >= 5 and bytes(buffer[:4]) == _MAGIC2:
-        view = buffer if type(buffer) is bytes else memoryview(buffer)
-        end = len(view)
-        if view[4] != _T_PACKET:
-            raise CodecError("EWC2 frame is not a packet envelope")
-        if end < 6:
-            raise CodecError("truncated EWC2 packet frame")
-        flags = view[5]
-        pos = 6
-        # Header varints are read inline for the single-byte case,
-        # mirroring the encode side.
+    if bytes(buffer[:4]) != _MAGIC:
+        raise CodecError("truncated or foreign buffer (bad magic)")
+    view = buffer if type(buffer) is bytes else memoryview(buffer)
+    end = len(view)
+    if end < 6:
+        raise CodecError("truncated EWC2 packet frame")
+    if view[4] != _T_PACKET:
+        raise CodecError("EWC2 frame is not a packet envelope")
+    flags = view[5]
+    pos = 6
+    # Header varints are read inline for the single-byte case,
+    # mirroring the encode side.
+    if pos < end and view[pos] < 0x80:
+        b = view[pos]
+        packet_id = (b >> 1) ^ -(b & 1)
+        pos += 1
+    else:
+        packet_id, pos = _read_svarint(view, pos, end)
+    trace_id = None
+    if flags & _F_HAS_TRACE:
         if pos < end and view[pos] < 0x80:
             b = view[pos]
-            packet_id = (b >> 1) ^ -(b & 1)
+            trace_id = (b >> 1) ^ -(b & 1)
             pos += 1
         else:
-            packet_id, pos = _read_svarint(view, pos, end)
-        trace_id = None
-        if flags & _F_HAS_TRACE:
+            trace_id, pos = _read_svarint(view, pos, end)
+    src, pos = _read_str(view, pos, end)
+    dst = None
+    if flags & _F_HAS_DST:
+        dst, pos = _read_str(view, pos, end)
+    groupcast = None
+    if flags & _F_HAS_GROUPCAST:
+        if pos < end and view[pos] < 0x80:
+            count = view[pos]
+            pos += 1
+        else:
+            count, pos = _read_uvarint(view, pos, end)
+        groups = []
+        for _ in range(count):
             if pos < end and view[pos] < 0x80:
                 b = view[pos]
-                trace_id = (b >> 1) ^ -(b & 1)
+                gid = (b >> 1) ^ -(b & 1)
                 pos += 1
             else:
-                trace_id, pos = _read_svarint(view, pos, end)
-        src, pos = _read_str(view, pos, end)
-        dst = None
-        if flags & _F_HAS_DST:
-            dst, pos = _read_str(view, pos, end)
-        groupcast = None
-        if flags & _F_HAS_GROUPCAST:
-            if pos < end and view[pos] < 0x80:
-                count = view[pos]
-                pos += 1
-            else:
-                count, pos = _read_uvarint(view, pos, end)
-            groups = []
-            for _ in range(count):
-                if pos < end and view[pos] < 0x80:
-                    b = view[pos]
-                    gid = (b >> 1) ^ -(b & 1)
-                    pos += 1
-                else:
-                    gid, pos = _read_svarint(view, pos, end)
-                groups.append(gid)
-            try:
-                groupcast = _GroupcastHeader(tuple(groups))
-            except ValueError as exc:
-                raise CodecError(f"malformed groupcast header: {exc}") \
-                    from exc
-        multistamp = None
-        if flags & _F_HAS_MULTISTAMP:
+                gid, pos = _read_svarint(view, pos, end)
+            groups.append(gid)
+        try:
+            groupcast = _GroupcastHeader(tuple(groups))
+        except ValueError as exc:
+            raise CodecError(f"malformed groupcast header: {exc}") from exc
+    multistamp = None
+    if flags & _F_HAS_MULTISTAMP:
+        if pos < end and view[pos] < 0x80:
+            b = view[pos]
+            epoch = (b >> 1) ^ -(b & 1)
+            pos += 1
+        else:
+            epoch, pos = _read_svarint(view, pos, end)
+        if pos < end and view[pos] < 0x80:
+            count = view[pos]
+            pos += 1
+        else:
+            count, pos = _read_uvarint(view, pos, end)
+        stamps = []
+        for _ in range(count):
             if pos < end and view[pos] < 0x80:
                 b = view[pos]
-                epoch = (b >> 1) ^ -(b & 1)
+                gid = (b >> 1) ^ -(b & 1)
                 pos += 1
             else:
-                epoch, pos = _read_svarint(view, pos, end)
+                gid, pos = _read_svarint(view, pos, end)
             if pos < end and view[pos] < 0x80:
-                count = view[pos]
+                b = view[pos]
+                seq = (b >> 1) ^ -(b & 1)
                 pos += 1
             else:
-                count, pos = _read_uvarint(view, pos, end)
-            stamps = []
-            for _ in range(count):
-                if pos < end and view[pos] < 0x80:
-                    b = view[pos]
-                    gid = (b >> 1) ^ -(b & 1)
-                    pos += 1
-                else:
-                    gid, pos = _read_svarint(view, pos, end)
-                if pos < end and view[pos] < 0x80:
-                    b = view[pos]
-                    seq = (b >> 1) ^ -(b & 1)
-                    pos += 1
-                else:
-                    seq, pos = _read_svarint(view, pos, end)
-                stamps.append((gid, seq))
-            multistamp = _MultiStamp(epoch=epoch, stamps=tuple(stamps))
-        payload, pos = _decode2(view, pos, end, 0, [])
-        if pos != end:
-            raise CodecError(
-                f"{end - pos} trailing bytes after EWC2 packet frame")
-        packet = _object_new(_Packet)
-        packet.src = src
-        packet.dst = dst
-        packet.payload = payload
-        packet.groupcast = groupcast
-        packet.multistamp = multistamp
-        packet.sequenced = bool(flags & _F_SEQUENCED)
-        packet.packet_id = packet_id
-        packet.trace_id = trace_id
-        return packet
-
-    envelope = decode_message(buffer)
-    if not isinstance(envelope, tuple) or len(envelope) != 8:
-        raise CodecError(f"malformed packet envelope: {envelope!r}")
-    (src, dst, payload, groupcast, multistamp, sequenced,
-     packet_id, trace_id) = envelope
-    if groupcast is not None and type(groupcast) is not _GroupcastHeader:
-        raise CodecError(f"malformed groupcast header: {groupcast!r}")
-    if multistamp is not None and type(multistamp) is not _MultiStamp:
-        raise CodecError(f"malformed multi-stamp: {multistamp!r}")
+                seq, pos = _read_svarint(view, pos, end)
+            stamps.append((gid, seq))
+        multistamp = _MultiStamp(epoch=epoch, stamps=tuple(stamps))
+    payload, pos = _decode(view, pos, end, 0, [])
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing bytes after EWC2 packet frame")
     packet = _object_new(_Packet)
     packet.src = src
     packet.dst = dst
     packet.payload = payload
     packet.groupcast = groupcast
     packet.multistamp = multistamp
-    packet.sequenced = bool(sequenced)
+    packet.sequenced = bool(flags & _F_SEQUENCED)
     packet.packet_id = packet_id
     packet.trace_id = trace_id
     return packet
@@ -1057,7 +865,7 @@ def encode_datagram(frames: list[bytes]) -> bytes:
 
 def decode_datagram(buffer: bytes) -> list:
     """Decode one received datagram into its packets: either a bare
-    EWC1/EWC2 packet frame or an EWCB container of several. Frames are
+    EWC2 packet frame or an EWCB container of several. Frames are
     sliced out of the receive buffer as memoryviews (zero-copy); each
     slice is decoded with :func:`decode_packet`."""
     if not isinstance(buffer, (bytes, bytearray, memoryview)):

@@ -4,9 +4,11 @@ The :class:`ClusterLauncher` turns a :class:`~repro.harness.cluster.
 ClusterConfig` into a real multi-process deployment: one OS process per
 role (``python -m repro node --role ...``), supervised from the driver
 process. Coordination runs over a tiny TCP control plane — length-
-prefixed frames carrying the same EWC-codec dataclasses the data plane
-uses, so the control protocol gets the codec's validation and
-versioning for free.
+prefixed EWC2 frames from the same ``encode_message`` the data plane
+uses, so the control protocol gets the codec's validation for free.
+The launching process and every worker load the same message modules
+(this one, the snapshot and the worker runtime), so both ends derive
+the same interned type table.
 
 Bootstrap is a two-phase port-map exchange, because UDP ports are
 ephemeral (no static assignment could survive collisions across
@@ -118,8 +120,8 @@ register_messages([WorkerHello, ClusterStart, StartAck, StateRequest,
 # -- framing ---------------------------------------------------------------
 
 def write_frame(writer: asyncio.StreamWriter, message: Any) -> None:
-    """Queue one length-prefixed EWC1 control frame."""
-    data = encode_message(message, "ewc1")
+    """Queue one length-prefixed control frame."""
+    data = encode_message(message)
     writer.write(_LEN.pack(len(data)) + data)
 
 

@@ -56,7 +56,7 @@ class OpClass:
     """Operation-class annotations for stored procedures.
 
     Plain string constants (not an enum) so the values pass through
-    both wire codecs as ordinary scalars.
+    the wire codec as ordinary scalars.
     """
 
     #: Unrestricted read-write procedure: full §3.2 ordering applies.

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+from typing import Any, Callable, NamedTuple
+
 import pytest
 
 from repro.harness import ClusterConfig, build_cluster
+from repro.net.message import Packet
 from repro.net.network import NetConfig
+from repro.runtime.codec import (
+    decode_datagram,
+    decode_message,
+    decode_packet,
+    encode_datagram,
+    encode_message,
+    encode_packet,
+)
 from repro.sim.event_loop import EventLoop
 from repro.sim.randomness import SplitRandom
 from repro.store import ProcedureRegistry
@@ -56,3 +67,38 @@ def submit_and_wait(cluster, client, op, timeout: float = 0.5):
 
 def drive(cluster, duration: float) -> None:
     cluster.loop.run(until=cluster.loop.now + duration)
+
+
+# -- wire carriages ---------------------------------------------------------
+
+class Carriage(NamedTuple):
+    """One way a value crosses the wire: ``encode`` turns it into a
+    frame, ``decode`` turns a (possibly damaged) frame back into the
+    value, and ``decode_packet`` does the same for a whole packet frame."""
+
+    encode: Callable[[Any], bytes]
+    decode: Callable[[bytes], Any]
+    decode_packet: Callable[[bytes], Any]
+
+
+def _in_packet(value: Any) -> bytes:
+    return encode_packet(Packet(src="client-1", dst="r0.0", payload=value))
+
+
+def _received(frame: bytes) -> Packet:
+    """Decode a packet frame as a batching transport receives it: the
+    second frame of an EWCB datagram, sliced zero-copy out of the
+    receive buffer."""
+    lead = encode_packet(Packet(src="client-1", dst="r0.0", payload=None))
+    return decode_datagram(encode_datagram([lead, frame]))[1]
+
+
+#: Codec contracts must hold however a value crosses the wire. ``ewc2``
+#: sends it as a bare message frame. ``ewc1`` sends it as the payload of
+#: a packet frame received inside an EWCB datagram. The case ids are the
+#: names these cases ran under when the suite covered two wire formats;
+#: they are kept so per-test results stay comparable across versions.
+CARRIAGES = pytest.mark.parametrize("carriage", [
+    Carriage(_in_packet, lambda frame: _received(frame).payload, _received),
+    Carriage(encode_message, decode_message, decode_packet),
+], ids=["ewc1", "ewc2"])

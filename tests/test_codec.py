@@ -9,10 +9,13 @@ checked exhaustively here:
   and with every optional left at ``None``/default — nested composites
   (MultiStamp inside TxnRecord inside HasTxn, logs of entries inside
   ViewChange) included;
+- round-trips hold both for a bare message frame and for a packet
+  payload received zero-copy out of an EWCB datagram;
 - packets round-trip with headers and ids intact;
+- a read of an absent key (``MISSING``) crosses the wire as itself;
 - unknown message types, truncated buffers, foreign bytes, and
-  malformed documents raise the typed :class:`CodecError`, never a
-  bare ``KeyError``/``JSONDecodeError``.
+  malformed frames raise the typed :class:`CodecError`, never a bare
+  ``KeyError``/``IndexError``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ import typing
 
 import pytest
 
-from repro.core.messages import HasTxn, PeerTxnResponse, TxnRecord, ViewChange
+from conftest import CARRIAGES
+from repro.core.messages import (
+    HasTxn,
+    PeerTxnResponse,
+    TxnRecord,
+    TxnReply,
+    ViewChange,
+)
 from repro.core.transaction import IndependentTransaction, SlotId, TxnId
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.runtime.codec import (
@@ -32,11 +42,9 @@ from repro.runtime.codec import (
     encode_message,
     encode_packet,
     registered_message_types,
+    wire_type_table,
 )
-
-#: Both wire formats must satisfy every contract in this file: EWC1 is
-#: the paranoid-codec reference, EWC2 the compact binary fast path.
-WIRES = ("ewc1", "ewc2")
+from repro.store import MISSING
 
 # -- generic sample fabrication -------------------------------------------
 #
@@ -135,21 +143,21 @@ def _registry_ids():
     return sorted(registered_message_types())
 
 
-@pytest.mark.parametrize("wire", WIRES)
+@CARRIAGES
 @pytest.mark.parametrize("name", _registry_ids())
-def test_every_registered_message_roundtrips_fully_populated(name, wire):
+def test_every_registered_message_roundtrips_fully_populated(name, carriage):
     cls = registered_message_types()[name]
     message = _fabricate(cls, populate_optionals=True)
-    assert decode_message(encode_message(message, wire)) == message
+    assert carriage.decode(carriage.encode(message)) == message
 
 
-@pytest.mark.parametrize("wire", WIRES)
+@CARRIAGES
 @pytest.mark.parametrize("name", _registry_ids())
-def test_every_registered_message_roundtrips_with_defaults(name, wire):
+def test_every_registered_message_roundtrips_with_defaults(name, carriage):
     """Optional/None-bearing fields kept at their declared defaults."""
     cls = registered_message_types()[name]
     message = _fabricate(cls, populate_optionals=False)
-    assert decode_message(encode_message(message, wire)) == message
+    assert carriage.decode(carriage.encode(message)) == message
 
 
 def test_registry_covers_the_whole_protocol_surface():
@@ -167,13 +175,13 @@ def test_registry_covers_the_whole_protocol_surface():
 
 # -- hand-built nesting cases ---------------------------------------------
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_deep_nesting_roundtrips(wire):
+@CARRIAGES
+def test_deep_nesting_roundtrips(carriage):
     """HasTxn -> TxnRecord -> IndependentTransaction + MultiStamp, and
     a ViewChange carrying a log tuple of records plus frozensets of
     slots."""
     has = HasTxn(slot=_SAMPLE_SLOT, record=_SAMPLE_RECORD, sender="r0.1")
-    assert decode_message(encode_message(has, wire)) == has
+    assert carriage.decode(carriage.encode(has)) == has
 
     view_change = ViewChange(
         shard=1, new_view=4, epoch_num=2,
@@ -181,42 +189,42 @@ def test_deep_nesting_roundtrips(wire):
         temp_drops=frozenset({_SAMPLE_SLOT}),
         perm_drops=frozenset({SlotId(0, 1, 2)}),
         un_drops=frozenset(), sender="r1.2")
-    decoded = decode_message(encode_message(view_change, wire))
+    decoded = carriage.decode(carriage.encode(view_change))
     assert decoded == view_change
     assert isinstance(decoded.log[0].multistamp, MultiStamp)
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_none_bearing_optionals_roundtrip(wire):
+@CARRIAGES
+def test_none_bearing_optionals_roundtrip(carriage):
     """Optional fields explicitly set to None survive the wire."""
     response = PeerTxnResponse(slot=_SAMPLE_SLOT, entry=None,
                                sender="r0.2", dropped=True)
-    decoded = decode_message(encode_message(response, wire))
+    decoded = carriage.decode(carriage.encode(response))
     assert decoded == response
     assert decoded.entry is None
 
     record = TxnRecord(txn=None, multistamp=_SAMPLE_STAMP)
-    assert decode_message(encode_message(record, wire)) == record
+    assert carriage.decode(carriage.encode(record)) == record
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_scalars_and_composites_roundtrip_exactly(wire):
+@CARRIAGES
+def test_scalars_and_composites_roundtrip_exactly(carriage):
     for value in (None, True, False, 0, -17, 3.5, 1e-9, "text", b"bytes",
                   (1, "two", None), [1, [2, [3]]], {"k": (1, 2)},
                   {(0, 1): "tuple key"}, frozenset({1, 2}), {3, 4}):
-        decoded = decode_message(encode_message(value, wire))
+        decoded = carriage.decode(carriage.encode(value))
         assert decoded == value
         assert type(decoded) is type(value)
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_packet_roundtrip_preserves_headers_and_ids(wire):
+@CARRIAGES
+def test_packet_roundtrip_preserves_headers_and_ids(carriage):
     packet = Packet(src="client-1", dst=None,
                     payload=HasTxn(slot=_SAMPLE_SLOT, record=_SAMPLE_RECORD,
                                    sender="r0.1"),
                     groupcast=GroupcastHeader(groups=(0, 1)),
                     multistamp=_SAMPLE_STAMP, sequenced=True)
-    decoded = decode_packet(encode_packet(packet, wire))
+    decoded = carriage.decode_packet(encode_packet(packet))
     assert decoded.src == packet.src
     assert decoded.dst is None
     assert decoded.payload == packet.payload
@@ -227,36 +235,56 @@ def test_packet_roundtrip_preserves_headers_and_ids(wire):
     assert decoded.trace_id == packet.trace_id
 
 
+def test_missing_read_result_roundtrips_as_the_singleton():
+    """A read of an absent key returns ``MISSING``; a reply carrying it
+    must cross the wire and still satisfy ``value is MISSING``."""
+    reply = TxnReply(txn_id=_SAMPLE_TXN_ID, txn_index=3, view_num=0,
+                     epoch_num=1, shard=0, replica_index=1, is_dl=True,
+                     result={"user7": MISSING, "user8": 5})
+    decoded = decode_message(encode_message(reply))
+    assert decoded == reply
+    assert decoded.result["user7"] is MISSING
+    packet = decode_packet(encode_packet(Packet(src="r0.1", dst="client-1",
+                                                payload=reply)))
+    assert packet.payload.result["user7"] is MISSING
+
+
 # -- typed failures --------------------------------------------------------
 
 def test_unknown_message_type_raises_codec_error():
-    buffer = encode_message(_SAMPLE_TXN_ID).replace(b"TxnId", b"NoSuchMsg")
-    with pytest.raises(CodecError, match="unknown wire message type"):
-        decode_message(buffer)
+    good = encode_message(_SAMPLE_TXN_ID)
+    table = wire_type_table()
+    # One-byte interned ids: magic, message tag, then the id itself.
+    assert good[5] == table.index("TxnId") and len(table) < 0x80
+    bad = good[:5] + bytes([len(table)]) + good[6:]
+    with pytest.raises(CodecError, match="unknown interned wire type id"):
+        decode_message(bad)
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_truncated_buffer_raises_codec_error(wire):
-    buffer = encode_message(_SAMPLE_RECORD, wire)
+@CARRIAGES
+def test_truncated_buffer_raises_codec_error(carriage):
+    buffer = carriage.encode(_SAMPLE_RECORD)
     for cut in (0, 1, 3, len(buffer) // 2, len(buffer) - 1):
         with pytest.raises(CodecError):
-            decode_message(buffer[:cut])
+            carriage.decode(buffer[:cut])
 
 
 def test_foreign_bytes_raise_codec_error():
     with pytest.raises(CodecError, match="bad magic"):
         decode_message(b"GET / HTTP/1.1\r\n")
     with pytest.raises(CodecError):
-        decode_message(b"EWC1not json at all")
-    with pytest.raises(CodecError):
         decode_packet(encode_message("not a packet envelope"))
 
 
 def test_wrong_field_count_raises_codec_error():
-    good = encode_message(_SAMPLE_SLOT)        # ["m","SlotId",[1,2,33]]
-    bad = good.replace(b",33]]", b"]]")
-    with pytest.raises(CodecError, match="expected 3 fields"):
-        decode_message(bad)
+    """Fields travel positionally: a frame one field short runs out of
+    bytes, and one field long leaves trailing bytes."""
+    good = encode_message(_SAMPLE_SLOT)        # SlotId(1, 2, 33)
+    assert good[-1] == 0x80 | 33               # last field, a small int
+    with pytest.raises(CodecError, match="truncated"):
+        decode_message(good[:-1])
+    with pytest.raises(CodecError, match="trailing"):
+        decode_message(good + bytes([0x80 | 34]))
 
 
 def test_unregistered_dataclass_encode_raises_codec_error():
@@ -270,37 +298,37 @@ def test_unregistered_dataclass_encode_raises_codec_error():
 
 # -- chain-replicated sequencer messages ----------------------------------
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_chain_forward_roundtrips_with_payload_and_without(wire):
+@CARRIAGES
+def test_chain_forward_roundtrips_with_payload_and_without(carriage):
     from repro.net.chainseq import ChainForward
 
     loaded = ChainForward(version=3, epoch=2, stamps=((0, 7), (1, 9)),
                           origin="client-4", payload=_SAMPLE_TXN,
                           groups=(0, 1), trace_id=88)
-    assert decode_message(encode_message(loaded, wire)) == loaded
+    assert carriage.decode(carriage.encode(loaded)) == loaded
 
     bare = ChainForward(version=1, epoch=1, stamps=((2, 1),),
                         origin="client-1", payload=None, groups=(2,))
-    decoded = decode_message(encode_message(bare, wire))
+    decoded = carriage.decode(carriage.encode(bare))
     assert decoded == bare and decoded.trace_id is None
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_chain_repair_control_plane_roundtrips(wire):
+@CARRIAGES
+def test_chain_repair_control_plane_roundtrips(carriage):
     from repro.net.chainseq import (ChainInstall, ChainInstallAck,
                                     ChainState, ChainStateRequest)
 
     install = ChainInstall(version=4, epoch=2,
                            members=("chain1", "chain2"),
                            counters={0: 17, 1: 3, 5: 0})
-    decoded = decode_message(encode_message(install, wire))
+    decoded = carriage.decode(carriage.encode(install))
     assert decoded == install
     assert decoded.counters == {0: 17, 1: 3, 5: 0}   # int keys survive
 
     for msg in (ChainStateRequest(nonce=9),
                 ChainState(nonce=9, version=4, epoch=2, counters={0: 17}),
                 ChainInstallAck(version=4, sender="chain2")):
-        assert decode_message(encode_message(msg, wire)) == msg
+        assert carriage.decode(carriage.encode(msg)) == msg
 
 
 def test_chain_messages_are_registered():
@@ -316,9 +344,9 @@ def test_chain_forward_wrong_field_count_raises_codec_error():
     good = encode_message(ChainForward(version=1, epoch=1, stamps=(),
                                        origin="c", payload=None,
                                        groups=(), trace_id=5))
-    bad = good.replace(b",5]]", b"]]")
-    with pytest.raises(CodecError, match="expected 7 fields"):
-        decode_message(bad)
+    assert good[-1] == 0x80 | 5                # trace_id, the last field
+    with pytest.raises(CodecError, match="truncated"):
+        decode_message(good[:-1])
 
 
 def test_chain_install_malformed_counters_raises_codec_error():
@@ -326,8 +354,9 @@ def test_chain_install_malformed_counters_raises_codec_error():
 
     good = encode_message(ChainInstall(version=1, epoch=1,
                                        members=("a",), counters={0: 1}))
-    # Break the dict tag's [k, v] pair shape.
-    bad = good.replace(b'["d",[0,1]]', b'["d",[0,1,2]]')
+    # {0: 1} is dict tag 0x0B, count 1, then two small ints; claim two
+    # entries and repeat the key.
+    bad = good.replace(b"\x0b\x01\x80\x81", b"\x0b\x02\x80\x81\x80\x82")
     assert bad != good
-    with pytest.raises(CodecError, match="malformed dict entry"):
+    with pytest.raises(CodecError, match="duplicate dict keys"):
         decode_message(bad)

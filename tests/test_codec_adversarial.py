@@ -1,21 +1,25 @@
-"""Adversarial wire-codec corpus, shared by EWC1 and EWC2.
+"""Adversarial wire-codec corpus.
 
 The codec is the trust boundary of every real transport: whatever
 arrives over a socket must either decode to exactly what was sent or
 raise the typed :class:`CodecError` — never a bare ``KeyError``,
 ``UnicodeDecodeError``, ``RecursionError``, or silently-wrong value.
-This file attacks both wire formats with the same corpus:
+This file attacks the EWC2 wire format with:
 
 - truncation at *every* byte offset of every corpus frame;
 - cuts and corruption inside multi-byte UTF-8 sequences;
 - nesting beyond ``MAX_DEPTH``;
 - duplicate dict keys / set elements in forged frames;
-- unknown interned type ids and out-of-range string back-references
-  (EWC2-specific byte-level forgeries);
+- unknown interned type ids and out-of-range string back-references;
+- frames of the retired tagged-JSON format, which are foreign bytes;
 - non-finite floats and type-narrowing subclasses at encode time;
 - constructor validators re-run on decode (a forged frame cannot
   smuggle an invalid message past ``__post_init__``);
 - the EWCB multi-frame datagram container's framing checks.
+
+The truncation, corruption and encode-strictness sweeps run both on
+bare message frames and on packet payloads received out of an EWCB
+datagram (the ``CARRIAGES`` cases in ``conftest``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import enum
 
 import pytest
 
+from conftest import CARRIAGES
 from repro.core.messages import SyncLog, TxnReply, TxnReplyBatch
 from repro.core.transaction import IndependentTransaction, TxnId
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
@@ -38,8 +43,6 @@ from repro.runtime.codec import (
     encode_message,
     encode_packet,
 )
-
-WIRES = ("ewc1", "ewc2")
 
 _TXN = IndependentTransaction(
     txn_id=TxnId(client="client-9", seq=3),
@@ -65,46 +68,46 @@ def _corpus():
 
 # -- truncation sweeps ------------------------------------------------------
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_truncation_at_every_byte_raises_codec_error(wire):
+@CARRIAGES
+def test_truncation_at_every_byte_raises_codec_error(carriage):
     """No prefix of a valid frame may decode (to anything)."""
     for message in _corpus():
-        buffer = encode_message(message, wire)
+        buffer = carriage.encode(message)
         for cut in range(len(buffer)):
             with pytest.raises(CodecError):
-                decode_message(buffer[:cut])
+                carriage.decode(buffer[:cut])
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_packet_truncation_at_every_byte_raises_codec_error(wire):
+@CARRIAGES
+def test_packet_truncation_at_every_byte_raises_codec_error(carriage):
     packet = Packet(src="client-9", dst=None, payload=_TXN,
                     groupcast=GroupcastHeader((0, 1)),
                     multistamp=MultiStamp(epoch=1, stamps=((0, 9),)),
                     sequenced=True, trace_id=77)
-    buffer = encode_packet(packet, wire)
+    buffer = encode_packet(packet)
     for cut in range(len(buffer)):
         with pytest.raises(CodecError):
-            decode_packet(buffer[:cut])
+            carriage.decode_packet(buffer[:cut])
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_trailing_bytes_rejected(wire):
-    buffer = encode_message(_TXN, wire)
+@CARRIAGES
+def test_trailing_bytes_rejected(carriage):
+    buffer = carriage.encode(_TXN)
     with pytest.raises(CodecError):
-        decode_message(buffer + b"\x00")
+        carriage.decode(buffer + b"\x00")
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_corrupted_utf8_rejected(wire):
+@CARRIAGES
+def test_corrupted_utf8_rejected(carriage):
     """Flipping bytes inside a multi-byte UTF-8 run must not produce a
     silently different string: it decodes equal or raises CodecError."""
     message = ("𝔘nicode-𝔴ide", "héllo")
-    buffer = bytearray(encode_message(message, wire))
+    buffer = bytearray(carriage.encode(message))
     seen_error = False
     for pos in range(4, len(buffer)):
         corrupted = bytes(buffer[:pos]) + b"\xff" + bytes(buffer[pos + 1:])
         try:
-            decode_message(corrupted)
+            carriage.decode(corrupted)
         except CodecError:
             seen_error = True
     assert seen_error
@@ -112,19 +115,19 @@ def test_corrupted_utf8_rejected(wire):
 
 # -- resource-exhaustion forgeries -----------------------------------------
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_nesting_beyond_max_depth_rejected(wire):
+@CARRIAGES
+def test_nesting_beyond_max_depth_rejected(carriage):
     value = "leaf"
     for _ in range(MAX_DEPTH + 10):
         value = [value]
     with pytest.raises(CodecError, match="nesting"):
-        encode_message(value, wire)
+        carriage.encode(value)
 
 
 def test_forged_deep_nesting_frame_rejected_on_decode():
     # A decoder-side forgery: EWC2 list-of-list headers repeated past
     # the depth bound without ever being encodable locally.
-    frame = bytearray(C._MAGIC2)
+    frame = bytearray(C._MAGIC)
     for _ in range(MAX_DEPTH + 10):
         frame += bytes([C._T_LIST, 0x01])
     frame += bytes([0x80])
@@ -133,7 +136,7 @@ def test_forged_deep_nesting_frame_rejected_on_decode():
 
 
 def test_ewcb_frame_count_bound_enforced():
-    frame = encode_packet(Packet(src="a", dst="b", payload=None), "ewc2")
+    frame = encode_packet(Packet(src="a", dst="b", payload=None))
     out = bytearray(C._MAGIC_BATCH)
     C._write_uvarint(out, C.MAX_DATAGRAM_FRAMES + 1)
     C._write_uvarint(out, len(frame))
@@ -145,30 +148,22 @@ def test_ewcb_frame_count_bound_enforced():
 # -- duplicate keys ---------------------------------------------------------
 
 def test_ewc2_duplicate_dict_keys_rejected():
-    frame = bytes(C._MAGIC2) + bytes(
+    frame = bytes(C._MAGIC) + bytes(
         [C._T_DICT, 0x02, 0x81, 0x80, 0x81, 0x80])  # {1: 0, 1: 0}
     with pytest.raises(CodecError, match="duplicate dict keys"):
         decode_message(frame)
 
 
 def test_ewc2_duplicate_set_elements_rejected():
-    frame = bytes(C._MAGIC2) + bytes([C._T_SET, 0x02, 0x81, 0x81])
+    frame = bytes(C._MAGIC) + bytes([C._T_SET, 0x02, 0x81, 0x81])
     with pytest.raises(CodecError, match="duplicate set elements"):
         decode_message(frame)
-
-
-def test_ewc1_duplicate_dict_keys_rejected():
-    good = encode_message({1: "x", 2: "y"}, "ewc1")
-    bad = good.replace(b"[2,", b"[1,")
-    assert bad != good
-    with pytest.raises(CodecError, match="duplicate"):
-        decode_message(bad)
 
 
 # -- EWC2 byte-level forgeries ----------------------------------------------
 
 def test_ewc2_unknown_interned_type_id_rejected():
-    out = bytearray(C._MAGIC2)
+    out = bytearray(C._MAGIC)
     out.append(C._T_MSG)
     C._write_uvarint(out, 60_000)          # far past the registry
     with pytest.raises(CodecError, match="unknown interned wire type id"):
@@ -176,19 +171,28 @@ def test_ewc2_unknown_interned_type_id_rejected():
 
 
 def test_ewc2_string_backreference_out_of_range_rejected():
-    frame = bytes(C._MAGIC2) + bytes([C._T_SREF, 0x05])
+    frame = bytes(C._MAGIC) + bytes([C._T_SREF, 0x05])
     with pytest.raises(CodecError, match="back-reference"):
         decode_message(frame)
     # Same probe nested in a container (exercises the inline peek path,
     # which must bounds-check exactly like the recursive path).
-    nested = bytes(C._MAGIC2) + bytes([C._T_TUPLE, 0x01, C._T_SREF, 0x05])
+    nested = bytes(C._MAGIC) + bytes([C._T_TUPLE, 0x01, C._T_SREF, 0x05])
     with pytest.raises(CodecError, match="back-reference"):
         decode_message(nested)
 
 
 def test_ewc2_unknown_tag_rejected():
     with pytest.raises(CodecError):
-        decode_message(bytes(C._MAGIC2) + bytes([0x7F]))
+        decode_message(bytes(C._MAGIC) + bytes([0x7F]))
+
+
+def test_ewc1_magic_is_a_foreign_buffer():
+    """Frames of the retired tagged-JSON format (magic ``EWC1``) are
+    foreign bytes: every decode entry point rejects them."""
+    frame = b'EWC1["t","s","d",1,null,null,false,0,null]'
+    for decode in (decode_message, decode_packet, decode_datagram):
+        with pytest.raises(CodecError, match="bad magic"):
+            decode(frame)
 
 
 def test_ewc2_string_interning_handles_more_than_128_strings():
@@ -197,25 +201,25 @@ def test_ewc2_string_interning_handles_more_than_128_strings():
     byte as a reference."""
     uniques = tuple(f"string-number-{i:04d}" for i in range(300))
     message = uniques + uniques          # every string repeated once
-    buffer = encode_message(message, "ewc2")
+    buffer = encode_message(message)
     assert decode_message(buffer) == message
     # Interning must actually fire: the repeat half is far smaller
     # than a second copy of the unique half.
-    single = encode_message(uniques, "ewc2")
+    single = encode_message(uniques)
     assert len(buffer) < 2 * len(single) - 2000
 
 
 # -- encode-time strictness -------------------------------------------------
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_non_finite_floats_rejected(wire):
+@CARRIAGES
+def test_non_finite_floats_rejected(carriage):
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(CodecError):
-            encode_message({"v": bad}, wire)
+            carriage.encode({"v": bad})
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_type_narrowing_subclasses_rejected(wire):
+@CARRIAGES
+def test_type_narrowing_subclasses_rejected(carriage):
     class Color(enum.IntEnum):
         RED = 1
 
@@ -224,7 +228,7 @@ def test_type_narrowing_subclasses_rejected(wire):
 
     for value in (Color.RED, Label("x")):
         with pytest.raises(CodecError):
-            encode_message(value, wire)
+            carriage.encode(value)
 
 
 # -- validators re-run on decode --------------------------------------------
@@ -232,7 +236,7 @@ def test_type_narrowing_subclasses_rejected(wire):
 def test_ewc2_forged_frame_cannot_skip_post_init_validation():
     """Patching a valid frame's participants to (0, 0) must trip the
     dataclass validator during decode, not build an invalid txn."""
-    buffer = encode_message(_TXN, "ewc2")
+    buffer = encode_message(_TXN)
     needle = bytes([C._T_TUPLE, 0x02, 0x80, 0x81])       # (0, 1)
     patched = bytes([C._T_TUPLE, 0x02, 0x80, 0x80])      # (0, 0)
     assert buffer.count(needle) == 1
@@ -240,20 +244,11 @@ def test_ewc2_forged_frame_cannot_skip_post_init_validation():
         decode_message(buffer.replace(needle, patched))
 
 
-def test_ewc1_forged_frame_cannot_skip_post_init_validation():
-    buffer = encode_message(_TXN, "ewc1")
-    bad = buffer.replace(b'["t",0,1]', b'["t",0,0]')
-    assert bad != buffer
-    with pytest.raises(CodecError, match="cannot rebuild"):
-        decode_message(bad)
-
-
 # -- EWCB datagram container ------------------------------------------------
 
-def _frames(n, wire="ewc2"):
-    return [encode_packet(
-        Packet(src="s", dst=f"d{i}", payload={"i": i}), wire)
-        for i in range(n)]
+def _frames(n):
+    return [encode_packet(Packet(src="s", dst=f"d{i}", payload={"i": i}))
+            for i in range(n)]
 
 
 def test_datagram_roundtrip_multiframe():
@@ -268,13 +263,6 @@ def test_datagram_single_frame_has_no_container_overhead():
     frames = _frames(1)
     assert encode_datagram(frames) == frames[0]
     assert decode_datagram(frames[0])[0].payload == {"i": 0}
-
-
-def test_datagram_mixed_wires_decode():
-    frames = [encode_packet(Packet(src="s", dst="d", payload=1), "ewc1"),
-              encode_packet(Packet(src="s", dst="d", payload=2), "ewc2")]
-    assert [p.payload for p in decode_datagram(encode_datagram(frames))] \
-        == [1, 2]
 
 
 def test_datagram_truncation_and_trailing_bytes_rejected():

@@ -56,8 +56,7 @@ CHAIN_THROUGHPUT = 198333.33333333334
 
 
 def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
-                   sequencer_chain: int = 0, wire: str = "ewc1",
-                   instrument: bool = False,
+                   sequencer_chain: int = 0, instrument: bool = False,
                    sample_series_to: str = ""):
     """One small fig6-style Eris measurement with an event fingerprint.
 
@@ -72,8 +71,7 @@ def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
     cluster = build_cluster(
         ClusterConfig(system="eris", n_shards=2, seed=42, tracing=tracing,
                       sequencer_chain=sequencer_chain,
-                      net=NetConfig(paranoid_codec=paranoid_codec,
-                                    wire=wire)),
+                      net=NetConfig(paranoid_codec=paranoid_codec)),
         registry, partitioner,
         loader=lambda stores, p: load_ycsb(stores, p, 500))
     digest = hashlib.sha256()
@@ -154,17 +152,55 @@ def test_paranoid_codec_mode_is_bit_identical():
     assert run["throughput"] == pytest.approx(PRE_OPTIMIZATION_THROUGHPUT)
 
 
-def test_ewc2_paranoid_codec_mode_is_bit_identical():
-    """The paranoid round-trip over the compact binary wire (EWC2) must
-    reproduce the *same* pinned event stream as EWC1 and as the
-    reference-passing fabric: the fast codec preserves every payload
-    bit-exactly under full protocol traffic, not just in unit tests."""
-    run = run_small_eris(paranoid_codec=True, wire="ewc2")
+def _record_frame_magics(monkeypatch) -> list:
+    """Wrap the codec's packet encoder so a run records the magic of
+    every frame it puts on the simulated wire."""
+    from repro.runtime import codec
+    magics = []
+    encode = codec.encode_packet
+
+    def recording(packet):
+        frame = encode(packet)
+        magics.append(frame[:4])
+        return frame
+
+    monkeypatch.setattr(codec, "encode_packet", recording)
+    return magics
+
+
+def test_ewc2_paranoid_codec_mode_is_bit_identical(monkeypatch):
+    """The paranoid round-trip really carries every delivered packet as
+    an EWC2 frame — exactly one frame per delivery — and that traffic
+    still reproduces the pinned event stream bit-exactly."""
+    magics = _record_frame_magics(monkeypatch)
+    run = run_small_eris(paranoid_codec=True)
     assert run["digest"] == PRE_OPTIMIZATION_DIGEST
     assert run["fired"] == PRE_OPTIMIZATION_FIRED
     assert run["committed"] == PRE_OPTIMIZATION_COMMITTED
     assert run["packets_sent"] == PRE_OPTIMIZATION_PACKETS_SENT
     assert run["throughput"] == pytest.approx(PRE_OPTIMIZATION_THROUGHPUT)
+    assert len(magics) == run["packets_delivered"] > 0
+    assert set(magics) == {b"EWC2"}
+
+
+def test_paranoid_codec_carries_reads_of_absent_keys():
+    """YCSB over 500 keys with only 100 loaded: most reads miss and
+    return ``MISSING``, and every reply carrying one must cross the wire
+    round-trip instead of raising inside the replica."""
+    registry = ProcedureRegistry()
+    register_ycsb_procedures(registry)
+    partitioner = Partitioner(2)
+    cluster = build_cluster(
+        ClusterConfig(system="eris", n_shards=2, seed=42,
+                      net=NetConfig(paranoid_codec=True)),
+        registry, partitioner,
+        loader=lambda stores, p: load_ycsb(stores, p, 100))
+    workload = YCSBWorkload(YCSBConfig(workload="srw", n_keys=500),
+                            partitioner, SplitRandom(43))
+    result = run_experiment(cluster, workload, ExperimentConfig(
+        n_clients=5, warmup=1e-3, duration=3e-3, drain=1e-3))
+    assert result.committed > 0
+    assert result.aborted == 0
 
 
 def test_chain_off_leaves_pinned_sequence_untouched():
@@ -203,14 +239,17 @@ def test_chain_mode_paranoid_codec_is_bit_identical():
     assert run["committed"] == CHAIN_COMMITTED
 
 
-def test_chain_mode_ewc2_paranoid_codec_is_bit_identical():
-    """Chain traffic (ChainForward batches included) over the EWC2
-    paranoid round-trip also reproduces the pinned chain stream."""
-    run = run_small_eris(sequencer_chain=3, paranoid_codec=True,
-                         wire="ewc2")
+def test_chain_mode_ewc2_paranoid_codec_is_bit_identical(monkeypatch):
+    """Chain traffic (ChainForward batches included) crosses the
+    paranoid round-trip as EWC2 frames, one per delivery, and still
+    reproduces the pinned chain stream."""
+    magics = _record_frame_magics(monkeypatch)
+    run = run_small_eris(sequencer_chain=3, paranoid_codec=True)
     assert run["digest"] == CHAIN_DIGEST
     assert run["fired"] == CHAIN_FIRED
     assert run["committed"] == CHAIN_COMMITTED
+    assert len(magics) == run["packets_delivered"] > 0
+    assert set(magics) == {b"EWC2"}
 
 
 # -- telemetry vs the pinned stream ----------------------------------------

@@ -157,9 +157,9 @@ def test_fanout_copies_counted_separately_from_sends():
 
 
 def test_unknown_wire_format_rejected():
-    from repro.runtime.codec import CodecError
-    with pytest.raises(CodecError):
-        NetConfig(wire="ewc9").validate()
+    """The fabric has one wire format and no option to pick another."""
+    with pytest.raises(TypeError):
+        NetConfig(wire="ewc9")
 
 
 def test_invalid_drop_rate_rejected():

@@ -1,10 +1,11 @@
 """Operation-class plumbing: registry declarations, transaction
-validators, the counters procedures' algebraic claims, and both wire
-codecs round-tripping (and refusing to forge) the new fast-path
-fields and messages."""
+validators, the counters procedures' algebraic claims, and the wire
+codec round-tripping (and refusing to forge) the new fast-path fields
+and messages."""
 
 import pytest
 
+from conftest import CARRIAGES
 from repro.core.messages import (
     AppliedUpto,
     CommutativeTxnRequest,
@@ -14,6 +15,7 @@ from repro.core.messages import (
 )
 from repro.core.transaction import IndependentTransaction, TxnId
 from repro.errors import UnknownProcedureError
+from repro.runtime import codec as C
 from repro.runtime.codec import CodecError, decode_message, encode_message
 from repro.store import (
     KVStore,
@@ -22,9 +24,6 @@ from repro.store import (
     TxnContext,
 )
 from repro.workloads import register_counters_procedures
-
-WIRES = ("ewc1", "ewc2")
-
 
 # -- registry declarations --------------------------------------------------
 
@@ -135,7 +134,7 @@ def test_txn_accepts_declared_classes():
                 write_keys=frozenset({1})).op_class == "commutative"
 
 
-# -- wire codecs ------------------------------------------------------------
+# -- wire codec -------------------------------------------------------------
 
 def _commutative_txn():
     return IndependentTransaction(
@@ -144,19 +143,19 @@ def _commutative_txn():
         write_keys=frozenset({4, 104}), op_class="commutative")
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_op_class_survives_roundtrip(wire):
+@CARRIAGES
+def test_op_class_survives_roundtrip(carriage):
     for op_class, write_keys in [("generic", frozenset({1})),
                                  ("commutative", frozenset({1})),
                                  ("read_only", frozenset())]:
         txn = _txn(op_class=op_class, write_keys=write_keys)
-        decoded = decode_message(encode_message(txn, wire))
+        decoded = carriage.decode(carriage.encode(txn))
         assert decoded == txn
         assert decoded.op_class == op_class
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_fast_path_messages_roundtrip(wire):
+@CARRIAGES
+def test_fast_path_messages_roundtrip(carriage):
     txn = _commutative_txn()
     messages = [
         CommutativeTxnRequest(txn=txn, barriers=((0, 4), (1, 9))),
@@ -170,31 +169,32 @@ def test_fast_path_messages_roundtrip(wire):
         IndependentTxnRequest(txn=txn),
     ]
     for message in messages:
-        assert decode_message(encode_message(message, wire)) == message
+        assert carriage.decode(carriage.encode(message)) == message
 
 
-@pytest.mark.parametrize("wire", WIRES)
-def test_forged_op_class_rejected_on_decode(wire):
+@CARRIAGES
+def test_forged_op_class_rejected_on_decode(carriage):
     """A byte-patched frame cannot smuggle an undeclared op-class past
     the transaction validator: decode re-runs ``__post_init__``."""
-    buffer = encode_message(_commutative_txn(), wire)
+    buffer = carriage.encode(_commutative_txn())
     assert buffer.count(b"commutative") == 1
     forged = buffer.replace(b"commutative", b"commutatiVe")
     with pytest.raises(CodecError):
-        decode_message(forged)
+        carriage.decode(forged)
 
 
 def test_forged_read_only_writer_rejected_on_decode():
-    """Rewriting a generic writer's class to ``read_only`` trips the
-    no-write-keys validator during decode (EWC1's JSON text tolerates
-    the length change; EWC2's length-prefixed strings cannot be
-    patched this way, and its framing rejects the attempt instead)."""
+    """Rewriting a generic writer's class to ``read_only`` — length
+    prefix included, so the frame stays well-formed — trips the
+    no-write-keys validator during decode."""
     txn = IndependentTransaction(
         txn_id=TxnId(client="c", seq=2), proc="reset", args={},
         participants=(0,), write_keys=frozenset({"acct"}),
         op_class="generic")
-    buffer = encode_message(txn, "ewc1")
-    assert buffer.count(b'"generic"') == 1
-    forged = buffer.replace(b'"generic"', b'"read_only"')
-    with pytest.raises(CodecError):
+    buffer = encode_message(txn)
+    generic = bytes([C._T_STR, len(b"generic")]) + b"generic"
+    assert buffer.count(generic) == 1
+    forged = buffer.replace(
+        generic, bytes([C._T_STR, len(b"read_only")]) + b"read_only")
+    with pytest.raises(CodecError, match="read_only"):
         decode_message(forged)

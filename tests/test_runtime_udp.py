@@ -16,7 +16,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.endpoint import Node
 from repro.runtime.asyncio_udp import AsyncioUdpRuntime
-from repro.runtime.codec import MAX_DATAGRAM_FRAMES, CodecError
+from repro.runtime.codec import MAX_DATAGRAM_FRAMES
 
 
 # -- runtime primitives over real sockets ---------------------------------
@@ -172,10 +172,11 @@ def test_fanout_copies_counted_separately_from_sends(runtime):
     assert runtime.fanout_copies == 3   # echoes are unicast replies
 
 
-# -- wire / batching knobs -------------------------------------------------
+# -- batching knob ---------------------------------------------------------
 
 def test_runtime_rejects_bad_wire_and_batch_knobs():
-    with pytest.raises(CodecError):
+    # One wire format: there is no option to pick another.
+    with pytest.raises(TypeError):
         AsyncioUdpRuntime(wire="ewc9")
     for frames in (0, -1, MAX_DATAGRAM_FRAMES + 1):
         with pytest.raises(NetworkError):
@@ -193,7 +194,7 @@ def test_batched_frames_share_datagrams():
         def handle(self, src, message, packet):
             self.seen.append(message)
 
-    rt = AsyncioUdpRuntime(seed=5, wire="ewc2", batch_frames=8)
+    rt = AsyncioUdpRuntime(seed=5, batch_frames=8)
     try:
         a = Sink("a", rt)
         b = Sink("b", rt)
@@ -233,8 +234,8 @@ def test_eris_end_to_end_over_udp_loopback():
 
 
 def test_eris_over_udp_with_ewc2_and_batching():
-    """Same smoke with the whole fast-wire stack on: EWC2 frames, EWCB
-    datagram packing, sequencer stamp batching, and reply coalescing.
+    """Same smoke with the whole batching stack on: EWCB datagram
+    packing, sequencer stamp batching, and reply coalescing.
     The §6.7 checkers must still pass, and the packing must actually
     fire (strictly fewer datagrams than frames)."""
     from repro.harness.udp_smoke import run_udp_smoke
@@ -242,7 +243,7 @@ def test_eris_over_udp_with_ewc2_and_batching():
     result = run_udp_smoke(n_shards=2, n_replicas=3, n_clients=3,
                            min_commits=25, timeout=30.0,
                            workload="mrmw", distributed_fraction=0.5,
-                           wire="ewc2", batch=8)
+                           batch=8)
     assert result.committed >= 25
     assert result.checks_passed
     assert result.frames_sent > result.datagrams_sent

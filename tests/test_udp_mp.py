@@ -220,7 +220,7 @@ def test_snapshot_cluster_round_trips_through_codec_and_passes_checks():
     for replicas in cluster.replicas.values():
         for replica in replicas:
             snap = snapshot_replica(replica)
-            decoded = decode_message(encode_message(snap, "ewc1"))
+            decoded = decode_message(encode_message(snap))
             assert isinstance(decoded, ReplicaSnapshot)
             assert decoded == snap
             snapshots.append(decoded)
@@ -320,16 +320,16 @@ def test_launcher_messages_round_trip_through_codec():
     )
     hello = WorkerHello(role="replica:0:1", rank=3, pid=123,
                         ports=(("eris-r0.1", 40001), ("_rt.3", 40002)))
-    assert decode_message(encode_message(hello, "ewc1")) == hello
+    assert decode_message(encode_message(hello)) == hello
     start = ClusterStart(host="127.0.0.1",
                          port_map=(("a", 1), ("b", 2)))
-    assert decode_message(encode_message(start, "ewc1")) == start
+    assert decode_message(encode_message(start)) == start
     snap = ReplicaSnapshot(address="eris-r0.0", shard=0, replica_index=0,
                            view_num=1, is_dl=True, crashed=False, fed=4,
                            entries=(), store=((5, 7),))
     reply = StateReply(rank=1, role="replica:0:0", snapshots=(snap,),
                        counters=(("packets_sent", 10),))
-    assert decode_message(encode_message(reply, "ewc1")) == reply
+    assert decode_message(encode_message(reply)) == reply
 
 
 # -- end-to-end multi-process runs -----------------------------------------
