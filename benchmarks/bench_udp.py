@@ -1,12 +1,9 @@
 #!/usr/bin/env python
 """Real-socket benchmarks: the UDP fast path and the smoke throughput.
 
-Pins the wall-clock performance facts the multi-process backend's
-design rests on:
+Pins the wall-clock performance facts the UDP runtime's design rests
+on:
 
-* ``recvmsg_into_drain``   — datagrams/s received into one preallocated
-  buffer (the worker runtime's reader fast path) vs ``recvfrom``'s
-  allocate-per-datagram baseline. The ratio justifies the buffer reuse.
 * ``egress_flush_batch16`` — frames/s through one ``sendto`` per EWCB
   datagram of 16 packed frames vs one ``sendto`` per frame. The ratio
   is the syscall amortization the per-destination egress queues buy.
@@ -57,36 +54,6 @@ def _socket_pair() -> tuple[socket.socket, socket.socket, tuple]:
     return rx, tx, rx.getsockname()
 
 
-def bench_recvmsg_into(n_datagrams: int) -> tuple[float, float]:
-    """(recvmsg_into rate, recvfrom rate) in datagrams/s.
-
-    Send/drain in small bursts so the kernel queue never overflows;
-    both variants pay the identical send cost, so the difference is
-    purely the receive path (buffer reuse vs per-datagram allocation).
-    """
-    payload = b"x" * 256
-    burst = 32
-    rates = []
-    for variant in ("into", "from"):
-        rx, tx, addr = _socket_pair()
-        buf = bytearray(65536)
-        try:
-            t0 = time.perf_counter()
-            for _ in range(n_datagrams // burst):
-                for _ in range(burst):
-                    tx.sendto(payload, addr)
-                for _ in range(burst):
-                    if variant == "into":
-                        rx.recvmsg_into([buf])
-                    else:
-                        rx.recvfrom(65536)
-            rates.append(n_datagrams / (time.perf_counter() - t0))
-        finally:
-            rx.close()
-            tx.close()
-    return rates[0], rates[1]
-
-
 def bench_egress_flush(n_frames: int,
                        frames_per: int = 16) -> tuple[float, float]:
     """(batched rate, per-frame rate) in frames/s.
@@ -107,18 +74,17 @@ def bench_egress_flush(n_frames: int,
     rates = []
     for variant in ("batched", "per-frame"):
         rx, tx, addr = _socket_pair()
-        buf = bytearray(65536)
         try:
             t0 = time.perf_counter()
             for _ in range(rounds):
                 if variant == "batched":
                     tx.sendto(packed, addr)
-                    rx.recvmsg_into([buf])
+                    rx.recv(65536)
                 else:
                     for data in frames:
                         tx.sendto(data, addr)
                     for _ in range(frames_per):
-                        rx.recvmsg_into([buf])
+                        rx.recv(65536)
             rates.append((rounds * frames_per)
                          / (time.perf_counter() - t0))
         finally:
@@ -149,7 +115,6 @@ def bench_udpsmoke(processes: str, min_commits: int) -> dict:
 
 def measure_udp(quick: bool) -> dict:
     scale = 0.2 if quick else 1.0
-    into, fromrate = bench_recvmsg_into(int(200_000 * scale))
     batched, perframe = bench_egress_flush(int(160_000 * scale))
     single = bench_udpsmoke("single", int(300 * scale))
     mp = bench_udpsmoke("per-node", int(200 * scale))
@@ -158,10 +123,6 @@ def measure_udp(quick: bool) -> dict:
         "note": "wall-clock rates over real loopback sockets; "
                 "comparable only on similar hardware",
         "benchmarks": {
-            "recvmsg_into_drain": {
-                "value": round(into), "unit": "datagrams/s",
-                "recvfrom_baseline": round(fromrate),
-            },
             "egress_flush_batch16": {
                 "value": round(batched), "unit": "frames/s",
                 "per_frame_baseline": round(perframe),

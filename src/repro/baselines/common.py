@@ -9,7 +9,6 @@ identical closed-loop clients.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -52,19 +51,3 @@ class OpResult:
 
 #: Uniform completion callback: ``done(OpResult)``.
 DoneFn = Callable[[OpResult], None]
-
-_txn_counter = itertools.count(1)
-
-
-def fresh_txn_tag(prefix: str) -> str:
-    """Process-globally unique transaction tag.
-
-    .. deprecated::
-        The module-global counter keeps counting across back-to-back
-        in-process runs, making repeated experiments nondeterministic.
-        Protocol code uses :meth:`repro.runtime.interface.Runtime.fresh_tag`
-        (via ``Node.fresh_tag``) instead, whose counter is owned by the
-        cluster's runtime and restarts with it. This function remains
-        only for ad-hoc scripts that have no runtime at hand.
-    """
-    return f"{prefix}:{next(_txn_counter)}"

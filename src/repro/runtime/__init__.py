@@ -11,7 +11,11 @@ against a concrete fabric. Two backends implement it:
   repository's original fabric; deterministic, microsecond-scale).
 - :mod:`repro.runtime.asyncio_udp` — real UDP sockets on loopback
   driven by asyncio, with groupcast provided by a user-space sequencer
-  endpoint, exactly as §5.4's end-host deployment.
+  endpoint, exactly as §5.4's end-host deployment. It is the one
+  socket layer: a drained ``add_reader`` receive path and raw
+  ``sendto`` egress. :mod:`repro.runtime.udp_mp` subclasses it for
+  process-per-node clusters, adding only the remote port map and the
+  sequencer-route broadcast.
 
 Messages crossing a real transport are serialized with the typed wire
 codec in :mod:`repro.runtime.codec`; the simulator can opt into the

@@ -23,7 +23,23 @@ Backend properties (full matrix in DESIGN.md):
 - **determinism** — none; scheduling is the OS's business here. The
   §6.7 safety checkers still must pass on every run.
 
-The runtime is single-process and single-threaded: drive it with
+The socket layer is one path, shared with the multi-process subclass
+(:mod:`repro.runtime.udp_mp`):
+
+- **receive** — each endpoint socket is serviced by a
+  ``loop.add_reader`` callback that drains up to 128 datagrams per
+  wakeup with ``sock.recv``, so one loop wakeup amortizes over every
+  datagram the kernel has queued (eRPC's batched-receive observation,
+  on commodity UDP).
+- **send** — every datagram leaves through one plain non-blocking
+  ``socket.sendto``; a full kernel buffer (EAGAIN) or any other
+  ``OSError`` is counted in ``send_errors`` and the datagram is lost,
+  which Eris's drop machinery already tolerates.
+- **lifecycle** — :meth:`start` and :meth:`stop` are synchronous and
+  never enter the event loop; the runtime owns every file descriptor
+  outright and closes each exactly once.
+
+The runtime is single-threaded: drive it with
 :meth:`AsyncioUdpRuntime.run_for` / :meth:`run_until` from ordinary
 synchronous harness code. Protocol callbacks run inside the asyncio
 loop exactly as they run inside the simulated event loop.
@@ -57,15 +73,23 @@ from repro.sim.randomness import SplitRandom
 #: batch flushes early once its frames would exceed this many bytes.
 _MAX_DATAGRAM_BYTES = 60_000
 
+#: Receive size: the maximum UDP payload fits with room to spare.
+_RECV_BUFFER_BYTES = 65536
+
+#: Datagrams drained per reader wakeup before yielding back to the
+#: loop, so one chatty peer cannot starve timers and the control plane.
+_RECV_BATCH = 128
+
 
 class _AsyncioTimer:
-    """Restartable one-shot timer over ``loop.call_later`` with the
-    same semantics as the simulator's :class:`repro.sim.process.Timer`:
-    ``start()`` (re)arms, discarding any previous deadline."""
+    """Restartable one-shot timer over the runtime's ``call_later``
+    with the same semantics as the simulator's
+    :class:`repro.sim.process.Timer`: ``start()`` (re)arms, discarding
+    any previous deadline."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, delay: float,
+    def __init__(self, runtime: "AsyncioUdpRuntime", delay: float,
                  fn: Callable[..., Any], *args: Any):
-        self._loop = loop
+        self._runtime = runtime
         self.delay = delay
         self._fn = fn
         self._args = args
@@ -75,7 +99,7 @@ class _AsyncioTimer:
         d = self.delay if delay is None else delay
         if self._handle is not None:
             self._handle.cancel()
-        self._handle = self._loop.call_later(d, self._fire)
+        self._handle = self._runtime.call_later(d, self._fire)
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -97,9 +121,9 @@ class _AsyncioTimer:
 class _AsyncioPeriodic:
     """Periodic timer matching :class:`repro.sim.process.PeriodicTimer`."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, period: float,
+    def __init__(self, runtime: "AsyncioUdpRuntime", period: float,
                  fn: Callable[..., Any], *args: Any):
-        self._loop = loop
+        self._runtime = runtime
         self.period = period
         self._fn = fn
         self._args = args
@@ -110,7 +134,7 @@ class _AsyncioPeriodic:
         self.stop()
         self._stopped = False
         delay = self.period if initial_delay is None else initial_delay
-        self._handle = self._loop.call_later(delay, self._fire)
+        self._handle = self._runtime.call_later(delay, self._fire)
 
     def stop(self) -> None:
         self._stopped = True
@@ -125,36 +149,8 @@ class _AsyncioPeriodic:
     def _fire(self) -> None:
         if self._stopped:
             return
-        self._handle = self._loop.call_later(self.period, self._fire)
+        self._handle = self._runtime.call_later(self.period, self._fire)
         self._fn(*self._args)
-
-
-class _NodeProtocol(asyncio.DatagramProtocol):
-    """Receive path of one endpoint's socket."""
-
-    def __init__(self, runtime: "AsyncioUdpRuntime", address: Address):
-        self.runtime = runtime
-        self.address = address
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.runtime._on_datagram(self.address, data)
-
-    def error_received(self, exc: OSError) -> None:
-        self.runtime.socket_errors += 1
-
-
-class _EgressProtocol(asyncio.DatagramProtocol):
-    """Send-side protocol: asyncio's DatagramTransport never raises
-    EAGAIN from ``sendto`` (it buffers internally and retries), so
-    kernel-reported errors — ICMP port-unreachable, buffer exhaustion —
-    surface asynchronously through ``error_received``. Counting them is
-    the only honest way to observe send failures on this transport."""
-
-    def __init__(self, runtime: "AsyncioUdpRuntime"):
-        self.runtime = runtime
-
-    def error_received(self, exc: OSError) -> None:
-        self.runtime.socket_errors += 1
 
 
 class AsyncioUdpRuntime(Runtime):
@@ -180,8 +176,7 @@ class AsyncioUdpRuntime(Runtime):
         self._endpoints: dict[Address, Any] = {}
         self._socks: dict[Address, socket.socket] = {}
         self._ports: dict[Address, int] = {}
-        self._transports: dict[Address, asyncio.DatagramTransport] = {}
-        self._egress: Optional[asyncio.DatagramTransport] = None
+        self._egress: Optional[socket.socket] = None
         self._pending_sends: list[tuple[Address, bytes]] = []
         # Per-destination frame queues (keyed by resolved socket
         # address), drained by one call_soon callback per loop
@@ -200,16 +195,20 @@ class AsyncioUdpRuntime(Runtime):
         #: protocol-level sends, fan-out multiplication is accounted
         #: here — previously these copies were invisible to both.
         self.fanout_copies = 0
-        #: Encoded packet frames handed to the transport (each frame is
+        #: Encoded packet frames handed to the send path (each frame is
         #: one packet; with batching several frames share a datagram).
         self.frames_sent = 0
         #: Actual datagrams written to the socket.
         self.datagrams_sent = 0
-        #: Synchronous ``sendto`` failures (OSError raised in-line).
+        #: ``sendto`` failures: a full kernel buffer (EAGAIN) or any
+        #: other OSError. The datagram is lost, as UDP allows.
         self.send_errors = 0
-        #: Asynchronous socket errors the kernel reported after the
-        #: fact (``error_received``: ICMP unreachable, ENOBUFS...).
+        #: Receive-side OSErrors other than EAGAIN.
         self.socket_errors = 0
+        #: Reader callback invocations vs datagrams drained: the ratio
+        #: is the syscall amortization the drained reader buys.
+        self.recv_wakeups = 0
+        self.recv_datagrams = 0
         self.tracer = None
         # Health instrumentation, attached by instrument(); each hot
         # path pays one ``is not None`` check while unattached.
@@ -232,11 +231,11 @@ class AsyncioUdpRuntime(Runtime):
 
     def timer(self, delay: float, fn: Callable[..., Any],
               *args: Any) -> TimerHandle:
-        return _AsyncioTimer(self.aloop, delay, fn, *args)
+        return _AsyncioTimer(self, delay, fn, *args)
 
     def periodic(self, period: float, fn: Callable[..., Any],
                  *args: Any) -> TimerHandle:
-        return _AsyncioPeriodic(self.aloop, period, fn, *args)
+        return _AsyncioPeriodic(self, period, fn, *args)
 
     def rng_stream(self, name: str) -> SplitRandom:
         return self.base_rng.split(name)
@@ -246,9 +245,8 @@ class AsyncioUdpRuntime(Runtime):
         address = node.address
         if address in self._endpoints:
             raise NetworkError(f"duplicate endpoint address {address!r}")
-        # Bind synchronously so the logical address resolves (and the
-        # kernel buffers early arrivals) before the asyncio transport
-        # is attached at start().
+        # Bind now so the logical address resolves (and the kernel
+        # buffers early arrivals) before the reader is attached.
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.setblocking(False)
         sock.bind((self.host, 0))
@@ -256,20 +254,14 @@ class AsyncioUdpRuntime(Runtime):
         self._socks[address] = sock
         self._ports[address] = sock.getsockname()[1]
         if self._started:
-            if self.aloop.is_running():
-                self.aloop.create_task(self._open_endpoint(address))
-            else:
-                self.aloop.run_until_complete(self._open_endpoint(address))
+            self._attach_reader(address, sock)
 
     def unregister(self, address: Address) -> None:
         self._endpoints.pop(address, None)
         self._ports.pop(address, None)
-        transport = self._transports.pop(address, None)
-        if transport is not None:
-            transport.close()
         sock = self._socks.pop(address, None)
-        if sock is not None and transport is None:
-            sock.close()
+        if sock is not None:
+            self._close_socket(sock)
 
     def endpoint(self, address: Address) -> Any:
         try:
@@ -339,8 +331,8 @@ class AsyncioUdpRuntime(Runtime):
         data = encode_packet(packet)
         if self.tracer is not None:
             self.tracer.packet_tx(packet)
-        if not self._egress_up():
-            # Transport not up yet (e.g. the controller pings its
+        if self._egress is None:
+            # Egress not up yet (e.g. the controller pings its
             # sequencers at build time); flushed by start().
             self._pending_sends.append((packet.dst, data))
             return
@@ -357,15 +349,10 @@ class AsyncioUdpRuntime(Runtime):
             self._flush_scheduled = True
             self.aloop.call_soon(self._flush_frames)
 
-    def _egress_up(self) -> bool:
-        """Whether the send path is ready (subclasses with a different
-        egress mechanism override this alongside :meth:`_sendto`)."""
-        return self._egress is not None
-
     def _flush_frames(self) -> None:
         self._flush_scheduled = False
         queues, self._frame_queues = self._frame_queues, {}
-        if not self._egress_up():  # stop() raced the callback
+        if self._egress is None:  # stop() raced the callback
             return
         limit = self.batch_frames
         for addr, frames in queues.items():
@@ -386,16 +373,36 @@ class AsyncioUdpRuntime(Runtime):
 
     def _sendto(self, data: bytes, addr: tuple[str, int]) -> None:
         """Single datagram egress point: accounting, size histogram,
-        and synchronous-error counting all live here."""
+        and error counting all live here."""
         self.datagrams_sent += 1
         if self._hist_datagram_bytes is not None:
             self._hist_datagram_bytes.record(len(data))
         try:
             self._egress.sendto(data, addr)
         except OSError:
+            # EAGAIN included: UDP gives no delivery promise, and
+            # Eris's §6.3/§6.5 drop machinery recovers lost stamps.
             self.send_errors += 1
 
     # -- receiving ---------------------------------------------------------
+    def _attach_reader(self, address: Address, sock: socket.socket) -> None:
+        self.aloop.add_reader(sock.fileno(), self._on_readable,
+                              address, sock)
+
+    def _on_readable(self, address: Address, sock: socket.socket) -> None:
+        """Drain the socket: one wakeup, up to ``_RECV_BATCH`` datagrams."""
+        self.recv_wakeups += 1
+        for _ in range(_RECV_BATCH):
+            try:
+                data = sock.recv(_RECV_BUFFER_BYTES)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                self.socket_errors += 1
+                return
+            self.recv_datagrams += 1
+            self._on_datagram(address, data)
+
     def _on_datagram(self, address: Address, data: bytes) -> None:
         try:
             packets = decode_datagram(data)
@@ -440,11 +447,11 @@ class AsyncioUdpRuntime(Runtime):
                        lambda: self.send_errors, monotone=True)
         registry.gauge("udp", "socket_errors",
                        lambda: self.socket_errors, monotone=True)
+        registry.gauge("udp", "recv_wakeups",
+                       lambda: self.recv_wakeups, monotone=True)
+        registry.gauge("udp", "recv_datagrams",
+                       lambda: self.recv_datagrams, monotone=True)
         registry.gauge("udp", "endpoints", lambda: len(self._endpoints))
-        registry.gauge(
-            "udp", "egress_buffer_bytes",
-            lambda: (self._egress.get_write_buffer_size()
-                     if self._egress is not None else 0))
         # Datagrams are 64 B .. 64 KB: a coarser base bucket keeps the
         # histogram readable in that range.
         self._hist_datagram_bytes = registry.histogram(
@@ -468,30 +475,20 @@ class AsyncioUdpRuntime(Runtime):
         self._arm_lag_probe()
 
     # -- lifecycle ---------------------------------------------------------
-    async def _open_endpoint(self, address: Address) -> None:
-        sock = self._socks.get(address)
-        if sock is None or address in self._transports:
-            return
-        transport, _ = await self.aloop.create_datagram_endpoint(
-            lambda: _NodeProtocol(self, address), sock=sock)
-        self._transports[address] = transport
-
-    async def _open_all(self) -> None:
-        egress = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        egress.setblocking(False)
-        egress.bind((self.host, 0))
-        self._egress, _ = await self.aloop.create_datagram_endpoint(
-            lambda: _EgressProtocol(self), sock=egress)
-        for address in list(self._endpoints):
-            await self._open_endpoint(address)
-
     def start(self) -> None:
-        """Attach asyncio transports to every bound socket and flush
-        sends queued during cluster construction."""
+        """Attach readers, open the egress socket, and flush sends
+        queued during cluster construction. Never enters the event
+        loop, so it is callable both from harness code and from inside
+        a running coroutine."""
         if self._started:
             return
         self._started = True
-        self.aloop.run_until_complete(self._open_all())
+        for address, sock in self._socks.items():
+            self._attach_reader(address, sock)
+        egress = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        egress.setblocking(False)
+        egress.bind((self.host, 0))
+        self._egress = egress
         pending, self._pending_sends = self._pending_sends, []
         for dst, data in pending:
             addr = self._resolve(dst)
@@ -501,35 +498,24 @@ class AsyncioUdpRuntime(Runtime):
         if self._hist_loop_lag is not None:
             self._arm_lag_probe()
 
+    def _close_socket(self, sock: socket.socket) -> None:
+        if self._started:
+            self.aloop.remove_reader(sock.fileno())
+        sock.close()
+
     def stop(self) -> None:
-        """Close every transport and the event loop (irreversible)."""
+        """Close every socket and the event loop (irreversible)."""
         if self._closed:
             return
         self._closed = True
         self._frame_queues.clear()
-        # A socket attached to a transport is OWNED by that transport:
-        # the transport closes it in its own (asynchronous) close
-        # callback. Hard-closing it here as well releases the fd while
-        # the transport still holds it — by the time its callback runs,
-        # the fd number may have been reused by a new socket, and the
-        # transport would then close someone else's descriptor. Only
-        # orphan sockets (bound in register() but never attached to a
-        # transport, e.g. when stop() runs before start()) are closed
-        # directly.
-        owned = set(self._transports)
-        for transport in list(self._transports.values()):
-            transport.close()
-        self._transports.clear()
+        for sock in self._socks.values():
+            self._close_socket(sock)
+        self._socks.clear()
         if self._egress is not None:
             self._egress.close()
             self._egress = None
-        for address, sock in self._socks.items():
-            if address not in owned:
-                sock.close()
-        self._socks.clear()
         if not self.aloop.is_running():
-            # Let asyncio finish the transport close callbacks.
-            self.aloop.run_until_complete(asyncio.sleep(0))
             self.aloop.close()
 
     # -- driving (synchronous harness surface) -----------------------------

@@ -109,15 +109,13 @@ def test_duplicate_registration_rejected(runtime):
         Echo("dup", runtime)
 
 
-# -- shutdown socket ownership (double-close regression) ------------------
+# -- socket ownership: every fd closed exactly once -----------------------
 
-def test_stop_closes_each_transport_owned_socket_exactly_once(monkeypatch):
-    """Regression: stop() used to hard-close every registered socket and
-    then close the asyncio transports, whose own close callbacks close
-    the same sockets again. Releasing an fd while a transport still
-    holds it invites fd-reuse corruption (the callback can close a
-    descriptor that now belongs to someone else). A transport-owned
-    socket must therefore be closed exactly once — by its transport."""
+def test_stop_closes_every_socket_exactly_once(monkeypatch):
+    """The runtime owns its fds outright: unregister() after start()
+    detaches that endpoint's reader and closes its socket; stop()
+    closes every remaining endpoint socket and the egress socket. Each
+    is closed exactly once, and a second stop() closes nothing again."""
     closes: dict[int, int] = {}
     original_close = socket.socket.close
 
@@ -129,18 +127,26 @@ def test_stop_closes_each_transport_owned_socket_exactly_once(monkeypatch):
     rt = AsyncioUdpRuntime(seed=1)
     Echo("a", rt)
     Echo("b", rt)
+    Echo("gone", rt)
     rt.start()
-    owned = [id(sock) for sock in rt._socks.values()]
-    assert len(rt._transports) == 2
+    gone = rt._socks["gone"]
+    gone_fd = gone.fileno()
+    rt.unregister("gone")
+    assert closes.get(id(gone), 0) == 1
+    # remove_reader() reports whether a reader was still attached.
+    assert rt.aloop.remove_reader(gone_fd) is False
+    owned = list(rt._socks.values()) + [rt._egress]
+    assert len(owned) == 3
     rt.stop()
-    for sock_id in owned:
-        assert closes.get(sock_id, 0) == 1
+    rt.stop()
+    for sock in owned + [gone]:
+        assert closes.get(id(sock), 0) == 1
+        assert sock.fileno() == -1
 
 
 def test_stop_before_start_closes_orphan_sockets():
-    """Sockets bound in register() but never attached to a transport
-    have no owner to close them: stop() must close them directly (and
-    leave none with a live fd)."""
+    """Sockets bound in register() before start() have no reader yet:
+    stop() must still close them (and leave none with a live fd)."""
     rt = AsyncioUdpRuntime(seed=1)
     Echo("a", rt)
     Echo("b", rt)
@@ -149,6 +155,21 @@ def test_stop_before_start_closes_orphan_sockets():
     rt.stop()
     assert all(sock.fileno() == -1 for sock in socks)
     rt.stop()                     # idempotent
+
+
+# -- receive path: one wakeup drains a burst ------------------------------
+
+def test_reader_drains_a_burst_in_few_wakeups(runtime):
+    """A burst queued in the kernel before the loop runs is drained by
+    the add_reader callback many datagrams per wakeup."""
+    a = Echo("a", runtime)
+    b = Echo("b", runtime)
+    runtime.start()
+    for i in range(20):
+        a.send("b", ("burst", i))
+    assert runtime.run_until(lambda: len(b.seen) == 20, timeout=5.0)
+    assert runtime.recv_datagrams >= 20
+    assert 1 <= runtime.recv_wakeups < runtime.recv_datagrams
 
 
 # -- fan-out accounting (counter-asymmetry regression) --------------------

@@ -100,10 +100,10 @@ def test_worker_runtime_resolves_local_before_remote():
         runtime.stop()
 
 
-def test_worker_runtime_delivers_over_real_sockets_with_recvmsg():
+def test_worker_runtime_delivers_over_real_sockets():
     """Two worker runtimes in one process, wired only through the port
-    map: datagrams cross real sockets and land via the recvmsg_into
-    fast path (wakeup/datagram counters move)."""
+    map: datagrams cross real sockets and land via the drained reader
+    (wakeup/datagram counters move)."""
     a = WorkerUdpRuntime(rank=1, seed=3)
     b = WorkerUdpRuntime(rank=2, seed=4)
     try:

@@ -111,10 +111,10 @@ def test_counter_gauges_are_marked_monotone():
                  for comp, name, inst in registry.instruments()
                  if comp == "udp"}
         for name in ("packets_sent", "packets_delivered", "datagrams_sent",
-                     "frames_sent", "send_errors", "socket_errors"):
+                     "frames_sent", "send_errors", "socket_errors",
+                     "recv_wakeups", "recv_datagrams"):
             assert flags[name] is True, name
         assert flags["endpoints"] is False
-        assert flags["egress_buffer_bytes"] is False
     finally:
         runtime.stop()
 
