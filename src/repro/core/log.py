@@ -22,7 +22,7 @@ from repro.core.transaction import SlotId
 from repro.net.message import GroupId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One slot. ``record.txn is None`` never happens for kind='txn';
     NO-OP entries keep the slot identity but no transaction."""
@@ -90,8 +90,11 @@ class ErisLog:
             return entry
         return None
 
-    def entries(self, start_index: int = 1) -> list[LogEntry]:
-        return self._entries[start_index - 1:]
+    def entries(self, start_index: int = 1,
+                end_index: Optional[int] = None) -> list[LogEntry]:
+        """Entries ``start_index..end_index`` (inclusive, 1-based; to
+        the end of the log when ``end_index`` is None)."""
+        return self._entries[start_index - 1:end_index]
 
     def replace(self, entries: list[LogEntry]) -> None:
         """Adopt a merged log (view change / epoch change). Re-indexes

@@ -73,7 +73,7 @@ class PeerTxnResponse:
     dropped: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnRecord:
     """A transaction plus the multi-stamp it was sequenced with —
     enough for any other node to slot it into its own log."""
@@ -232,8 +232,9 @@ class ReconReply:
 
 @dataclass(frozen=True)
 class SyncLog:
-    """DL → replica: log suffix plus the safe-to-execute point. Doubles
-    as the DL liveness heartbeat."""
+    """DL → replica: the safe-to-execute point plus the log entries the
+    replica has demonstrably missed (usually none). Doubles as the DL
+    liveness heartbeat."""
 
     shard: GroupId
     view_num: int

@@ -11,9 +11,10 @@
 4. **Epoch change (§6.5)** — on a NEW-EPOCH notification, stop
    processing, hand state to the FC, adopt the consistent state it
    rebuilds.
-5. **Synchronization (§6.6)** — the DL periodically ships its log and a
-   safe-to-execute point to the other replicas (this doubles as the DL
-   liveness heartbeat that arms view changes).
+5. **Synchronization (§6.6)** — the DL periodically ships a
+   safe-to-execute point, plus any log entries a replica has missed, to
+   the other replicas (this doubles as the DL liveness heartbeat that
+   arms view changes).
 
 Replica state mirrors Figure 4: status, view-num, epoch-num, log,
 temp-drops, perm-drops, un-drops.
@@ -190,8 +191,7 @@ class ErisReplica(Node):
         self._vc_pending_view: Optional[int] = None
 
         # Synchronization state (DL side).
-        self._peer_synced: dict[Address, int] = {a: 0 for a in shard_addrs
-                                                 if a != address}
+        self._reset_sync_progress()
         self._sync_timer = self.periodic(self.config.sync_interval,
                                          self._sync_tick)
         self._vc_timer = self.timer(self.config.view_change_timeout,
@@ -751,6 +751,13 @@ class ErisReplica(Node):
         self._drain()
 
     # -- synchronization (§6.6) --------------------------------------------
+    def _reset_sync_progress(self) -> None:
+        """Per-peer sync bookkeeping (DL side): ``_peer_synced`` is the
+        log length each follower last acknowledged, ``_peer_announced``
+        the ``commit_upto`` of the previous SyncLog sent to it."""
+        self._peer_synced: dict[Address, int] = {a: 0 for a in self._peers()}
+        self._peer_announced: dict[Address, int] = dict(self._peer_synced)
+
     def _sync_tick(self) -> None:
         if not self.is_dl or self.status != "normal" or self.crashed:
             return
@@ -760,13 +767,18 @@ class ErisReplica(Node):
                                        epoch=self.epoch_num,
                                        log_len=self.log.last_index)
         for peer in self._peers():
+            # Followers log entries from the groupcast itself; ship only
+            # those a follower had a whole interval to receive and still
+            # has not acknowledged — none at all when nothing was lost.
             from_index = self._peer_synced.get(peer, 0) + 1
+            announced = self._peer_announced.get(peer, 0)
+            self._peer_announced[peer] = self.log.last_index
             self.send(peer, SyncLog(
                 shard=self.shard,
                 view_num=self.view_num,
                 epoch_num=self.epoch_num,
                 from_index=from_index,
-                entries=tuple(self.log.entries(from_index)),
+                entries=tuple(self.log.entries(from_index, announced)),
                 commit_upto=self.log.last_index,
             ))
         self._abort_stuck_generals()
@@ -954,7 +966,7 @@ class ErisReplica(Node):
                 perm_drops=frozenset(self.perm_drops),
                 un_drops=frozenset(self.un_drops),
             ))
-        self._peer_synced = {a: 0 for a in self._peers()}
+        self._reset_sync_progress()
         self._become_role()
         self._catch_up_engine(reply=True)
         self._drain()
@@ -1044,7 +1056,7 @@ class ErisReplica(Node):
         for upcall in self.channel.fast_forward(
                 self.log.last_seq(self.channel.epoch) + 1):
             self._apply_upcall(upcall)
-        self._peer_synced = {a: 0 for a in self._peers()}
+        self._reset_sync_progress()
         if self.tracer is not None:
             self.tracer.record("epoch_change_complete", self.address,
                                        shard=self.shard, epoch=msg.new_epoch,

@@ -28,7 +28,7 @@ class TxnId:
         return f"{self.client}:{self.seq}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SlotId:
     """The paper's txn-id triple used by the FC protocol: the position
     a message was assigned in one shard's sequence space."""

@@ -382,10 +382,7 @@ class ChainSequencerNode(MultiSequencer):
                 epoch=epoch, version=self.version,
                 stamps=[[gid, seq] for gid, seq in stamps])
         network = self.network
-        fan_out = network.fan_out
-        members = network.groups.members
-        for group in groups:
-            fan_out(released, members(group))
+        network.fan_out(released, network.groups.members_of(groups))
 
     # -- observability -----------------------------------------------------
     def instrument(self, registry) -> None:

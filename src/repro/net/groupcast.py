@@ -28,6 +28,14 @@ class GroupMembership:
         except KeyError:
             raise NetworkError(f"unknown group {group}") from None
 
+    def members_of(self, groups: tuple[GroupId, ...]) -> tuple[Address, ...]:
+        """Every member of every group in ``groups``, concatenated in
+        group order: the destinations of one groupcast's fan-out."""
+        members: tuple[Address, ...] = ()
+        for group in groups:
+            members += self.members(group)
+        return members
+
     def groups(self) -> tuple[GroupId, ...]:
         return tuple(sorted(self._members))
 

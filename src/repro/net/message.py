@@ -37,7 +37,7 @@ class GroupcastHeader:
             raise ValueError(f"duplicate destination groups: {self.groups}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiStamp:
     """Epoch number plus one sequence number per destination group."""
 

@@ -209,8 +209,8 @@ class Network(Runtime):
     def _route_groupcast(self, packet: Packet) -> None:
         if not packet.sequenced:
             # Plain (unsequenced) groupcast: direct fan-out to members.
-            for group in packet.groupcast.groups:
-                self.fan_out(packet, self.groups.members(group))
+            self.fan_out(packet,
+                         self.groups.members_of(packet.groupcast.groups))
             return
         if self.sequencer_address is None or not self.has_endpoint(
             self.sequencer_address

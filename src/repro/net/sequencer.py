@@ -237,12 +237,11 @@ class MultiSequencer(Node):
         self._emit(self.stamp(packet))
 
     def _emit(self, stamped: Packet) -> None:
-        """Release a stamped packet to its destination groups."""
+        """Release a stamped packet to its destination groups: one
+        fan-out, so a real transport encodes the shared body once."""
         network = self.network
-        fan_out = network.fan_out
-        members = network.groups.members
-        for group in stamped.groupcast.groups:
-            fan_out(stamped, members(group))
+        network.fan_out(stamped,
+                        network.groups.members_of(stamped.groupcast.groups))
 
     def stamp(self, packet: Packet) -> Packet:
         """Atomically assign one sequence number per destination group."""

@@ -65,6 +65,7 @@ from repro.runtime.codec import (
     decode_datagram,
     encode_datagram,
     encode_packet,
+    encode_packet_tail,
 )
 from repro.runtime.interface import Runtime, TimerHandle
 from repro.sim.randomness import SplitRandom
@@ -290,14 +291,17 @@ class AsyncioUdpRuntime(Runtime):
 
     def fan_out(self, packet: Packet,
                 destinations: tuple[Address, ...]) -> None:
+        """Send one copy per destination, encoding the copies' shared
+        tail (groupcast header, multi-stamp, payload) once."""
         self.fanout_copies += len(destinations)
+        tail = encode_packet_tail(packet)
         for dst in destinations:
-            self._transmit(packet.copy_to(dst))
+            self._transmit(packet.copy_to(dst), tail)
 
     def _route_groupcast(self, packet: Packet) -> None:
         if not packet.sequenced:
-            for group in packet.groupcast.groups:
-                self.fan_out(packet, self.groups.members(group))
+            self.fan_out(packet,
+                         self.groups.members_of(packet.groupcast.groups))
             return
         if (self.sequencer_address is None
                 or self._resolve(self.sequencer_address) is None):
@@ -323,12 +327,12 @@ class AsyncioUdpRuntime(Runtime):
             return None
         return (self.host, port)
 
-    def _transmit(self, packet: Packet) -> None:
+    def _transmit(self, packet: Packet, tail: Optional[bytes] = None) -> None:
         addr = self._resolve(packet.dst)
         if addr is None:
             self._drop(packet, "dead-destination")
             return
-        data = encode_packet(packet)
+        data = encode_packet(packet, tail)
         if self.tracer is not None:
             self.tracer.packet_tx(packet)
         if self._egress is None:

@@ -667,9 +667,13 @@ _F_HAS_MULTISTAMP = 0x08
 _F_HAS_TRACE = 0x10
 
 
-def encode_packet(packet: Any) -> bytes:
+def encode_packet(packet: Any, tail: bytes | None = None) -> bytes:
     """Serialize a full :class:`~repro.net.message.Packet` envelope
-    (headers + payload) for a real transport or a paranoid round-trip."""
+    (headers + payload) for a real transport or a paranoid round-trip.
+
+    ``tail`` is :func:`encode_packet_tail` of a packet this one was
+    ``copy_to``'d from: the copy's own header is written and the shared
+    tail appended as is, giving the same bytes as a full encode."""
     if _Packet is None:
         _bind_packet_types()
     if type(packet) is not _Packet:
@@ -708,6 +712,25 @@ def encode_packet(packet: Any) -> bytes:
         n = len(dst)
         append(n) if n < 0x80 else _write_uvarint(out, n)
         out += dst
+    if tail is None:
+        _write_packet_tail(out, packet)
+    else:
+        out += tail
+    return bytes(out)
+
+
+def encode_packet_tail(packet: Any) -> bytes:
+    """The end of a packet frame: groupcast header, multi-stamp and
+    payload. Every ``copy_to`` copy of a packet shares all three and
+    differs only in ``packet_id`` and ``dst``, which the frame writes
+    first — so a fan-out encodes this once for all its copies."""
+    out = bytearray()
+    _write_packet_tail(out, packet)
+    return bytes(out)
+
+
+def _write_packet_tail(out: bytearray, packet: Any) -> None:
+    append = out.append
     if packet.groupcast is not None:
         groups = packet.groupcast.groups
         n = len(groups)
@@ -729,7 +752,6 @@ def encode_packet(packet: Any) -> bytes:
             z = seq << 1 if seq >= 0 else ((-seq) << 1) - 1
             append(z) if z < 0x80 else _write_uvarint(out, z)
     _encode(out, packet.payload, 0, {})
-    return bytes(out)
 
 
 def _read_str(buf, pos: int, end: int) -> tuple[str, int]:

@@ -11,7 +11,8 @@ checked exhaustively here:
   ViewChange) included;
 - round-trips hold both for a bare message frame and for a packet
   payload received zero-copy out of an EWCB datagram;
-- packets round-trip with headers and ids intact;
+- packets round-trip with headers and ids intact, and a fan-out copy
+  encoded over its shared tail is byte-identical to a full encode;
 - a read of an absent key (``MISSING``) crosses the wire as itself;
 - unknown message types, truncated buffers, foreign bytes, and
   malformed frames raise the typed :class:`CodecError`, never a bare
@@ -26,8 +27,10 @@ import typing
 import pytest
 
 from conftest import CARRIAGES
+from repro.core.log import LogEntry
 from repro.core.messages import (
     HasTxn,
+    IndependentTxnRequest,
     PeerTxnResponse,
     TxnRecord,
     TxnReply,
@@ -41,6 +44,7 @@ from repro.runtime.codec import (
     decode_packet,
     encode_message,
     encode_packet,
+    encode_packet_tail,
     registered_message_types,
     wire_type_table,
 )
@@ -233,6 +237,51 @@ def test_packet_roundtrip_preserves_headers_and_ids(carriage):
     assert decoded.sequenced is True
     assert decoded.packet_id == packet.packet_id
     assert decoded.trace_id == packet.trace_id
+
+
+@pytest.mark.parametrize("trace_id", [None, 41], ids=["untraced", "traced"])
+def test_fan_out_copies_with_a_shared_tail_encode_byte_identically(trace_id):
+    """A fan-out encodes the groupcast header, multi-stamp and payload
+    once; each copy then writes only its own header. The frames must
+    equal a plain encode of the copy, byte for byte."""
+    packet = Packet(src="client-1", dst=None,
+                    payload=IndependentTxnRequest(_SAMPLE_TXN),
+                    groupcast=GroupcastHeader(groups=(0, 1)),
+                    multistamp=_SAMPLE_STAMP, sequenced=True,
+                    trace_id=trace_id)
+    tail = encode_packet_tail(packet)
+    for dst in ("r0.0", "r0.1", "r0.2", "r1.0", "r1.1", "r1.2"):
+        copy = packet.copy_to(dst)
+        frame = encode_packet(copy, tail)
+        assert frame == encode_packet(copy)
+        assert frame.endswith(tail)
+        decoded = decode_packet(frame)
+        assert (decoded.dst, decoded.packet_id, decoded.trace_id) == \
+            (dst, copy.packet_id, trace_id)
+        assert decoded.multistamp == _SAMPLE_STAMP
+        assert decoded.payload == packet.payload
+
+
+@CARRIAGES
+def test_slotted_log_classes_have_no_dict_and_roundtrip(carriage):
+    """LogEntry, SlotId, TxnRecord and MultiStamp sit in every log entry
+    at every replica, so they carry no per-instance ``__dict__``; the
+    codec still carries them inside recovery and view-change frames."""
+    entry = LogEntry(index=1, slot=_SAMPLE_SLOT, kind="txn",
+                     record=_SAMPLE_RECORD)
+    for value in (entry, _SAMPLE_SLOT, _SAMPLE_RECORD, _SAMPLE_STAMP):
+        assert not hasattr(value, "__dict__")
+    view_change = ViewChange(
+        shard=1, new_view=4, epoch_num=2, log=(entry, entry.as_noop()),
+        temp_drops=frozenset({_SAMPLE_SLOT}), perm_drops=frozenset(),
+        un_drops=frozenset({SlotId(0, 2, 9)}), sender="r1.2")
+    for message in (_SAMPLE_RECORD, view_change,
+                    PeerTxnResponse(slot=_SAMPLE_SLOT, entry=_SAMPLE_RECORD,
+                                    sender="r0.2")):
+        assert carriage.decode(carriage.encode(message)) == message
+    decoded = carriage.decode(carriage.encode(view_change)).log[0]
+    assert type(decoded) is LogEntry
+    assert type(decoded.record.multistamp) is MultiStamp
 
 
 def test_missing_read_result_roundtrips_as_the_singleton():

@@ -4,7 +4,7 @@ OUM mode, temp-drop gating, crash behavior."""
 import pytest
 
 from repro.baselines.common import WorkloadOp
-from repro.core.messages import SyncAck, SyncLog
+from repro.core.messages import IndependentTxnRequest, SyncAck, SyncLog
 from repro.core.transaction import SlotId
 
 from conftest import drive, make_ycsb_cluster, submit_and_wait
@@ -46,6 +46,93 @@ def test_sync_resends_only_suffix():
     drive(cluster, 0.01)
     assert sent
     assert all(m.from_index >= 2 for m in sent)   # no re-shipping slot 1
+
+
+def spy_sync_logs(replica):
+    """Record every (destination, SyncLog) ``replica`` sends."""
+    sent = []
+    original_send = replica.send
+
+    def spy(dst, message):
+        if isinstance(message, SyncLog):
+            sent.append((dst, message))
+        return original_send(dst, message)
+
+    replica.send = spy
+    return sent
+
+
+def test_steady_state_sync_ships_no_entries():
+    """Followers log every entry from the groupcast itself, so without
+    loss a SyncLog only heartbeats and advances commit_upto."""
+    cluster = make_ycsb_cluster(n_shards=1)
+    client = cluster.make_client()
+    submit_and_wait(cluster, client, rmw_op([0], cluster.partitioner))
+    drive(cluster, 0.01)     # first ack round
+    dl = next(r for r in cluster.replicas[0] if r.is_dl)
+    sent = spy_sync_logs(dl)
+    for _ in range(20):
+        submit_and_wait(cluster, client, rmw_op([0], cluster.partitioner))
+    drive(cluster, 0.01)
+    assert len(sent) >= 2 * len(dl._peers())
+    assert sum(len(message.entries) for _, message in sent) == 0
+    assert sent[-1][1].commit_upto == dl.log.last_index == 21
+    for follower in dl._peers():
+        replica = cluster.network.endpoint(follower)
+        assert replica.log.last_index == 21
+        assert len(replica._fed) == 21      # executed through commit_upto
+
+
+def test_sync_alone_repairs_a_lost_last_groupcast():
+    """A follower that missed the last transaction sees no later packet
+    to reveal the gap; the DL ships that entry once the follower has
+    had a whole sync interval to acknowledge it and did not."""
+    cluster = make_ycsb_cluster(n_shards=1)
+    client = cluster.make_client()
+    dl = next(r for r in cluster.replicas[0] if r.is_dl)
+    follower = next(r for r in cluster.replicas[0] if not r.is_dl)
+    for _ in range(3):
+        submit_and_wait(cluster, client, rmw_op([0], cluster.partitioner))
+    cluster.network.drop_filter = lambda pkt: (
+        pkt.dst == follower.address
+        and isinstance(pkt.payload, IndependentTxnRequest))
+    assert submit_and_wait(cluster, client,
+                           rmw_op([0], cluster.partitioner)).committed
+    cluster.network.drop_filter = None
+    assert follower.log.last_index == dl.log.last_index - 1
+    interval = dl.config.sync_interval
+    deadline = cluster.loop.now + 3 * interval
+    while follower.log.last_index < dl.log.last_index \
+            and cluster.loop.now < deadline:
+        drive(cluster, interval / 20)
+    assert follower.log.last_index == dl.log.last_index == 4
+    assert follower.log.get(4).record == dl.log.get(4).record
+    assert follower.drops_recovered_from_peer == 0
+    assert follower.drops_escalated_to_fc == 0
+
+
+def test_first_sync_after_view_change_ships_no_entries():
+    """StartView hands every follower the merged log, so the new DL's
+    first SyncLog to each peer re-ships nothing."""
+    cluster = make_ycsb_cluster(n_shards=1)
+    client = cluster.make_client()
+    for _ in range(5):
+        submit_and_wait(cluster, client, rmw_op([0], cluster.partitioner))
+    drive(cluster, 0.01)
+    old = next(r for r in cluster.replicas[0] if r.is_dl)
+    sent = {r.address: spy_sync_logs(r) for r in cluster.replicas[0]
+            if r is not old}
+    old.crash()
+    drive(cluster, 0.2)
+    new = next(r for r in cluster.replicas[0] if not r.crashed and r.is_dl)
+    assert new.view_num >= 1 and new.log.last_index == 5
+    first = {}
+    for dst, message in sent[new.address]:
+        first.setdefault(dst, message)
+    assert set(first) == set(new._peers())
+    for message in first.values():
+        assert message.view_num == new.view_num
+        assert message.entries == ()
 
 
 def test_sync_is_dl_heartbeat():

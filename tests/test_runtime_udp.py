@@ -193,6 +193,50 @@ def test_fanout_copies_counted_separately_from_sends(runtime):
     assert runtime.fanout_copies == 3   # echoes are unicast replies
 
 
+def test_sequencer_encodes_a_two_shard_payload_once(monkeypatch):
+    """A two-shard transaction fans out to 2 x 3 replicas; the sequencer
+    encodes the copies' shared tail (groupcast header, multi-stamp,
+    payload) once and only each copy's header six times."""
+    from repro.baselines.common import WorkloadOp
+    from repro.core.messages import IndependentTxnRequest
+    from repro.harness.udp_smoke import build_udp_cluster
+    from repro.runtime import asyncio_udp
+
+    tails = []
+    encode_tail = asyncio_udp.encode_packet_tail
+
+    def spy(packet):
+        tails.append(packet)
+        return encode_tail(packet)
+
+    monkeypatch.setattr(asyncio_udp, "encode_packet_tail", spy)
+    cluster = build_udp_cluster(n_shards=2, n_replicas=3)
+    runtime = cluster.runtime
+    try:
+        client = cluster.make_client()
+        runtime.start()
+        keys = (0, 1)
+        op = WorkloadOp(proc="ycsb_rmw", args={"keys": keys},
+                        participants=cluster.partitioner.participants_for(
+                            keys),
+                        read_keys=frozenset(keys), write_keys=frozenset(keys))
+        assert op.participants == (0, 1)
+        copies_before = runtime.fanout_copies
+        tails.clear()
+        results = []
+        client.submit(op, results.append)
+        assert runtime.run_until(lambda: bool(results), timeout=10.0)
+        assert results[0].committed
+        attempts = 1 + results[0].retries
+        stamped = [p for p in tails
+                   if isinstance(p.payload, IndependentTxnRequest)]
+        assert len(stamped) == attempts
+        assert stamped[0].multistamp.groups == (0, 1)
+        assert runtime.fanout_copies - copies_before == 6 * attempts
+    finally:
+        runtime.stop()
+
+
 # -- batching knob ---------------------------------------------------------
 
 def test_runtime_rejects_bad_wire_and_batch_knobs():

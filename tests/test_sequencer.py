@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.endpoint import Node
+from repro.net.message import MultiStamp
 from repro.net.network import NetConfig, Network
 from repro.net.oum import OUMSequencer
 from repro.net.sequencer import MultiSequencer, SequencerProfile
@@ -65,6 +66,29 @@ def test_stamps_are_consistent_across_recipients():
     for group in (0, 1):
         for sink in sinks[group]:
             assert [p.multistamp for p in sink.packets] == reference
+
+
+def test_emit_fans_out_once_per_stamp_in_group_order():
+    """One stamped groupcast is one fan_out call: the members of every
+    destination group, concatenated in the order the groupcast names
+    the groups — the order the copies have always left in."""
+    loop, net, seq, sinks, sender = build()
+    calls = []
+    fan_out = net.fan_out
+
+    def spy(packet, destinations):
+        calls.append((packet.multistamp, tuple(destinations)))
+        fan_out(packet, destinations)
+
+    net.fan_out = spy
+    sender.send_groupcast((1, 0), "x")
+    sender.send_groupcast((0,), "y")
+    loop.run_until_idle()
+    group0 = tuple(sink.address for sink in sinks[0])
+    group1 = tuple(sink.address for sink in sinks[1])
+    assert calls == [(MultiStamp(1, ((1, 1), (0, 1))), group1 + group0),
+                     (MultiStamp(1, ((0, 2),)), group0)]
+    assert net.fanout_copies == 9
 
 
 def test_epoch_attached_to_stamp():
