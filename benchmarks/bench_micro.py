@@ -11,6 +11,9 @@ Measures the layers every protocol and baseline sits on:
   path that used to pollute the heap with cancelled entries.
 * ``network_fanout``      — sequencer-style ``Network.fan_out`` rate
   (per-recipient packet copies/s) through the fabric fast path.
+* ``codec_ewc2_roundtrip`` — EWC2 encode+decode rate (packets/s) of a
+  sequenced txn request, a TxnReply and a SyncLog segment: the frames
+  that dominate the wire in normal-case operation, one per datagram.
 * ``fig6_e2e``            — the Figure 6 Eris saturation point
   (220 closed-loop clients, YCSB+T SRW): end-to-end committed txn/s of
   *simulated* time (deterministic, machine-independent) plus the
@@ -119,15 +122,10 @@ def bench_network_fanout(n_rounds: int, n_receivers: int = 3) -> float:
 
 def _codec_corpus() -> list:
     """Representative protocol packets: a sequenced txn request, a
-    single TxnReply, a coalesced reply batch, and a SyncLog segment —
-    the frames that dominate the wire in normal-case operation."""
+    TxnReply, and a SyncLog segment — the frames that dominate the wire
+    in normal-case operation."""
     from repro.core.log import LogEntry, SlotId, TxnRecord
-    from repro.core.messages import (
-        IndependentTxnRequest,
-        SyncLog,
-        TxnReply,
-        TxnReplyBatch,
-    )
+    from repro.core.messages import IndependentTxnRequest, SyncLog, TxnReply
     from repro.core.transaction import IndependentTransaction, TxnId
     from repro.net.message import MultiStamp
 
@@ -145,13 +143,6 @@ def _codec_corpus() -> list:
                      epoch_num=1, shard=0, replica_index=2, is_dl=True,
                      committed=True, result={"k101": 7})
     rep = Packet(src="eris-r0.2", dst="client-7", payload=reply)
-    batch = TxnReplyBatch(replies=tuple(
-        TxnReply(txn_id=TxnId(client="client-7", seq=40 + i),
-                 txn_index=110 + i, view_num=0, epoch_num=1, shard=0,
-                 replica_index=2, is_dl=True, committed=True,
-                 result={"k101": i})
-        for i in range(8)))
-    repbatch = Packet(src="eris-r0.2", dst="client-7", payload=batch)
     entries = tuple(
         LogEntry(index=i, slot=SlotId(shard=0, epoch=1, seq=100 + i),
                  kind="txn",
@@ -161,8 +152,7 @@ def _codec_corpus() -> list:
                      payload=SyncLog(shard=0, view_num=0, epoch_num=1,
                                      from_index=100, entries=entries,
                                      commit_upto=99))
-    return [("req", req), ("rep", rep), ("repbatch", repbatch),
-            ("synclog", synclog)]
+    return [("req", req), ("rep", rep), ("synclog", synclog)]
 
 
 def bench_codec_roundtrip(n_reps: int) -> float:
@@ -182,22 +172,6 @@ def bench_codec_roundtrip(n_reps: int) -> float:
             dt = time.perf_counter() - t0
             best[name] = min(dt, best.get(name, dt))
     return inner * len(corpus) / sum(best.values())
-
-
-def bench_datagram_batch(n_rounds: int, frames_per: int = 16) -> float:
-    """EWCB container pack+unpack rate (frames/s): encode a burst of
-    reply frames once, then round-trip the container."""
-    from repro.runtime.codec import (
-        decode_datagram,
-        encode_datagram,
-        encode_packet,
-    )
-    rep = next(p for name, p in _codec_corpus() if name == "rep")
-    frames = [encode_packet(rep) for _ in range(frames_per)]
-    t0 = time.perf_counter()
-    for _ in range(n_rounds):
-        decode_datagram(encode_datagram(frames))
-    return (n_rounds * frames_per) / (time.perf_counter() - t0)
 
 
 def bench_fig6_e2e() -> dict:
@@ -227,7 +201,6 @@ def measure(quick: bool) -> tuple[dict, dict]:
     restarts, heap_after = bench_timer_restart(1000, int(200 * scale))
     fanout = bench_network_fanout(int(100_000 * scale))
     codec = bench_codec_roundtrip(3 if quick else 8)
-    datagram = bench_datagram_batch(int(20_000 * scale))
     fig6 = bench_fig6_e2e()
     micro = {
         "schema": 1,
@@ -240,8 +213,6 @@ def measure(quick: bool) -> tuple[dict, dict]:
             "network_fanout": {"value": round(fanout), "unit": "packets/s"},
             "codec_ewc2_roundtrip": {"value": round(codec),
                                      "unit": "packets/s"},
-            "datagram_batch16": {"value": round(datagram),
-                                 "unit": "frames/s"},
         },
         # Pre-optimisation rates measured with this same harness on the
         # same machine that pinned this file (perf-trajectory record;

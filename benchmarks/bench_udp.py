@@ -1,12 +1,9 @@
 #!/usr/bin/env python
-"""Real-socket benchmarks: the UDP fast path and the smoke throughput.
+"""Real-socket benchmarks: the smoke throughput over loopback UDP.
 
 Pins the wall-clock performance facts the UDP runtime's design rests
 on:
 
-* ``egress_flush_batch16`` — frames/s through one ``sendto`` per EWCB
-  datagram of 16 packed frames vs one ``sendto`` per frame. The ratio
-  is the syscall amortization the per-destination egress queues buy.
 * ``udpsmoke_single``      — committed txn/s of the single-process
   loopback smoke run (whole stack in one event loop).
 * ``udpsmoke_mp``          — committed txn/s of the same workload as a
@@ -28,9 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import socket
 import sys
-import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if True:  # keep import block after sys.path fix-up
@@ -44,53 +39,6 @@ UDP_PATH = os.path.join(REPO_ROOT, "BENCH_udp.json")
 #: catches order-of-magnitude regressions (a lost fast path), not
 #: percent-level drift.
 UDP_TOLERANCE = 0.60
-
-
-def _socket_pair() -> tuple[socket.socket, socket.socket, tuple]:
-    rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    rx.bind(("127.0.0.1", 0))
-    rx.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 21)
-    tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    return rx, tx, rx.getsockname()
-
-
-def bench_egress_flush(n_frames: int,
-                       frames_per: int = 16) -> tuple[float, float]:
-    """(batched rate, per-frame rate) in frames/s.
-
-    Batched: one ``sendto`` ships an EWCB datagram of ``frames_per``
-    packed frames (the egress-queue flush path). Per-frame: one
-    ``sendto`` per frame. The receiver drains inline either way so the
-    kernel queue stays bounded.
-    """
-    from repro.net.message import Packet
-    from repro.runtime.codec import encode_datagram, encode_packet
-
-    frame = encode_packet(
-        Packet(src="a", dst="b", payload=("reply", 7, True)))
-    frames = [frame] * frames_per
-    packed = encode_datagram(frames)
-    rounds = n_frames // frames_per
-    rates = []
-    for variant in ("batched", "per-frame"):
-        rx, tx, addr = _socket_pair()
-        try:
-            t0 = time.perf_counter()
-            for _ in range(rounds):
-                if variant == "batched":
-                    tx.sendto(packed, addr)
-                    rx.recv(65536)
-                else:
-                    for data in frames:
-                        tx.sendto(data, addr)
-                    for _ in range(frames_per):
-                        rx.recv(65536)
-            rates.append((rounds * frames_per)
-                         / (time.perf_counter() - t0))
-        finally:
-            rx.close()
-            tx.close()
-    return rates[0], rates[1]
 
 
 def bench_udpsmoke(processes: str, min_commits: int) -> dict:
@@ -115,7 +63,6 @@ def bench_udpsmoke(processes: str, min_commits: int) -> dict:
 
 def measure_udp(quick: bool) -> dict:
     scale = 0.2 if quick else 1.0
-    batched, perframe = bench_egress_flush(int(160_000 * scale))
     single = bench_udpsmoke("single", int(300 * scale))
     mp = bench_udpsmoke("per-node", int(200 * scale))
     return {
@@ -123,11 +70,6 @@ def measure_udp(quick: bool) -> dict:
         "note": "wall-clock rates over real loopback sockets; "
                 "comparable only on similar hardware",
         "benchmarks": {
-            "egress_flush_batch16": {
-                "value": round(batched), "unit": "frames/s",
-                "per_frame_baseline": round(perframe),
-                "speedup_vs_per_frame": round(batched / perframe, 2),
-            },
             "udpsmoke_single": {
                 "value": single["txn_s"], "unit": "txn/s",
                 **{k: v for k, v in single.items() if k != "txn_s"},
@@ -159,16 +101,6 @@ def check_udp(current: dict) -> list[str]:
             failures.append(
                 f"{name}: {cur:,} < {floor:,.0f} "
                 f"(>{UDP_TOLERANCE:.0%} below baseline {baseline:,})")
-    # The egress batching must actually amortize syscalls: the packed
-    # path may never fall behind per-frame sends.
-    ratio = current["benchmarks"]["egress_flush_batch16"][
-        "speedup_vs_per_frame"]
-    print(f"  {'egress_batch_speedup':22s} {ratio:>11,.2f}x "
-          f"[{'ok' if ratio >= 1.0 else 'REGRESSION'}]")
-    if ratio < 1.0:
-        failures.append(
-            f"egress batching slower than per-frame sends "
-            f"({ratio}x) — the flush path lost its amortization")
     return failures
 
 

@@ -25,7 +25,6 @@ from repro.core.messages import (
     ReconRead,
     ReconReply,
     TxnReply,
-    TxnReplyBatch,
 )
 from repro.core.quorum import ViewConsistentQuorum
 from repro.core.transaction import IndependentTransaction, TxnId
@@ -179,13 +178,6 @@ class ErisClient(Node):
         pending.timer.start()
 
     # -- replies ----------------------------------------------------------
-    def on_TxnReplyBatch(self, src: Address, msg: TxnReplyBatch,
-                         packet: Packet) -> None:
-        # Coalesced replies unpack into the normal per-reply path, so
-        # quorum accounting is identical to unbatched delivery.
-        for reply in msg.replies:
-            self.on_TxnReply(src, reply, packet)
-
     def on_TxnReply(self, src: Address, msg: TxnReply, packet: Packet) -> None:
         pending = self._pending.get(msg.txn_id)
         if pending is None or msg.shard in pending.satisfied:

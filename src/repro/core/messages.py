@@ -39,18 +39,6 @@ class TxnReply:
     result: Any = None
 
 
-@dataclass(frozen=True)
-class TxnReplyBatch:
-    """Replica → client: several coalesced replies in one message.
-
-    Emitted only when reply coalescing is enabled
-    (:attr:`~repro.core.replica.ErisConfig.reply_coalesce` > 1); the
-    client unpacks it into individual :class:`TxnReply` deliveries, so
-    quorum accounting is unchanged."""
-
-    replies: tuple[TxnReply, ...]
-
-
 # -- drop recovery (§6.3) ----------------------------------------------
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@
 Replica state mirrors Figure 4: status, view-num, epoch-num, log,
 temp-drops, perm-drops, un-drops.
 
-Later PRs layered three default-off extensions over the Figure 4 core
-(the determinism digests pin the original behavior when they are off):
+Every replica sends one TxnReply per transaction, synchronously (see
+DESIGN.md, "Batching: measured and removed"). Two default-off
+extensions sit over the Figure 4 core (the determinism digests pin the
+original behavior when they are off):
 
-- **Reply coalescing** (``reply_coalesce`` > 1): several TxnReplys to
-  one client merge into a TxnReplyBatch on a zero-delay wakeup.
 - **Fast reads** (``read_fast_path``): every replica periodically
   reports its execution watermark to the sequencing element
   (AppliedUpto), and serves clean READ_ONLY transactions the element
@@ -72,7 +72,6 @@ from repro.core.messages import (
     TxnFound,
     TxnRecord,
     TxnReply,
-    TxnReplyBatch,
     TxnRequestMsg,
     ViewChange,
 )
@@ -103,11 +102,6 @@ class ErisConfig:
     general_abort_timeout: float = 100e-3
     execution_cost: float = 0.5e-6   # CPU charged per executed transaction
     oum_mode: bool = False           # Eris-OUM strawman (Fig 11)
-    #: Coalesce up to this many TxnReply messages per client into one
-    #: TxnReplyBatch, flushed on a zero-delay wakeup. 1 (the default)
-    #: sends each reply immediately — the paper's per-txn reply path,
-    #: pinned by the determinism digests.
-    reply_coalesce: int = 1
     #: Harmonia-style read fast path: periodically report the execution
     #: watermark to the sequencing element and serve clean READ_ONLY
     #: transactions from this single replica. Default-off (digest-
@@ -205,12 +199,6 @@ class ErisReplica(Node):
         self.txns_processed = 0
         self.drops_recovered_from_peer = 0
         self.drops_escalated_to_fc = 0
-
-        # Reply coalescing (reply_coalesce > 1): per-client buffers of
-        # (TxnReply, committed) drained by one zero-delay wakeup.
-        self._reply_buffer: dict[Address, list[TxnReply]] = {}
-        self._reply_flush_armed = False
-        self.reply_batches_sent = 0
 
         # Coordination-free fast paths (default-off; no timers or
         # events are created unless the knobs are on, keeping the
@@ -413,7 +401,7 @@ class ErisReplica(Node):
 
     def _reply(self, txn: IndependentTransaction, index: int,
                committed: bool, result: Any) -> None:
-        reply = TxnReply(
+        packet = self.send(txn.txn_id.client, TxnReply(
             txn_id=txn.txn_id,
             txn_index=index,
             view_num=self.view_num,
@@ -423,44 +411,15 @@ class ErisReplica(Node):
             is_dl=self.is_dl,
             committed=committed,
             result=result,
-        )
-        client = txn.txn_id.client
-        if self.config.reply_coalesce > 1:
-            self._reply_buffer.setdefault(client, []).append(reply)
-            if not self._reply_flush_armed:
-                self._reply_flush_armed = True
-                self.call_later(0.0, self._flush_replies)
-            return
-        self._send_replies(client, [reply])
-
-    def _flush_replies(self) -> None:
-        """Drain the per-client reply buffers: one TxnReplyBatch per
-        client per wakeup (capped at reply_coalesce replies each)."""
-        self._reply_flush_armed = False
-        buffered, self._reply_buffer = self._reply_buffer, {}
-        if self.crashed:
-            return
-        cap = self.config.reply_coalesce
-        for client, replies in buffered.items():
-            for start in range(0, len(replies), cap):
-                self._send_replies(client, replies[start:start + cap])
-
-    def _send_replies(self, client: Address,
-                      replies: list[TxnReply]) -> None:
-        if len(replies) == 1:
-            packet = self.send(client, replies[0])
-        else:
-            packet = self.send(client, TxnReplyBatch(tuple(replies)))
-            self.reply_batches_sent += 1
+        ))
         tracer = self.tracer
         if tracer is not None and packet is not None:
-            for reply in replies:
-                # The reply's causal id lets the span builder pair each
-                # per-replica reply with its delivery at the client.
-                tracer.record("reply", self.address, cause=packet.trace_id,
-                              txn=reply.txn_id.label(), shard=self.shard,
-                              replica=self.replica_index, is_dl=self.is_dl,
-                              committed=reply.committed)
+            # The reply's causal id lets the span builder pair each
+            # per-replica reply with its delivery at the client.
+            tracer.record("reply", self.address, cause=packet.trace_id,
+                          txn=txn.txn_id.label(), shard=self.shard,
+                          replica=self.replica_index, is_dl=self.is_dl,
+                          committed=committed)
 
     # -- reconnaissance queries (§7.1) ----------------------------------------
     def on_ReconRead(self, src: Address, msg: ReconRead,

@@ -111,10 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="kill the active sequencing element (chain "
                              "head, or the routed sequencer) at simulated "
                              "time T")
-    parser.add_argument("--seq-batch", type=int, default=1, metavar="N",
-                        help="stamp up to N queued groupcasts per "
-                             "sequencer wakeup (also pipelines N chain "
-                             "forwards per hop with --chain)")
     parser.add_argument("--warmup", type=float, default=4e-3,
                         help="simulated seconds before measurement")
     parser.add_argument("--duration", type=float, default=10e-3,
@@ -198,10 +194,6 @@ def build_udpsmoke_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chain", type=int, default=0, metavar="N",
                         help="front Eris with an N-node chain-replicated "
                              "sequencer (N=2..3; 0 = single sequencer)")
-    parser.add_argument("--batch", type=int, default=1, metavar="N",
-                        help="enable the batching stack at depth N: "
-                             "sequencer stamping, chain pipelining, "
-                             "reply coalescing, EWCB datagram packing")
     parser.add_argument("--trace", metavar="PATH",
                         help="record a full causal trace (clocked off "
                              "the asyncio loop's monotonic clock) and "
@@ -329,7 +321,13 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
     from repro.errors import ExperimentError, InvariantViolation
     from repro.harness.udp_smoke import run_udp_smoke
 
-    args = build_udpsmoke_parser().parse_args(argv)
+    parser = build_udpsmoke_parser()
+    args = parser.parse_args(argv)
+    if args.processes != "per-node":
+        for flag, value in (("--run-dir", args.run_dir),
+                            ("--timer-slack", args.timer_slack)):
+            if value is not None:
+                parser.error(f"{flag} requires --processes per-node")
     try:
         if args.processes == "per-node":
             from repro.harness.mp_smoke import (
@@ -342,8 +340,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                 timeout=args.timeout, workload=args.workload,
                 distributed_fraction=args.distributed, n_keys=args.keys,
                 seed=args.seed, chain=args.chain,
-                batch=args.batch, fast_path=args.fast_path,
-                run_dir=args.run_dir,
+                fast_path=args.fast_path, run_dir=args.run_dir,
                 trace=bool(args.trace), metrics=bool(args.metrics_out),
                 metrics_interval=args.metrics_interval,
                 recorder_capacity=args.recorder_capacity,
@@ -357,8 +354,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                 timeout=args.timeout, workload=args.workload,
                 distributed_fraction=args.distributed, n_keys=args.keys,
                 seed=args.seed, chain=args.chain,
-                batch=args.batch, fast_path=args.fast_path,
-                trace_path=args.trace,
+                fast_path=args.fast_path, trace_path=args.trace,
                 metrics_path=args.metrics_out,
                 metrics_interval=args.metrics_interval,
                 recorder_path=args.recorder,
@@ -377,7 +373,6 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                else "asyncio-udp (loopback)")
     rows = [["backend", backend],
             ["shards x replicas", f"{args.shards} x {args.replicas}"],
-            ["batch", args.batch],
             ["chain", args.chain or "off"],
             ["fast path", "on" if args.fast_path else "off"],
             ["committed", result.committed],
@@ -406,8 +401,6 @@ def run(args: argparse.Namespace):
     config = ClusterConfig(system=args.system, n_shards=args.shards,
                            n_replicas=args.replicas, seed=args.seed,
                            sequencer_chain=getattr(args, "chain", 0),
-                           sequencer_batch=getattr(args, "seq_batch", 1),
-                           chain_pipeline=getattr(args, "seq_batch", 1),
                            read_fast_path=getattr(args, "read_fast_path",
                                                   False),
                            commutative_apply=getattr(args, "commutative",

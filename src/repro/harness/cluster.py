@@ -70,15 +70,6 @@ class ClusterConfig:
     #: Ablation: one-phase commit for single-shard Lock-Store txns
     #: (the paper's Lock-Store always runs the full 2PC exchange).
     lockstore_one_phase: bool = False
-    #: Stamp up to this many queued sequenced groupcasts per sequencer
-    #: wakeup (1 = the paper's one-at-a-time stamping; pinned default).
-    sequencer_batch: int = 1
-    #: Chain-replicated sequencer only: pipeline up to this many counter
-    #: writes per hop in one ChainForwardBatch (1 = one msg per write).
-    chain_pipeline: int = 1
-    #: UDP backend only: pack up to this many frames per datagram in an
-    #: EWCB container (1 = one packet per datagram).
-    udp_batch_frames: int = 1
     #: Coordination-free fast paths (Eris only, default-off; see
     #: DESIGN.md "The dirty-set protocol"). ``read_fast_path`` lets the
     #: sequencer serve READ_ONLY transactions over clean keys from a
@@ -114,15 +105,6 @@ class ClusterConfig:
                 raise ConfigurationError(
                     f"sequencer_chain must be 2 or 3, "
                     f"got {self.sequencer_chain}")
-        if self.sequencer_batch < 1:
-            raise ConfigurationError(
-                f"sequencer_batch must be >= 1: {self.sequencer_batch}")
-        if self.chain_pipeline < 1:
-            raise ConfigurationError(
-                f"chain_pipeline must be >= 1: {self.chain_pipeline}")
-        if self.udp_batch_frames < 1:
-            raise ConfigurationError(
-                f"udp_batch_frames must be >= 1: {self.udp_batch_frames}")
         if (self.read_fast_path or self.commutative_apply) \
                 and self.system != "eris":
             raise ConfigurationError(
@@ -154,8 +136,7 @@ class Cluster:
         self.partitioner = partitioner
         if config.backend == "udp":
             from repro.runtime.asyncio_udp import AsyncioUdpRuntime
-            self.runtime = AsyncioUdpRuntime(
-                seed=config.seed, batch_frames=config.udp_batch_frames)
+            self.runtime = AsyncioUdpRuntime(seed=config.seed)
         else:
             self.loop = EventLoop()
             self.rng = SplitRandom(config.seed)
@@ -299,15 +280,12 @@ def _build_eris(cluster: Cluster, oum: bool = False) -> None:
         from repro.net.chainseq import ChainSequencerNode
         for address in topology.chain_addrs:
             node = ChainSequencerNode(address, cluster.network, profile,
-                                      stamp_batch=config.sequencer_batch,
-                                      pipeline=config.chain_pipeline,
                                       **fastpath_kwargs)
             chain_addrs.append(node.address)
             cluster.sequencers.append(node)
     standbys: list[MultiSequencer] = []
     for address in topology.standby_addrs:
         standby = sequencer_cls(address, cluster.network, profile,
-                                stamp_batch=config.sequencer_batch,
                                 **fastpath_kwargs)
         standbys.append(standby)
         cluster.sequencers.append(standby)

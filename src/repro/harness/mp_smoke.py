@@ -66,7 +66,7 @@ def run_udp_smoke_mp(n_shards: int = 2, n_replicas: int = 3,
                      distributed_fraction: float = 0.5,
                      n_keys: int = 200, seed: int = 7,
                      check: bool = True, chain: int = 0,
-                     batch: int = 1, fast_path: bool = False,
+                     fast_path: bool = False,
                      run_dir: Optional[str] = None,
                      trace: bool = False, metrics: bool = False,
                      metrics_interval: float = 0.05,
@@ -93,12 +93,10 @@ def run_udp_smoke_mp(n_shards: int = 2, n_replicas: int = 3,
     os.makedirs(run_dir, exist_ok=True)
     config = smoke_cluster_config(n_shards=n_shards,
                                   n_replicas=n_replicas, seed=seed,
-                                  chain=chain, batch=batch,
-                                  fast_path=fast_path)
+                                  chain=chain, fast_path=fast_path)
     topology = eris_topology(config)
     roles = topology_roles(topology)
-    runtime = WorkerUdpRuntime(rank=0, seed=seed, batch_frames=batch,
-                               timer_slack=timer_slack)
+    runtime = WorkerUdpRuntime(rank=0, seed=seed, timer_slack=timer_slack)
     recorder = FlightRecorder(capacity=recorder_capacity)
     # Driver shard uses cause_base 0; workers use rank * stride — the
     # merged stream's causal ids are collision-free by construction.
@@ -147,8 +145,7 @@ def run_udp_smoke_mp(n_shards: int = 2, n_replicas: int = 3,
 
     launcher = ClusterLauncher(run_dir)
     spec = {"shards": n_shards, "replicas": n_replicas, "keys": n_keys,
-            "seed": seed, "chain": chain, "batch": batch,
-            "fast_path": fast_path,
+            "seed": seed, "chain": chain, "fast_path": fast_path,
             "trace": trace, "metrics": metrics,
             "metrics_interval": metrics_interval, "run_dir": run_dir,
             "recorder_capacity": recorder_capacity,

@@ -155,15 +155,12 @@ def build_worker_role(role: str, config, topology: ErisTopology,
         from repro.net.chainseq import ChainSequencerNode
         node = ChainSequencerNode(
             topology.chain_addrs[int(rest)], runtime, profile,
-            stamp_batch=config.sequencer_batch,
-            pipeline=config.chain_pipeline,
             read_fast_path=config.read_fast_path,
             commutative_apply=config.commutative_apply)
         built["sequencers"].append(node)
     elif kind == "seq":
         sequencer = MultiSequencer(
             topology.standby_addrs[int(rest)], runtime, profile,
-            stamp_batch=config.sequencer_batch,
             read_fast_path=config.read_fast_path,
             commutative_apply=config.commutative_apply)
         built["sequencers"].append(sequencer)

@@ -55,8 +55,8 @@ class SmokeResult:
     wall_seconds: float
     packets_sent: int
     packets_delivered: int
-    #: Encoded frames vs datagrams actually written: with EWCB batching
-    #: on, frames_sent > datagrams_sent measures the packing ratio.
+    #: Encoded frames and datagrams written; one datagram carries one
+    #: frame, so the two are equal.
     frames_sent: int = 0
     datagrams_sent: int = 0
     checks_passed: bool = True
@@ -75,7 +75,7 @@ class SmokeResult:
 
 
 def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
-                         seed: int = 7, chain: int = 0, batch: int = 1,
+                         seed: int = 7, chain: int = 0,
                          fast_path: bool = False) -> ClusterConfig:
     """The canonical UDP-smoke :class:`ClusterConfig`.
 
@@ -95,25 +95,20 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
         server_service_time=0.0, execution_cost=0.0,
         client_retry_timeout=100e-3,
         sequencer_chain=chain,
-        sequencer_batch=batch, chain_pipeline=batch,
-        udp_batch_frames=batch,
         read_fast_path=fast_path, commutative_apply=fast_path,
-        eris=ErisConfig(reply_coalesce=batch, **_UDP_ERIS),
+        eris=ErisConfig(**_UDP_ERIS),
         controller=ControllerConfig(**_UDP_CONTROLLER),
     )
 
 
 def build_udp_cluster(n_shards: int = 2, n_replicas: int = 3,
                       n_keys: int = 200, seed: int = 7, chain: int = 0,
-                      batch: int = 1, counters: bool = False,
+                      counters: bool = False,
                       fast_path: bool = False) -> Cluster:
     """An Eris cluster on the asyncio-UDP runtime, keys loaded.
 
-    ``batch > 1`` turns on the whole batching stack at that depth —
-    sequencer stamp batching, chain forward pipelining, replica reply
-    coalescing, and EWCB datagram packing; ``chain`` fronts the system
-    with an N-node chain-replicated sequencer as in the simulator
-    experiments.
+    ``chain`` fronts the system with an N-node chain-replicated
+    sequencer as in the simulator experiments.
     ``counters`` registers/loads the coordination-free counters
     workload instead of YCSB; ``fast_path`` turns on both
     coordination-free knobs."""
@@ -127,8 +122,7 @@ def build_udp_cluster(n_shards: int = 2, n_replicas: int = 3,
     partitioner = Partitioner(n_shards)
     config = smoke_cluster_config(n_shards=n_shards,
                                   n_replicas=n_replicas, seed=seed,
-                                  chain=chain, batch=batch,
-                                  fast_path=fast_path)
+                                  chain=chain, fast_path=fast_path)
     return build_cluster(config, registry, partitioner, loader=loader)
 
 
@@ -171,7 +165,7 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
                   timeout: float = 30.0, workload: str = "mrmw",
                   distributed_fraction: float = 0.5, n_keys: int = 200,
                   seed: int = 7, check: bool = True, chain: int = 0,
-                  batch: int = 1, fast_path: bool = False,
+                  fast_path: bool = False,
                   trace_path: Optional[str] = None,
                   metrics_path: Optional[str] = None,
                   metrics_interval: float = 0.05,
@@ -207,7 +201,6 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
     """
     cluster = build_udp_cluster(n_shards=n_shards, n_replicas=n_replicas,
                                 n_keys=n_keys, seed=seed, chain=chain,
-                                batch=batch,
                                 counters=(workload == "counters"),
                                 fast_path=fast_path)
     runtime = cluster.runtime

@@ -13,8 +13,9 @@ Layout and protocol:
 - The groupcast route points at the chain **head**. The head owns the
   per-destination-group counters: it assigns the
   :class:`~repro.net.message.MultiStamp` (same assignment logic as the
-  single :class:`~repro.net.sequencer.MultiSequencer`) and forwards a
-  :class:`ChainForward` write down the chain instead of fanning out.
+  single :class:`~repro.net.sequencer.MultiSequencer`) and, instead of
+  fanning out, sends one :class:`ChainForward` write per stamp down the
+  chain as soon as it is assigned.
 - Every node absorbs the write into its own counters (element-wise
   max), so counter state is always ordered ``head >= mid >= tail``.
 - The **tail** *serves* stamps: only when a write reaches the tail is
@@ -64,18 +65,6 @@ class ChainForward:
 
 
 @dataclass(frozen=True)
-class ChainForwardBatch:
-    """Several counter writes pipelined down the chain in one message
-    (the NetChain-style per-hop batching queued as the PR 6 follow-up).
-    Every write still carries its own version: a splice can land
-    between buffering and flush, and each write is re-fenced
-    individually wherever it arrives."""
-
-    version: int
-    writes: tuple[ChainForward, ...]
-
-
-@dataclass(frozen=True)
 class ChainStateRequest:
     """Controller -> surviving tail: read your counter state."""
 
@@ -122,26 +111,16 @@ class ChainSequencerNode(MultiSequencer):
 
     def __init__(self, address: str, network: Network,
                  profile: SequencerProfile | None = None, epoch: int = 1,
-                 stamp_batch: int = 1, pipeline: int = 1,
                  read_fast_path: bool = False,
                  commutative_apply: bool = False):
         super().__init__(address, network, profile, epoch,
-                         stamp_batch=stamp_batch,
                          read_fast_path=read_fast_path,
                          commutative_apply=commutative_apply)
         self.version = 0
         self.members: tuple[Address, ...] = ()
         self.retired = True
-        # Forward pipelining: with pipeline > 1 the head buffers up to
-        # that many ChainForward writes and sends them downstream as a
-        # single ChainForwardBatch per hop (mid-nodes re-forward whole
-        # batches). Default 1 keeps the one-message-per-write protocol.
-        self.pipeline = pipeline
-        self._forward_buffer: list[ChainForward] = []
-        self._forward_flush_armed = False
         # Chain-specific counters for metrics and tests.
         self.forwards_propagated = 0
-        self.batches_forwarded = 0
         self.releases = 0
         self.stale_rejected = 0
 
@@ -209,8 +188,9 @@ class ChainSequencerNode(MultiSequencer):
         # Only the installed head assigns stamps. A retired (fenced or
         # not-yet-installed) node, or a non-head that still receives
         # routed traffic mid-splice, must drop rather than stamp. The
-        # check lives at stamp time (not delivery) so a splice landing
-        # while groupcasts sit in the batching queue still fences them.
+        # check lives at stamp time (not delivery): ``deliver`` holds a
+        # packet for the profile's ``added_latency`` before ``_process``,
+        # so a splice landing in between still fences it.
         if self.retired or not self.is_head:
             self.stale_rejected += 1
             self._ingress.pop(packet.packet_id, None)
@@ -223,10 +203,6 @@ class ChainSequencerNode(MultiSequencer):
             return
         self._emit(self.stamp(packet))
 
-    def crash(self) -> None:
-        super().crash()
-        self._forward_buffer.clear()
-
     def _emit(self, stamped: Packet) -> None:
         stamp = stamped.multistamp
         if self.is_tail:
@@ -235,39 +211,11 @@ class ChainSequencerNode(MultiSequencer):
                           stamped.payload, stamped.groupcast.groups,
                           stamped.trace_id)
             return
-        write = ChainForward(
+        self.send(self.successor, ChainForward(
             version=self.version, epoch=stamp.epoch, stamps=stamp.stamps,
             origin=stamped.src, payload=stamped.payload,
-            groups=stamped.groupcast.groups, trace_id=stamped.trace_id)
-        if self.pipeline <= 1:
-            self.send(self.successor, write)
-            self.forwards_propagated += 1
-            return
-        self._forward_buffer.append(write)
-        if len(self._forward_buffer) >= self.pipeline:
-            self._flush_forwards()
-        elif not self._forward_flush_armed:
-            self._forward_flush_armed = True
-            self.call_later(0.0, self._flush_forwards)
-
-    def _flush_forwards(self) -> None:
-        """Send buffered writes downstream as one ChainForwardBatch.
-        Writes buffered before a splice carry the old version; they are
-        dropped here (the new chain has re-read the tail's counters, so
-        releasing them could duplicate a reassigned sequence number)."""
-        self._forward_flush_armed = False
-        buffered, self._forward_buffer = self._forward_buffer, []
-        if not buffered or self.crashed:
-            return
-        live = [w for w in buffered if w.version == self.version
-                and not self.retired]
-        self.stale_rejected += len(buffered) - len(live)
-        if not live or self.is_tail:
-            return
-        self.send(self.successor, ChainForwardBatch(
-            version=self.version, writes=tuple(live)))
-        self.forwards_propagated += len(live)
-        self.batches_forwarded += 1
+            groups=stamped.groupcast.groups, trace_id=stamped.trace_id))
+        self.forwards_propagated += 1
 
     def _absorb(self, msg: ChainForward) -> bool:
         """Version-fence and absorb one propagated write into the local
@@ -341,25 +289,6 @@ class ChainSequencerNode(MultiSequencer):
             self.send(self.successor, msg)
             self.forwards_propagated += 1
 
-    def on_ChainForwardBatch(self, src: Address, msg: ChainForwardBatch,
-                             packet: Packet) -> None:
-        accepted = []
-        for write in msg.writes:
-            if not self._absorb(write):
-                continue
-            if self.is_tail:
-                self._release(write.epoch, write.stamps, write.origin,
-                              write.payload, write.groups, write.trace_id)
-            else:
-                accepted.append(write)
-        if accepted:
-            # Mid-node: re-forward the surviving writes as one batch,
-            # preserving per-hop pipelining without re-buffering.
-            self.send(self.successor, ChainForwardBatch(
-                version=self.version, writes=tuple(accepted)))
-            self.forwards_propagated += len(accepted)
-            self.batches_forwarded += 1
-
     def _release(self, epoch: int, stamps: tuple[tuple[GroupId, int], ...],
                  origin: Address, payload: Any,
                  groups: tuple[GroupId, ...],
@@ -394,5 +323,3 @@ class ChainSequencerNode(MultiSequencer):
                        fn=lambda: self.forwards_propagated)
         registry.gauge(self.address, "chain_stale_rejected",
                        fn=lambda: self.stale_rejected)
-        registry.gauge(self.address, "chain_batches",
-                       fn=lambda: self.batches_forwarded)

@@ -22,13 +22,10 @@ class OUMSequencer(MultiSequencer):
     GLOBAL_GROUP = -1
 
     def __init__(self, address: str, network: Network,
-                 profile: SequencerProfile | None = None, epoch: int = 1,
-                 stamp_batch: int = 1):
-        # Stamp batching (stamp_batch > 1) is inherited unchanged: the
-        # queue/wakeup live in _process_groupcast, and this class only
-        # overrides what "stamp" and "emit" mean.
-        super().__init__(address, network, profile, epoch,
-                         stamp_batch=stamp_batch)
+                 profile: SequencerProfile | None = None, epoch: int = 1):
+        # Dispatch is inherited unchanged; this class only overrides
+        # what "stamp" and "emit" mean.
+        super().__init__(address, network, profile, epoch)
         self.global_counter = 0
 
     def stamp(self, packet: Packet) -> Packet:

@@ -17,12 +17,10 @@ Three deployment profiles mirror §5.4 / Table 1: an in-switch design, a
 network-processor middlebox, and a commodity end host. They differ only
 in per-packet processing capacity and added latency.
 
-Beyond the paper's base design, this sequencer has grown three
-independently-toggled extensions:
+Every groupcast is stamped and released synchronously on arrival (see
+DESIGN.md, "Batching: measured and removed"). Beyond the paper's base
+design, this sequencer has grown two independently-toggled extensions:
 
-- **Stamp batching** (``stamp_batch`` > 1): arriving groupcasts queue
-  and a zero-delay wakeup stamps several back-to-back, amortizing the
-  emit path (see DESIGN.md, "Protocol-level batching").
 - **Chain replication**: :class:`repro.net.chainseq.ChainSequencerNode`
   subclasses this node so counter state survives sequencer failure
   without an epoch change; only the chain tail releases stamped
@@ -42,7 +40,6 @@ independently-toggled extensions:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.net.endpoint import Node
@@ -107,7 +104,7 @@ class MultiSequencer(Node):
 
     def __init__(self, address: str, network: Network,
                  profile: SequencerProfile | None = None, epoch: int = 1,
-                 stamp_batch: int = 1, read_fast_path: bool = False,
+                 read_fast_path: bool = False,
                  commutative_apply: bool = False):
         super().__init__(address, network)
         self.profile = profile or SequencerProfile.in_switch()
@@ -115,15 +112,6 @@ class MultiSequencer(Node):
         self.epoch = epoch
         self.counters: dict[int, int] = {}
         self.packets_stamped = 0
-        # Protocol-level batching: with stamp_batch > 1 arriving
-        # groupcasts queue and a zero-delay wakeup stamps up to
-        # stamp_batch of them back-to-back, amortizing the emit path.
-        # The default (1) stamps synchronously on delivery — the exact
-        # pre-batching event order, pinned by the determinism digests.
-        self.stamp_batch = stamp_batch
-        self.stamp_wakeups = 0
-        self._stamp_queue: deque[Packet] = deque()
-        self._stamp_wakeup_armed = False
         # Fabric-arrival timestamps for queue-delay attribution, keyed
         # by packet id. Populated only while a tracer is attached.
         self._ingress: dict[int, float] = {}
@@ -189,8 +177,7 @@ class MultiSequencer(Node):
         self._process_groupcast(packet)
 
     def _process_groupcast(self, packet: Packet) -> None:
-        """Stamp one sequenced groupcast packet and emit it — directly,
-        or via the batching queue when ``stamp_batch`` > 1.
+        """Stamp one sequenced groupcast packet and emit it.
 
         With the read fast path on, two packet kinds are intercepted
         *before* a sequence number is consumed: replica execution
@@ -204,36 +191,13 @@ class MultiSequencer(Node):
                 return
             if self._maybe_fast_read(packet):
                 return
-        if self.stamp_batch <= 1:
-            self._stamp_one(packet)
-            return
-        self._stamp_queue.append(packet)
-        if not self._stamp_wakeup_armed:
-            self._stamp_wakeup_armed = True
-            self.call_later(0.0, self._stamp_wakeup)
-
-    def _stamp_wakeup(self) -> None:
-        """Drain up to ``stamp_batch`` queued groupcasts in one wakeup;
-        re-arm if a burst left more behind."""
-        self._stamp_wakeup_armed = False
-        if self.crashed:
-            self._stamp_queue.clear()
-            return
-        self.stamp_wakeups += 1
-        queue = self._stamp_queue
-        budget = self.stamp_batch
-        while queue and budget:
-            self._stamp_one(queue.popleft())
-            budget -= 1
-        if queue and not self._stamp_wakeup_armed:
-            self._stamp_wakeup_armed = True
-            self.call_later(0.0, self._stamp_wakeup)
+        self._stamp_one(packet)
 
     def _stamp_one(self, packet: Packet) -> None:
         """Stamp one groupcast and emit it. Split out so variants (OUM
         flooding, chain replication) can change where stamped packets
         go — and keep their stamp-time admission checks — without
-        re-implementing the dispatch or batching above."""
+        re-implementing the dispatch above."""
         self._emit(self.stamp(packet))
 
     def _emit(self, stamped: Packet) -> None:
@@ -446,8 +410,6 @@ class MultiSequencer(Node):
         registry.gauge(self.address, "epoch", fn=lambda: self.epoch)
         registry.gauge(self.address, "groups_stamped",
                        fn=lambda: len(self.counters))
-        registry.gauge(self.address, "stamp_wakeups",
-                       fn=lambda: self.stamp_wakeups, monotone=True)
         registry.gauge(self.address, "fast_reads",
                        fn=lambda: self.fast_reads, monotone=True)
         registry.gauge(self.address, "fast_read_misses",
@@ -461,10 +423,9 @@ class MultiSequencer(Node):
     def crash(self) -> None:
         super().crash()
         # Packets recorded at deliver time but still in flight toward
-        # stamp (latency timers, the batching queue) will never be
-        # popped by _queue_delay — drop their bookkeeping with the node.
+        # stamp (latency timers) will never be popped by _queue_delay —
+        # drop their bookkeeping with the node.
         self._ingress.clear()
-        self._stamp_queue.clear()
 
     def deliver(self, packet: Packet) -> None:
         # Charge the profile's traversal latency on top of queueing.

@@ -31,10 +31,11 @@ The socket layer is one path, shared with the multi-process subclass
   wakeup with ``sock.recv``, so one loop wakeup amortizes over every
   datagram the kernel has queued (eRPC's batched-receive observation,
   on commodity UDP).
-- **send** — every datagram leaves through one plain non-blocking
-  ``socket.sendto``; a full kernel buffer (EAGAIN) or any other
-  ``OSError`` is counted in ``send_errors`` and the datagram is lost,
-  which Eris's drop machinery already tolerates.
+- **send** — every packet is encoded into one frame and leaves at once,
+  as one datagram, through one plain non-blocking ``socket.sendto``; a
+  full kernel buffer (EAGAIN) or any other ``OSError`` is counted in
+  ``send_errors`` and the datagram is lost, which Eris's drop machinery
+  already tolerates.
 - **lifecycle** — :meth:`start` and :meth:`stop` are synchronous and
   never enter the event loop; the runtime owns every file descriptor
   outright and closes each exactly once.
@@ -43,11 +44,6 @@ The runtime is single-threaded: drive it with
 :meth:`AsyncioUdpRuntime.run_for` / :meth:`run_until` from ordinary
 synchronous harness code. Protocol callbacks run inside the asyncio
 loop exactly as they run inside the simulated event loop.
-
-One performance knob, off by default: ``batch_frames=N`` packs up to
-N frames per datagram in a length-prefixed EWCB container, flushed once
-per event-loop iteration, so a sequencer wakeup's burst of stamped
-copies (or a replica's coalesced replies) shares syscalls and headers.
 """
 
 from __future__ import annotations
@@ -60,19 +56,13 @@ from repro.errors import NetworkError
 from repro.net.groupcast import GroupMembership
 from repro.net.message import Address, Packet
 from repro.runtime.codec import (
-    MAX_DATAGRAM_FRAMES,
     CodecError,
     decode_datagram,
-    encode_datagram,
     encode_packet,
     encode_packet_tail,
 )
 from repro.runtime.interface import Runtime, TimerHandle
 from repro.sim.randomness import SplitRandom
-
-#: Stay under the 65,507-byte UDP payload ceiling with headroom: a
-#: batch flushes early once its frames would exceed this many bytes.
-_MAX_DATAGRAM_BYTES = 60_000
 
 #: Receive size: the maximum UDP payload fits with room to spare.
 _RECV_BUFFER_BYTES = 65536
@@ -159,17 +149,9 @@ class AsyncioUdpRuntime(Runtime):
 
     backend = "asyncio-udp"
 
-    def __init__(self, seed: int = 0, host: str = "127.0.0.1",
-                 batch_frames: int = 1):
+    def __init__(self, seed: int = 0, host: str = "127.0.0.1"):
         super().__init__()
         self.host = host
-        if not 1 <= batch_frames <= MAX_DATAGRAM_FRAMES:
-            raise NetworkError(
-                f"batch_frames must be in [1, {MAX_DATAGRAM_FRAMES}]: "
-                f"{batch_frames}")
-        #: Frames packed per datagram (1 = one packet per datagram, the
-        #: historical behaviour; >1 enables EWCB containers).
-        self.batch_frames = batch_frames
         self.aloop = asyncio.new_event_loop()
         self.base_rng = SplitRandom(seed)
         self.groups = GroupMembership()
@@ -179,12 +161,6 @@ class AsyncioUdpRuntime(Runtime):
         self._ports: dict[Address, int] = {}
         self._egress: Optional[socket.socket] = None
         self._pending_sends: list[tuple[Address, bytes]] = []
-        # Per-destination frame queues (keyed by resolved socket
-        # address), drained by one call_soon callback per loop
-        # iteration so every frame queued within a callback burst
-        # shares a datagram (batch_frames > 1 only).
-        self._frame_queues: dict[tuple[str, int], list[bytes]] = {}
-        self._flush_scheduled = False
         self._started = False
         self._closed = False
         self.packets_sent = 0
@@ -196,10 +172,11 @@ class AsyncioUdpRuntime(Runtime):
         #: protocol-level sends, fan-out multiplication is accounted
         #: here — previously these copies were invisible to both.
         self.fanout_copies = 0
-        #: Encoded packet frames handed to the send path (each frame is
-        #: one packet; with batching several frames share a datagram).
+        #: Encoded packet frames handed to the send path, one per
+        #: packet.
         self.frames_sent = 0
-        #: Actual datagrams written to the socket.
+        #: Datagrams written to the socket. One datagram carries one
+        #: frame, so this always equals ``frames_sent``.
         self.datagrams_sent = 0
         #: ``sendto`` failures: a full kernel buffer (EAGAIN) or any
         #: other OSError. The datagram is lost, as UDP allows.
@@ -214,7 +191,6 @@ class AsyncioUdpRuntime(Runtime):
         # Health instrumentation, attached by instrument(); each hot
         # path pays one ``is not None`` check while unattached.
         self._hist_datagram_bytes = None
-        self._hist_batch_depth = None
         self._hist_loop_lag = None
         self._lag_probe_interval = 0.005
         self._lag_probe_expected: Optional[float] = None
@@ -320,8 +296,8 @@ class AsyncioUdpRuntime(Runtime):
         The single place name resolution happens: this runtime knows
         only its locally bound endpoints, while the multi-process
         subclass overlays a remote host/port map distributed by the
-        launcher. Everything downstream (transmit, batching, pending
-        flush) is location-transparent."""
+        launcher. Everything downstream (transmit, pending flush) is
+        location-transparent."""
         port = self._ports.get(dst)
         if port is None:
             return None
@@ -341,39 +317,7 @@ class AsyncioUdpRuntime(Runtime):
             self._pending_sends.append((packet.dst, data))
             return
         self.frames_sent += 1
-        if self.batch_frames <= 1:
-            self._sendto(data, addr)
-            return
-        # Batching: park the frame on the destination's queue and drain
-        # every queue in one call_soon callback, so all frames queued
-        # within the current callback burst (a sequencer wakeup, a
-        # chain pipeline flush, a reply coalesce) share datagrams.
-        self._frame_queues.setdefault(addr, []).append(data)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.aloop.call_soon(self._flush_frames)
-
-    def _flush_frames(self) -> None:
-        self._flush_scheduled = False
-        queues, self._frame_queues = self._frame_queues, {}
-        if self._egress is None:  # stop() raced the callback
-            return
-        limit = self.batch_frames
-        for addr, frames in queues.items():
-            if self._hist_batch_depth is not None:
-                self._hist_batch_depth.record(len(frames))
-            chunk: list[bytes] = []
-            chunk_bytes = 0
-            for frame in frames:
-                if chunk and (len(chunk) >= limit
-                              or chunk_bytes + len(frame) > _MAX_DATAGRAM_BYTES):
-                    self._sendto(encode_datagram(chunk), addr)
-                    chunk = []
-                    chunk_bytes = 0
-                chunk.append(frame)
-                chunk_bytes += len(frame)
-            if chunk:
-                self._sendto(encode_datagram(chunk), addr)
+        self._sendto(data, addr)
 
     def _sendto(self, data: bytes, addr: tuple[str, int]) -> None:
         """Single datagram egress point: accounting, size histogram,
@@ -409,29 +353,28 @@ class AsyncioUdpRuntime(Runtime):
 
     def _on_datagram(self, address: Address, data: bytes) -> None:
         try:
-            packets = decode_datagram(data)
+            packet = decode_datagram(data)
         except CodecError:
             self.decode_errors += 1
             return
         node = self._endpoints.get(address)
-        for packet in packets:
-            if node is None:
-                self._drop(packet, "dead-destination")
-                continue
-            self.packets_delivered += 1
-            if self.tracer is not None:
-                self.tracer.packet_deliver(packet)
-            node.deliver(packet)
+        if node is None:
+            self._drop(packet, "dead-destination")
+            return
+        self.packets_delivered += 1
+        if self.tracer is not None:
+            self.tracer.packet_deliver(packet)
+        node.deliver(packet)
 
     # -- observability -----------------------------------------------------
     def instrument(self, registry) -> None:
         """Register this runtime's health metrics with ``registry``.
 
         Counter-style plain ints are exposed as monotone pull gauges
-        (zero hot-path cost); three push histograms capture the shape
-        eRPC says matters on commodity UDP — datagram sizes, batch
-        queue depths, and event-loop lag (scheduled-vs-actual callback
-        latency, the real-transport analog of simulated-time exactness).
+        (zero hot-path cost); two push histograms capture the shape
+        eRPC says matters on commodity UDP — datagram sizes and
+        event-loop lag (scheduled-vs-actual callback latency, the
+        real-transport analog of simulated-time exactness).
         """
         registry.gauge("udp", "packets_sent",
                        lambda: self.packets_sent, monotone=True)
@@ -460,8 +403,6 @@ class AsyncioUdpRuntime(Runtime):
         # histogram readable in that range.
         self._hist_datagram_bytes = registry.histogram(
             "udp", "datagram_bytes", scale=64.0)
-        self._hist_batch_depth = registry.histogram(
-            "udp", "batch_queue_depth", scale=1.0)
         self._hist_loop_lag = registry.histogram("runtime", "loop_lag")
         if self._started and not self._closed:
             self._arm_lag_probe()
@@ -512,7 +453,6 @@ class AsyncioUdpRuntime(Runtime):
         if self._closed:
             return
         self._closed = True
-        self._frame_queues.clear()
         for sock in self._socks.values():
             self._close_socket(sock)
         self._socks.clear()

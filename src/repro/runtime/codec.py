@@ -18,17 +18,11 @@ registered-class table — followed by the field values positionally.
 Small non-negative ints (0..127) fold into the tag byte, and
 :data:`repro.store.kv.MISSING` (the read result of an absent key) has
 a tag of its own. Packet envelopes use a struct-packed frame header
-(magic, frame tag, flags byte, varint ids, then the multicast headers)
-and the decoder walks a :class:`memoryview`, so batched-datagram
-parsing slices payload frames zero-copy out of the receive buffer.
+(magic, frame tag, flags byte, varint ids, then the multicast headers).
+One datagram carries exactly one packet frame (``decode_datagram``).
 Scalar *subclasses* (``IntEnum``, str subclasses) are rejected at
 encode time — they would silently decode as their base type — and so
 are non-finite floats.
-
-**EWCB** is a length-prefixed multi-frame container: several EWC2
-packet frames packed into one datagram (``encode_datagram`` /
-``decode_datagram``), the syscall-amortizing batching the eRPC paper
-shows recovers most of the specialized-stack win on commodity UDP.
 
 Message types are registered by class name in a module-level registry.
 Decoding is defensive: a foreign magic, truncation at any byte,
@@ -54,16 +48,11 @@ class CodecError(ReproError):
 
 
 _MAGIC = b"EWC2"
-_MAGIC_BATCH = b"EWCB"
 
 #: Composite nesting bound. Protocol messages nest a handful of levels;
 #: a forged frame claiming unbounded nesting must fail with a typed
 #: error, not a RecursionError.
 MAX_DEPTH = 200
-
-#: Sanity bound on frames per EWCB container (a 64 KiB datagram cannot
-#: hold more real frames than this anyway).
-MAX_DATAGRAM_FRAMES = 4096
 
 #: Class-name -> class for every registered wire dataclass.
 _REGISTRY: dict[str, type] = {}
@@ -636,8 +625,7 @@ def decode_message(buffer: bytes) -> Any:
     if bytes(buffer[:4]) != _MAGIC:
         raise CodecError("truncated or foreign buffer (bad magic)")
     # bytes indexing is faster than memoryview indexing; only keep a
-    # view when the caller handed us one (zero-copy container slices)
-    # or a mutable buffer.
+    # view when the caller handed us one or a mutable buffer.
     view = buffer if type(buffer) is bytes else memoryview(buffer)
     value, pos = _decode(view, 4, len(view), 0, [])
     if pos != len(view):
@@ -867,51 +855,11 @@ def decode_packet(buffer: bytes) -> Any:
     return packet
 
 
-# -- multi-frame datagram container (EWCB) ---------------------------------
-
-def encode_datagram(frames: list[bytes]) -> bytes:
-    """Pack encoded packet frames into one datagram. A single frame is
-    passed through unchanged (no container overhead); several frames
-    get the length-prefixed EWCB container."""
-    if not frames:
-        raise CodecError("cannot encode an empty datagram")
-    if len(frames) == 1:
-        return frames[0]
-    out = bytearray(_MAGIC_BATCH)
-    _write_uvarint(out, len(frames))
-    for frame in frames:
-        _write_uvarint(out, len(frame))
-        out += frame
-    return bytes(out)
-
-
-def decode_datagram(buffer: bytes) -> list:
-    """Decode one received datagram into its packets: either a bare
-    EWC2 packet frame or an EWCB container of several. Frames are
-    sliced out of the receive buffer as memoryviews (zero-copy); each
-    slice is decoded with :func:`decode_packet`."""
-    if not isinstance(buffer, (bytes, bytearray, memoryview)):
-        raise CodecError(f"expected bytes, got {type(buffer).__name__}")
-    if len(buffer) < 4 or bytes(buffer[:4]) != _MAGIC_BATCH:
-        return [decode_packet(buffer)]
-    view = memoryview(buffer)
-    end = len(view)
-    count, pos = _read_uvarint(view, 4, end)
-    if count == 0:
-        raise CodecError("EWCB container with zero frames")
-    if count > MAX_DATAGRAM_FRAMES:
-        raise CodecError(f"EWCB container claims {count} frames")
-    packets = []
-    for _ in range(count):
-        length, pos = _read_uvarint(view, pos, end)
-        stop = pos + length
-        if stop > end:
-            raise CodecError("truncated EWCB frame")
-        packets.append(decode_packet(view[pos:stop]))
-        pos = stop
-    if pos != end:
-        raise CodecError(f"{end - pos} trailing bytes after EWCB frames")
-    return packets
+def decode_datagram(buffer: bytes) -> Any:
+    """Decode one received datagram. A datagram carries exactly one
+    bare EWC2 packet frame, so this is :func:`decode_packet` under the
+    name the transports receive through."""
+    return decode_packet(buffer)
 
 
 # -- registry population --------------------------------------------------
@@ -949,7 +897,6 @@ def _ensure_registry() -> None:
         # Eris protocol (§6)
         core_messages.IndependentTxnRequest,
         core_messages.TxnReply,
-        core_messages.TxnReplyBatch,
         core_messages.PeerTxnRequest,
         core_messages.PeerTxnResponse,
         core_messages.TxnRecord,
@@ -981,7 +928,6 @@ def _ensure_registry() -> None:
         controller.EpochInstall,
         # chain-replicated sequencer
         chainseq.ChainForward,
-        chainseq.ChainForwardBatch,
         chainseq.ChainStateRequest,
         chainseq.ChainState,
         chainseq.ChainInstall,

@@ -76,8 +76,8 @@ class WorkerUdpRuntime(AsyncioUdpRuntime):
     backend = "asyncio-udp-mp"
 
     def __init__(self, rank: int, seed: int = 0, host: str = "127.0.0.1",
-                 batch_frames: int = 1, timer_slack: float = 0.0):
-        super().__init__(seed=seed, host=host, batch_frames=batch_frames)
+                 timer_slack: float = 0.0):
+        super().__init__(seed=seed, host=host)
         if rank < 0:
             raise NetworkError(f"rank must be >= 0: {rank}")
         if timer_slack < 0:

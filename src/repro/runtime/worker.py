@@ -95,11 +95,10 @@ class Worker:
         self.run_dir = spec["run_dir"]
         config = smoke_cluster_config(
             n_shards=spec["shards"], n_replicas=spec["replicas"],
-            seed=spec["seed"], chain=spec["chain"], batch=spec["batch"],
+            seed=spec["seed"], chain=spec["chain"],
             fast_path=bool(spec.get("fast_path", False)))
         self.runtime = WorkerUdpRuntime(
             rank=rank, seed=config.seed,
-            batch_frames=config.udp_batch_frames,
             timer_slack=spec.get("timer_slack", 0.0))
         self.recorder = FlightRecorder(
             capacity=spec.get("recorder_capacity", DEFAULT_CAPACITY))

@@ -13,7 +13,6 @@ from repro.runtime.codec import (
     decode_datagram,
     decode_message,
     decode_packet,
-    encode_datagram,
     encode_message,
     encode_packet,
 )
@@ -85,20 +84,14 @@ def _in_packet(value: Any) -> bytes:
     return encode_packet(Packet(src="client-1", dst="r0.0", payload=value))
 
 
-def _received(frame: bytes) -> Packet:
-    """Decode a packet frame as a batching transport receives it: the
-    second frame of an EWCB datagram, sliced zero-copy out of the
-    receive buffer."""
-    lead = encode_packet(Packet(src="client-1", dst="r0.0", payload=None))
-    return decode_datagram(encode_datagram([lead, frame]))[1]
-
-
 #: Codec contracts must hold however a value crosses the wire. ``ewc2``
 #: sends it as a bare message frame. ``ewc1`` sends it as the payload of
-#: a packet frame received inside an EWCB datagram. The case ids are the
-#: names these cases ran under when the suite covered two wire formats;
-#: they are kept so per-test results stay comparable across versions.
+#: a packet frame received through ``decode_datagram``, as a transport
+#: receives it. The case ids are the names these cases ran under when
+#: the suite covered two wire formats; they are kept so per-test results
+#: stay comparable across versions.
 CARRIAGES = pytest.mark.parametrize("carriage", [
-    Carriage(_in_packet, lambda frame: _received(frame).payload, _received),
+    Carriage(_in_packet, lambda frame: decode_datagram(frame).payload,
+             decode_datagram),
     Carriage(encode_message, decode_message, decode_packet),
 ], ids=["ewc1", "ewc2"])

@@ -238,3 +238,25 @@ def test_udpsmoke_parser_accepts_observability_flags():
     assert args.metrics_interval == 0.01
     assert args.recorder == "fr.jsonl"
     assert args.recorder_capacity == 512
+
+
+@pytest.mark.parametrize("argv", [
+    ["--timer-slack", "0.001"],
+    ["--run-dir", "runs"],
+    ["--processes", "single", "--timer-slack", "0"],
+])
+def test_udpsmoke_rejects_per_node_flags_in_single_mode(argv, capsys):
+    """Per-node-only flags without ``--processes per-node`` are a usage
+    error naming the flag, not silently ignored (and no run starts)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["udpsmoke", *argv])
+    assert exc.value.code == 2
+    flag = next(arg for arg in argv if arg in ("--timer-slack", "--run-dir"))
+    assert flag in capsys.readouterr().err
+
+
+def test_udpsmoke_rejects_removed_batch_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["udpsmoke", "--batch", "8"])
+    assert exc.value.code == 2
+    assert "--batch" in capsys.readouterr().err

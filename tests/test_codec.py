@@ -10,7 +10,7 @@ checked exhaustively here:
   (MultiStamp inside TxnRecord inside HasTxn, logs of entries inside
   ViewChange) included;
 - round-trips hold both for a bare message frame and for a packet
-  payload received zero-copy out of an EWCB datagram;
+  payload received through ``decode_datagram``;
 - packets round-trip with headers and ids intact, and a fan-out copy
   encoded over its shared tail is byte-identical to a full encode;
 - a read of an absent key (``MISSING``) crosses the wire as itself;

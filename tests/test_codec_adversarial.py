@@ -15,11 +15,11 @@ This file attacks the EWC2 wire format with:
 - non-finite floats and type-narrowing subclasses at encode time;
 - constructor validators re-run on decode (a forged frame cannot
   smuggle an invalid message past ``__post_init__``);
-- the EWCB multi-frame datagram container's framing checks.
+- datagram framing: one datagram is exactly one packet frame.
 
 The truncation, corruption and encode-strictness sweeps run both on
-bare message frames and on packet payloads received out of an EWCB
-datagram (the ``CARRIAGES`` cases in ``conftest``).
+bare message frames and on packet payloads received through
+``decode_datagram`` (the ``CARRIAGES`` cases in ``conftest``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import enum
 import pytest
 
 from conftest import CARRIAGES
-from repro.core.messages import SyncLog, TxnReply, TxnReplyBatch
+from repro.core.messages import SyncLog, TxnReply
 from repro.core.transaction import IndependentTransaction, TxnId
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.runtime import codec as C
@@ -39,7 +39,6 @@ from repro.runtime.codec import (
     decode_datagram,
     decode_message,
     decode_packet,
-    encode_datagram,
     encode_message,
     encode_packet,
 )
@@ -55,11 +54,10 @@ def _corpus():
     """Messages spanning every composite kind plus non-ASCII text."""
     return [
         _TXN,
-        TxnReplyBatch(replies=tuple(
-            TxnReply(txn_id=TxnId(client="c", seq=i), txn_index=i,
-                     view_num=0, epoch_num=1, shard=0, replica_index=2,
-                     is_dl=True, committed=True, result={"k": i})
-            for i in range(3))),
+        tuple(TxnReply(txn_id=TxnId(client="c", seq=i), txn_index=i,
+                       view_num=0, epoch_num=1, shard=0, replica_index=2,
+                       is_dl=True, committed=True, result={"k": i})
+              for i in range(3)),
         {"héllo→𝔘": ["𝔘nicode", b"\x00\xff", (1.5, -2)],
          (0, "t"): frozenset({"x", "y"})},
         MultiStamp(epoch=1, stamps=((0, 1), (1, 2))),
@@ -135,16 +133,6 @@ def test_forged_deep_nesting_frame_rejected_on_decode():
         decode_message(bytes(frame))
 
 
-def test_ewcb_frame_count_bound_enforced():
-    frame = encode_packet(Packet(src="a", dst="b", payload=None))
-    out = bytearray(C._MAGIC_BATCH)
-    C._write_uvarint(out, C.MAX_DATAGRAM_FRAMES + 1)
-    C._write_uvarint(out, len(frame))
-    out += frame
-    with pytest.raises(CodecError, match="claims"):
-        decode_datagram(bytes(out))
-
-
 # -- duplicate keys ---------------------------------------------------------
 
 def test_ewc2_duplicate_dict_keys_rejected():
@@ -187,12 +175,16 @@ def test_ewc2_unknown_tag_rejected():
 
 
 def test_ewc1_magic_is_a_foreign_buffer():
-    """Frames of the retired tagged-JSON format (magic ``EWC1``) are
+    """Frames of the retired tagged-JSON format (magic ``EWC1``) and of
+    the retired multi-frame datagram container (magic ``EWCB``) are
     foreign bytes: every decode entry point rejects them."""
-    frame = b'EWC1["t","s","d",1,null,null,false,0,null]'
-    for decode in (decode_message, decode_packet, decode_datagram):
-        with pytest.raises(CodecError, match="bad magic"):
-            decode(frame)
+    frame = encode_packet(Packet(src="a", dst="b", payload=None))
+    retired = (b'EWC1["t","s","d",1,null,null,false,0,null]',
+               b"EWCB\x01" + bytes([len(frame)]) + frame)
+    for buffer in retired:
+        for decode in (decode_message, decode_packet, decode_datagram):
+            with pytest.raises(CodecError, match="bad magic"):
+                decode(buffer)
 
 
 def test_ewc2_string_interning_handles_more_than_128_strings():
@@ -244,40 +236,23 @@ def test_ewc2_forged_frame_cannot_skip_post_init_validation():
         decode_message(buffer.replace(needle, patched))
 
 
-# -- EWCB datagram container ------------------------------------------------
-
-def _frames(n):
-    return [encode_packet(Packet(src="s", dst=f"d{i}", payload={"i": i}))
-            for i in range(n)]
-
-
-def test_datagram_roundtrip_multiframe():
-    frames = _frames(5)
-    buffer = encode_datagram(frames)
-    assert buffer[:4] == C._MAGIC_BATCH
-    packets = decode_datagram(buffer)
-    assert [p.payload for p in packets] == [{"i": i} for i in range(5)]
-
-
-def test_datagram_single_frame_has_no_container_overhead():
-    frames = _frames(1)
-    assert encode_datagram(frames) == frames[0]
-    assert decode_datagram(frames[0])[0].payload == {"i": 0}
-
+# -- datagram framing --------------------------------------------------------
 
 def test_datagram_truncation_and_trailing_bytes_rejected():
-    buffer = encode_datagram(_frames(3))
-    for cut in range(4, len(buffer)):
+    """A datagram is one whole packet frame: a prefix of it, or the
+    frame with a second one appended, is rejected."""
+    frame = encode_packet(Packet(src="s", dst="d0", payload={"i": 0}))
+    assert decode_datagram(frame).payload == {"i": 0}
+    for cut in range(len(frame)):
         with pytest.raises(CodecError):
-            decode_datagram(buffer[:cut])
+            decode_datagram(frame[:cut])
     with pytest.raises(CodecError, match="trailing"):
-        decode_datagram(buffer + b"\x01")
+        decode_datagram(frame + frame)
 
 
 def test_empty_datagram_rejected():
-    with pytest.raises(CodecError):
-        encode_datagram([])
-    out = bytearray(C._MAGIC_BATCH)
-    C._write_uvarint(out, 0)
-    with pytest.raises(CodecError, match="zero frames"):
-        decode_datagram(bytes(out))
+    for empty in (b"", bytearray(), memoryview(b"")):
+        with pytest.raises(CodecError, match="bad magic"):
+            decode_datagram(empty)
+    with pytest.raises(CodecError, match="expected bytes"):
+        decode_datagram(None)

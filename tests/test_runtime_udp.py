@@ -16,7 +16,6 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.endpoint import Node
 from repro.runtime.asyncio_udp import AsyncioUdpRuntime
-from repro.runtime.codec import MAX_DATAGRAM_FRAMES
 
 
 # -- runtime primitives over real sockets ---------------------------------
@@ -237,48 +236,27 @@ def test_sequencer_encodes_a_two_shard_payload_once(monkeypatch):
         runtime.stop()
 
 
-# -- batching knob ---------------------------------------------------------
+# -- removed knobs -----------------------------------------------------------
 
 def test_runtime_rejects_bad_wire_and_batch_knobs():
-    # One wire format: there is no option to pick another.
-    with pytest.raises(TypeError):
-        AsyncioUdpRuntime(wire="ewc9")
-    for frames in (0, -1, MAX_DATAGRAM_FRAMES + 1):
-        with pytest.raises(NetworkError):
-            AsyncioUdpRuntime(batch_frames=frames)
+    """One wire format and no batching layers: the options that used to
+    pick another format or a batch depth are gone, not ignored."""
+    from repro.core.replica import ErisConfig
+    from repro.harness.cluster import ClusterConfig
+    from repro.net.sequencer import MultiSequencer
 
-
-def test_batched_frames_share_datagrams():
-    """With batch_frames > 1 a same-iteration burst to one destination
-    leaves as a single EWCB datagram; the receiver unpacks every frame."""
-    class Sink(Node):
-        def __init__(self, address, runtime):
-            super().__init__(address, runtime)
-            self.seen = []
-
-        def handle(self, src, message, packet):
-            self.seen.append(message)
-
-    rt = AsyncioUdpRuntime(seed=5, batch_frames=8)
-    try:
-        a = Sink("a", rt)
-        b = Sink("b", rt)
-        rt.start()
-
-        def burst():
-            for i in range(6):
-                a.send("b", ("burst", i))
-
-        rt.aloop.call_soon(burst)
-        assert rt.run_until(
-            lambda: len(b.seen) == 6, timeout=5.0)
-        assert [m for m in b.seen] == [("burst", i) for i in range(6)]
-        assert rt.frames_sent == 6
-        # One flush for the burst: 6 frames, 1 datagram (the exact
-        # count is scheduling-dependent only above batch_frames).
-        assert rt.datagrams_sent == 1
-    finally:
-        rt.stop()
+    removed = (
+        lambda: AsyncioUdpRuntime(wire="ewc9"),
+        lambda: AsyncioUdpRuntime(batch_frames=8),
+        lambda: ClusterConfig(sequencer_batch=2),
+        lambda: ClusterConfig(chain_pipeline=2),
+        lambda: ClusterConfig(udp_batch_frames=2),
+        lambda: ErisConfig(reply_coalesce=2),
+        lambda: MultiSequencer("seq0", None, stamp_batch=2),
+    )
+    for build in removed:
+        with pytest.raises(TypeError):
+            build()
 
 
 # -- the full Eris stack over UDP -----------------------------------------
@@ -296,19 +274,5 @@ def test_eris_end_to_end_over_udp_loopback():
     assert result.committed >= 25
     assert result.checks_passed
     assert result.packets_delivered > 0
-
-
-def test_eris_over_udp_with_ewc2_and_batching():
-    """Same smoke with the whole batching stack on: EWCB datagram
-    packing, sequencer stamp batching, and reply coalescing.
-    The §6.7 checkers must still pass, and the packing must actually
-    fire (strictly fewer datagrams than frames)."""
-    from repro.harness.udp_smoke import run_udp_smoke
-
-    result = run_udp_smoke(n_shards=2, n_replicas=3, n_clients=3,
-                           min_commits=25, timeout=30.0,
-                           workload="mrmw", distributed_fraction=0.5,
-                           batch=8)
-    assert result.committed >= 25
-    assert result.checks_passed
-    assert result.frames_sent > result.datagrams_sent
+    # One datagram carries one frame.
+    assert result.frames_sent == result.datagrams_sent > 0

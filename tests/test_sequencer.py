@@ -4,10 +4,11 @@ import pytest
 
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.endpoint import Node
-from repro.net.message import MultiStamp
+from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.net.network import NetConfig, Network
 from repro.net.oum import OUMSequencer
-from repro.net.sequencer import MultiSequencer, SequencerProfile
+from repro.net.sequencer import INGRESS_BOUND, MultiSequencer, \
+    SequencerProfile
 from repro.sim.event_loop import EventLoop
 
 
@@ -136,6 +137,55 @@ def test_crashed_sequencer_stamps_nothing():
     loop.run_until_idle()
     assert sinks[0][0].packets == []
     assert seq.packets_stamped == 0
+
+
+# -- ingress bookkeeping regressions ---------------------------------------
+
+class _NullTracer:
+    """Attaching any tracer turns on the sequencer's ingress map."""
+
+    def sequencer_stamp(self, *a, **k):
+        pass
+
+    def packet_send(self, *a, **k):
+        pass
+
+    def packet_tx(self, *a, **k):
+        pass
+
+    def packet_deliver(self, *a, **k):
+        pass
+
+    def record(self, *a, **k):
+        pass
+
+
+def _groupcast_packet(i):
+    return Packet(src="client", dst=None, payload=i,
+                  groupcast=GroupcastHeader((0,)), sequenced=True)
+
+
+def test_crash_clears_ingress():
+    """Packets recorded at deliver time but still held for the
+    profile's traversal latency are never stamped once the sequencer
+    crashes: their queue-delay bookkeeping empties out with the node."""
+    loop, net, seq, sinks, sender = build()
+    net.tracer = _NullTracer()
+    for i in range(5):
+        seq.deliver(_groupcast_packet(i))
+    assert len(seq._ingress) == 5
+    seq.crash()
+    assert not seq._ingress
+    loop.run_until_idle()   # the held packets must be no-ops now
+    assert seq.packets_stamped == 0
+
+
+def test_ingress_map_stays_bounded():
+    loop, net, seq, sinks, sender = build()
+    net.tracer = _NullTracer()
+    for i in range(INGRESS_BOUND + 50):
+        seq.deliver(_groupcast_packet(i))
+    assert len(seq._ingress) <= INGRESS_BOUND
 
 
 def test_oum_single_global_counter():

@@ -145,9 +145,7 @@ def test_route_install_broadcasts_to_peer_controls():
         runtime.install_sequencer_route("seq0")
         assert runtime.sequencer_address == "seq0"
         data, _ = peer.recvfrom(65536)
-        packets = decode_datagram(data)
-        assert len(packets) == 1
-        packet = packets[0]
+        packet = decode_datagram(data)
         assert packet.dst == control_address(1)
         assert isinstance(packet.payload, RouteInstall)
         assert packet.payload.address == "seq0"
