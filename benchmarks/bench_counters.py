@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Coordination-free counters benchmark — the fast-path speedup pin.
+"""Coordination-free counters benchmark — the read fast path's speedup pin.
 
 Sweeps the coordination-free fraction ``alpha`` of the counters
 workload (see :mod:`repro.workloads.counters`): a fraction
 ``0.7 * alpha`` of operations are clean single-key reads and
-``0.3 * alpha`` are commutative increments/tag unions; the remainder
-are generic read-modify-write resets that must take the ordered path.
-Each point is measured twice on the simulator — once with the
-coordination-free knobs off (every operation fully ordered and
-replicated) and once with ``read_fast_path`` + ``commutative_apply``
-on — and the speedup is their throughput ratio.
+``0.3 * alpha`` are commuting increments/tag unions; the remainder are
+read-modify-write resets. Every write takes the ordered path. Each
+point is measured twice on the simulator — once with
+``read_fast_path`` off (every operation fully ordered and replicated)
+and once with it on — and the speedup is their throughput ratio.
 
 Simulated throughput is deterministic and machine-independent, so the
 committed ``BENCH_counters.json`` pins exact values; ``--check``
@@ -54,7 +53,7 @@ from repro.workloads import (                                  # noqa: E402
 
 COUNTERS_PATH = os.path.join(REPO_ROOT, "BENCH_counters.json")
 
-#: The headline gate: fast path must beat the ordered baseline by this
+#: The headline gate: the read fast path must beat the ordered baseline by this
 #: factor at the gate point. Checked on both the pinned file and the
 #: live re-measure — the values are deterministic, so there is no
 #: machine-noise tolerance.
@@ -64,7 +63,7 @@ SPEEDUP_REQUIREMENT = 1.5
 ALPHAS = (0.0, 0.3, 0.6, 0.9)
 
 #: Split of the coordination-free fraction between clean reads and
-#: commutative writes (the remaining 1 - alpha is generic resets).
+#: commuting writes (the remaining 1 - alpha is resets).
 READ_SHARE = 0.7
 COMMUTATIVE_SHARE = 0.3
 
@@ -86,7 +85,7 @@ def run_point(alpha: float, fast_path: bool) -> dict:
     """One deterministic measurement: counters workload at ``alpha``."""
     config = ClusterConfig(
         system="eris", n_shards=N_SHARDS, seed=SEED,
-        read_fast_path=fast_path, commutative_apply=fast_path,
+        read_fast_path=fast_path,
         eris=ErisConfig(watermark_interval=WATERMARK_INTERVAL))
     registry = ProcedureRegistry()
     register_counters_procedures(registry)
@@ -112,10 +111,6 @@ def run_point(alpha: float, fast_path: bool) -> dict:
         sequencer = cluster.sequencers[0]
         point["fast_reads"] = sequencer.fast_reads
         point["fast_read_misses"] = sequencer.fast_read_misses
-        point["early_applies"] = sum(
-            replica.early_applies
-            for replicas in cluster.replicas.values()
-            for replica in replicas)
     return point
 
 
@@ -157,8 +152,7 @@ def measure(quick: bool) -> dict:
 
 def print_results(results: dict) -> None:
     print(f"  {'alpha':>6s} {'baseline':>12s} {'fast path':>12s} "
-          f"{'speedup':>8s} {'fast reads':>11s} {'misses':>7s} "
-          f"{'early':>6s}")
+          f"{'speedup':>8s} {'fast reads':>11s} {'misses':>7s}")
     for row in results["sweep"]:
         fast = row["fast_path"]
         print(f"  {row['alpha']:>6.1f} "
@@ -166,8 +160,7 @@ def print_results(results: dict) -> None:
               f"{fast['throughput_txn_s']:>12,.0f} "
               f"{row['speedup']:>7.2f}x "
               f"{fast.get('fast_reads', 0):>11,} "
-              f"{fast.get('fast_read_misses', 0):>7,} "
-              f"{fast.get('early_applies', 0):>6,}")
+              f"{fast.get('fast_read_misses', 0):>7,}")
 
 
 def check(results: dict) -> list[str]:

@@ -109,34 +109,6 @@ class ExecutionEngine:
         else:
             self._run_and_finish(entry, txn, done)
 
-    def execute_early(self, txn: IndependentTransaction) -> bool:
-        """Apply a COMMUTATIVE transaction ahead of log order.
-
-        The §3.2 relaxation point: while the replica is stalled on an
-        ordering gap, a buffered commutative transaction whose reorder
-        barrier has already been passed may execute immediately — every
-        slot it jumps is commutative with it, so the store converges to
-        the same state as in-order application. The outcome lands in
-        the at-most-once table, so when the slot is eventually fed in
-        log order the duplicate-suppression path replies with this
-        recorded result instead of re-executing (§6.1). Durability is
-        untouched: replies still wait for log append in slot order.
-
-        Returns True when the transaction executed now; False when it
-        already executed (duplicate) or the relaxation is unsafe
-        (general-transaction locks outstanding, §7).
-        """
-        if txn.kind != "independent" or txn.op_class != "commutative":
-            return False
-        if self.pending_generals or self._queued_prelims \
-                or self.locks.queue_length() > 0:
-            return False
-        if self._is_duplicate(txn):
-            return False
-        result = self._execute(txn)
-        self._record_outcome(txn, result)
-        return True
-
     def reset(self) -> None:
         """Forget all execution state (used before a full replay)."""
         self.locks = LockManager()

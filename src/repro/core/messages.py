@@ -241,27 +241,7 @@ class SyncAck:
     sender: Address
 
 
-# -- coordination-free fast paths ----------------------------------------
-
-@dataclass(frozen=True)
-class CommutativeTxnRequest:
-    """Sequencer-rewritten envelope for a COMMUTATIVE transaction.
-
-    The sequencing element wraps the client's
-    :class:`IndependentTxnRequest` and attaches, per participant group,
-    the sequence number of the last *non-commutative* message it
-    stamped for that group (the reorder **barrier**). A replica that is
-    stalled on an ordering gap may execute the wrapped transaction
-    early — ahead of log order — once its in-order delivery point has
-    passed the barrier, because every skipped slot is then known to be
-    commutative with it. Log append and the client reply still happen
-    strictly in slot order.
-    """
-
-    txn: IndependentTransaction
-    #: ((group, barrier_seq), ...) aligned with the stamp's groups.
-    barriers: tuple = ()
-
+# -- coordination-free read fast path ------------------------------------
 
 @dataclass(frozen=True)
 class AppliedUpto:

@@ -20,23 +20,15 @@ Replica state mirrors Figure 4: status, view-num, epoch-num, log,
 temp-drops, perm-drops, un-drops.
 
 Every replica sends one TxnReply per transaction, synchronously (see
-DESIGN.md, "Batching: measured and removed"). Two default-off
-extensions sit over the Figure 4 core (the determinism digests pin the
-original behavior when they are off):
-
-- **Fast reads** (``read_fast_path``): every replica periodically
-  reports its execution watermark to the sequencing element
-  (AppliedUpto), and serves clean READ_ONLY transactions the element
-  forwards without a stamp — single-replica service instead of the
-  §5.1 quorum, safe because the dirty-set check proved every committed
-  conflicting write is already executed at *every* replica.
-- **Commutative early-apply** (``commutative_apply``): while stalled
-  on an ordering gap, buffered COMMUTATIVE transactions whose reorder
-  barrier has passed execute ahead of log order — the one place this
-  replica deliberately relaxes the §3.2 in-order execution rule. The
-  at-most-once table (§6.1) makes the later in-order feed a no-op, and
-  log append plus client replies stay strictly in slot order, so
-  durability and the commit protocol are unchanged.
+DESIGN.md, "Batching: measured and removed"), and executes strictly in
+log order. One default-off extension sits over the Figure 4 core (the
+determinism digests pin the original behavior when it is off):
+**fast reads** (``read_fast_path``). Every replica periodically
+reports its execution watermark to the sequencing element
+(AppliedUpto), and serves clean READ_ONLY transactions the element
+forwards without a stamp — single-replica service instead of the §5.1
+quorum, safe because the dirty-set check proved every committed
+conflicting write is already executed at *every* replica.
 """
 
 from __future__ import annotations
@@ -49,7 +41,6 @@ from repro.core.engine import ExecutionEngine
 from repro.core.log import ErisLog, LogEntry, merge_logs, _stamp_hits
 from repro.core.messages import (
     AppliedUpto,
-    CommutativeTxnRequest,
     EpochChangeReq,
     EpochState,
     EpochStateRequest,
@@ -107,9 +98,6 @@ class ErisConfig:
     #: transactions from this single replica. Default-off (digest-
     #: pinned); incompatible with oum_mode.
     read_fast_path: bool = False
-    #: Execute buffered COMMUTATIVE transactions ahead of log order
-    #: once their reorder barrier has passed (§3.2 relaxation).
-    commutative_apply: bool = False
     #: AppliedUpto reporting period; 0 means "use sync_interval".
     watermark_interval: float = 0.0
 
@@ -200,17 +188,11 @@ class ErisReplica(Node):
         self.drops_recovered_from_peer = 0
         self.drops_escalated_to_fc = 0
 
-        # Coordination-free fast paths (default-off; no timers or
-        # events are created unless the knobs are on, keeping the
+        # Coordination-free read fast path (default-off; no timers or
+        # events are created unless the knob is on, keeping the
         # knob-off event schedule — and the determinism digests — byte
         # identical).
         self.fast_reads_served = 0
-        self.early_applies = 0
-        #: Commutative transactions applied ahead of log order whose
-        #: slot has not yet been fed in order. If an adopted log omits
-        #: one, the store silently contains an effect the log cannot
-        #: explain — _adopt_log forces a rebuild in that case.
-        self._early_unconfirmed: set[TxnId] = set()
         self._watermark_timer = None
         if self.config.read_fast_path and not self.config.oum_mode:
             interval = self.config.watermark_interval \
@@ -258,8 +240,6 @@ class ErisReplica(Node):
                        fn=lambda: self.messages_processed, monotone=True)
         registry.gauge(component, "fast_reads_served",
                        fn=lambda: self.fast_reads_served, monotone=True)
-        registry.gauge(component, "early_applies",
-                       fn=lambda: self.early_applies, monotone=True)
 
     # -- roles ----------------------------------------------------------
     @property
@@ -288,8 +268,6 @@ class ErisReplica(Node):
         for upcall in self.channel.on_packet(packet):
             self._apply_upcall(upcall)
         self._drain()
-        if self.config.commutative_apply:
-            self._try_early_apply()
 
     def _apply_upcall(self, upcall: Upcall) -> None:
         if upcall.kind is UpcallKind.DELIVER:
@@ -386,7 +364,6 @@ class ErisReplica(Node):
         if entry.kind == "txn":
             self.busy(self.config.execution_cost)
             txn = entry.record.txn
-            self._early_unconfirmed.discard(txn.txn_id)
             index = entry.index
             if reply_to is not None:
                 self.engine.feed(
@@ -426,7 +403,7 @@ class ErisReplica(Node):
                      packet: Packet) -> None:
         self.send(src, ReconReply(key=msg.key, value=self.store.get(msg.key)))
 
-    # -- coordination-free fast paths -----------------------------------------
+    # -- coordination-free read fast path -------------------------------------
     def _applied_watermark(self) -> tuple[int, int]:
         """(epoch, seq) through which this replica has *executed*.
 
@@ -513,52 +490,6 @@ class ErisReplica(Node):
         self.send(txn.txn_id.client, FastReadReply(
             txn_id=txn.txn_id, shard=self.shard, committed=committed,
             result=result, epoch_num=epoch, applied_seq=upto))
-
-    def _try_early_apply(self) -> None:
-        """Apply buffered COMMUTATIVE transactions ahead of log order
-        (§3.2 relaxation; see DESIGN.md).
-
-        Eligible: a packet parked in the channel's reorder buffer —
-        i.e. behind an ordering gap — whose per-group barrier is below
-        the channel's in-order point, so every slot between them is
-        known commutative. Execution effects land now; the log append,
-        the client reply, and the fed record still happen in slot order
-        when the gap resolves, via the at-most-once table (§6.1).
-        """
-        if self.crashed or self.status != "normal":
-            return
-        engine = self.engine
-        channel = self.channel
-        group = channel.group
-        next_seq = channel.next_seq
-        for seq, packet in channel.buffered_packets():
-            payload = packet.payload
-            if not isinstance(payload, CommutativeTxnRequest):
-                continue
-            barrier = 0
-            for barrier_group, barrier_seq in payload.barriers:
-                if barrier_group == group:
-                    barrier = barrier_seq
-                    break
-            if barrier >= next_seq:
-                continue
-            txn = payload.txn
-            if self.config.oum_mode and self.shard not in txn.participants:
-                continue
-            if self._hits(packet.multistamp, self.perm_drops) \
-                    or self._blocked_by_temp_drop(packet.multistamp):
-                continue
-            if not engine.execute_early(txn):
-                continue
-            self.busy(self.config.execution_cost)
-            self.early_applies += 1
-            self._early_unconfirmed.add(txn.txn_id)
-            if self.tracer is not None:
-                self.tracer.record(
-                    "early_apply", self.address, shard=self.shard,
-                    txn=txn.txn_id.label(),
-                    slot=[group, packet.multistamp.epoch, seq],
-                    barrier=barrier, next_seq=next_seq)
 
     # -- drop recovery (§6.3) -------------------------------------------------
     def _start_recovery(self, slot: SlotId) -> None:
@@ -782,7 +713,6 @@ class ErisReplica(Node):
             if self.tracer is not None:
                 self._trace_apply(entry)
             if entry.kind == "txn":
-                self._early_unconfirmed.discard(entry.record.txn.txn_id)
                 self.engine.feed(entry)
         self.send(src, SyncAck(
             shard=self.shard, view_num=self.view_num,
@@ -1041,17 +971,6 @@ class ErisReplica(Node):
             or self._fed[i] != (entries[i].slot, entries[i].kind)
             for i in range(len(self._fed))
         )
-        if self._early_unconfirmed and not mismatch:
-            # A commutative transaction applied ahead of log order is
-            # only accounted for by a log that still contains it. If
-            # the adopted log dropped it (its slot was perm-dropped in
-            # the epoch change), the store holds an effect the fed
-            # prefix cannot explain — rebuild even though the fed
-            # prefix itself matches.
-            adopted_ids = {entry.record.txn.txn_id for entry in entries
-                           if entry.kind == "txn"}
-            mismatch = any(txn_id not in adopted_ids
-                           for txn_id in self._early_unconfirmed)
         self.log.replace(entries)
         if self.tracer is not None:
             self.tracer.record(
@@ -1063,7 +982,6 @@ class ErisReplica(Node):
             self.store.load(self.initial_snapshot)
             self.engine.reset()
             self._fed = []
-            self._early_unconfirmed.clear()
             if self.is_dl:
                 self._catch_up_engine(reply=False)
 

@@ -53,8 +53,8 @@ class IndependentTransaction:
     ``op_class`` carries the invoked procedure's declared
     :class:`repro.store.procedures.OpClass` to the sequencing element
     and the replicas: ``read_only`` transactions are candidates for the
-    dirty-set read fast path, ``commutative`` ones for relaxed in-epoch
-    ordering. ``generic`` (the default) always takes the full path.
+    dirty-set read fast path. ``generic`` (the default) always takes
+    the full path.
     """
 
     txn_id: TxnId
@@ -64,14 +64,14 @@ class IndependentTransaction:
     read_keys: frozenset = frozenset()
     write_keys: frozenset = frozenset()
     kind: str = "independent"  # independent | preliminary | conclusory
-    op_class: str = "generic"  # generic | commutative | read_only
+    op_class: str = "generic"  # generic | read_only
 
     def __post_init__(self) -> None:
         if not self.participants:
             raise ValueError("transaction must have at least one participant")
         if len(set(self.participants)) != len(self.participants):
             raise ValueError(f"duplicate participants: {self.participants}")
-        if self.op_class not in ("generic", "commutative", "read_only"):
+        if self.op_class not in ("generic", "read_only"):
             raise ValueError(f"unknown op_class: {self.op_class!r}")
         if self.op_class == "read_only" and self.write_keys:
             raise ValueError(

@@ -139,7 +139,6 @@ def check_replica_consistency(cluster: Cluster) -> None:
                         f"{(mine.slot, mine.kind)}, DL has "
                         f"{(ref.slot, ref.kind)}")
             if len(replica._fed) == len(reference) and \
-                    not getattr(replica, "_early_unconfirmed", ()) and \
                     replica.store.snapshot() != dl.store.snapshot():
                 raise InvariantViolation(
                     f"store divergence in shard {shard}: "
@@ -381,12 +380,12 @@ def check_trace_chain_no_stale_release(trace: TraceLike) -> None:
                 f"{repaired_version}")
 
 
-# -- coordination-free fast-path invariants --------------------------------
+# -- coordination-free read fast-path invariants ---------------------------
 #
-# These key on the ``fast_read`` / ``early_apply`` events the fast
-# paths emit (knobs on); on any other trace they are vacuous no-ops.
-# The sequencer's ``stamp`` events carry the ground truth they check
-# against: each stamped transaction's op-class and declared write set.
+# The check keys on the ``fast_read`` events the read fast path emits
+# (knob on); on any other trace it is a vacuous no-op. The sequencer's
+# ``stamp`` events carry the ground truth it checks against: each
+# stamped transaction's op-class and declared write set.
 
 def _fastpath_shard_members(events: list[dict]) -> dict[int, set[str]]:
     """Shard -> every replica that ever appended or applied for it.
@@ -463,58 +462,6 @@ def check_trace_fast_reads(trace: TraceLike) -> None:
             writes[group] = remaining
 
 
-def check_trace_commutative_applies(trace: TraceLike) -> None:
-    """Out-of-order application is confined to COMMUTATIVE transactions
-    behind their reorder barrier (§3.2 relaxation).
-
-    For every ``early_apply`` event: the applied transaction's stamped
-    op-class must be ``commutative``, and the barrier — both the one
-    the event records and the one recomputed from the stamp stream (the
-    last non-commutative stamp below the applied sequence number) —
-    must be below the replica's in-order point, so every jumped slot is
-    known commutative with the applied transaction.
-    """
-    events = _trace_events(trace)
-    op_classes: dict[str, str] = {}
-    #: (epoch, group) -> [(seq, op_class), ...] in stamp order
-    stamp_streams: dict[tuple[int, int], list[tuple[int, str]]] = {}
-    for event in events:
-        if event["kind"] != "stamp":
-            continue
-        op_class = event.get("op_class", "generic")
-        if event.get("txn") is not None:
-            op_classes[event["txn"]] = op_class
-        for group, seq in event["stamps"]:
-            stamp_streams.setdefault((event["epoch"], group), []).append(
-                (seq, op_class))
-    for event in events:
-        if event["kind"] != "early_apply":
-            continue
-        group, epoch, seq = event["slot"]
-        txn = event["txn"]
-        op_class = op_classes.get(txn)
-        if op_class != "commutative":
-            raise InvariantViolation(
-                f"non-commutative early apply: {event['node']} applied "
-                f"txn {txn} (stamped op-class {op_class!r}) out of order "
-                f"at (epoch {epoch}, group {group}, seq {seq})")
-        next_seq = event["next_seq"]
-        if event["barrier"] >= next_seq:
-            raise InvariantViolation(
-                f"early apply past its barrier: {event['node']} applied "
-                f"txn {txn} at seq {seq} with barrier "
-                f"{event['barrier']} >= in-order point {next_seq}")
-        true_barrier = max(
-            (s for s, oc in stamp_streams.get((epoch, group), ())
-             if s < seq and oc != "commutative"), default=0)
-        if true_barrier >= next_seq:
-            raise InvariantViolation(
-                f"early apply jumped a non-commutative slot: "
-                f"{event['node']} applied txn {txn} at seq {seq} over "
-                f"the non-commutative stamp at seq {true_barrier} "
-                f">= in-order point {next_seq}")
-
-
 def run_trace_checks(trace: TraceLike) -> None:
     """All trace-backed invariant checks on one event stream."""
     events = _trace_events(trace)
@@ -525,7 +472,6 @@ def run_trace_checks(trace: TraceLike) -> None:
     check_trace_chain_gapless_logs(events)
     check_trace_chain_no_stale_release(events)
     check_trace_fast_reads(events)
-    check_trace_commutative_applies(events)
 
 
 def run_all_checks(cluster: Optional[Cluster] = None,

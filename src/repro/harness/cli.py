@@ -89,19 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="counters: fraction of READ_ONLY point "
                              "reads")
     parser.add_argument("--commutative-fraction", type=float, default=0.4,
-                        help="counters: fraction of COMMUTATIVE "
-                             "increments/tag-unions (remainder are "
-                             "GENERIC resets)")
+                        help="counters: fraction of increments/"
+                             "tag-unions (remainder are resets)")
     parser.add_argument("--read-fast-path", action="store_true",
                         help="Eris only: serve clean READ_ONLY txns "
                              "from a single replica via the "
                              "sequencer's dirty-set (default off; "
                              "see DESIGN.md)")
-    parser.add_argument("--commutative", action="store_true",
-                        help="Eris only: let replicas apply "
-                             "COMMUTATIVE txns out of order behind "
-                             "the sequencer's reorder barrier "
-                             "(default off)")
     parser.add_argument("--drop-rate", type=float, default=0.0)
     parser.add_argument("--chain", type=int, default=0, metavar="N",
                         help="front Eris with an N-node chain-replicated "
@@ -186,9 +180,8 @@ def build_udpsmoke_parser() -> argparse.ArgumentParser:
                              "fraction of cross-shard increments)")
     parser.add_argument("--keys", type=int, default=200)
     parser.add_argument("--fast-path", action="store_true",
-                        help="turn on both coordination-free knobs "
-                             "(Harmonia fast reads + commutative "
-                             "early apply); pairs with "
+                        help="turn on the read fast path (Harmonia "
+                             "fast reads); pairs with "
                              "--workload counters")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--chain", type=int, default=0, metavar="N",
@@ -221,11 +214,6 @@ def build_udpsmoke_parser() -> argparse.ArgumentParser:
                         help="per-node mode: directory for worker logs, "
                              "trace/metrics shards, and recorder dumps "
                              "(default: a fresh temp directory)")
-    parser.add_argument("--timer-slack", type=float, default=None,
-                        metavar="SECS",
-                        help="per-node mode: coalesce timer wakeups onto "
-                             "a SECS-wide grid (default 0.5ms; 0 "
-                             "disables)")
     return parser
 
 
@@ -323,17 +311,11 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
 
     parser = build_udpsmoke_parser()
     args = parser.parse_args(argv)
-    if args.processes != "per-node":
-        for flag, value in (("--run-dir", args.run_dir),
-                            ("--timer-slack", args.timer_slack)):
-            if value is not None:
-                parser.error(f"{flag} requires --processes per-node")
+    if args.processes != "per-node" and args.run_dir is not None:
+        parser.error("--run-dir requires --processes per-node")
     try:
         if args.processes == "per-node":
-            from repro.harness.mp_smoke import (
-                DEFAULT_TIMER_SLACK,
-                run_udp_smoke_mp,
-            )
+            from repro.harness.mp_smoke import run_udp_smoke_mp
             result = run_udp_smoke_mp(
                 n_shards=args.shards, n_replicas=args.replicas,
                 n_clients=args.clients, min_commits=args.min_commits,
@@ -343,10 +325,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                 fast_path=args.fast_path, run_dir=args.run_dir,
                 trace=bool(args.trace), metrics=bool(args.metrics_out),
                 metrics_interval=args.metrics_interval,
-                recorder_capacity=args.recorder_capacity,
-                timer_slack=(DEFAULT_TIMER_SLACK
-                             if args.timer_slack is None
-                             else args.timer_slack))
+                recorder_capacity=args.recorder_capacity)
         else:
             result = run_udp_smoke(
                 n_shards=args.shards, n_replicas=args.replicas,
@@ -403,8 +382,6 @@ def run(args: argparse.Namespace):
                            sequencer_chain=getattr(args, "chain", 0),
                            read_fast_path=getattr(args, "read_fast_path",
                                                   False),
-                           commutative_apply=getattr(args, "commutative",
-                                                     False),
                            net=NetConfig(drop_rate=args.drop_rate))
     registry = ProcedureRegistry()
     count_filter = None

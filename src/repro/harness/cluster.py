@@ -70,14 +70,10 @@ class ClusterConfig:
     #: Ablation: one-phase commit for single-shard Lock-Store txns
     #: (the paper's Lock-Store always runs the full 2PC exchange).
     lockstore_one_phase: bool = False
-    #: Coordination-free fast paths (Eris only, default-off; see
-    #: DESIGN.md "The dirty-set protocol"). ``read_fast_path`` lets the
-    #: sequencer serve READ_ONLY transactions over clean keys from a
-    #: single replica; ``commutative_apply`` lets replicas execute
-    #: COMMUTATIVE transactions out of order behind a sequencer-issued
-    #: reorder barrier.
+    #: Coordination-free read fast path (Eris only, default-off; see
+    #: DESIGN.md "The dirty-set protocol"): the sequencer serves
+    #: READ_ONLY transactions over clean keys from a single replica.
     read_fast_path: bool = False
-    commutative_apply: bool = False
     #: Attach a causal tracer (``repro.obs``) at build time. Off by
     #: default: benchmarks pay only a per-packet None check.
     tracing: bool = False
@@ -105,10 +101,9 @@ class ClusterConfig:
                 raise ConfigurationError(
                     f"sequencer_chain must be 2 or 3, "
                     f"got {self.sequencer_chain}")
-        if (self.read_fast_path or self.commutative_apply) \
-                and self.system != "eris":
+        if self.read_fast_path and self.system != "eris":
             raise ConfigurationError(
-                "read_fast_path/commutative_apply require system='eris' "
+                "read_fast_path requires system='eris' "
                 f"(got {self.system!r}); the OUM ablation and the "
                 "baselines have no dirty-set sequencer")
 
@@ -269,11 +264,10 @@ def _build_eris(cluster: Cluster, oum: bool = False) -> None:
         cluster.network.groups.define(shard, addrs)
     profile = _PROFILES[config.sequencer_profile]()
     sequencer_cls = OUMSequencer if oum else MultiSequencer
-    # The OUM ablation's sequencer predates the fast-path knobs and the
-    # validate() gate keeps them off for it.
+    # The OUM ablation's sequencer predates the fast-path knob and the
+    # validate() gate keeps it off for it.
     fastpath_kwargs = {} if oum else {
         "read_fast_path": config.read_fast_path,
-        "commutative_apply": config.commutative_apply,
     }
     chain_addrs: list[str] = []
     if not oum and config.sequencer_chain:
@@ -306,7 +300,6 @@ def _build_eris(cluster: Cluster, oum: bool = False) -> None:
     eris_config.oum_mode = oum
     if not oum:
         eris_config.read_fast_path = config.read_fast_path
-        eris_config.commutative_apply = config.commutative_apply
     for shard, addrs in shard_addrs.items():
         replicas = []
         for index, address in enumerate(addrs):

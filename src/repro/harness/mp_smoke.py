@@ -53,12 +53,6 @@ from repro.workloads import Partitioner
 from repro.workloads.counters import CountersConfig, CountersWorkload
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
-#: Default timer coalescing for worker processes: nearby protocol
-#: timers (sync, ping, retry) share loop wakeups. Half a millisecond
-#: only ever *delays* a timer, an order of magnitude under the
-#: tightest protocol timeout (5 ms drop detection).
-DEFAULT_TIMER_SLACK = 0.5e-3
-
 
 def run_udp_smoke_mp(n_shards: int = 2, n_replicas: int = 3,
                      n_clients: int = 4, min_commits: int = 50,
@@ -71,7 +65,6 @@ def run_udp_smoke_mp(n_shards: int = 2, n_replicas: int = 3,
                      trace: bool = False, metrics: bool = False,
                      metrics_interval: float = 0.05,
                      recorder_capacity: int = DEFAULT_CAPACITY,
-                     timer_slack: float = DEFAULT_TIMER_SLACK,
                      _mid_run: Optional[Callable[[ClusterLauncher],
                                                  None]] = None,
                      ) -> SmokeResult:
@@ -96,7 +89,7 @@ def run_udp_smoke_mp(n_shards: int = 2, n_replicas: int = 3,
                                   chain=chain, fast_path=fast_path)
     topology = eris_topology(config)
     roles = topology_roles(topology)
-    runtime = WorkerUdpRuntime(rank=0, seed=seed, timer_slack=timer_slack)
+    runtime = WorkerUdpRuntime(rank=0, seed=seed)
     recorder = FlightRecorder(capacity=recorder_capacity)
     # Driver shard uses cause_base 0; workers use rank * stride — the
     # merged stream's causal ids are collision-free by construction.
@@ -148,8 +141,7 @@ def run_udp_smoke_mp(n_shards: int = 2, n_replicas: int = 3,
             "seed": seed, "chain": chain, "fast_path": fast_path,
             "trace": trace, "metrics": metrics,
             "metrics_interval": metrics_interval, "run_dir": run_dir,
-            "recorder_capacity": recorder_capacity,
-            "timer_slack": timer_slack}
+            "recorder_capacity": recorder_capacity}
     interrupt = GracefulInterrupt()
     result = SmokeResult(committed=0, aborted=0, retries=0,
                          wall_seconds=0.0, packets_sent=0,

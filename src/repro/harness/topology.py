@@ -144,7 +144,6 @@ def build_worker_role(role: str, config, topology: ErisTopology,
         eris_config = config.eris
         eris_config.execution_cost = config.execution_cost
         eris_config.read_fast_path = config.read_fast_path
-        eris_config.commutative_apply = config.commutative_apply
         replica = ErisReplica(
             addrs[index], runtime, shard, index, addrs,
             topology.fc_address, store, registry,
@@ -155,14 +154,12 @@ def build_worker_role(role: str, config, topology: ErisTopology,
         from repro.net.chainseq import ChainSequencerNode
         node = ChainSequencerNode(
             topology.chain_addrs[int(rest)], runtime, profile,
-            read_fast_path=config.read_fast_path,
-            commutative_apply=config.commutative_apply)
+            read_fast_path=config.read_fast_path)
         built["sequencers"].append(node)
     elif kind == "seq":
         sequencer = MultiSequencer(
             topology.standby_addrs[int(rest)], runtime, profile,
-            read_fast_path=config.read_fast_path,
-            commutative_apply=config.commutative_apply)
+            read_fast_path=config.read_fast_path)
         built["sequencers"].append(sequencer)
     elif kind == "controller":
         built["controller"] = SDNController(

@@ -84,9 +84,8 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
     must derive the identical config so address names, group
     membership, and protocol timers agree across the cluster.
 
-    ``fast_path`` turns on both coordination-free knobs (Harmonia fast
-    reads + commutative early apply); replicas report execution
-    watermarks on their sync cadence."""
+    ``fast_path`` turns on the read fast path (Harmonia fast reads);
+    replicas report execution watermarks on their sync cadence."""
     return ClusterConfig(
         system="eris", backend="udp", n_shards=n_shards,
         n_replicas=n_replicas, seed=seed,
@@ -95,7 +94,7 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
         server_service_time=0.0, execution_cost=0.0,
         client_retry_timeout=100e-3,
         sequencer_chain=chain,
-        read_fast_path=fast_path, commutative_apply=fast_path,
+        read_fast_path=fast_path,
         eris=ErisConfig(**_UDP_ERIS),
         controller=ControllerConfig(**_UDP_CONTROLLER),
     )
@@ -110,8 +109,8 @@ def build_udp_cluster(n_shards: int = 2, n_replicas: int = 3,
     ``chain`` fronts the system with an N-node chain-replicated
     sequencer as in the simulator experiments.
     ``counters`` registers/loads the coordination-free counters
-    workload instead of YCSB; ``fast_path`` turns on both
-    coordination-free knobs."""
+    workload instead of YCSB; ``fast_path`` turns on the read fast
+    path."""
     registry = ProcedureRegistry()
     if counters:
         register_counters_procedures(registry)

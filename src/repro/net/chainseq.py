@@ -111,11 +111,9 @@ class ChainSequencerNode(MultiSequencer):
 
     def __init__(self, address: str, network: Network,
                  profile: SequencerProfile | None = None, epoch: int = 1,
-                 read_fast_path: bool = False,
-                 commutative_apply: bool = False):
+                 read_fast_path: bool = False):
         super().__init__(address, network, profile, epoch,
-                         read_fast_path=read_fast_path,
-                         commutative_apply=commutative_apply)
+                         read_fast_path=read_fast_path)
         self.version = 0
         self.members: tuple[Address, ...] = ()
         self.retired = True
@@ -236,7 +234,7 @@ class ChainSequencerNode(MultiSequencer):
         for gid, seq in msg.stamps:
             if counters.get(gid, 0) < seq:
                 counters[gid] = seq
-        if self.read_fast_path or self.commutative_apply:
+        if self.read_fast_path:
             self._absorb_fast_path_state(msg)
         return True
 
@@ -246,37 +244,29 @@ class ChainSequencerNode(MultiSequencer):
         return not self.retired and self.is_head
 
     def _absorb_fast_path_state(self, msg: ChainForward) -> None:
-        """Replicate the head's dirty-set and barrier bookkeeping down
-        the chain (DESIGN.md: chain interaction).
+        """Replicate the head's dirty-set bookkeeping down the chain
+        (DESIGN.md: chain interaction).
 
         Every released write passed through every survivor in chain
         order, so after a splice the new head's absorbed dirty entries
         are a superset of the in-flight writes that can still be
         released — it can keep serving the dirty-set check for its
-        epoch without an epoch change. The head wraps COMMUTATIVE
-        payloads before forwarding, so the payload class distinguishes
-        the two bookkeeping rules here.
+        epoch without an epoch change.
         """
-        payload = msg.payload
-        txn = getattr(payload, "txn", None)
-        op_class = txn.op_class if txn is not None else "generic"
-        if self.read_fast_path and op_class != "read_only":
-            write_keys = txn.write_keys if txn is not None else None
-            if write_keys:
-                entry = (msg.epoch, tuple(msg.stamps))
-                dirty = self._dirty
-                for key in write_keys:
-                    dirty[key] = entry
-            else:
-                blind = self._blind_high
-                for group, seq in msg.stamps:
-                    if blind.get(group, 0) < seq:
-                        blind[group] = seq
-        if self.commutative_apply and op_class != "commutative":
-            barrier = self._barrier
+        txn = getattr(msg.payload, "txn", None)
+        if txn is not None and txn.op_class == "read_only":
+            return
+        write_keys = txn.write_keys if txn is not None else None
+        if write_keys:
+            entry = (msg.epoch, tuple(msg.stamps))
+            dirty = self._dirty
+            for key in write_keys:
+                dirty[key] = entry
+        else:
+            blind = self._blind_high
             for group, seq in msg.stamps:
-                if barrier.get(group, 0) < seq:
-                    barrier[group] = seq
+                if blind.get(group, 0) < seq:
+                    blind[group] = seq
 
     def on_ChainForward(self, src: Address, msg: ChainForward,
                         packet: Packet) -> None:

@@ -97,12 +97,6 @@ class MultiSequencedChannel:
         """A future packet held for an unfilled gap, if any."""
         return self._buffer.get(seq)
 
-    def buffered_packets(self) -> list[tuple[int, Packet]]:
-        """All future packets parked behind ordering gaps, in sequence
-        order (the commutative early-apply path scans these)."""
-        return sorted((seq, packet) for seq, packet in self._buffer.items()
-                      if packet is not None)
-
     def fast_forward(self, next_seq: int) -> list[Upcall]:
         """Jump the expected sequence number forward (the caller
         learned the intervening slots out of band, e.g. from a DL sync

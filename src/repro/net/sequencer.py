@@ -25,17 +25,15 @@ design, this sequencer has grown two independently-toggled extensions:
   subclasses this node so counter state survives sequencer failure
   without an epoch change; only the chain tail releases stamped
   packets.
-- **Coordination-free fast paths** (``read_fast_path`` /
-  ``commutative_apply``, both default-off): a Harmonia-style per-key
-  *dirty-set* of in-flight conflicting writes, maintained at stamp
-  time (§3.2 is where Eris pins the serial order; the dirty-set tracks
-  which prefix of that order every replica has executed). READ_ONLY
-  transactions whose keys are clean are forwarded to a single replica
-  instead of being stamped for the §5.1 full-quorum path, and
-  COMMUTATIVE transactions are stamped with a reorder *barrier* that
-  lets replicas apply them out of order within an epoch. Clear rules,
-  false-positive semantics, and the chain interaction are specified in
-  DESIGN.md ("The dirty-set protocol").
+- **Coordination-free read fast path** (``read_fast_path``,
+  default-off): a Harmonia-style per-key *dirty-set* of in-flight
+  conflicting writes, maintained at stamp time (§3.2 is where Eris
+  pins the serial order; the dirty-set tracks which prefix of that
+  order every replica has executed). READ_ONLY transactions whose keys
+  are clean are forwarded to a single replica instead of being stamped
+  for the §5.1 full-quorum path. Clear rules, false-positive
+  semantics, and the chain interaction are specified in DESIGN.md
+  ("The dirty-set protocol").
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ _messages = None
 def _core_messages():
     """Lazy import of repro.core.messages: repro.core.transaction
     imports repro.net.message, so importing the other direction at
-    module load would be circular. Only the fast-path code (knobs on)
+    module load would be circular. Only the read fast path (knob on)
     ever needs these classes."""
     global _messages
     if _messages is None:
@@ -104,8 +102,7 @@ class MultiSequencer(Node):
 
     def __init__(self, address: str, network: Network,
                  profile: SequencerProfile | None = None, epoch: int = 1,
-                 read_fast_path: bool = False,
-                 commutative_apply: bool = False):
+                 read_fast_path: bool = False):
         super().__init__(address, network)
         self.profile = profile or SequencerProfile.in_switch()
         self.msg_service_time = self.profile.per_packet_service
@@ -115,9 +112,8 @@ class MultiSequencer(Node):
         # Fabric-arrival timestamps for queue-delay attribution, keyed
         # by packet id. Populated only while a tracer is attached.
         self._ingress: dict[int, float] = {}
-        # -- coordination-free fast paths (default-off) -------------------
+        # -- coordination-free read fast path (default-off) ---------------
         self.read_fast_path = read_fast_path
-        self.commutative_apply = commutative_apply
         #: Dirty-set: key -> (epoch, ((group, seq), ...)) of the last
         #: stamped write declaring that key. An entry is *cleared* only
         #: by evidence of application (watermark coverage) or by an
@@ -132,9 +128,6 @@ class MultiSequencer(Node):
         #: Per-group execution watermarks: group -> {replica: (epoch,
         #: upto)} absorbed from AppliedUpto reports.
         self._applied: dict[int, dict] = {}
-        #: Per-group sequence of the last non-COMMUTATIVE stamp — the
-        #: reorder barrier attached to commutative transactions.
-        self._barrier: dict[int, int] = {}
         #: Round-robin cursor for fast-read replica selection.
         self._fast_rr: dict[int, int] = {}
         self.fast_reads = 0
@@ -158,7 +151,6 @@ class MultiSequencer(Node):
         self._dirty.clear()
         self._blind_high.clear()
         self._applied.clear()
-        self._barrier.clear()
 
     # The sequencer handles raw packets, not payload messages.
     def _process(self, packet: Packet) -> None:
@@ -215,7 +207,7 @@ class MultiSequencer(Node):
             seq = counters.get(group, 0) + 1
             counters[group] = seq
             stamps.append((group, seq))
-        if self.read_fast_path or self.commutative_apply:
+        if self.read_fast_path:
             self._note_stamped(packet, tuple(stamps))
         packet.multistamp = MultiStamp(epoch=self.epoch, stamps=tuple(stamps))
         self.packets_stamped += 1
@@ -225,9 +217,9 @@ class MultiSequencer(Node):
                 queue_delay=self._queue_delay(packet))
         return packet
 
-    # -- coordination-free fast paths (DESIGN.md: dirty-set protocol) -----
+    # -- coordination-free read fast path (DESIGN.md: dirty-set protocol) -
     def _note_stamped(self, packet: Packet, stamps: tuple) -> None:
-        """Stamp-time bookkeeping for the fast paths.
+        """Stamp-time bookkeeping for the read fast path.
 
         *Install rule*: every non-READ_ONLY stamp installs a dirty
         entry for each declared write key; a write with an undeclared
@@ -236,39 +228,20 @@ class MultiSequencer(Node):
         stamp time — before the write is released or applied anywhere —
         so the dirty window conservatively covers the write's entire
         in-flight life.
-
-        *Barrier rule*: every non-COMMUTATIVE stamp (including slow-
-        path reads) advances the group's reorder barrier; commutative
-        transactions are re-enveloped with the barrier so replicas know
-        which prefix must be in-order before out-of-order application
-        is safe (§3.2 relaxation point).
         """
-        payload = packet.payload
-        txn = getattr(payload, "txn", None)
-        op_class = txn.op_class if txn is not None else "generic"
-        if self.read_fast_path and op_class != "read_only":
-            write_keys = txn.write_keys if txn is not None else None
-            if write_keys:
-                entry = (self.epoch, stamps)
-                dirty = self._dirty
-                for key in write_keys:
-                    dirty[key] = entry
-            else:
-                blind = self._blind_high
-                for group, seq in stamps:
-                    blind[group] = seq
-        if self.commutative_apply:
-            messages = _core_messages()
-            if op_class == "commutative" and txn.kind == "independent" \
-                    and isinstance(payload, messages.IndependentTxnRequest):
-                packet.payload = messages.CommutativeTxnRequest(
-                    txn=txn,
-                    barriers=tuple((group, self._barrier.get(group, 0))
-                                   for group, _ in stamps))
-            else:
-                barrier = self._barrier
-                for group, seq in stamps:
-                    barrier[group] = seq
+        txn = getattr(packet.payload, "txn", None)
+        if txn is not None and txn.op_class == "read_only":
+            return
+        write_keys = txn.write_keys if txn is not None else None
+        if write_keys:
+            entry = (self.epoch, stamps)
+            dirty = self._dirty
+            for key in write_keys:
+                dirty[key] = entry
+        else:
+            blind = self._blind_high
+            for group, seq in stamps:
+                blind[group] = seq
 
     def _absorb_watermark(self, msg) -> None:
         """Clear rule: a replica's (epoch, upto) report witnesses that

@@ -917,8 +917,7 @@ def _ensure_registry() -> None:
         core_messages.ReconReply,
         core_messages.SyncLog,
         core_messages.SyncAck,
-        # coordination-free fast paths
-        core_messages.CommutativeTxnRequest,
+        # coordination-free read fast path
         core_messages.AppliedUpto,
         core_messages.FastReadRequest,
         core_messages.FastReadReply,

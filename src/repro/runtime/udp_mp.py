@@ -19,17 +19,14 @@ subclass adds only what is multi-process:
   ``_rt.<rank>`` runtime-control endpoint, because a groupcast is
   routed to the sequencer by the *sender's* runtime and the senders
   live in other processes.
-- **coalesced timers** — with ``timer_slack`` > 0, relative timer
-  deadlines are quantized onto a slack-sized grid so nearby protocol
-  timers (sync, ping, retry) share loop wakeups. Slack only ever
-  *delays* a timer, never fires it early, so protocol timeouts remain
-  conservative.
+
+Timers are the parent's too: each one fires at its own deadline (see
+DESIGN.md, "Multi-process clusters", for why they are not coalesced).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from dataclasses import dataclass
 
@@ -75,15 +72,11 @@ class WorkerUdpRuntime(AsyncioUdpRuntime):
 
     backend = "asyncio-udp-mp"
 
-    def __init__(self, rank: int, seed: int = 0, host: str = "127.0.0.1",
-                 timer_slack: float = 0.0):
+    def __init__(self, rank: int, seed: int = 0, host: str = "127.0.0.1"):
         super().__init__(seed=seed, host=host)
         if rank < 0:
             raise NetworkError(f"rank must be >= 0: {rank}")
-        if timer_slack < 0:
-            raise NetworkError(f"timer_slack must be >= 0: {timer_slack}")
         self.rank = rank
-        self.timer_slack = timer_slack
         #: Remote protocol address -> (host, port), installed from the
         #: launcher's merged port map. Local addresses stay in
         #: ``_ports`` and take precedence.
@@ -127,18 +120,6 @@ class WorkerUdpRuntime(AsyncioUdpRuntime):
         for peer in self._peer_controls:
             self.send(Packet(src=self._control.address, dst=peer,
                              payload=RouteInstall(address)))
-
-    # -- timers (coalesced) ------------------------------------------------
-    def call_later(self, delay: float, fn: Callable[..., Any],
-                   *args: Any):
-        slack = self.timer_slack
-        if slack <= 0.0:
-            return super().call_later(delay, fn, *args)
-        # Quantize the absolute deadline up onto the slack grid: timers
-        # due within the same slack window fire in one loop wakeup.
-        deadline = self.aloop.time() + max(0.0, delay)
-        return self.aloop.call_at(math.ceil(deadline / slack) * slack,
-                                  fn, *args)
 
     # -- observability -----------------------------------------------------
     def instrument(self, registry) -> None:

@@ -97,9 +97,7 @@ class Worker:
             n_shards=spec["shards"], n_replicas=spec["replicas"],
             seed=spec["seed"], chain=spec["chain"],
             fast_path=bool(spec.get("fast_path", False)))
-        self.runtime = WorkerUdpRuntime(
-            rank=rank, seed=config.seed,
-            timer_slack=spec.get("timer_slack", 0.0))
+        self.runtime = WorkerUdpRuntime(rank=rank, seed=config.seed)
         self.recorder = FlightRecorder(
             capacity=spec.get("recorder_capacity", DEFAULT_CAPACITY))
         # Disjoint causal-id space per process: ids assigned here never

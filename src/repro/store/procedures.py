@@ -18,27 +18,16 @@ table).
 
 Procedures additionally carry an **operation class** (:class:`OpClass`)
 declaring their algebraic structure. The default, ``GENERIC``, promises
-nothing and always takes the full multi-stamp path of §3.2. Two
-stronger classes unlock the coordination-free fast paths layered on top
-of the base protocol:
-
-- ``COMMUTATIVE`` — the procedure's effect on the store commutes with
-  every other COMMUTATIVE procedure (Abelian updates such as counter
-  increments, or semilattice joins such as set union). Replicas may
-  apply these out of order within an epoch and still converge, so the
-  ordering constraint of §3.2 is relaxed for them; an optional
-  ``merge`` function documents (and lets tests verify) the algebraic
-  structure being claimed.
-- ``READ_ONLY`` — the procedure never writes. When the sequencing
-  element's dirty-set says the read's keys have no in-flight
-  conflicting writes, the read can be served by a single replica
-  instead of the §5.1 full-quorum path (Harmonia-style in-network
-  conflict detection).
+nothing and always takes the full multi-stamp path of §3.2. The one
+stronger class, ``READ_ONLY``, promises the procedure never writes.
+When the sequencing element's dirty-set says the read's keys have no
+in-flight conflicting writes, the read can be served by a single
+replica instead of the §5.1 full-quorum path (Harmonia-style in-network
+conflict detection).
 
 The classes are *declarations*: the registry records them, the
 transaction layer ships them on the wire, and the §6.7 checkers verify
-after the fact that no GENERIC operation slipped through a relaxed
-path.
+after the fact that no write slipped through the fast read path.
 """
 
 from __future__ import annotations
@@ -61,14 +50,11 @@ class OpClass:
 
     #: Unrestricted read-write procedure: full §3.2 ordering applies.
     GENERIC = "generic"
-    #: Abelian/semilattice update: commutes with every other
-    #: COMMUTATIVE procedure, so in-epoch ordering may be relaxed.
-    COMMUTATIVE = "commutative"
     #: Never writes: eligible for single-replica service when the
     #: dirty-set check comes back clean.
     READ_ONLY = "read_only"
 
-    ALL = (GENERIC, COMMUTATIVE, READ_ONLY)
+    ALL = (GENERIC, READ_ONLY)
 
 
 class TxnContext:
@@ -126,28 +112,15 @@ class ProcedureRegistry:
     def __init__(self) -> None:
         self._procs: dict[str, Procedure] = {}
         self._op_classes: dict[str, str] = {}
-        self._merges: dict[str, Callable[[Any, Any], Any]] = {}
 
     def register(self, name: str, fn: Procedure,
-                 op_class: str = OpClass.GENERIC,
-                 merge: Optional[Callable[[Any, Any], Any]] = None) -> None:
-        """Register ``fn`` under ``name``.
-
-        ``op_class`` declares the procedure's algebraic structure (see
-        :class:`OpClass`); ``merge`` optionally records the Abelian /
-        semilattice combine function a COMMUTATIVE procedure's effect
-        corresponds to, for documentation and property tests.
-        """
+                 op_class: str = OpClass.GENERIC) -> None:
+        """Register ``fn`` under ``name``; ``op_class`` declares the
+        procedure's algebraic structure (see :class:`OpClass`)."""
         if op_class not in OpClass.ALL:
             raise ValueError(f"unknown op_class {op_class!r} for {name!r}")
-        if merge is not None and op_class != OpClass.COMMUTATIVE:
-            raise ValueError(
-                f"merge function only makes sense for COMMUTATIVE "
-                f"procedures, but {name!r} is {op_class!r}")
         self._procs[name] = fn
         self._op_classes[name] = op_class
-        if merge is not None:
-            self._merges[name] = merge
 
     def procedure(self, name: str) -> Procedure:
         try:
@@ -160,12 +133,6 @@ class ProcedureRegistry:
         if name not in self._procs:
             raise UnknownProcedureError(name)
         return self._op_classes.get(name, OpClass.GENERIC)
-
-    def merge_fn(self, name: str) -> Optional[Callable[[Any, Any], Any]]:
-        """The declared combine function (COMMUTATIVE procedures only)."""
-        if name not in self._procs:
-            raise UnknownProcedureError(name)
-        return self._merges.get(name)
 
     def execute(self, name: str, ctx: TxnContext, args: dict) -> Any:
         """Run a procedure; aborts propagate as TransactionAborted."""

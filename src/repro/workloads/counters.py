@@ -1,11 +1,11 @@
-"""Coordination-free counters: a commutativity-heavy workload.
+"""Coordination-free counters: a read- and increment-heavy workload.
 
-The op-class taxonomy (see :mod:`repro.store.procedures`) only pays
-off on workloads where most operations are semantically commutative or
-read-only. This module provides one: an analytics-style mix of counter
-increments, tag-set unions, point reads, and occasional read-modify-
-write resets, in the spirit of the "coordination-free" aggregate
-workloads used to evaluate Harmonia-style fast paths.
+The read fast path (see :mod:`repro.store.procedures`) only pays off on
+workloads where many operations are read-only. This module provides
+one: an analytics-style mix of counter increments, tag-set unions,
+point reads, and occasional read-modify-write resets, in the spirit of
+the "coordination-free" aggregate workloads used to evaluate
+Harmonia-style fast paths.
 
 Key space layout (chosen so the multi-process launcher's per-shard
 loader works unchanged):
@@ -22,16 +22,17 @@ Operation mix (three independent fractions of the total):
 operation           op-class     semantics
 ==================  ===========  ======================================
 ``counter_read``    READ_ONLY    point read of one counter
-``counter_add``     COMMUTATIVE  increment 1–2 counters (Abelian: +)
-``tag_add``         COMMUTATIVE  add a tag (semilattice: set union)
+``counter_add``     GENERIC      increment 1–2 counters (Abelian: +)
+``tag_add``         GENERIC      add a tag (semilattice: set union)
 ``counter_reset``   GENERIC      read-modify-write: zero the counter
 ==================  ===========  ======================================
 
 Reads take the Harmonia single-replica fast path when their key is
-clean; commutative writes may be early-applied out of order behind the
-sequencer's reorder barrier; resets are ordinary Eris independent
-transactions and act as the ordering barrier for everything behind
-them.
+clean; every write is an ordinary Eris independent transaction,
+executed in multi-stamp log order. The increments and unions commute
+with each other, but that is measured not to pay (DESIGN.md,
+"Commutative early apply: measured and removed"); the
+``commutative_fraction`` knob still sizes their share of the mix.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ def counter_read(ctx: TxnContext, args: dict) -> dict:
 
 def counter_add(ctx: TxnContext, args: dict) -> None:
     """Increment each owned counter. Integer addition is Abelian, so
-    any two ``counter_add`` executions commute — the COMMUTATIVE
-    contract. Returns nothing: a commutative op must not expose the
-    intermediate value it observed (replicas may apply it at different
-    points of the serial order)."""
+    any two ``counter_add`` executions commute. Returns nothing, so
+    the op exposes no intermediate value."""
     delta = args.get("delta", 1)
     for key in args["keys"]:
         if ctx.owns(key):
@@ -88,7 +87,7 @@ def tag_add(ctx: TxnContext, args: dict) -> None:
 def counter_reset(ctx: TxnContext, args: dict) -> dict:
     """Read the counter and zero it — a read-modify-write that does
     NOT commute with ``counter_add`` (reset-then-add != add-then-
-    reset), so it stays GENERIC and barriers the fast paths."""
+    reset)."""
     key = args["key"]
     if not ctx.owns(key):
         return {}
@@ -101,12 +100,8 @@ def counter_reset(ctx: TxnContext, args: dict) -> dict:
 def register_counters_procedures(registry: ProcedureRegistry) -> None:
     registry.register("counter_read", counter_read,
                       op_class=OpClass.READ_ONLY)
-    registry.register("counter_add", counter_add,
-                      op_class=OpClass.COMMUTATIVE,
-                      merge=lambda a, b: a + b)
-    registry.register("tag_add", tag_add,
-                      op_class=OpClass.COMMUTATIVE,
-                      merge=lambda a, b: tuple(sorted(set(a) | set(b))))
+    registry.register("counter_add", counter_add)
+    registry.register("tag_add", tag_add)
     registry.register("counter_reset", counter_reset)
 
 
@@ -128,7 +123,8 @@ class CountersConfig:
     """One counters experiment's workload parameters.
 
     ``read_fraction`` + ``commutative_fraction`` is the coordination-
-    free fraction; the remainder are GENERIC ``counter_reset`` RMWs.
+    free fraction (reads plus mutually commuting increments and
+    unions); the remainder are ``counter_reset`` RMWs.
     """
 
     n_keys: int = 10_000
@@ -207,7 +203,7 @@ class CountersWorkload:
         return WorkloadOp(
             proc="counter_add", args={"keys": keys, "delta": 1},
             participants=self.partitioner.participants_for(keyset),
-            write_keys=keyset, op_class=OpClass.COMMUTATIVE)
+            write_keys=keyset)
 
     def _tag_op(self) -> WorkloadOp:
         # Tag-set keys live at counter key + n_keys (see module doc).
@@ -217,7 +213,7 @@ class CountersWorkload:
         return WorkloadOp(
             proc="tag_add", args={"key": key, "tag": tag},
             participants=(self.partitioner.shard_of(key),),
-            write_keys=frozenset([key]), op_class=OpClass.COMMUTATIVE)
+            write_keys=frozenset([key]))
 
     def _reset_op(self) -> WorkloadOp:
         key = self._key()

@@ -241,22 +241,47 @@ def test_udpsmoke_parser_accepts_observability_flags():
 
 
 @pytest.mark.parametrize("argv", [
-    ["--timer-slack", "0.001"],
     ["--run-dir", "runs"],
-    ["--processes", "single", "--timer-slack", "0"],
+    ["--processes", "single", "--run-dir", "runs"],
+    ["--workload", "counters", "--run-dir", "runs"],
 ])
 def test_udpsmoke_rejects_per_node_flags_in_single_mode(argv, capsys):
-    """Per-node-only flags without ``--processes per-node`` are a usage
-    error naming the flag, not silently ignored (and no run starts)."""
+    """The per-node-only flag without ``--processes per-node`` is a
+    usage error naming the flag, not silently ignored (and no run
+    starts)."""
     with pytest.raises(SystemExit) as exc:
         main(["udpsmoke", *argv])
     assert exc.value.code == 2
-    flag = next(arg for arg in argv if arg in ("--timer-slack", "--run-dir"))
-    assert flag in capsys.readouterr().err
+    assert "--run-dir" in capsys.readouterr().err
 
 
 def test_udpsmoke_rejects_removed_batch_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["udpsmoke", "--batch", "8"])
-    assert exc.value.code == 2
-    assert "--batch" in capsys.readouterr().err
+    """Flags of deleted knobs are usage errors, not silently ignored."""
+    for argv in (["--batch", "8"], ["--timer-slack", "0.001"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["udpsmoke", *argv])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+
+def _load_docs_check():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
+        "docs_check.py"
+    spec = importlib.util.spec_from_file_location("docs_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_docs_check_matches_whole_flags():
+    """A documented flag that is only a prefix of a real one is
+    reported: ``--commutative`` is gone even though the help still
+    shows ``--commutative-fraction``."""
+    docs_check = _load_docs_check()
+    problems = docs_check.check_command("repro", ["--commutative"])
+    assert len(problems) == 1 and "--commutative" in problems[0]
+    assert docs_check.check_command(
+        "repro", ["--commutative-fraction", "0.2", "--read-fast-path"]) == []

@@ -120,9 +120,8 @@ _FIELD_OVERRIDES = {
     "entry": _SAMPLE_RECORD,
     "op": ("prepare", "tag-1"),          # VR's opaque replicated op
     "ops": (("prepare", "tag-1"), ("commit", "tag-2")),
-    "op_class": "commutative",           # validated against OpClass.ALL
-    "kind": "independent",               # non-generic op_class demands it
-    "barriers": ((0, 4), (1, 9)),        # (group, barrier_seq) pairs
+    "op_class": "generic",               # validated against OpClass.ALL
+    "kind": "independent",               # validated transaction kind
 }
 
 

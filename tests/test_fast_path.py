@@ -1,15 +1,12 @@
-"""Coordination-free fast paths, end to end and adversarially.
+"""The coordination-free read fast path, end to end and adversarially.
 
-End-to-end: a traced counters run with ``read_fast_path`` +
-``commutative_apply`` on really takes both relaxed paths (fast reads
-served, out-of-order early applies) and still passes every §6.7
-checker — state- and trace-backed — including under packet drops.
+End-to-end: a traced counters run with ``read_fast_path`` on really
+serves fast reads and still passes every §6.7 checker — state- and
+trace-backed — including under packet drops.
 
-Adversarially: forged traces in which a relaxed path was taken when
-the protocol forbids it (a read served while a conflicting write was
-in flight, a GENERIC transaction applied out of order, a commutative
-apply jumping a non-commutative slot) are each caught by the
-dedicated trace checkers."""
+Adversarially: forged traces in which a read was served while a
+conflicting write was in flight are caught by the dedicated trace
+checker."""
 
 import pytest
 
@@ -17,7 +14,6 @@ from repro.core.replica import ErisConfig
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.harness import ClusterConfig, build_cluster
 from repro.harness.checkers import (
-    check_trace_commutative_applies,
     check_trace_fast_reads,
     run_all_checks,
     run_trace_checks,
@@ -47,7 +43,7 @@ def _run_counters_cluster(fast_path: bool = True, n_ops: int = 400,
     partitioner = Partitioner(2)
     config = ClusterConfig(
         system="eris", n_shards=2, seed=seed, tracing=True,
-        read_fast_path=fast_path, commutative_apply=fast_path,
+        read_fast_path=fast_path,
         eris=ErisConfig(sync_interval=0.4e-3,
                         watermark_interval=0.1e-3),
         net=NetConfig(drop_rate=drop_rate))
@@ -76,12 +72,6 @@ def _run_counters_cluster(fast_path: bool = True, n_ops: int = 400,
     return cluster, clients
 
 
-def _early_applies(cluster) -> int:
-    return sum(replica.early_applies
-               for replicas in cluster.replicas.values()
-               for replica in replicas)
-
-
 # -- end to end -------------------------------------------------------------
 
 def test_fast_paths_taken_and_checks_pass(tmp_path):
@@ -93,9 +83,7 @@ def test_fast_paths_taken_and_checks_pass(tmp_path):
     assert sequencer.fast_reads > 0
     assert served == sequencer.fast_reads
     assert sum(c.node.fast_read_count for c in clients) == sequencer.fast_reads
-    assert _early_applies(cluster) > 0
     assert cluster.tracer.count("fast_read") == sequencer.fast_reads
-    assert cluster.tracer.count("early_apply") == _early_applies(cluster)
     # Live checkers and the exported-JSONL path both pass.
     run_all_checks(cluster)
     path = str(tmp_path / "trace.jsonl")
@@ -106,7 +94,6 @@ def test_fast_paths_taken_and_checks_pass(tmp_path):
 def test_fast_paths_survive_packet_drops():
     cluster, _ = _run_counters_cluster(drop_rate=0.01)
     assert cluster.sequencers[0].fast_reads > 0
-    assert _early_applies(cluster) > 0
     run_all_checks(cluster)
 
 
@@ -114,19 +101,15 @@ def test_knobs_off_takes_no_relaxed_path():
     cluster, clients = _run_counters_cluster(fast_path=False)
     assert cluster.sequencers[0].fast_reads == 0
     assert cluster.sequencers[0].fast_read_misses == 0
-    assert _early_applies(cluster) == 0
     assert sum(c.node.fast_read_count for c in clients) == 0
     assert cluster.tracer.count("fast_read") == 0
-    assert cluster.tracer.count("early_apply") == 0
     run_all_checks(cluster)
 
 
 def test_fast_path_knobs_require_eris():
-    for knob in ({"read_fast_path": True}, {"commutative_apply": True}):
-        with pytest.raises(ConfigurationError, match="require"):
-            ClusterConfig(system="tapir", **knob).validate()
-        with pytest.raises(ConfigurationError, match="require"):
-            ClusterConfig(system="eris-oum", **knob).validate()
+    for system in ("tapir", "eris-oum"):
+        with pytest.raises(ConfigurationError, match="requires"):
+            ClusterConfig(system=system, read_fast_path=True).validate()
 
 
 # -- forged traces ----------------------------------------------------------
@@ -150,12 +133,6 @@ def _fast_read(keys, txn="c:9", group=0, ts=1.0):
     return {"ts": ts, "kind": "fast_read", "node": "seq", "cause": -1,
             "txn": txn, "shard": group, "keys": [repr(k) for k in keys],
             "replica": "r0.0"}
-
-
-def _early_apply(seq, txn, barrier, next_seq, group=0, ts=1.0):
-    return {"ts": ts, "kind": "early_apply", "node": "r0.0", "cause": -1,
-            "shard": group, "txn": txn, "slot": [group, 1, seq],
-            "barrier": barrier, "next_seq": next_seq}
 
 
 REPLICAS = ("r0.0", "r0.1", "r0.2")
@@ -213,48 +190,3 @@ def test_crashed_replica_does_not_block_coverage():
         _fast_read([5]),
     ]
     check_trace_fast_reads(trace)             # no violation
-
-
-def test_forged_generic_early_apply_caught():
-    trace = [
-        _stamp(3, "c:2", "generic", write_keys=[7]),
-        _early_apply(3, "c:2", barrier=1, next_seq=2),
-    ]
-    with pytest.raises(InvariantViolation, match="non-commutative"):
-        check_trace_commutative_applies(trace)
-    with pytest.raises(InvariantViolation):
-        run_trace_checks(trace)
-
-
-def test_forged_barrier_earlier_than_stamps_caught():
-    # The event's recorded barrier looks fine, but the stamp stream
-    # shows a generic transaction at seq 1 that the early apply of
-    # seq 3 jumped while the replica's in-order point was still 1.
-    trace = [
-        _stamp(1, "c:1", "generic", write_keys=[7]),
-        _stamp(3, "c:2", "commutative", write_keys=[8], ts=0.1),
-        _early_apply(3, "c:2", barrier=0, next_seq=1),
-    ]
-    with pytest.raises(InvariantViolation, match="jumped"):
-        check_trace_commutative_applies(trace)
-
-
-def test_forged_barrier_at_or_past_in_order_point_caught():
-    trace = [
-        _stamp(3, "c:2", "commutative", write_keys=[8]),
-        _early_apply(3, "c:2", barrier=2, next_seq=2),
-    ]
-    with pytest.raises(InvariantViolation, match="barrier"):
-        check_trace_commutative_applies(trace)
-
-
-def test_legitimate_early_apply_passes():
-    # Every slot below seq 2 is commutative, the barrier is below the
-    # in-order point: the §3.2 relaxation's legal case.
-    trace = [
-        _stamp(1, "c:1", "commutative", write_keys=[6]),
-        _stamp(2, "c:2", "commutative", write_keys=[8], ts=0.1),
-        _early_apply(2, "c:2", barrier=0, next_seq=1),
-    ]
-    check_trace_commutative_applies(trace)    # no violation
-    run_trace_checks(trace)

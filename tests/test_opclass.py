@@ -1,14 +1,13 @@
 """Operation-class plumbing: registry declarations, transaction
 validators, the counters procedures' algebraic claims, and the wire
-codec round-tripping (and refusing to forge) the new fast-path fields
-and messages."""
+codec round-tripping (and refusing to forge) the fast-path fields and
+messages."""
 
 import pytest
 
 from conftest import CARRIAGES
 from repro.core.messages import (
     AppliedUpto,
-    CommutativeTxnRequest,
     FastReadReply,
     FastReadRequest,
     IndependentTxnRequest,
@@ -31,7 +30,6 @@ def test_registry_defaults_to_generic():
     registry = ProcedureRegistry()
     registry.register("noop", lambda ctx, args: None)
     assert registry.op_class("noop") == OpClass.GENERIC
-    assert registry.merge_fn("noop") is None
 
 
 def test_registry_rejects_unknown_op_class():
@@ -41,50 +39,24 @@ def test_registry_rejects_unknown_op_class():
                           op_class="sometimes-commutes")
 
 
-def test_registry_rejects_merge_on_non_commutative():
-    registry = ProcedureRegistry()
-    with pytest.raises(ValueError, match="COMMUTATIVE"):
-        registry.register("r", lambda ctx, args: None,
-                          op_class=OpClass.READ_ONLY,
-                          merge=lambda a, b: a)
-
-
 def test_registry_op_class_unknown_procedure_raises():
     registry = ProcedureRegistry()
     with pytest.raises(UnknownProcedureError):
         registry.op_class("ghost")
-    with pytest.raises(UnknownProcedureError):
-        registry.merge_fn("ghost")
 
 
 def test_counters_procedures_declare_their_classes():
     registry = ProcedureRegistry()
     register_counters_procedures(registry)
     assert registry.op_class("counter_read") == OpClass.READ_ONLY
-    assert registry.op_class("counter_add") == OpClass.COMMUTATIVE
-    assert registry.op_class("tag_add") == OpClass.COMMUTATIVE
+    assert registry.op_class("counter_add") == OpClass.GENERIC
+    assert registry.op_class("tag_add") == OpClass.GENERIC
     assert registry.op_class("counter_reset") == OpClass.GENERIC
-
-
-def test_counters_merge_fns_commute():
-    """The declared combine functions really are commutative — the
-    algebraic claim the early-apply relaxation rests on."""
-    registry = ProcedureRegistry()
-    register_counters_procedures(registry)
-    add = registry.merge_fn("counter_add")
-    union = registry.merge_fn("tag_add")
-    assert add is not None and union is not None
-    for a, b in [(0, 7), (3, -2), (10, 10)]:
-        assert add(a, b) == add(b, a)
-    for a, b in [((), ("x",)), (("a", "b"), ("b", "c"))]:
-        assert union(a, b) == union(b, a)
-        assert union(a, union(a, b)) == union(a, b)   # idempotent join
 
 
 def test_counter_add_effect_commutes_on_the_store():
     """Executing two counter_add procedures in either order leaves the
-    store in the same state (effect-level commutativity, not just the
-    declared merge function)."""
+    store in the same state (effect-level commutativity)."""
     registry = ProcedureRegistry()
     register_counters_procedures(registry)
 
@@ -110,8 +82,9 @@ def _txn(**kwargs):
 
 
 def test_txn_rejects_unknown_op_class():
-    with pytest.raises(ValueError, match="unknown op_class"):
-        _txn(op_class="mostly-reads")
+    for op_class in ("mostly-reads", "commutative"):
+        with pytest.raises(ValueError, match="unknown op_class"):
+            _txn(op_class=op_class)
 
 
 def test_txn_rejects_read_only_with_write_keys():
@@ -124,29 +97,34 @@ def test_txn_rejects_non_generic_general_halves():
     # they must never slip onto a relaxed path.
     for kind in ("preliminary", "conclusory"):
         with pytest.raises(ValueError, match="must be generic"):
-            _txn(kind=kind, op_class="commutative")
+            _txn(kind=kind, op_class="read_only")
 
 
 def test_txn_accepts_declared_classes():
     assert _txn(op_class="read_only",
                 read_keys=frozenset({1})).op_class == "read_only"
-    assert _txn(op_class="commutative",
-                write_keys=frozenset({1})).op_class == "commutative"
+    assert _txn(write_keys=frozenset({1})).op_class == "generic"
 
 
 # -- wire codec -------------------------------------------------------------
 
-def _commutative_txn():
+def _counter_add_txn():
     return IndependentTransaction(
         txn_id=TxnId(client="client-3", seq=9), proc="counter_add",
         args={"keys": (4, 104), "delta": 2}, participants=(0, 1),
-        write_keys=frozenset({4, 104}), op_class="commutative")
+        write_keys=frozenset({4, 104}))
+
+
+def _read_only_txn():
+    return IndependentTransaction(
+        txn_id=TxnId(client="client-3", seq=10), proc="counter_read",
+        args={"key": 4}, participants=(0,), read_keys=frozenset({4}),
+        op_class="read_only")
 
 
 @CARRIAGES
 def test_op_class_survives_roundtrip(carriage):
     for op_class, write_keys in [("generic", frozenset({1})),
-                                 ("commutative", frozenset({1})),
                                  ("read_only", frozenset())]:
         txn = _txn(op_class=op_class, write_keys=write_keys)
         decoded = carriage.decode(carriage.encode(txn))
@@ -156,9 +134,8 @@ def test_op_class_survives_roundtrip(carriage):
 
 @CARRIAGES
 def test_fast_path_messages_roundtrip(carriage):
-    txn = _commutative_txn()
+    txn = _counter_add_txn()
     messages = [
-        CommutativeTxnRequest(txn=txn, barriers=((0, 4), (1, 9))),
         AppliedUpto(shard=1, epoch=2, upto=117, sender="eris-r1.2"),
         FastReadRequest(txn=_txn(op_class="read_only",
                                  read_keys=frozenset({4})),
@@ -176,11 +153,24 @@ def test_fast_path_messages_roundtrip(carriage):
 def test_forged_op_class_rejected_on_decode(carriage):
     """A byte-patched frame cannot smuggle an undeclared op-class past
     the transaction validator: decode re-runs ``__post_init__``."""
-    buffer = carriage.encode(_commutative_txn())
-    assert buffer.count(b"commutative") == 1
-    forged = buffer.replace(b"commutative", b"commutatiVe")
+    buffer = carriage.encode(_read_only_txn())
+    assert buffer.count(b"read_only") == 1
+    forged = buffer.replace(b"read_only", b"read_Only")
     with pytest.raises(CodecError):
         carriage.decode(forged)
+
+
+def test_forged_commutative_class_rejected_on_decode():
+    """The ``commutative`` class is gone: a generic frame rewritten to
+    carry it — length prefix included, so the frame stays well-formed —
+    fails the op-class validator during decode."""
+    buffer = encode_message(_counter_add_txn())
+    generic = bytes([C._T_STR, len(b"generic")]) + b"generic"
+    assert buffer.count(generic) == 1
+    forged = buffer.replace(
+        generic, bytes([C._T_STR, len(b"commutative")]) + b"commutative")
+    with pytest.raises(CodecError, match="commutative"):
+        decode_message(forged)
 
 
 def test_forged_read_only_writer_rejected_on_decode():

@@ -239,11 +239,14 @@ def test_sequencer_encodes_a_two_shard_payload_once(monkeypatch):
 # -- removed knobs -----------------------------------------------------------
 
 def test_runtime_rejects_bad_wire_and_batch_knobs():
-    """One wire format and no batching layers: the options that used to
-    pick another format or a batch depth are gone, not ignored."""
+    """One wire format, no batching layers, no commutative early apply
+    and no timer slack: the options that used to turn them on are gone,
+    not ignored."""
     from repro.core.replica import ErisConfig
     from repro.harness.cluster import ClusterConfig
     from repro.net.sequencer import MultiSequencer
+    from repro.runtime.udp_mp import WorkerUdpRuntime
+    from repro.store import ProcedureRegistry
 
     removed = (
         lambda: AsyncioUdpRuntime(wire="ewc9"),
@@ -253,6 +256,12 @@ def test_runtime_rejects_bad_wire_and_batch_knobs():
         lambda: ClusterConfig(udp_batch_frames=2),
         lambda: ErisConfig(reply_coalesce=2),
         lambda: MultiSequencer("seq0", None, stamp_batch=2),
+        lambda: ClusterConfig(commutative_apply=True),
+        lambda: ErisConfig(commutative_apply=True),
+        lambda: MultiSequencer("seq0", None, commutative_apply=True),
+        lambda: ProcedureRegistry().register(
+            "p", lambda ctx, args: None, merge=lambda a, b: a + b),
+        lambda: WorkerUdpRuntime(rank=0, timer_slack=0.5e-3),
     )
     for build in removed:
         with pytest.raises(TypeError):

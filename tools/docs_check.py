@@ -98,8 +98,12 @@ def check_command(module: str, tokens: list[str]) -> list[str]:
         detail = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else "?"
         return [f"`python -m {shown} --help` exited {proc.returncode}: {detail}"]
     help_text = proc.stdout + proc.stderr
+    # Whole-token match: a documented flag that is only a prefix of a
+    # real one (``--commutative`` vs ``--commutative-fraction``) fails.
     return [f"`python -m {shown}` does not accept documented "
-            f"flag {flag}" for flag in flags if flag not in help_text]
+            f"flag {flag}" for flag in flags
+            if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])",
+                             help_text)]
 
 
 def check_links(doc_path: str, text: str) -> list[str]:
