@@ -43,16 +43,10 @@ UDP_TOLERANCE = 0.60
 
 def bench_udpsmoke(processes: str, min_commits: int) -> dict:
     """Committed txn/s of the smoke workload, single or per-node."""
-    if processes == "per-node":
-        import tempfile
-        from repro.harness.mp_smoke import run_udp_smoke_mp
-        result = run_udp_smoke_mp(
-            min_commits=min_commits, timeout=120.0,
-            run_dir=tempfile.mkdtemp(prefix="bench-udp-mp-"))
-    else:
-        from repro.harness.udp_smoke import run_udp_smoke
-        result = run_udp_smoke(min_commits=min_commits, timeout=120.0,
-                               recorder_path=os.devnull)
+    from repro.harness.udp_smoke import run_udp_smoke
+
+    result = run_udp_smoke(processes=processes, min_commits=min_commits,
+                           timeout=120.0, recorder_path=os.devnull)
     return {
         "txn_s": round(result.committed / result.wall_seconds),
         "committed": result.committed,

@@ -29,7 +29,7 @@ class _Sink(Node):
         self.arrivals = []
 
     def deliver(self, packet):
-        self.arrivals.append(self.loop.now)
+        self.arrivals.append(self.now)
 
 
 def measure_profile(profile: SequencerProfile, offered_rate: float,

@@ -10,10 +10,10 @@ invariants, and format results (§8 methodology).
 - :mod:`repro.harness.faults` — drop-rate injection, sequencer and
   replica kills.
 - :mod:`repro.harness.results` — text tables for benchmark output.
+- :mod:`repro.harness.topology` — the Eris address plan, its roles,
+  and the one role builder every process layout uses.
 - :mod:`repro.harness.udp_smoke` — Eris over real UDP loopback sockets
-  (the asyncio runtime backend) with invariant checks.
-- :mod:`repro.harness.mp_smoke` — the same smoke as a process-per-node
-  cluster driven by the launcher, checked on merged snapshots.
+  with invariant checks, in one process or one process per node.
 """
 
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
@@ -40,7 +40,6 @@ from repro.harness.checkers import (
 from repro.harness.faults import FaultPlan
 from repro.harness.results import format_metrics, format_table
 from repro.harness.udp_smoke import SmokeResult, run_udp_smoke
-from repro.harness.mp_smoke import run_udp_smoke_mp
 
 __all__ = [
     "Cluster",
@@ -66,5 +65,4 @@ __all__ = [
     "format_table",
     "SmokeResult",
     "run_udp_smoke",
-    "run_udp_smoke_mp",
 ]

@@ -190,18 +190,23 @@ def build_udpsmoke_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", metavar="PATH",
                         help="record a full causal trace (clocked off "
                              "the asyncio loop's monotonic clock) and "
-                             "export it as JSONL for `trace analyze`")
+                             "export it as JSONL for `trace analyze` "
+                             "(per-node: the merge of every process's "
+                             "shard)")
     parser.add_argument("--metrics-out", metavar="PATH",
-                        help="sample the metrics registry periodically "
-                             "and export the JSONL time-series for "
-                             "`stats`")
+                        help="sample this process's metrics registry "
+                             "periodically and export the JSONL "
+                             "time-series for `stats` (per-node: each "
+                             "worker's series goes to the run directory)")
     parser.add_argument("--metrics-interval", type=float, default=0.05,
                         metavar="SECS",
                         help="sampling period for --metrics-out")
     parser.add_argument("--recorder", metavar="PATH",
                         default="flight-recorder.jsonl",
-                        help="flight-recorder dump path (written only "
-                             "when a check fails or the run crashes)")
+                        help="this process's flight-recorder dump path "
+                             "(written only when a check fails or the "
+                             "run crashes; per-node: each worker dumps "
+                             "into the run directory)")
     parser.add_argument("--recorder-capacity", type=int, default=4096,
                         metavar="N", help="flight-recorder ring size")
     parser.add_argument("--processes", choices=("single", "per-node"),
@@ -314,38 +319,24 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
     if args.processes != "per-node" and args.run_dir is not None:
         parser.error("--run-dir requires --processes per-node")
     try:
-        if args.processes == "per-node":
-            from repro.harness.mp_smoke import run_udp_smoke_mp
-            result = run_udp_smoke_mp(
-                n_shards=args.shards, n_replicas=args.replicas,
-                n_clients=args.clients, min_commits=args.min_commits,
-                timeout=args.timeout, workload=args.workload,
-                distributed_fraction=args.distributed, n_keys=args.keys,
-                seed=args.seed, chain=args.chain,
-                fast_path=args.fast_path, run_dir=args.run_dir,
-                trace=bool(args.trace), metrics=bool(args.metrics_out),
-                metrics_interval=args.metrics_interval,
-                recorder_capacity=args.recorder_capacity)
-        else:
-            result = run_udp_smoke(
-                n_shards=args.shards, n_replicas=args.replicas,
-                n_clients=args.clients, min_commits=args.min_commits,
-                timeout=args.timeout, workload=args.workload,
-                distributed_fraction=args.distributed, n_keys=args.keys,
-                seed=args.seed, chain=args.chain,
-                fast_path=args.fast_path, trace_path=args.trace,
-                metrics_path=args.metrics_out,
-                metrics_interval=args.metrics_interval,
-                recorder_path=args.recorder,
-                recorder_capacity=args.recorder_capacity)
+        result = run_udp_smoke(
+            n_shards=args.shards, n_replicas=args.replicas,
+            n_clients=args.clients, min_commits=args.min_commits,
+            timeout=args.timeout, workload=args.workload,
+            distributed_fraction=args.distributed, n_keys=args.keys,
+            seed=args.seed, chain=args.chain, fast_path=args.fast_path,
+            processes=args.processes, run_dir=args.run_dir,
+            trace_path=args.trace, metrics_path=args.metrics_out,
+            metrics_interval=args.metrics_interval,
+            recorder_path=args.recorder,
+            recorder_capacity=args.recorder_capacity)
     except (ExperimentError, InvariantViolation) as exc:
         print(f"udp smoke: FAILED\n  {exc}", file=sys.stderr)
+        print(f"  flight recorder dump (last events before the "
+              f"failure): {args.recorder}", file=sys.stderr)
         if args.processes == "per-node":
-            print("  per-process logs and recorder dumps are in the "
-                  "run directory named above", file=sys.stderr)
-        else:
-            print(f"  flight recorder dump (last events before the "
-                  f"failure): {args.recorder}", file=sys.stderr)
+            print("  per-process logs and worker recorder dumps are in "
+                  "the run directory", file=sys.stderr)
         return 1
     backend = ("asyncio-udp-mp (process per node)"
                if args.processes == "per-node"

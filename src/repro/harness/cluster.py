@@ -21,11 +21,10 @@ from repro.baselines.tapir import TapirClient, TapirReplica
 from repro.core.client import ErisClient
 from repro.core.fc import FailureCoordinator
 from repro.core.general import GeneralTransactionManager
-from repro.core.replica import ErisConfig, ErisReplica
+from repro.core.replica import ErisConfig
 from repro.errors import ConfigurationError
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.network import NetConfig, Network
-from repro.net.oum import OUMSequencer
 from repro.net.sequencer import MultiSequencer, SequencerProfile
 from repro.obs import MetricsRegistry, Tracer
 from repro.replication.vr import VRConfig
@@ -124,12 +123,16 @@ class Cluster:
     """One fully wired deployment of one system."""
 
     def __init__(self, config: ClusterConfig, registry: ProcedureRegistry,
-                 partitioner: Partitioner):
+                 partitioner: Partitioner, runtime=None):
         config.validate()
         self.config = config
         self.registry = registry
         self.partitioner = partitioner
-        if config.backend == "udp":
+        if runtime is not None:
+            # One process of a per-node deployment: it brings the
+            # runtime that hosts its slice.
+            self.runtime = runtime
+        elif config.backend == "udp":
             from repro.runtime.asyncio_udp import AsyncioUdpRuntime
             self.runtime = AsyncioUdpRuntime(seed=config.seed)
         else:
@@ -165,9 +168,7 @@ class Cluster:
         loop = getattr(self, "loop", None)
         if loop is not None:
             loop.instrument(self.metrics)
-        instrument = getattr(self.runtime, "instrument", None)
-        if instrument is not None:
-            instrument(self.metrics)
+        self.runtime.instrument(self.metrics)
         for sequencer in self.sequencers:
             sequencer.instrument(self.metrics)
         if self.fc is not None:
@@ -250,85 +251,43 @@ def _make_stores(cluster: Cluster, per_shard: int) -> None:
         cluster.stores[shard] = [KVStore() for _ in range(per_shard)]
 
 
-def _build_eris(cluster: Cluster, oum: bool = False) -> None:
+def _build_eris(cluster: Cluster) -> None:
+    """Every Eris role on the one runtime, in ``topology_roles`` order."""
+    from repro.harness.topology import (
+        build_role,
+        replica_config,
+        topology_roles,
+    )
+
+    topology = wire_eris(cluster)
+    eris_config = replica_config(cluster.config)
+    for role in topology_roles(topology):
+        build_role(cluster, role, topology, eris_config)
+        if role == topology.controller_address:
+            cluster.controller.start()
+    if topology.controller_address is None:
+        cluster.runtime.install_sequencer_route(topology.standby_addrs[0])
+
+
+def wire_eris(cluster: Cluster):
+    """Make ``cluster.runtime`` ready to host Eris roles and clients,
+    and return the :class:`~repro.harness.topology.ErisTopology`.
+
+    Every process of a deployment needs this, whichever roles it
+    hosts: sequencers fan stamped copies out by group, and clients
+    submit through the same closure — independent txns straight to the
+    :class:`ErisClient`, general txns through the
+    :class:`GeneralTransactionManager`.
+    """
     from repro.harness.topology import eris_topology
 
     config = cluster.config
-    _make_stores(cluster, config.n_replicas)
-    # The address plan is shared with the multi-process launcher: both
-    # deployments derive the same names from the same config, so the
-    # strings inside packets are identical either way.
+    runtime = cluster.runtime
     topology = eris_topology(config)
-    shard_addrs = topology.shard_addrs
-    for shard, addrs in shard_addrs.items():
-        cluster.network.groups.define(shard, addrs)
-    profile = _PROFILES[config.sequencer_profile]()
-    sequencer_cls = OUMSequencer if oum else MultiSequencer
-    # The OUM ablation's sequencer predates the fast-path knob and the
-    # validate() gate keeps it off for it.
-    fastpath_kwargs = {} if oum else {
-        "read_fast_path": config.read_fast_path,
-    }
-    chain_addrs: list[str] = []
-    if not oum and config.sequencer_chain:
-        from repro.net.chainseq import ChainSequencerNode
-        for address in topology.chain_addrs:
-            node = ChainSequencerNode(address, cluster.network, profile,
-                                      **fastpath_kwargs)
-            chain_addrs.append(node.address)
-            cluster.sequencers.append(node)
-    standbys: list[MultiSequencer] = []
-    for address in topology.standby_addrs:
-        standby = sequencer_cls(address, cluster.network, profile,
-                                **fastpath_kwargs)
-        standbys.append(standby)
-        cluster.sequencers.append(standby)
-    cluster.fc = FailureCoordinator(topology.fc_address, cluster.network,
-                                    shards=shard_addrs)
-    cluster.fc.msg_service_time = config.server_service_time
-    if oum:
-        cluster.network.install_sequencer_route(topology.standby_addrs[0])
-    else:
-        cluster.controller = SDNController(
-            topology.controller_address, cluster.network,
-            sequencers=[s.address for s in standbys],
-            config=config.controller,
-            chain=chain_addrs or None)
-        cluster.controller.start()
-    eris_config = config.eris
-    eris_config.execution_cost = config.execution_cost
-    eris_config.oum_mode = oum
-    if not oum:
-        eris_config.read_fast_path = config.read_fast_path
-    for shard, addrs in shard_addrs.items():
-        replicas = []
-        for index, address in enumerate(addrs):
-            replica = ErisReplica(
-                address, cluster.network, shard, index, addrs,
-                topology.fc_address,
-                cluster.stores[shard][index], cluster.registry,
-                owns=cluster.partitioner.owns_fn(shard),
-                config=eris_config,
-            )
-            replica.msg_service_time = config.server_service_time
-            replicas.append(replica)
-        cluster.replicas[shard] = replicas
-
-    cluster._build_client = eris_client_factory(
-        cluster.network, topology.shard_sizes,
-        config.client_retry_timeout)
-
-
-def eris_client_factory(runtime, shard_sizes: dict[int, int],
-                        retry_timeout: float) -> Callable[[str],
-                                                          SystemClient]:
-    """address -> :class:`SystemClient` over an Eris deployment.
-
-    Shared by the single-process builder and the multi-process driver
-    (which hosts the clients in its own process): the submit closure —
-    independent txns straight to the client, general txns through the
-    :class:`GeneralTransactionManager` — is identical either way.
-    """
+    for shard, addrs in topology.shard_addrs.items():
+        runtime.groups.define(shard, addrs)
+    shard_sizes = topology.shard_sizes
+    retry_timeout = config.client_retry_timeout
 
     def build_client(address: str) -> SystemClient:
         node = ErisClient(address, runtime, shard_sizes,
@@ -359,11 +318,8 @@ def eris_client_factory(runtime, shard_sizes: dict[int, int],
 
         return SystemClient(submit, node)
 
-    return build_client
-
-
-def _build_eris_oum(cluster: Cluster) -> None:
-    _build_eris(cluster, oum=True)
+    cluster._build_client = build_client
+    return topology
 
 
 def _build_lockstore(cluster: Cluster) -> None:
@@ -474,7 +430,7 @@ def _build_ntur(cluster: Cluster) -> None:
 
 _BUILDERS = {
     "eris": _build_eris,
-    "eris-oum": _build_eris_oum,
+    "eris-oum": _build_eris,
     "lockstore": _build_lockstore,
     "tapir": _build_tapir,
     "granola": _build_granola,

@@ -19,7 +19,7 @@ checkers run **unmodified** on merged multi-process state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.log import LogEntry
 from repro.runtime.codec import register_messages
@@ -116,10 +116,12 @@ class SnapshotReplica:
 
 class SnapshotCluster:
     """The merged view ``run_all_checks`` consumes: per-shard replica
-    lists (in replica-index order) plus an optional merged trace."""
+    lists, in replica-index order. The merged trace is passed to the
+    checkers separately."""
 
-    def __init__(self, snapshots: list[ReplicaSnapshot],
-                 tracer: Optional[Any] = None):
+    tracer = None
+
+    def __init__(self, snapshots: list[ReplicaSnapshot]):
         by_shard: dict[int, list[SnapshotReplica]] = {}
         for snap in snapshots:
             by_shard.setdefault(snap.shard, []).append(
@@ -128,4 +130,3 @@ class SnapshotCluster:
             shard: sorted(replicas, key=lambda r: r.replica_index)
             for shard, replicas in sorted(by_shard.items())
         }
-        self.tracer = tracer

@@ -300,8 +300,8 @@ class ChainSequencerNode(MultiSequencer):
                 cause=trace_id if trace_id is not None else -1,
                 epoch=epoch, version=self.version,
                 stamps=[[gid, seq] for gid, seq in stamps])
-        network = self.network
-        network.fan_out(released, network.groups.members_of(groups))
+        runtime = self.runtime
+        runtime.fan_out(released, runtime.groups.members_of(groups))
 
     # -- observability -----------------------------------------------------
     def instrument(self, registry) -> None:

@@ -136,10 +136,10 @@ class SDNController(Node):
         """Install the initial route and begin health checking."""
         if self._chain_active:
             self._install_chain(self.chain, counters={})
-            self.network.install_sequencer_route(self.chain[0])
+            self.runtime.install_sequencer_route(self.chain[0])
         else:
             self._install_epoch_at(self.active_address, self.current_epoch)
-            self.network.install_sequencer_route(self.active_address)
+            self.runtime.install_sequencer_route(self.active_address)
         self._ping_timer.start()
 
     def stop(self) -> None:
@@ -152,14 +152,14 @@ class SDNController(Node):
         return self.sequencers[self.active_index]
 
     def _active_sequencer(self) -> MultiSequencer:
-        return self.network.endpoint(self.active_address)
+        return self.runtime.endpoint(self.active_address)
 
     def _install_epoch_at(self, address: Address, epoch: int) -> None:
         """Install an epoch into a sequencer: directly when it lives in
         this process (the simulator and the single-process UDP runtime
         — behaviour unchanged), over the wire when it is remote."""
-        if self.network.has_endpoint(address):
-            self.network.endpoint(address).install_epoch(epoch)
+        if self.runtime.has_endpoint(address):
+            self.runtime.endpoint(address).install_epoch(epoch)
         else:
             self.send(address, EpochInstall(epoch))
 
@@ -214,7 +214,7 @@ class SDNController(Node):
         self._failing_over = True
         self._awaiting = None
         self._missed = 0
-        self.network.install_sequencer_route(None)
+        self.runtime.install_sequencer_route(None)
         next_index = (self.active_index + 1) % len(self.sequencers)
         self.call_later(self.config.reroute_delay,
                            self._complete_failover, next_index)
@@ -223,7 +223,7 @@ class SDNController(Node):
         self.active_index = next_index
         self.current_epoch += 1
         self._install_epoch_at(self.active_address, self.current_epoch)
-        self.network.install_sequencer_route(self.active_address)
+        self.runtime.install_sequencer_route(self.active_address)
         self.failovers += 1
         self._failing_over = False
 
@@ -259,8 +259,8 @@ class SDNController(Node):
                                members=tuple(members),
                                counters=dict(counters))
         for member in members:
-            if self.network.has_endpoint(member):
-                self.network.endpoint(member).apply_install(install)
+            if self.runtime.has_endpoint(member):
+                self.runtime.endpoint(member).apply_install(install)
             else:
                 self.send(member, install)
         self._reset_chain_pings()
@@ -278,7 +278,7 @@ class SDNController(Node):
                 self._repair_dead.append(member)
         survivors = [m for m in self.chain if m not in self._repair_dead]
         self._reset_chain_pings()
-        self.network.install_sequencer_route(None)
+        self.runtime.install_sequencer_route(None)
         if not survivors:
             # Whole chain lost: counters are gone; fall back to the
             # paper's epoch-change failover onto a plain standby.
@@ -372,7 +372,7 @@ class SDNController(Node):
             return
         self.chain = list(self._repair_survivors)
         self._reset_chain_pings()
-        self.network.install_sequencer_route(self.chain[0])
+        self.runtime.install_sequencer_route(self.chain[0])
         self.chain_repairs += 1
         self._repair_dead = []
         self._repairing = False

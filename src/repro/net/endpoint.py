@@ -43,13 +43,6 @@ class Node:
     def __init__(self, address: Address, runtime: Runtime):
         self.address = address
         self.runtime = runtime
-        #: Historical alias — the simulator's fabric *is* the runtime,
-        #: and a large body of callers (and tests) reach it as
-        #: ``node.network``.
-        self.network = runtime
-        #: Simulator-only escape hatch for tests; real transports have
-        #: no event loop to expose.
-        self.loop = getattr(runtime, "loop", None)
         self._busy_until = 0.0
         self._inbox: deque[Packet] = deque()
         self._drain_pending = False

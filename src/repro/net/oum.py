@@ -46,4 +46,4 @@ class OUMSequencer(MultiSequencer):
 
     def _emit(self, stamped: Packet) -> None:
         # Total global sequencing: every server receives every message.
-        self.network.fan_out(stamped, self.network.groups.all_members())
+        self.runtime.fan_out(stamped, self.runtime.groups.all_members())

@@ -164,7 +164,7 @@ class MultiSequencer(Node):
                 self.handle(packet.src, packet.payload, packet)
             elif packet.dst is not None:
                 # Not groupcast traffic; a real switch just forwards.
-                self.network.send(packet)
+                self.runtime.send(packet)
             return
         self._process_groupcast(packet)
 
@@ -195,9 +195,9 @@ class MultiSequencer(Node):
     def _emit(self, stamped: Packet) -> None:
         """Release a stamped packet to its destination groups: one
         fan-out, so a real transport encodes the shared body once."""
-        network = self.network
-        network.fan_out(stamped,
-                        network.groups.members_of(stamped.groupcast.groups))
+        runtime = self.runtime
+        runtime.fan_out(stamped,
+                        runtime.groups.members_of(stamped.groupcast.groups))
 
     def stamp(self, packet: Packet) -> Packet:
         """Atomically assign one sequence number per destination group."""
@@ -282,7 +282,7 @@ class MultiSequencer(Node):
         if not reports:
             return False
         epoch = self.epoch
-        for addr in self.network.groups.members(group):
+        for addr in self.runtime.groups.members(group):
             report = reports.get(addr)
             if report is None:
                 return False
@@ -349,7 +349,7 @@ class MultiSequencer(Node):
         if not self._clean(group, txn.read_keys):
             self.fast_read_misses += 1
             return False
-        members = tuple(self.network.groups.members(group))
+        members = tuple(self.runtime.groups.members(group))
         cursor = self._fast_rr.get(group, 0)
         self._fast_rr[group] = cursor + 1
         target = members[cursor % len(members)]

@@ -967,3 +967,8 @@ def _ensure_registry() -> None:
         tapir.TSlowConfirmAck,
         tapir.TFinalize,
     ])
+    # The per-node control plane and replica snapshots register on
+    # import. Load them here too, so every process interns the same
+    # type table whatever else it happened to import.
+    from repro.harness import snapshot  # noqa: F401
+    from repro.runtime import launcher, udp_mp  # noqa: F401

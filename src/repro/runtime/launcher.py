@@ -108,9 +108,9 @@ class ClusterStop:
 
 @dataclass(frozen=True)
 class StopAck:
+    """Worker -> launcher: shards exported, exiting."""
+
     rank: int
-    trace_events: int = 0
-    metrics_samples: int = 0
 
 
 register_messages([WorkerHello, ClusterStart, StartAck, StateRequest,
@@ -322,9 +322,8 @@ class ClusterLauncher:
         return replies
 
     # -- shutdown ----------------------------------------------------------
-    async def shutdown(self, timeout: float = 15.0) -> list[StopAck]:
+    async def shutdown(self, timeout: float = 15.0) -> None:
         """Graceful stop: workers export their shards, ack, and exit 0."""
-        acks = []
         for worker in self.workers.values():
             if worker.writer is None:
                 continue
@@ -335,10 +334,7 @@ class ClusterLauncher:
             if worker.reader is None:
                 continue
             try:
-                ack = await asyncio.wait_for(read_frame(worker.reader),
-                                             timeout)
-                if isinstance(ack, StopAck):
-                    acks.append(ack)
+                await asyncio.wait_for(read_frame(worker.reader), timeout)
             except (asyncio.IncompleteReadError, asyncio.TimeoutError,
                     CodecError, OSError):
                 pass
@@ -351,7 +347,6 @@ class ClusterLauncher:
                 worker.proc.kill()
                 worker.proc.wait()
         self._close_server()
-        return acks
 
     def emergency_teardown(self) -> None:
         """Non-graceful teardown after a failure: SIGTERM everyone (so

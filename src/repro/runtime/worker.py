@@ -34,7 +34,6 @@ from typing import Any, Optional, Sequence
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.sampler import MetricsSampler
 from repro.obs.trace import CAUSE_ID_STRIDE, Tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.launcher import (
     ClusterStart,
     ClusterStop,
@@ -76,18 +75,13 @@ class Worker:
     """One role's runtime, protocol objects, and control client."""
 
     def __init__(self, role: str, rank: int, spec: dict):
-        from repro.harness.topology import (
-            build_worker_role,
-            define_groups,
-            eris_topology,
+        from repro.harness.cluster import Cluster, wire_eris
+        from repro.harness.topology import build_role, replica_config
+        from repro.harness.udp_smoke import (
+            smoke_cluster_config,
+            smoke_registry,
         )
-        from repro.harness.udp_smoke import smoke_cluster_config
-        from repro.store import ProcedureRegistry
-        from repro.workloads import (
-            Partitioner,
-            register_counters_procedures,
-            register_ycsb_procedures,
-        )
+        from repro.workloads.partition import Partitioner, load_keys
 
         self.role = role
         self.rank = rank
@@ -106,33 +100,17 @@ class Worker:
         self.tracer = self.runtime.attach_tracer(Tracer(
             recorder=self.recorder, retain=bool(spec.get("trace")),
             cause_base=rank * CAUSE_ID_STRIDE))
-        registry = ProcedureRegistry()
-        register_ycsb_procedures(registry)
-        # Counters procedures ride along unconditionally: workers don't
-        # know which workload the driver generates, and an unused
-        # registration costs nothing.
-        register_counters_procedures(registry)
         partitioner = Partitioner(spec["shards"])
-        topology = eris_topology(config)
-        define_groups(self.runtime, topology)
-        self.built = build_worker_role(role, config, topology,
-                                       self.runtime, registry,
-                                       partitioner, spec["keys"])
-        self.metrics: Optional[MetricsRegistry] = None
+        self.cluster = Cluster(config, smoke_registry(), partitioner,
+                               runtime=self.runtime)
+        build_role(self.cluster, role, wire_eris(self.cluster),
+                   replica_config(config))
+        load_keys(self.cluster.stores, partitioner, spec["keys"])
         self.sampler: Optional[MetricsSampler] = None
         if spec.get("metrics"):
-            self.metrics = MetricsRegistry()
-            self.runtime.instrument(self.metrics)
-            for sequencer in self.built["sequencers"]:
-                sequencer.instrument(self.metrics)
-            if self.built["fc"] is not None:
-                self.built["fc"].instrument(self.metrics)
-            for replica in self.built["replicas"]:
-                instrument = getattr(replica, "instrument", None)
-                if instrument is not None:
-                    instrument(self.metrics)
+            self.cluster.instrument_metrics()
             self.sampler = MetricsSampler(
-                self.runtime, self.metrics,
+                self.runtime, self.cluster.metrics,
                 interval=spec.get("metrics_interval", 0.05))
 
     # -- shard paths -------------------------------------------------------
@@ -149,42 +127,25 @@ class Worker:
         return path
 
     # -- state -------------------------------------------------------------
-    def _counters(self) -> tuple[tuple[str, int], ...]:
-        rt = self.runtime
-        return (
-            ("packets_sent", rt.packets_sent),
-            ("packets_delivered", rt.packets_delivered),
-            ("packets_dropped", rt.packets_dropped),
-            ("fanout_copies", rt.fanout_copies),
-            ("frames_sent", rt.frames_sent),
-            ("datagrams_sent", rt.datagrams_sent),
-            ("recv_wakeups", rt.recv_wakeups),
-            ("recv_datagrams", rt.recv_datagrams),
-            ("decode_errors", rt.decode_errors),
-            ("send_errors", rt.send_errors),
-            ("socket_errors", rt.socket_errors),
-        )
-
     def state_reply(self) -> StateReply:
         from repro.harness.snapshot import snapshot_replica
+        from repro.harness.udp_smoke import SMOKE_COUNTERS
 
         return StateReply(
             rank=self.rank, role=self.role,
             snapshots=tuple(snapshot_replica(r)
-                            for r in self.built["replicas"]),
-            counters=self._counters())
+                            for replicas in self.cluster.replicas.values()
+                            for r in replicas),
+            counters=tuple((name, getattr(self.runtime, name))
+                           for name in SMOKE_COUNTERS))
 
     def export_shards(self) -> StopAck:
-        trace_events = 0
-        metrics_samples = 0
         if self.spec.get("trace"):
-            trace_events = self.tracer.export(self._shard_path("trace"))
+            self.tracer.export(self._shard_path("trace"))
         if self.sampler is not None:
             self.sampler.stop()
-            metrics_samples = self.sampler.export(
-                self._shard_path("metrics"))
-        return StopAck(rank=self.rank, trace_events=trace_events,
-                       metrics_samples=metrics_samples)
+            self.sampler.export(self._shard_path("metrics"))
+        return StopAck(rank=self.rank)
 
     # -- the control-plane session ----------------------------------------
     async def serve(self, host: str, port: int) -> int:
@@ -199,8 +160,8 @@ class Worker:
             raise RuntimeError(f"expected ClusterStart, got {start!r}")
         self.runtime.install_port_map(start.host, dict(start.port_map))
         self.runtime.start()
-        if self.built["controller"] is not None:
-            self.built["controller"].start()
+        if self.cluster.controller is not None:
+            self.cluster.controller.start()
         if self.sampler is not None:
             self.sampler.start()
         write_frame(writer, StartAck(rank=self.rank))

@@ -7,8 +7,8 @@ point reads, and occasional read-modify-write resets, in the spirit of
 the "coordination-free" aggregate workloads used to evaluate
 Harmonia-style fast paths.
 
-Key space layout (chosen so the multi-process launcher's per-shard
-loader works unchanged):
+Key space layout (chosen so the YCSB key loader,
+:func:`~repro.workloads.partition.load_keys`, works unchanged):
 
 - **counter keys** are the integers ``0 .. n_keys-1``, loaded with 0;
 - **tag-set keys** are ``n_keys .. 2*n_keys-1`` (counter key +
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from repro.baselines.common import WorkloadOp
 from repro.errors import ConfigurationError
 from repro.sim.randomness import SplitRandom
-from repro.store.kv import KVStore, MISSING
+from repro.store.kv import MISSING
 from repro.store.procedures import OpClass, ProcedureRegistry, TxnContext
-from repro.workloads.partition import Partitioner
+from repro.workloads.partition import Partitioner, load_keys
 from repro.workloads.zipf import ZipfGenerator
 
 
@@ -105,15 +105,10 @@ def register_counters_procedures(registry: ProcedureRegistry) -> None:
     registry.register("counter_reset", counter_reset)
 
 
-def load_counters(stores: dict[int, list[KVStore]],
-                  partitioner: Partitioner, n_keys: int) -> None:
-    """Populate every replica store with its shard's counter keys
-    (value 0). Tag-set keys are intentionally absent: the procedures
-    treat MISSING as the empty set."""
-    for key in range(n_keys):
-        shard = partitioner.shard_of(key)
-        for store in stores[shard]:
-            store.put(key, 0)
+#: Populate every replica store with its shard's counter keys (value
+#: 0). Tag-set keys are intentionally absent: the procedures treat
+#: MISSING as the empty set.
+load_counters = load_keys
 
 
 # -- the generator ------------------------------------------------------

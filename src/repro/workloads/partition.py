@@ -51,3 +51,13 @@ class Partitioner:
         add participants on their own)."""
         shards = {self.shard_of(k) for k in keys if not self._replicated(k)}
         return tuple(sorted(shards))
+
+
+def load_keys(stores: dict, partitioner: Partitioner, n_keys: int) -> None:
+    """Put 0 at every key of ``range(n_keys)`` in each store of the
+    key's shard (``stores``: shard -> replica stores). Shards missing
+    from ``stores`` are skipped, so a per-node worker loads only the
+    one store it holds."""
+    for key in range(n_keys):
+        for store in stores.get(partitioner.shard_of(key), ()):
+            store.put(key, 0)

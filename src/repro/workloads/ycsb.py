@@ -25,9 +25,9 @@ from typing import Optional
 from repro.baselines.common import WorkloadOp
 from repro.errors import ConfigurationError
 from repro.sim.randomness import SplitRandom
-from repro.store.kv import KVStore, MISSING
+from repro.store.kv import MISSING
 from repro.store.procedures import ProcedureRegistry, TxnContext
-from repro.workloads.partition import Partitioner
+from repro.workloads.partition import Partitioner, load_keys
 from repro.workloads.zipf import ZipfGenerator
 
 
@@ -66,13 +66,8 @@ def register_ycsb_procedures(registry: ProcedureRegistry) -> None:
     registry.register("ycsb_rmw", ycsb_rmw)
 
 
-def load_ycsb(stores: dict[int, list[KVStore]], partitioner: Partitioner,
-              n_keys: int) -> None:
-    """Populate every replica store with its shard's keys (value 0)."""
-    for key in range(n_keys):
-        shard = partitioner.shard_of(key)
-        for store in stores[shard]:
-            store.put(key, 0)
+#: Populate every replica store with its shard's keys (value 0).
+load_ycsb = load_keys
 
 
 # -- the generator ------------------------------------------------------

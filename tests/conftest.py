@@ -68,6 +68,30 @@ def drive(cluster, duration: float) -> None:
     cluster.loop.run(until=cluster.loop.now + duration)
 
 
+def run_traced_udp_smoke(tmp_path, processes: str, **kwargs):
+    """The end-to-end smoke body every process layout must pass: a
+    short traced closed-loop run commits, the state- and trace-backed
+    §6.7 checkers pass, and the exported trace is the one counted."""
+    from repro.harness.udp_smoke import run_udp_smoke
+    from repro.obs import load_trace
+
+    trace = str(tmp_path / "trace.jsonl")
+    result = run_udp_smoke(processes=processes, n_clients=3,
+                           min_commits=15, n_keys=120, timeout=60.0,
+                           trace_path=trace,
+                           recorder_path=str(tmp_path / "rec.jsonl"),
+                           **kwargs)
+    assert result.committed >= 15
+    assert result.checks_passed
+    assert result.packets_delivered > 0
+    # One datagram carries one frame.
+    assert result.frames_sent == result.datagrams_sent > 0
+    assert result.trace_path == trace
+    events = load_trace(trace)
+    assert result.trace_events == len(events) > 0
+    return result, events
+
+
 # -- wire carriages ---------------------------------------------------------
 
 class Carriage(NamedTuple):

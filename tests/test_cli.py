@@ -255,6 +255,29 @@ def test_udpsmoke_rejects_per_node_flags_in_single_mode(argv, capsys):
     assert "--run-dir" in capsys.readouterr().err
 
 
+def test_per_node_udpsmoke_writes_to_the_flag_paths(tmp_path, capsys):
+    """``--trace`` and ``--metrics-out`` name files in both process
+    layouts. Per-node, the merged trace and the driver's metrics series
+    land at the given paths (the flags used to act as switches and the
+    paths were ignored), next to the per-worker shards in the run
+    directory."""
+    trace = tmp_path / "merged.jsonl"
+    metrics = tmp_path / "driver-metrics.jsonl"
+    run_dir = tmp_path / "run"
+    code = main(["udpsmoke", "--processes", "per-node",
+                 "--run-dir", str(run_dir), "--clients", "2",
+                 "--min-commits", "10", "--keys", "120", "--timeout", "60",
+                 "--trace", str(trace), "--metrics-out", str(metrics),
+                 "--recorder", str(tmp_path / "rec.jsonl")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"-> {trace}" in out and f"-> {metrics}" in out
+    assert main(["trace", str(trace), "--check"]) == 0
+    assert main(["stats", str(metrics)]) == 0
+    assert (run_dir / "trace-1.jsonl").exists()
+    assert (run_dir / "metrics-1.jsonl").exists()
+
+
 def test_udpsmoke_rejects_removed_batch_flag(capsys):
     """Flags of deleted knobs are usage errors, not silently ignored."""
     for argv in (["--batch", "8"], ["--timer-slack", "0.001"]):

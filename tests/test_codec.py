@@ -176,6 +176,28 @@ def test_registry_covers_the_whole_protocol_surface():
     assert len(names) >= 50
 
 
+def test_type_table_does_not_depend_on_what_a_process_imported():
+    """Type ids are indexes into the sorted registry, so a per-node
+    driver and its workers agree only if they register the same set. A
+    process that imports nothing but the codec must derive the table
+    this process (which imported the whole harness) derives."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.runtime.codec import wire_type_table; "
+         "print(','.join(wire_type_table()))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True, timeout=60).stdout.strip()
+    assert out.split(",") == list(wire_type_table())
+    assert "WorkerHello" in out and "ReplicaSnapshot" in out
+
+
 # -- hand-built nesting cases ---------------------------------------------
 
 @CARRIAGES

@@ -121,9 +121,9 @@ def test_retry_timer_retransmits_until_exhausted():
     client.max_retries = 3
     outcomes = []
     client.submit("p", {}, (0,), outcomes.append)
-    sent_before = client.network.packets_sent
+    sent_before = client.runtime.packets_sent
     loop.run(until=0.1)
-    assert client.network.packets_sent > sent_before   # retransmissions
+    assert client.runtime.packets_sent > sent_before   # retransmissions
     assert outcomes and not outcomes[0].committed      # gave up
     assert outcomes[0].retries == 4
     assert client.inflight == 0
@@ -206,7 +206,7 @@ def test_recon_waiters_for_same_replica_and_key_coalesce():
     got = []
     client.recon("r0", "k", lambda key, value: got.append(1))
     client.recon("r0", "k", lambda key, value: got.append(2))
-    assert client.network.packets_sent == 1  # one outstanding read
+    assert client.runtime.packets_sent == 1  # one outstanding read
     client.on_ReconReply("r0", ReconReply(key="k", value="v"), None)
     assert got == [1, 2]
 
@@ -217,17 +217,17 @@ def test_recon_retransmits_after_dropped_reply():
     loop, client = build_client()
     got = []
     client.recon("r0", 7, lambda key, value: got.append((key, value)))
-    sent_before = client.network.packets_sent
+    sent_before = client.runtime.packets_sent
     loop.run(until=3 * client.retry_timeout)
-    assert client.network.packets_sent > sent_before  # retransmissions
+    assert client.runtime.packets_sent > sent_before  # retransmissions
     assert got == []                                  # still waiting
     from repro.core.messages import ReconReply
     client.on_ReconReply("r0", ReconReply(key=7, value="late"), None)
     assert got == [(7, "late")]
     # Timer is stopped: no further retransmissions accumulate.
-    sent_after = client.network.packets_sent
+    sent_after = client.runtime.packets_sent
     loop.run(until=loop.now + 10 * client.retry_timeout)
-    assert client.network.packets_sent == sent_after
+    assert client.runtime.packets_sent == sent_after
 
 
 def test_recon_gives_up_with_none_after_max_retries():

@@ -49,6 +49,51 @@ def test_cluster_builds_all_systems():
                    for reps in cluster.replicas.values())
 
 
+def test_build_cluster_leaves_the_callers_eris_config_alone():
+    """Regression: the builder wrote ``execution_cost`` (and the OUM and
+    fast-path flags) into the caller's ``ErisConfig``, which the first
+    cluster's live replicas still shared, so building a second cluster
+    from it re-priced the first one's execution."""
+    import dataclasses
+
+    from repro.core.replica import ErisConfig
+
+    eris = ErisConfig()
+    before = dataclasses.asdict(eris)
+    first = make_ycsb_cluster(execution_cost=1e-6, eris=eris)
+    second = make_ycsb_cluster(system="eris-oum", execution_cost=9e-6,
+                               eris=eris)
+    assert dataclasses.asdict(eris) == before
+    for cluster, cost, oum in ((first, 1e-6, False), (second, 9e-6, True)):
+        for replicas in cluster.replicas.values():
+            for replica in replicas:
+                assert replica.config.execution_cost == cost
+                assert replica.config.oum_mode is oum
+
+
+def test_eris_roles_are_built_in_topology_order():
+    """The in-process build is one loop over ``topology_roles``; the
+    OUM ablation has no controller role and routes straight to seq0."""
+    from repro.harness.topology import eris_topology, topology_roles
+
+    chained = make_ycsb_cluster(sequencer_chain=2)
+    roles = topology_roles(eris_topology(chained.config))
+    assert roles[:5] == ["chain:0", "chain:1", "seq:0", "seq:1", "fc"]
+    assert roles[5] == "controller" and roles[6] == "replica:0:0"
+    assert [s.address for s in chained.sequencers] == [
+        "chain0", "chain1", "seq0", "seq1"]
+    assert chained.controller.chain == ["chain0", "chain1"]
+    oum = make_ycsb_cluster(system="eris-oum")
+    assert "controller" not in topology_roles(eris_topology(oum.config))
+    assert oum.controller is None
+    assert oum.runtime.sequencer_address == "seq0"
+    for cluster in (chained, oum):
+        assert [[r.address for r in cluster.replicas[shard]]
+                for shard in (0, 1)] == [
+            [f"eris-r{shard}.{i}" for i in range(3)] for shard in (0, 1)]
+        assert cluster.stores[0] == [r.store for r in cluster.replicas[0]]
+
+
 def test_run_experiment_produces_sane_result():
     cluster = make_ycsb_cluster(n_keys=500)
     workload = YCSBWorkload(YCSBConfig(workload="srw", n_keys=500),

@@ -81,7 +81,7 @@ class _Slow(Node):
         self.seen = []
 
     def handle(self, src, message, packet):
-        self.seen.append((message, self.loop.now))
+        self.seen.append((message, self.now))
 
 
 def test_endpoint_inbox_is_fifo_under_load():

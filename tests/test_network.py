@@ -15,7 +15,7 @@ class Recorder(Node):
         self.received = []
 
     def handle(self, src, message, packet):
-        self.received.append((src, message, self.loop.now))
+        self.received.append((src, message, self.now))
 
 
 def make_net(**kwargs):

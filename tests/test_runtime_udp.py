@@ -17,6 +17,8 @@ from repro.errors import NetworkError
 from repro.net.endpoint import Node
 from repro.runtime.asyncio_udp import AsyncioUdpRuntime
 
+from conftest import run_traced_udp_smoke
+
 
 # -- runtime primitives over real sockets ---------------------------------
 
@@ -270,18 +272,12 @@ def test_runtime_rejects_bad_wire_and_batch_knobs():
 
 # -- the full Eris stack over UDP -----------------------------------------
 
-def test_eris_end_to_end_over_udp_loopback():
+def test_eris_end_to_end_over_udp_loopback(tmp_path):
     """2 shards x 3 replicas + sequencer + controller + FC on real
-    loopback sockets; a short closed-loop YCSB run must commit and the
-    §6.7 invariant checkers must pass. Mirrors the CI smoke job at
-    test-suite scale."""
-    from repro.harness.udp_smoke import run_udp_smoke
-
-    result = run_udp_smoke(n_shards=2, n_replicas=3, n_clients=3,
-                           min_commits=25, timeout=30.0,
-                           workload="mrmw", distributed_fraction=0.5)
-    assert result.committed >= 25
-    assert result.checks_passed
-    assert result.packets_delivered > 0
-    # One datagram carries one frame.
-    assert result.frames_sent == result.datagrams_sent > 0
+    loopback sockets in one process; a short closed-loop YCSB run must
+    commit and the §6.7 invariant checkers must pass. Mirrors the CI
+    smoke job at test-suite scale."""
+    result, _ = run_traced_udp_smoke(tmp_path, "single",
+                                     workload="mrmw",
+                                     distributed_fraction=0.5)
+    assert result.processes == 1

@@ -24,6 +24,7 @@ from repro.harness.topology import (
     role_addresses,
     topology_roles,
 )
+from repro.harness.udp_smoke import run_udp_smoke
 from repro.obs import CAUSE_ID_STRIDE, Tracer, load_trace
 from repro.obs.trace import merge_trace_shards
 from repro.runtime.codec import decode_datagram, encode_message, decode_message
@@ -33,7 +34,7 @@ from repro.runtime.udp_mp import (
     control_address,
 )
 
-from conftest import make_ycsb_cluster
+from conftest import make_ycsb_cluster, run_traced_udp_smoke
 
 
 # -- topology / role derivation --------------------------------------------
@@ -315,63 +316,62 @@ def test_launcher_messages_round_trip_through_codec():
 # -- end-to-end multi-process runs -----------------------------------------
 
 def test_mp_smoke_end_to_end(tmp_path):
-    """The full stack across real OS processes: ≥8 processes, the
+    """The full stack across real OS processes, on the coordination-free
+    counters workload with the read fast path on: ≥8 processes, the
     merged-state §6.7 checkers, and collision-free merged tracing."""
-    from repro.harness.mp_smoke import run_udp_smoke_mp
-
-    result = run_udp_smoke_mp(min_commits=15, n_clients=3, n_keys=120,
-                              timeout=60.0, trace=True,
-                              run_dir=str(tmp_path / "run"))
+    run_dir = tmp_path / "run"
+    result, events = run_traced_udp_smoke(
+        tmp_path, "per-node", run_dir=str(run_dir),
+        workload="counters", fast_path=True)
     assert result.processes >= 8
-    assert result.committed >= 15
-    assert result.checks_passed
-    assert result.trace_events > 0
-    events = load_trace(result.trace_path)
+    assert result.run_dir == str(run_dir)
     # Events from the driver shard and at least one worker shard made
     # it into the merge (cause ids above the stride ⇒ worker-assigned).
     causes = [e.get("cause") for e in events if e.get("cause")]
     assert any(c >= CAUSE_ID_STRIDE for c in causes)
     assert any(0 < c < CAUSE_ID_STRIDE for c in causes)
+    assert (run_dir / "trace-1.jsonl").exists()
 
 
 def test_mp_launcher_detects_killed_worker(tmp_path):
     """Supervision: a worker dying mid-run tears the cluster down and
     raises an error naming the dead worker's log (and its recorder
-    dump, which the SIGTERM handler writes on the way out)."""
-    from repro.harness.mp_smoke import run_udp_smoke_mp
-
+    dump, which the SIGTERM handler writes on the way out); the
+    driver's own recorder window lands at ``recorder_path``."""
     seen = {}
 
-    def kill_one(launcher):
+    def kill_one(host):
+        launcher = host.launcher
         worker = launcher.workers[1]
         seen["log"] = worker.log_path
         worker.proc.send_signal(signal.SIGTERM)
         seen["launcher"] = launcher
 
+    recorder = tmp_path / "driver-recorder.jsonl"
     with pytest.raises(ExperimentError) as err:
-        run_udp_smoke_mp(min_commits=100000, n_clients=3, n_keys=120,
-                         timeout=60.0, run_dir=str(tmp_path / "run"),
-                         _mid_run=kill_one)
+        run_udp_smoke(processes="per-node", min_commits=100000,
+                      n_clients=3, n_keys=120, timeout=60.0,
+                      run_dir=str(tmp_path / "run"),
+                      recorder_path=str(recorder), _mid_run=kill_one)
     message = str(err.value)
     assert "exited with code" in message
     assert seen["log"] in message
     # Teardown is complete: no worker process left running.
     for worker in seen["launcher"].workers.values():
         assert worker.proc.poll() is not None
+    assert recorder.exists()
 
 
 def test_udp_smoke_sigint_drains_and_exports(tmp_path):
     """A SIGINT mid-run ends the single-process smoke gracefully: no
     exception, the interruption is noted, and the metrics series is
     still exported."""
-    from repro.harness.udp_smoke import run_udp_smoke
-
     timer = threading.Timer(0.8, os.kill, (os.getpid(), signal.SIGINT))
     timer.start()
     try:
         metrics_path = str(tmp_path / "metrics.jsonl")
-        result = run_udp_smoke(min_commits=10 ** 9, timeout=30.0,
-                               n_clients=2, n_keys=120,
+        result = run_udp_smoke(processes="single", min_commits=10 ** 9,
+                               timeout=30.0, n_clients=2, n_keys=120,
                                metrics_path=metrics_path,
                                recorder_path=str(tmp_path / "rec.jsonl"))
     finally:

@@ -192,3 +192,15 @@ def test_load_ycsb_places_keys_on_owners():
             assert store.get(key) == 0
         other = 1 - shard
         assert key not in stores[other][0]
+
+
+def test_one_key_loader_skips_shards_not_held():
+    """One loader for every workload and process layout: a per-node
+    worker passes only the one store it holds."""
+    from repro.workloads.counters import load_counters
+    from repro.workloads.partition import load_keys
+
+    assert load_ycsb is load_keys and load_counters is load_keys
+    store = KVStore()
+    load_keys({1: [store]}, Partitioner(2), 10)
+    assert store.snapshot() == {key: 0 for key in (1, 3, 5, 7, 9)}
