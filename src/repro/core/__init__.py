@@ -5,8 +5,9 @@ Layering follows Figure 3:
 - the network layer (:mod:`repro.net`) provides *ordering* via
   multi-sequenced groupcast;
 - the independent-transaction layer here adds *reliability* and
-  atomicity — :mod:`repro.core.replica` (normal case, drop recovery,
-  DL view changes, epoch changes, synchronization),
+  atomicity — :mod:`repro.core.replica` (the Figure 4 state plus one
+  module per §6 sub-protocol: normal case, drop recovery, DL view
+  change, epoch change, synchronization, and the fast-read service),
   :mod:`repro.core.fc` (the Failure Coordinator), and
   :mod:`repro.core.client`;
 - the general-transaction layer adds *isolation* for cross-shard

@@ -83,17 +83,13 @@ class ExecutionEngine:
         #: pipeline transactions whose executions complete out of
         #: order once general-transaction locks defer some of them.
         self.client_table: dict[str, dict[int, _ExecResult]] = {}
-        self.executed_entries = 0
         self.deferred_executions = 0
-        #: log index of the entry currently being fed (for bookkeeping)
-        self._current_index = 0
 
     # -- public API --------------------------------------------------------
     def feed(self, entry: LogEntry,
              on_done: Optional[DoneCallback] = None) -> None:
         """Process the next log entry. Must be called in log order."""
         done = on_done or (lambda committed, result: None)
-        self._current_index = entry.index
         if entry.is_noop:
             done(False, "no-op")
             return
@@ -116,7 +112,6 @@ class ExecutionEngine:
         self._queued_prelims.clear()
         self._waiting_conclusory.clear()
         self.client_table.clear()
-        self.executed_entries = 0
 
     def cached_reply(self, txn_id: TxnId) -> Optional[tuple[bool, Any]]:
         """The recorded outcome for a transaction already executed on
@@ -255,19 +250,34 @@ class ExecutionEngine:
         self._record_outcome(txn, result)
         done(result.committed, result.result)
 
-    def _execute(self, txn: IndependentTransaction) -> _ExecResult:
+    def execute_read_only(self, txn: IndependentTransaction
+                          ) -> Optional[tuple[bool, Any]]:
+        """Run a READ_ONLY transaction outside the log (the read fast
+        path): ``(committed, result)``, or None, with its writes rolled
+        back, when the procedure wrote after all."""
+        outcome = self._execute(txn, read_only=True)
+        if outcome is None:
+            return None
+        return outcome.committed, outcome.result
+
+    def _execute(self, txn: IndependentTransaction,
+                 read_only: bool = False) -> Optional[_ExecResult]:
         undo = UndoLog()
         ctx = TxnContext(self.store, shard=self.shard, owns=self._owns,
                          undo=undo)
         try:
-            result = self.registry.execute(txn.proc, ctx, txn.args)
+            outcome = _ExecResult(
+                committed=True,
+                result=self.registry.execute(txn.proc, ctx, txn.args))
         except TransactionAborted as abort:
             # Deterministic abort: every participant reaches the same
             # decision from the same arguments and replicated data.
             undo.rollback(self.store)
-            return _ExecResult(committed=False, result=abort.reason)
-        self.executed_entries += 1
-        return _ExecResult(committed=True, result=result)
+            outcome = _ExecResult(committed=False, result=abort.reason)
+        if read_only and ctx.write_set:
+            undo.rollback(self.store)
+            return None
+        return outcome
 
     def _record_outcome(self, txn: IndependentTransaction,
                         result: _ExecResult) -> None:

@@ -27,7 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.log import LogEntry
+from repro.core.log import (
+    LogEntry,
+    last_seq_of,
+    merge_logs,
+    stamp_hits,
+    stamped_slots,
+)
 from repro.core.messages import (
     EpochChangeReq,
     EpochState,
@@ -263,12 +269,9 @@ class FailureCoordinator(Node):
             for state in responses.values():
                 all_perm_drops.update(state.perm_drops)
                 for entry in state.log:
-                    if entry.kind != "txn":
-                        continue
-                    stamp = entry.record.multistamp
-                    for gid, seq in stamp.stamps:
-                        known.setdefault(SlotId(gid, stamp.epoch, seq),
-                                         entry.record)
+                    if entry.kind == "txn":
+                        for slot in stamped_slots(entry.record.multistamp):
+                            known.setdefault(slot, entry.record)
         all_perm_drops.update(self.dropped)
         for shard, addrs in self.shards.items():
             responses = change.responses.get(shard, {})
@@ -294,44 +297,21 @@ class FailureCoordinator(Node):
                       perm_drops: frozenset) -> list[LogEntry]:
         """Extend the longest log with transactions other shards know
         about, NO-OP the unrecoverable gaps, and apply drop decisions."""
-        out: list[LogEntry] = []
-        for entry in base:
-            if entry.kind == "txn" and self._entry_dropped(entry, perm_drops):
-                entry = entry.as_noop()
-            out.append(entry)
-        last_seq = 0
-        for entry in reversed(out):
-            if entry.slot.epoch == epoch:
-                last_seq = entry.slot.seq
-                break
-        target = last_seq
-        for slot in known:
-            if slot.shard == shard and slot.epoch == epoch:
-                target = max(target, slot.seq)
+        out = merge_logs([base], perm_drops)
+        last_seq = last_seq_of(out, epoch)
+        target = max([last_seq] + [slot.seq for slot in known
+                                   if slot.shard == shard
+                                   and slot.epoch == epoch])
         for seq in range(last_seq + 1, target + 1):
             slot = SlotId(shard, epoch, seq)
             record = known.get(slot)
-            if record is not None and slot not in perm_drops and \
-                    not self._record_dropped(record, perm_drops):
-                out.append(LogEntry(index=len(out) + 1, slot=slot,
-                                    kind="txn", record=record))
-            else:
-                out.append(LogEntry(index=len(out) + 1, slot=slot,
-                                    kind="noop", record=None))
-        return [LogEntry(index=i + 1, slot=e.slot, kind=e.kind,
-                         record=e.record) for i, e in enumerate(out)]
-
-    @staticmethod
-    def _entry_dropped(entry: LogEntry, perm_drops: frozenset) -> bool:
-        stamp = entry.record.multistamp
-        return any(SlotId(gid, stamp.epoch, seq) in perm_drops
-                   for gid, seq in stamp.stamps)
-
-    @staticmethod
-    def _record_dropped(record: TxnRecord, perm_drops: frozenset) -> bool:
-        stamp = record.multistamp
-        return any(SlotId(gid, stamp.epoch, seq) in perm_drops
-                   for gid, seq in stamp.stamps)
+            if record is not None and stamp_hits(record.multistamp,
+                                                 perm_drops):
+                record = None
+            out.append(LogEntry(index=len(out) + 1, slot=slot,
+                                kind="noop" if record is None else "txn",
+                                record=record))
+        return out
 
     def _retransmit_start_epoch(self, new_epoch: int) -> None:
         change = self._epoch_changes.get(new_epoch)

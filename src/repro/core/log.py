@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from repro.core.messages import TxnRecord
 from repro.core.transaction import SlotId
-from repro.net.message import GroupId
+from repro.net.message import GroupId, MultiStamp
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,9 +55,8 @@ class ErisLog:
     def _index(self, entry: LogEntry) -> None:
         self._slot_index[entry.slot] = entry
         if entry.record is not None:
-            stamp = entry.record.multistamp
-            for gid, seq in stamp.stamps:
-                self._stamp_index[SlotId(gid, stamp.epoch, seq)] = entry
+            for slot in stamped_slots(entry.record.multistamp):
+                self._stamp_index[slot] = entry
 
     def append_txn(self, slot: SlotId, record: TxnRecord) -> LogEntry:
         entry = LogEntry(index=len(self._entries) + 1, slot=slot,
@@ -122,10 +121,7 @@ class ErisLog:
 
     def last_seq(self, epoch: int) -> int:
         """Highest own-shard sequence number logged for ``epoch``."""
-        for entry in reversed(self._entries):
-            if entry.slot.epoch == epoch:
-                return entry.slot.seq
-        return 0
+        return last_seq_of(self._entries, epoch)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -149,19 +145,32 @@ def merge_logs(logs: list[tuple], perm_drops: frozenset) -> list[LogEntry]:
             longest = log
     merged: list[LogEntry] = []
     for i, entry in enumerate(longest):
-        if entry.kind == "txn" and _stamp_hits(entry, perm_drops):
+        if entry.kind == "txn" and stamp_hits(entry.record.multistamp,
+                                              perm_drops):
             entry = entry.as_noop()
         merged.append(LogEntry(index=i + 1, slot=entry.slot,
                                kind=entry.kind, record=entry.record))
     return merged
 
 
-def _stamp_hits(entry: LogEntry, slots: frozenset) -> bool:
-    """Does this entry's multi-stamp match any of ``slots``? Checked
-    against every (group, seq) pair because a drop decided for one
-    participant's slot drops the transaction everywhere."""
-    if entry.record is None:
-        return entry.slot in slots
-    stamp = entry.record.multistamp
-    return any(SlotId(gid, stamp.epoch, seq) in slots
-               for gid, seq in stamp.stamps)
+def stamped_slots(stamp: MultiStamp) -> list[SlotId]:
+    """Every slot a multi-stamp names: one (group, epoch, seq) per
+    participant group. A drop decided for any one of them drops the
+    transaction everywhere, and an entry logged under one of them
+    answers TXN-REQUESTs for all of them (§5.3)."""
+    epoch = stamp.epoch
+    return [SlotId(gid, epoch, seq) for gid, seq in stamp.stamps]
+
+
+def stamp_hits(stamp: MultiStamp, slots) -> bool:
+    """Does ``stamp`` name any slot in the set ``slots``?"""
+    return bool(slots) and not slots.isdisjoint(stamped_slots(stamp))
+
+
+def last_seq_of(entries, epoch: int) -> int:
+    """Highest own-shard sequence number among ``entries`` for
+    ``epoch`` (0 when there is none)."""
+    for entry in reversed(entries):
+        if entry.slot.epoch == epoch:
+            return entry.slot.seq
+    return 0

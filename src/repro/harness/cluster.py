@@ -265,7 +265,7 @@ def _build_eris(cluster: Cluster) -> None:
         build_role(cluster, role, topology, eris_config)
         if role == topology.controller_address:
             cluster.controller.start()
-    if topology.controller_address is None:
+    if cluster.config.system == "eris-oum":
         cluster.runtime.install_sequencer_route(topology.standby_addrs[0])
 
 

@@ -3,11 +3,11 @@
 In a single-process run, :func:`repro.harness.checkers.run_all_checks`
 reads replica objects directly. In a multi-process run the replicas
 live in other address spaces, so at end of run each worker serializes
-its replica into a :class:`ReplicaSnapshot` (a registered wire
-dataclass — the log entries inside are the *same* ``LogEntry`` /
-``TxnRecord`` dataclasses the protocol ships, so nothing is lossily
-re-encoded) and the launcher's state-collection RPC carries it back to
-the driver.
+its replica into a :class:`~repro.runtime.launcher.ReplicaSnapshot`
+(a registered wire dataclass — the log entries inside are the *same*
+``LogEntry`` / ``TxnRecord`` dataclasses the protocol ships, so nothing
+is lossily re-encoded) and the launcher's state-collection RPC carries
+it back to the driver.
 
 The driver then rehydrates each snapshot into a :class:`SnapshotReplica`
 — a duck-typed stand-in exposing exactly the surface the checkers read
@@ -18,34 +18,10 @@ checkers run **unmodified** on merged multi-process state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.log import LogEntry
-from repro.runtime.codec import register_messages
-
-
-@dataclass(frozen=True)
-class ReplicaSnapshot:
-    """One replica's checker-relevant end state, as wire data."""
-
-    address: str
-    shard: int
-    replica_index: int
-    view_num: int
-    is_dl: bool
-    crashed: bool
-    #: Number of log entries fed to the execution engine (the checkers
-    #: compare stores only for fully caught-up replicas).
-    fed: int
-    #: The full log, as the protocol's own LogEntry dataclasses.
-    entries: tuple[LogEntry, ...]
-    #: Store contents as (key, value) pairs sorted by key: a canonical,
-    #: hashable form of the store, as a frozen dataclass field needs.
-    store: tuple[tuple[Any, Any], ...]
-
-
-register_messages([ReplicaSnapshot])
+from repro.runtime.launcher import ReplicaSnapshot
 
 
 def snapshot_replica(replica) -> ReplicaSnapshot:

@@ -47,7 +47,8 @@ class ErisTopology:
     #: Multi-sequencers (primary + epoch-fallback standbys).
     standby_addrs: tuple[str, ...]
     fc_address: str = "fc"
-    #: None for the OUM ablation, which routes straight to ``seq0``.
+    #: None when the deployment has no controller role (the OUM
+    #: ablation, whose route goes straight to ``seq0``).
     controller_address: Optional[str] = "controller"
 
     @property
@@ -155,7 +156,7 @@ def build_role(cluster, role: str, topology: ErisTopology,
             read_fast_path=config.read_fast_path))
     elif kind == "seq":
         address = topology.standby_addrs[int(rest)]
-        if topology.controller_address is None:
+        if config.system == "eris-oum":
             # The OUM ablation's sequencer predates the fast-path knob,
             # and validate() keeps the knob off for it.
             sequencer = OUMSequencer(address, runtime, profile)

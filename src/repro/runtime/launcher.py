@@ -7,8 +7,8 @@ process. Coordination runs over a tiny TCP control plane — length-
 prefixed EWC2 frames from the same ``encode_message`` the data plane
 uses, so the control protocol gets the codec's validation for free.
 The launching process and every worker load the same message modules
-(this one, the snapshot and the worker runtime), so both ends derive
-the same interned type table.
+(this one and the worker runtime), so both ends derive the same
+interned type table.
 
 Bootstrap is a two-phase port-map exchange, because UDP ports are
 ephemeral (no static assignment could survive collisions across
@@ -21,7 +21,7 @@ processes):
    install it, bring their transport up, and ack.
 
 After the workload, :class:`StateRequest` collects per-replica
-:class:`~repro.harness.snapshot.ReplicaSnapshot` payloads (the
+:class:`ReplicaSnapshot` payloads (the
 state-collection RPC behind the distributed §6.7 checkers), and
 :class:`ClusterStop` asks workers to export their trace/metrics shards
 and exit cleanly. Supervision is poll-based: a worker that exits
@@ -41,8 +41,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.core.log import LogEntry
 from repro.errors import ExperimentError
-from repro.harness.snapshot import ReplicaSnapshot
 from repro.runtime.codec import (
     CodecError,
     decode_message,
@@ -93,6 +93,28 @@ class StateRequest:
 
 
 @dataclass(frozen=True)
+class ReplicaSnapshot:
+    """One replica's checker-relevant end state, as wire data
+    (:mod:`repro.harness.snapshot` turns it back into a replica the
+    §6.7 checkers read)."""
+
+    address: str
+    shard: int
+    replica_index: int
+    view_num: int
+    is_dl: bool
+    crashed: bool
+    #: Number of log entries fed to the execution engine (the checkers
+    #: compare stores only for fully caught-up replicas).
+    fed: int
+    #: The full log, as the protocol's own LogEntry dataclasses.
+    entries: tuple[LogEntry, ...]
+    #: Store contents as (key, value) pairs sorted by key: a canonical,
+    #: hashable form of the store, as a frozen dataclass field needs.
+    store: tuple[tuple[Any, Any], ...]
+
+
+@dataclass(frozen=True)
 class StateReply:
     rank: int
     role: str
@@ -114,7 +136,7 @@ class StopAck:
 
 
 register_messages([WorkerHello, ClusterStart, StartAck, StateRequest,
-                   StateReply, ClusterStop, StopAck])
+                   ReplicaSnapshot, StateReply, ClusterStop, StopAck])
 
 
 # -- framing ---------------------------------------------------------------

@@ -68,7 +68,8 @@ def drive(cluster, duration: float) -> None:
     cluster.loop.run(until=cluster.loop.now + duration)
 
 
-def run_traced_udp_smoke(tmp_path, processes: str, **kwargs):
+def run_traced_udp_smoke(tmp_path, processes: str, min_commits: int = 15,
+                         timeout: float = 60.0, **kwargs):
     """The end-to-end smoke body every process layout must pass: a
     short traced closed-loop run commits, the state- and trace-backed
     §6.7 checkers pass, and the exported trace is the one counted."""
@@ -77,11 +78,12 @@ def run_traced_udp_smoke(tmp_path, processes: str, **kwargs):
 
     trace = str(tmp_path / "trace.jsonl")
     result = run_udp_smoke(processes=processes, n_clients=3,
-                           min_commits=15, n_keys=120, timeout=60.0,
+                           min_commits=min_commits, n_keys=120,
+                           timeout=timeout,
                            trace_path=trace,
                            recorder_path=str(tmp_path / "rec.jsonl"),
                            **kwargs)
-    assert result.committed >= 15
+    assert result.committed >= min_commits
     assert result.checks_passed
     assert result.packets_delivered > 0
     # One datagram carries one frame.

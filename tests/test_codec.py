@@ -198,6 +198,27 @@ def test_type_table_does_not_depend_on_what_a_process_imported():
     assert "WorkerHello" in out and "ReplicaSnapshot" in out
 
 
+def test_codec_registry_loads_no_harness_module():
+    """The runtime sits below the harness: filling the codec's type
+    table in a fresh process imports no ``repro.harness`` module."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from repro.runtime import codec; "
+         "codec._ensure_registry(); "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith('repro.harness')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True, timeout=60).stdout.strip()
+    assert out == "[]"
+
+
 # -- hand-built nesting cases ---------------------------------------------
 
 @CARRIAGES

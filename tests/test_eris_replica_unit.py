@@ -279,3 +279,72 @@ def test_replica_ignores_foreign_shard_groupcast():
         payload=IndependentTxnRequest(txn),
         multistamp=MultiStamp(1, ((1, 1),))))   # shard 1 only
     assert len(replica.log) == 0
+
+
+def test_epoch_change_ends_a_view_change_in_progress():
+    """A view change interrupted by an epoch change must not finish
+    later from its stale merged log: after START-EPOCH, a new view
+    change holding only this replica's own VIEW-CHANGE stays open."""
+    from repro.core.log import LogEntry
+    from repro.core.messages import (StartEpoch, StartView, TxnDropped,
+                                     TxnFound, TxnRecord, TxnRequestMsg,
+                                     ViewChange)
+    from repro.core.transaction import IndependentTransaction, TxnId
+    from repro.net.message import MultiStamp
+
+    cluster = make_ycsb_cluster(n_shards=1)
+    r1, r2 = cluster.replicas[0][1], cluster.replicas[0][2]
+    slot = SlotId(0, 1, 1)
+    txn = IndependentTransaction(
+        txn_id=TxnId("c1", 1), proc="ycsb_write",
+        args={"key": 0, "value": "v"}, participants=(0,),
+        write_keys=frozenset([0]))
+    record = TxnRecord(txn=txn, multistamp=MultiStamp(1, ((0, 1),)))
+    sent = []
+    original_send = r1.send
+
+    def spy(dst, message):
+        sent.append(message)
+        return original_send(dst, message)
+
+    r1.send = spy
+    r1.on_TxnRequestMsg("fc", TxnRequestMsg(slot=slot), None)  # temp-drop
+    r1._on_dl_timeout()                # view 1, which r1 leads
+    r1.on_ViewChange(r2.address, ViewChange(
+        shard=0, new_view=1, epoch_num=1,
+        log=(LogEntry(index=1, slot=slot, kind="txn", record=record),),
+        temp_drops=frozenset(), perm_drops=frozenset(),
+        un_drops=frozenset(), sender=r2.address), None)
+    assert r1.status == "view-change"  # assembled; waits on the FC
+    r1.on_StartEpoch("fc", StartEpoch(shard=0, new_epoch=2, view_num=3,
+                                      log=()), None)
+    r1.on_TxnFound("fc", TxnFound(slot=slot, record=record), None)
+    r1._on_dl_timeout()                # view 4, which r1 leads again
+    assert (r1.view_num, r1.status) == (4, "view-change")
+    r1.on_TxnDropped("fc", TxnDropped(slot=SlotId(5, 1, 1)), None)
+    assert r1.status == "view-change"  # 1 of 3 VIEW-CHANGEs: no view
+    assert r1.log.last_index == 0
+    assert not any(isinstance(m, StartView) for m in sent)
+
+
+def test_five_replica_shard_recovers_from_a_dl_crash():
+    """With five replicas the new DL assembles its view at three
+    VIEW-CHANGEs, so a fourth live replica's always arrives late. The
+    DL answers it with START-VIEW instead of re-entering the view
+    change, and the shard commits again."""
+    cluster = make_ycsb_cluster(n_shards=1, n_replicas=5)
+    client = cluster.make_client()
+    for _ in range(3):
+        submit_and_wait(cluster, client, rmw_op([0], cluster.partitioner))
+    old = next(r for r in cluster.replicas[0] if r.is_dl)
+    old.crash()
+    drive(cluster, 0.2)
+    live = [r for r in cluster.replicas[0] if not r.crashed]
+    assert {(r.status, r.view_num) for r in live} == {("normal", 1)}
+    new = next(r for r in live if r.is_dl)
+    assert submit_and_wait(cluster, client,
+                           rmw_op([0], cluster.partitioner)).committed
+    drive(cluster, 0.01)
+    assert {(r.status, r.view_num) for r in live} == {("normal", 1)}
+    assert new.log.last_index == 4
+    assert new.store.get(0) == 4

@@ -277,7 +277,7 @@ def test_eris_end_to_end_over_udp_loopback(tmp_path):
     loopback sockets in one process; a short closed-loop YCSB run must
     commit and the §6.7 invariant checkers must pass. Mirrors the CI
     smoke job at test-suite scale."""
-    result, _ = run_traced_udp_smoke(tmp_path, "single",
-                                     workload="mrmw",
+    result, _ = run_traced_udp_smoke(tmp_path, "single", min_commits=25,
+                                     timeout=30.0, workload="mrmw",
                                      distributed_fraction=0.5)
     assert result.processes == 1
