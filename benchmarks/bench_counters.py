@@ -6,9 +6,10 @@ workload (see :mod:`repro.workloads.counters`): a fraction
 ``0.7 * alpha`` of operations are clean single-key reads and
 ``0.3 * alpha`` are commuting increments/tag unions; the remainder are
 read-modify-write resets. Every write takes the ordered path. Each
-point is measured twice on the simulator — once with
-``read_fast_path`` off (every operation fully ordered and replicated)
-and once with it on — and the speedup is their throughput ratio.
+point is measured twice on the simulator, on the same op stream — once
+with every op declared GENERIC (every operation fully ordered and
+replicated, so the sequencer never sees a read to start the fast path)
+and once as generated — and the speedup is their throughput ratio.
 
 Simulated throughput is deterministic and machine-independent, so the
 committed ``BENCH_counters.json`` pins exact values; ``--check``
@@ -26,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,7 +44,7 @@ from repro.harness.experiment import (                         # noqa: E402
     run_experiment,
 )
 from repro.sim.randomness import SplitRandom                   # noqa: E402
-from repro.store.procedures import ProcedureRegistry           # noqa: E402
+from repro.store.procedures import OpClass, ProcedureRegistry  # noqa: E402
 from repro.workloads import (                                  # noqa: E402
     CountersConfig,
     CountersWorkload,
@@ -81,11 +83,23 @@ DRAIN = 4e-3
 WATERMARK_INTERVAL = 0.25e-3
 
 
-def run_point(alpha: float, fast_path: bool) -> dict:
-    """One deterministic measurement: counters workload at ``alpha``."""
+class FullyOrdered:
+    """The wrapped workload's op stream with every op declared GENERIC:
+    the same mix, with no read eligible for the fast path."""
+
+    def __init__(self, workload):
+        self.workload = workload
+
+    def next_op(self):
+        return dataclasses.replace(self.workload.next_op(),
+                                   op_class=OpClass.GENERIC)
+
+
+def run_point(alpha: float, ordered: bool) -> dict:
+    """One deterministic measurement: counters workload at ``alpha``,
+    fully ordered or with reads declared READ_ONLY."""
     config = ClusterConfig(
         system="eris", n_shards=N_SHARDS, seed=SEED,
-        read_fast_path=fast_path,
         eris=ErisConfig(watermark_interval=WATERMARK_INTERVAL))
     registry = ProcedureRegistry()
     register_counters_procedures(registry)
@@ -99,6 +113,8 @@ def run_point(alpha: float, fast_path: bool) -> dict:
         loader=lambda stores, p: load_counters(stores, p, N_KEYS))
     workload = CountersWorkload(workload_config, partitioner,
                                 SplitRandom(SEED + 1))
+    if ordered:
+        workload = FullyOrdered(workload)
     result = run_experiment(cluster, workload, ExperimentConfig(
         n_clients=N_CLIENTS, warmup=WARMUP, duration=DURATION,
         drain=DRAIN))
@@ -107,7 +123,7 @@ def run_point(alpha: float, fast_path: bool) -> dict:
         "committed": result.committed,
         "aborted": result.aborted,
     }
-    if fast_path:
+    if not ordered:
         sequencer = cluster.sequencers[0]
         point["fast_reads"] = sequencer.fast_reads
         point["fast_read_misses"] = sequencer.fast_read_misses
@@ -119,8 +135,8 @@ def measure(quick: bool) -> dict:
     sweep = []
     t0 = time.perf_counter()
     for alpha in alphas:
-        baseline = run_point(alpha, fast_path=False)
-        fast = run_point(alpha, fast_path=True)
+        baseline = run_point(alpha, ordered=True)
+        fast = run_point(alpha, ordered=False)
         sweep.append({
             "alpha": alpha,
             "baseline": baseline,

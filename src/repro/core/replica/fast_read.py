@@ -1,16 +1,25 @@
-"""Coordination-free read fast path (Harmonia-style, PAPERS.md;
-default-off). Every replica periodically reports its execution
-watermark to the sequencing element (AppliedUpto), and serves the
-clean READ_ONLY transactions the element forwards without a stamp:
-one replica's reply instead of the §5.1 quorum, safe because the
-dirty-set check proved every committed conflicting write is already
-executed at *every* replica.
+"""Coordination-free read fast path (Harmonia-style, PAPERS.md).
+Once it has logged a READ_ONLY transaction, every replica periodically
+reports its execution watermark to the sequencing element
+(AppliedUpto), and serves the clean READ_ONLY transactions the element
+forwards without a stamp: one replica's reply instead of the §5.1
+quorum, safe because the dirty-set check proved every committed
+conflicting write is already executed at *every* replica.
 """
 
 from __future__ import annotations
 
-from repro.core.messages import AppliedUpto, FastReadReply, FastReadRequest
+from typing import Optional
+
+from repro.core.log import LogEntry
+from repro.core.messages import (
+    AppliedUpto,
+    FastReadReply,
+    FastReadRequest,
+    TxnRecord,
+)
 from repro.core.replica.state import ReplicaState
+from repro.core.transaction import SlotId
 from repro.net.message import Address, Packet
 
 
@@ -18,15 +27,25 @@ class FastReads(ReplicaState):
     """The watermark tick and the fast-read service."""
 
     def _init_fast_reads(self) -> None:
-        # No timer, and so no event, unless the knob is on: the knob-off
-        # event schedule stays the one the determinism digests pin.
+        # No timer, and so no event, until the first READ_ONLY
+        # transaction is logged: a workload without reads keeps the
+        # event schedule the determinism digests pin.
         self._watermark_timer = None
-        if self.config.read_fast_path and not self.config.oum_mode:
+
+    def _append(self, slot: SlotId, record: Optional[TxnRecord]) -> LogEntry:
+        """Log the slot; the first READ_ONLY transaction starts the
+        watermark reports. Eris-OUM never reports: its one global
+        order has no per-shard watermark."""
+        entry = super()._append(slot, record)
+        if (record is not None and self._watermark_timer is None
+                and record.txn.op_class == "read_only"
+                and not self.config.oum_mode):
             interval = self.config.watermark_interval \
                 or self.config.sync_interval
             self._watermark_timer = self.periodic(interval,
                                                   self._watermark_tick)
             self._watermark_timer.start()
+        return entry
 
     def _applied_watermark(self) -> tuple[int, int]:
         """(epoch, seq) through which this replica has *executed*: a

@@ -43,12 +43,9 @@ class ErisConfig:
     general_abort_timeout: float = 100e-3
     execution_cost: float = 0.5e-6   # CPU charged per executed transaction
     oum_mode: bool = False           # Eris-OUM strawman (Fig 11)
-    #: Harmonia-style read fast path: periodically report the execution
-    #: watermark to the sequencing element and serve clean READ_ONLY
-    #: transactions from this single replica. Default-off (digest-
-    #: pinned); incompatible with oum_mode.
-    read_fast_path: bool = False
-    #: AppliedUpto reporting period; 0 means "use sync_interval".
+    #: AppliedUpto reporting period of the read fast path (reports
+    #: start at the first logged READ_ONLY transaction); 0 means "use
+    #: sync_interval".
     watermark_interval: float = 0.0
 
 

@@ -382,8 +382,8 @@ def check_trace_chain_no_stale_release(trace: TraceLike) -> None:
 
 # -- coordination-free read fast-path invariants ---------------------------
 #
-# The check keys on the ``fast_read`` events the read fast path emits
-# (knob on); on any other trace it is a vacuous no-op. The sequencer's
+# The check keys on the ``fast_read`` events the read fast path emits;
+# on a trace without reads it is a vacuous no-op. The sequencer's
 # ``stamp`` events carry the ground truth it checks against: each
 # stamped transaction's op-class and declared write set.
 

@@ -91,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--commutative-fraction", type=float, default=0.4,
                         help="counters: fraction of increments/"
                              "tag-unions (remainder are resets)")
-    parser.add_argument("--read-fast-path", action="store_true",
-                        help="Eris only: serve clean READ_ONLY txns "
-                             "from a single replica via the "
-                             "sequencer's dirty-set (default off; "
-                             "see DESIGN.md)")
     parser.add_argument("--drop-rate", type=float, default=0.0)
     parser.add_argument("--chain", type=int, default=0, metavar="N",
                         help="front Eris with an N-node chain-replicated "
@@ -179,10 +174,6 @@ def build_udpsmoke_parser() -> argparse.ArgumentParser:
                         help="fraction of multi-shard txns (counters: "
                              "fraction of cross-shard increments)")
     parser.add_argument("--keys", type=int, default=200)
-    parser.add_argument("--fast-path", action="store_true",
-                        help="turn on the read fast path (Harmonia "
-                             "fast reads); pairs with "
-                             "--workload counters")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--chain", type=int, default=0, metavar="N",
                         help="front Eris with an N-node chain-replicated "
@@ -324,7 +315,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
             n_clients=args.clients, min_commits=args.min_commits,
             timeout=args.timeout, workload=args.workload,
             distributed_fraction=args.distributed, n_keys=args.keys,
-            seed=args.seed, chain=args.chain, fast_path=args.fast_path,
+            seed=args.seed, chain=args.chain,
             processes=args.processes, run_dir=args.run_dir,
             trace_path=args.trace, metrics_path=args.metrics_out,
             metrics_interval=args.metrics_interval,
@@ -344,7 +335,6 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
     rows = [["backend", backend],
             ["shards x replicas", f"{args.shards} x {args.replicas}"],
             ["chain", args.chain or "off"],
-            ["fast path", "on" if args.fast_path else "off"],
             ["committed", result.committed],
             ["aborted", result.aborted],
             ["retries", result.retries],
@@ -371,8 +361,6 @@ def run(args: argparse.Namespace):
     config = ClusterConfig(system=args.system, n_shards=args.shards,
                            n_replicas=args.replicas, seed=args.seed,
                            sequencer_chain=getattr(args, "chain", 0),
-                           read_fast_path=getattr(args, "read_fast_path",
-                                                  False),
                            net=NetConfig(drop_rate=args.drop_rate))
     registry = ProcedureRegistry()
     count_filter = None

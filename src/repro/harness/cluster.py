@@ -69,10 +69,6 @@ class ClusterConfig:
     #: Ablation: one-phase commit for single-shard Lock-Store txns
     #: (the paper's Lock-Store always runs the full 2PC exchange).
     lockstore_one_phase: bool = False
-    #: Coordination-free read fast path (Eris only, default-off; see
-    #: DESIGN.md "The dirty-set protocol"): the sequencer serves
-    #: READ_ONLY transactions over clean keys from a single replica.
-    read_fast_path: bool = False
     #: Attach a causal tracer (``repro.obs``) at build time. Off by
     #: default: benchmarks pay only a per-packet None check.
     tracing: bool = False
@@ -100,11 +96,6 @@ class ClusterConfig:
                 raise ConfigurationError(
                     f"sequencer_chain must be 2 or 3, "
                     f"got {self.sequencer_chain}")
-        if self.read_fast_path and self.system != "eris":
-            raise ConfigurationError(
-                "read_fast_path requires system='eris' "
-                f"(got {self.system!r}); the OUM ablation and the "
-                "baselines have no dirty-set sequencer")
 
 
 class SystemClient:

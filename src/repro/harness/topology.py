@@ -109,8 +109,7 @@ def replica_config(config):
     any number of clusters."""
     return dataclasses.replace(
         config.eris, execution_cost=config.execution_cost,
-        oum_mode=config.system == "eris-oum",
-        read_fast_path=config.read_fast_path)
+        oum_mode=config.system == "eris-oum")
 
 
 def build_role(cluster, role: str, topology: ErisTopology,
@@ -152,18 +151,12 @@ def build_role(cluster, role: str, topology: ErisTopology,
         cluster.replicas.setdefault(shard, []).append(replica)
     elif kind == "chain":
         cluster.sequencers.append(ChainSequencerNode(
-            topology.chain_addrs[int(rest)], runtime, profile,
-            read_fast_path=config.read_fast_path))
+            topology.chain_addrs[int(rest)], runtime, profile))
     elif kind == "seq":
         address = topology.standby_addrs[int(rest)]
-        if config.system == "eris-oum":
-            # The OUM ablation's sequencer predates the fast-path knob,
-            # and validate() keeps the knob off for it.
-            sequencer = OUMSequencer(address, runtime, profile)
-        else:
-            sequencer = MultiSequencer(address, runtime, profile,
-                                       read_fast_path=config.read_fast_path)
-        cluster.sequencers.append(sequencer)
+        cls = OUMSequencer if config.system == "eris-oum" \
+            else MultiSequencer
+        cluster.sequencers.append(cls(address, runtime, profile))
     elif role == topology.fc_address:
         cluster.fc = FailureCoordinator(topology.fc_address, runtime,
                                         shards=topology.shard_addrs)

@@ -98,16 +98,12 @@ class SmokeResult:
 
 
 def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
-                         seed: int = 7, chain: int = 0,
-                         fast_path: bool = False) -> ClusterConfig:
+                         seed: int = 7, chain: int = 0) -> ClusterConfig:
     """The canonical UDP-smoke :class:`ClusterConfig`.
 
     Every process of a per-node run derives it from the same
     arguments, so address names, group membership, and protocol timers
-    agree across the cluster.
-
-    ``fast_path`` turns on the read fast path (Harmonia fast reads);
-    replicas report execution watermarks on their sync cadence."""
+    agree across the cluster."""
     return ClusterConfig(
         system="eris", backend="udp", n_shards=n_shards,
         n_replicas=n_replicas, seed=seed,
@@ -116,7 +112,6 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
         server_service_time=0.0, execution_cost=0.0,
         client_retry_timeout=100e-3,
         sequencer_chain=chain,
-        read_fast_path=fast_path,
         eris=ErisConfig(**_UDP_ERIS),
         controller=ControllerConfig(**_UDP_CONTROLLER),
     )
@@ -133,16 +128,15 @@ def smoke_registry() -> ProcedureRegistry:
 
 
 def build_udp_cluster(n_shards: int = 2, n_replicas: int = 3,
-                      n_keys: int = 200, seed: int = 7, chain: int = 0,
-                      fast_path: bool = False) -> Cluster:
+                      n_keys: int = 200, seed: int = 7,
+                      chain: int = 0) -> Cluster:
     """An Eris cluster on the asyncio-UDP runtime, keys loaded.
 
     ``chain`` fronts the system with an N-node chain-replicated
-    sequencer as in the simulator experiments; ``fast_path`` turns on
-    the read fast path."""
+    sequencer as in the simulator experiments."""
     config = smoke_cluster_config(n_shards=n_shards,
                                   n_replicas=n_replicas, seed=seed,
-                                  chain=chain, fast_path=fast_path)
+                                  chain=chain)
     return build_cluster(
         config, smoke_registry(), Partitioner(n_shards),
         loader=lambda stores, p: load_keys(stores, p, n_keys))
@@ -232,7 +226,6 @@ class _PerNode:
         self.spec = {"shards": config.n_shards,
                      "replicas": config.n_replicas, "keys": n_keys,
                      "seed": config.seed, "chain": config.sequencer_chain,
-                     "fast_path": config.read_fast_path,
                      "trace": trace, "metrics": metrics,
                      "metrics_interval": metrics_interval,
                      "run_dir": run_dir,
@@ -303,7 +296,7 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
                   timeout: float = 30.0, workload: str = "mrmw",
                   distributed_fraction: float = 0.5, n_keys: int = 200,
                   seed: int = 7, check: bool = True, chain: int = 0,
-                  fast_path: bool = False, processes: str = "single",
+                  processes: str = "single",
                   run_dir: Optional[str] = None,
                   trace_path: Optional[str] = None,
                   metrics_path: Optional[str] = None,
@@ -354,14 +347,13 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
             raise ConfigurationError("run_dir requires processes='per-node'")
         host = _InProcess(build_udp_cluster(
             n_shards=n_shards, n_replicas=n_replicas, n_keys=n_keys,
-            seed=seed, chain=chain, fast_path=fast_path))
+            seed=seed, chain=chain))
     elif processes == "per-node":
         if run_dir is None:
             run_dir = tempfile.mkdtemp(prefix="repro-udp-mp-")
         host = _PerNode(
             smoke_cluster_config(n_shards=n_shards, n_replicas=n_replicas,
-                                 seed=seed, chain=chain,
-                                 fast_path=fast_path),
+                                 seed=seed, chain=chain),
             n_keys, run_dir, trace=trace_path is not None,
             metrics=metrics_path is not None,
             metrics_interval=metrics_interval,
@@ -431,6 +423,16 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
                 lambda: stats["committed"] >= min_commits or interrupted(),
                 timeout)
             result.wall_seconds = runtime.now - start
+            if not reached:
+                # Raised before collecting: a cluster too wedged to
+                # commit may not answer the state RPC either, and that
+                # error must not hide this one.
+                where = (f" across {host.processes} processes (logs in "
+                         f"{run_dir})" if run_dir else "")
+                raise ExperimentError(
+                    f"only {stats['committed']}/{min_commits} "
+                    f"transactions committed within {timeout}s over UDP "
+                    f"loopback{where}")
             # Let in-flight replies, syncs, and FC traffic drain so
             # replica state is quiescent before the checkers read it.
             state, counters = host.collect(
@@ -459,12 +461,6 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
                               context={"origin": "run_udp_smoke"})
                 result.recorder_dump = recorder_path
             return result
-        if not reached:
-            where = (f" across {host.processes} processes (logs in "
-                     f"{run_dir})" if run_dir else "")
-            raise ExperimentError(
-                f"only {stats['committed']}/{min_commits} transactions "
-                f"committed within {timeout}s over UDP loopback{where}")
         if _inject_fault is not None:
             _inject_fault(state)
         if check:

@@ -110,10 +110,8 @@ class ChainSequencerNode(MultiSequencer):
     """
 
     def __init__(self, address: str, network: Network,
-                 profile: SequencerProfile | None = None, epoch: int = 1,
-                 read_fast_path: bool = False):
-        super().__init__(address, network, profile, epoch,
-                         read_fast_path=read_fast_path)
+                 profile: SequencerProfile | None = None, epoch: int = 1):
+        super().__init__(address, network, profile, epoch)
         self.version = 0
         self.members: tuple[Address, ...] = ()
         self.retired = True
@@ -234,39 +232,19 @@ class ChainSequencerNode(MultiSequencer):
         for gid, seq in msg.stamps:
             if counters.get(gid, 0) < seq:
                 counters[gid] = seq
-        if self.read_fast_path:
-            self._absorb_fast_path_state(msg)
+        # Replicate the head's dirty-set bookkeeping down the chain
+        # (DESIGN.md: chain interaction), whether or not the head tracks
+        # yet: every released write passed through every survivor in
+        # chain order, so a spliced-in head's dirty entries are a
+        # superset of the in-flight writes that can still be released,
+        # and it can serve the dirty-set check without an epoch change.
+        self._note_stamped(msg.payload, msg.epoch, msg.stamps)
         return True
 
     def _may_serve_fast_reads(self) -> bool:
         # A fenced or mid/tail node's dirty view is not authoritative;
         # only the active head sees every stamp as it happens.
         return not self.retired and self.is_head
-
-    def _absorb_fast_path_state(self, msg: ChainForward) -> None:
-        """Replicate the head's dirty-set bookkeeping down the chain
-        (DESIGN.md: chain interaction).
-
-        Every released write passed through every survivor in chain
-        order, so after a splice the new head's absorbed dirty entries
-        are a superset of the in-flight writes that can still be
-        released — it can keep serving the dirty-set check for its
-        epoch without an epoch change.
-        """
-        txn = getattr(msg.payload, "txn", None)
-        if txn is not None and txn.op_class == "read_only":
-            return
-        write_keys = txn.write_keys if txn is not None else None
-        if write_keys:
-            entry = (msg.epoch, tuple(msg.stamps))
-            dirty = self._dirty
-            for key in write_keys:
-                dirty[key] = entry
-        else:
-            blind = self._blind_high
-            for group, seq in msg.stamps:
-                if blind.get(group, 0) < seq:
-                    blind[group] = seq
 
     def on_ChainForward(self, src: Address, msg: ChainForward,
                         packet: Packet) -> None:

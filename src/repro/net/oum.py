@@ -44,6 +44,11 @@ class OUMSequencer(MultiSequencer):
                 queue_delay=self._queue_delay(packet))
         return packet
 
+    def _may_serve_fast_reads(self) -> bool:
+        # One global order for every shard: a per-shard execution
+        # watermark cannot cover it, so tracking never starts.
+        return False
+
     def _emit(self, stamped: Packet) -> None:
         # Total global sequencing: every server receives every message.
         self.runtime.fan_out(stamped, self.runtime.groups.all_members())

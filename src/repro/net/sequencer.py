@@ -19,21 +19,22 @@ in per-packet processing capacity and added latency.
 
 Every groupcast is stamped and released synchronously on arrival (see
 DESIGN.md, "Batching: measured and removed"). Beyond the paper's base
-design, this sequencer has grown two independently-toggled extensions:
+design, this sequencer has grown two extensions:
 
 - **Chain replication**: :class:`repro.net.chainseq.ChainSequencerNode`
   subclasses this node so counter state survives sequencer failure
   without an epoch change; only the chain tail releases stamped
   packets.
-- **Coordination-free read fast path** (``read_fast_path``,
-  default-off): a Harmonia-style per-key *dirty-set* of in-flight
-  conflicting writes, maintained at stamp time (§3.2 is where Eris
-  pins the serial order; the dirty-set tracks which prefix of that
-  order every replica has executed). READ_ONLY transactions whose keys
-  are clean are forwarded to a single replica instead of being stamped
-  for the §5.1 full-quorum path. Clear rules, false-positive
-  semantics, and the chain interaction are specified in DESIGN.md
-  ("The dirty-set protocol").
+- **Coordination-free read fast path**: a Harmonia-style per-key
+  *dirty-set* of in-flight conflicting writes, maintained at stamp
+  time (§3.2 is where Eris pins the serial order; the dirty-set tracks
+  which prefix of that order every replica has executed). READ_ONLY
+  transactions whose keys are clean are forwarded to a single replica
+  instead of being stamped for the §5.1 full-quorum path. Tracking
+  starts at the first READ_ONLY transaction the element sees, so a
+  workload without reads pays nothing for it. The activation, install
+  and clear rules, false-positive semantics, and the chain interaction
+  are specified in DESIGN.md ("The dirty-set protocol").
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ from repro.net.network import Network
 _messages = None
 
 
-def _core_messages():
-    """Lazy import of repro.core.messages: repro.core.transaction
-    imports repro.net.message, so importing the other direction at
-    module load would be circular. Only the read fast path (knob on)
-    ever needs these classes."""
+def _load_core_messages() -> None:
+    """Lazy import of repro.core.messages: importing the repro.core
+    package loads the replica, which imports this module, so importing
+    it at module load would be circular. :class:`MultiSequencer` loads
+    it once at construction; the per-groupcast check then reads the
+    module global."""
     global _messages
     if _messages is None:
         from repro.core import messages
         _messages = messages
-    return _messages
 
 #: Hard cap on the ingress-timestamp map. Entries are normally popped
 #: when the packet is stamped; packets that never reach ``stamp`` (in
@@ -101,8 +102,7 @@ class MultiSequencer(Node):
     """A network element that multi-stamps groupcast packets."""
 
     def __init__(self, address: str, network: Network,
-                 profile: SequencerProfile | None = None, epoch: int = 1,
-                 read_fast_path: bool = False):
+                 profile: SequencerProfile | None = None, epoch: int = 1):
         super().__init__(address, network)
         self.profile = profile or SequencerProfile.in_switch()
         self.msg_service_time = self.profile.per_packet_service
@@ -112,8 +112,11 @@ class MultiSequencer(Node):
         # Fabric-arrival timestamps for queue-delay attribution, keyed
         # by packet id. Populated only while a tracer is attached.
         self._ingress: dict[int, float] = {}
-        # -- coordination-free read fast path (default-off) ---------------
-        self.read_fast_path = read_fast_path
+        # -- coordination-free read fast path ------------------------------
+        _load_core_messages()
+        #: Dirty-set tracking: off until the first fast-read candidate
+        #: arrives (activation rule), then on for the element's life.
+        self.tracking = False
         #: Dirty-set: key -> (epoch, ((group, seq), ...)) of the last
         #: stamped write declaring that key. An entry is *cleared* only
         #: by evidence of application (watermark coverage) or by an
@@ -171,18 +174,29 @@ class MultiSequencer(Node):
     def _process_groupcast(self, packet: Packet) -> None:
         """Stamp one sequenced groupcast packet and emit it.
 
-        With the read fast path on, two packet kinds are intercepted
-        *before* a sequence number is consumed: replica execution
-        watermarks (absorbed into the dirty-set bookkeeping) and clean
-        READ_ONLY transactions (forwarded to a single replica)."""
-        if self.read_fast_path:
-            payload = packet.payload
-            if isinstance(payload, _core_messages().AppliedUpto):
-                self._ingress.pop(packet.packet_id, None)
-                self._absorb_watermark(payload)
-                return
-            if self._maybe_fast_read(packet):
-                return
+        Two packet kinds are intercepted *before* a sequence number is
+        consumed: replica execution watermarks (absorbed into the
+        dirty-set bookkeeping) and, once tracking is on, clean READ_ONLY
+        transactions (forwarded to a single replica). The first
+        fast-read candidate — a single-shard READ_ONLY request with
+        declared read keys, at an element that may serve it — turns
+        tracking on and is stamped normally. Any other packet costs
+        two class checks and no call."""
+        payload = packet.payload
+        kind = payload.__class__
+        if kind is _messages.AppliedUpto:
+            self._ingress.pop(packet.packet_id, None)
+            self._absorb_watermark(payload)
+            return
+        if kind is _messages.IndependentTxnRequest:
+            txn = payload.txn
+            if (txn.op_class == "read_only" and txn.read_keys
+                    and len(packet.groupcast.groups) == 1
+                    and self._may_serve_fast_reads()):
+                if not self.tracking:
+                    self._start_tracking()
+                elif self._maybe_fast_read(packet, txn):
+                    return
         self._stamp_one(packet)
 
     def _stamp_one(self, packet: Packet) -> None:
@@ -207,9 +221,10 @@ class MultiSequencer(Node):
             seq = counters.get(group, 0) + 1
             counters[group] = seq
             stamps.append((group, seq))
-        if self.read_fast_path:
-            self._note_stamped(packet, tuple(stamps))
-        packet.multistamp = MultiStamp(epoch=self.epoch, stamps=tuple(stamps))
+        stamps = tuple(stamps)
+        if self.tracking:
+            self._note_stamped(packet.payload, self.epoch, stamps)
+        packet.multistamp = MultiStamp(epoch=self.epoch, stamps=stamps)
         self.packets_stamped += 1
         if self.tracer is not None:
             self.tracer.sequencer_stamp(
@@ -218,30 +233,38 @@ class MultiSequencer(Node):
         return packet
 
     # -- coordination-free read fast path (DESIGN.md: dirty-set protocol) -
-    def _note_stamped(self, packet: Packet, stamps: tuple) -> None:
-        """Stamp-time bookkeeping for the read fast path.
+    def _start_tracking(self) -> None:
+        """*Activation rule*: raise every group's blind mark to its
+        current counter. Writes stamped before tracking began left no
+        dirty entries, so they are covered only once every replica's
+        execution watermark passes everything stamped so far."""
+        self.tracking = True
+        self._blind_high.update(self.counters)
 
-        *Install rule*: every non-READ_ONLY stamp installs a dirty
+    def _note_stamped(self, payload, epoch: int, stamps: tuple) -> None:
+        """*Install rule*: every non-READ_ONLY stamp installs a dirty
         entry for each declared write key; a write with an undeclared
         write set raises the group's blind high-water mark instead
-        (poisoning every key on the shard). Installation happens at
-        stamp time — before the write is released or applied anywhere —
-        so the dirty window conservatively covers the write's entire
-        in-flight life.
+        (poisoning every key on the shard). The head runs it at stamp
+        time — before the write is released or applied anywhere — so
+        the dirty window conservatively covers the write's entire
+        in-flight life; chain elements run it again as each write
+        passes them (:mod:`repro.net.chainseq`).
         """
-        txn = getattr(packet.payload, "txn", None)
+        txn = getattr(payload, "txn", None)
         if txn is not None and txn.op_class == "read_only":
             return
         write_keys = txn.write_keys if txn is not None else None
         if write_keys:
-            entry = (self.epoch, stamps)
+            entry = (epoch, stamps)
             dirty = self._dirty
             for key in write_keys:
                 dirty[key] = entry
         else:
             blind = self._blind_high
             for group, seq in stamps:
-                blind[group] = seq
+                if blind.get(group, 0) < seq:
+                    blind[group] = seq
 
     def _absorb_watermark(self, msg) -> None:
         """Clear rule: a replica's (epoch, upto) report witnesses that
@@ -332,19 +355,10 @@ class MultiSequencer(Node):
         check? Chain nodes override: only the active head may."""
         return True
 
-    def _maybe_fast_read(self, packet: Packet) -> bool:
-        """Serve a clean single-shard READ_ONLY transaction from one
-        replica, bypassing stamping entirely (Harmonia's fast read).
-        Returns False — caller stamps normally — on any doubt."""
-        if not self._may_serve_fast_reads():
-            return False
-        payload = packet.payload
-        if not isinstance(payload, _core_messages().IndependentTxnRequest):
-            return False
-        txn = payload.txn
-        if (txn.op_class != "read_only" or txn.kind != "independent"
-                or len(packet.groupcast.groups) != 1 or not txn.read_keys):
-            return False
+    def _maybe_fast_read(self, packet: Packet, txn) -> bool:
+        """Serve a clean fast-read candidate from one replica, bypassing
+        stamping entirely (Harmonia's fast read). Returns False —
+        caller stamps normally — on any doubt."""
         group = packet.groupcast.groups[0]
         if not self._clean(group, txn.read_keys):
             self.fast_read_misses += 1
@@ -361,7 +375,7 @@ class MultiSequencer(Node):
                 txn=txn.txn_id.label(), shard=group,
                 keys=sorted(repr(key) for key in txn.read_keys),
                 replica=target)
-        self.send(target, _core_messages().FastReadRequest(
+        self.send(target, _messages.FastReadRequest(
             txn=txn, min_epoch=self.epoch))
         return True
 

@@ -89,8 +89,7 @@ class Worker:
         self.run_dir = spec["run_dir"]
         config = smoke_cluster_config(
             n_shards=spec["shards"], n_replicas=spec["replicas"],
-            seed=spec["seed"], chain=spec["chain"],
-            fast_path=bool(spec.get("fast_path", False)))
+            seed=spec["seed"], chain=spec["chain"])
         self.runtime = WorkerUdpRuntime(rank=rank, seed=config.seed)
         self.recorder = FlightRecorder(
             capacity=spec.get("recorder_capacity", DEFAULT_CAPACITY))

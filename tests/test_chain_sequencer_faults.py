@@ -60,6 +60,12 @@ def test_chain_normal_operation_head_stamps_tail_releases():
     assert tail.releases == 8
     # Counter state is fully replicated once a stamp is released.
     assert head.counters == mid.counters == tail.counters
+    # No read yet, so the head does not track; every later element
+    # installs each write's dirty entries as it passes, ready for a
+    # splice to make it head.
+    assert not head.tracking and not head._dirty
+    written = {key for i in range(8) for key in (i, 8 + i % 4)}
+    assert set(mid._dirty) == set(tail._dirty) == written
     assert cluster.controller.chain_repairs == 0
     assert cluster.controller.failovers == 0
     run_all_checks(cluster)

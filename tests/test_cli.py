@@ -307,4 +307,5 @@ def test_docs_check_matches_whole_flags():
     problems = docs_check.check_command("repro", ["--commutative"])
     assert len(problems) == 1 and "--commutative" in problems[0]
     assert docs_check.check_command(
-        "repro", ["--commutative-fraction", "0.2", "--read-fast-path"]) == []
+        "repro", ["--commutative-fraction", "0.2", "--read-fraction",
+                  "0.5"]) == []

@@ -1,8 +1,9 @@
 """The coordination-free read fast path, end to end and adversarially.
 
-End-to-end: a traced counters run with ``read_fast_path`` on really
-serves fast reads and still passes every §6.7 checker — state- and
-trace-backed — including under packet drops.
+End-to-end: a traced counters run really serves fast reads and still
+passes every §6.7 checker — state- and trace-backed — including under
+packet drops; nothing turns the path on but the first read, so a
+workload without reads never tracks, and Eris-OUM never serves one.
 
 Adversarially: forged traces in which a read was served while a
 conflicting write was in flight are caught by the dedicated trace
@@ -10,8 +11,9 @@ checker."""
 
 import pytest
 
+from conftest import drive, make_ycsb_cluster, submit_and_wait
 from repro.core.replica import ErisConfig
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import InvariantViolation
 from repro.harness import ClusterConfig, build_cluster
 from repro.harness.checkers import (
     check_trace_fast_reads,
@@ -25,6 +27,8 @@ from repro.workloads import (
     CountersConfig,
     CountersWorkload,
     Partitioner,
+    YCSBConfig,
+    YCSBWorkload,
     load_counters,
     register_counters_procedures,
 )
@@ -32,20 +36,22 @@ from repro.workloads import (
 N_KEYS = 1000
 
 
-def _run_counters_cluster(fast_path: bool = True, n_ops: int = 400,
-                          n_clients: int = 8, drop_rate: float = 0.0,
-                          seed: int = 3):
-    """A small traced counters run; sync and watermark cadences are
-    tightened so non-DL execution watermarks reach the sequencer well
-    within the run (fast reads need all-replica coverage)."""
+FAST_CADENCE = ErisConfig(sync_interval=0.4e-3, watermark_interval=0.1e-3)
+
+
+def _run_counters_cluster(n_ops: int = 400, n_clients: int = 8,
+                          drop_rate: float = 0.0, seed: int = 3,
+                          system: str = "eris",
+                          eris: ErisConfig = FAST_CADENCE):
+    """A small traced counters run. By default the sync and watermark
+    cadences are tightened so non-DL execution watermarks reach the
+    sequencer well within the run (fast reads need all-replica
+    coverage)."""
     registry = ProcedureRegistry()
     register_counters_procedures(registry)
     partitioner = Partitioner(2)
     config = ClusterConfig(
-        system="eris", n_shards=2, seed=seed, tracing=True,
-        read_fast_path=fast_path,
-        eris=ErisConfig(sync_interval=0.4e-3,
-                        watermark_interval=0.1e-3),
+        system=system, n_shards=2, seed=seed, tracing=True, eris=eris,
         net=NetConfig(drop_rate=drop_rate))
     cluster = build_cluster(
         config, registry, partitioner,
@@ -97,19 +103,44 @@ def test_fast_paths_survive_packet_drops():
     run_all_checks(cluster)
 
 
-def test_knobs_off_takes_no_relaxed_path():
-    cluster, clients = _run_counters_cluster(fast_path=False)
-    assert cluster.sequencers[0].fast_reads == 0
-    assert cluster.sequencers[0].fast_read_misses == 0
-    assert sum(c.node.fast_read_count for c in clients) == 0
-    assert cluster.tracer.count("fast_read") == 0
+def test_default_config_serves_fast_reads():
+    """No setting turns the path on: the stock protocol cadence serves
+    fast reads as soon as the workload reads."""
+    cluster, clients = _run_counters_cluster(eris=ErisConfig())
+    sequencer = cluster.sequencers[0]
+    assert sequencer.tracking and sequencer.fast_reads > 0
+    assert sum(c.node.fast_read_count for c in clients) == sequencer.fast_reads
     run_all_checks(cluster)
 
 
-def test_fast_path_knobs_require_eris():
-    for system in ("tapir", "eris-oum"):
-        with pytest.raises(ConfigurationError, match="requires"):
-            ClusterConfig(system=system, read_fast_path=True).validate()
+def test_no_reads_no_tracking():
+    """A YCSB run never logs a READ_ONLY transaction: no replica starts
+    its watermark reports and the sequencer never tracks."""
+    cluster = make_ycsb_cluster(n_shards=2)
+    client = cluster.make_client()
+    workload = YCSBWorkload(
+        YCSBConfig(workload="mrmw", n_keys=200, distributed_fraction=0.5),
+        cluster.partitioner, SplitRandom(1))
+    for _ in range(10):
+        assert submit_and_wait(cluster, client, workload.next_op()).committed
+    drive(cluster, 20e-3)
+    sequencer = cluster.sequencers[0]
+    assert sequencer.packets_stamped >= 10
+    assert not sequencer.tracking
+    assert sequencer.watermarks_absorbed == 0
+    assert not sequencer._dirty and not sequencer._blind_high
+    assert all(replica._watermark_timer is None
+               for replicas in cluster.replicas.values()
+               for replica in replicas)
+
+
+def test_oum_never_serves_fast_reads():
+    cluster, clients = _run_counters_cluster(system="eris-oum")
+    sequencer = cluster.sequencers[0]
+    assert sequencer.fast_reads == 0 and not sequencer.tracking
+    assert sequencer.watermarks_absorbed == 0
+    assert sum(c.node.fast_read_count for c in clients) == 0
+    assert cluster.tracer.count("fast_read") == 0
 
 
 # -- forged traces ----------------------------------------------------------

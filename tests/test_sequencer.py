@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.core.messages import (
+    AppliedUpto,
+    FastReadRequest,
+    IndependentTxnRequest,
+)
+from repro.core.transaction import IndependentTransaction, TxnId
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.endpoint import Node
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
@@ -205,6 +211,63 @@ def test_oum_floods_every_member_of_every_group():
     for group in (0, 1):
         for sink in sinks[group]:
             assert len(sink.packets) == 1
+
+
+# -- read fast path: tracking starts at the first read ----------------------
+
+def _txn_request(seq, key, read_only):
+    """A single-shard counter read (READ_ONLY) or reset (a declared
+    write of ``key``) on group 0."""
+    return IndependentTxnRequest(IndependentTransaction(
+        txn_id=TxnId(client="client", seq=seq),
+        proc="counter_read" if read_only else "counter_reset",
+        args={"key": key}, participants=(0,),
+        read_keys=frozenset([key]),
+        write_keys=frozenset() if read_only else frozenset([key]),
+        op_class="read_only" if read_only else "generic"))
+
+
+def _report(sinks, upto, members=None):
+    """Group 0's replicas report their execution watermark."""
+    for sink in sinks[0][:members]:
+        sink.send_groupcast((0,), AppliedUpto(shard=0, epoch=1, upto=upto,
+                                              sender=sink.address))
+
+
+def _fast_requests(sinks):
+    return [p for sink in sinks[0] for p in sink.packets
+            if isinstance(p.payload, FastReadRequest)]
+
+
+def test_first_read_turns_tracking_on_behind_a_blind_mark():
+    """A write stamped before tracking began left no dirty entry: the
+    activation raises the blind mark over it, so a read of its key is
+    served fast only once every replica has executed it."""
+    loop, net, seq, sinks, sender = build()
+    sender.send_groupcast((0,), _txn_request(1, 5, read_only=False))
+    loop.run_until_idle()
+    assert not seq.tracking and not seq._dirty and not seq._blind_high
+    # The first read turns tracking on and is stamped like any txn.
+    sender.send_groupcast((0,), _txn_request(2, 5, read_only=True))
+    loop.run_until_idle()
+    assert seq.tracking and seq.counters[0] == 2
+    assert seq._blind_high == {0: 1}
+    # Every replica has executed nothing of epoch 1: the read of key 5
+    # must still be stamped.
+    _report(sinks, upto=0)
+    sender.send_groupcast((0,), _txn_request(3, 5, read_only=True))
+    loop.run_until_idle()
+    assert seq.fast_reads == 0 and seq.counters[0] == 3
+    # Two of three replicas past the write are not enough.
+    _report(sinks, upto=1, members=2)
+    sender.send_groupcast((0,), _txn_request(4, 5, read_only=True))
+    loop.run_until_idle()
+    assert seq.fast_reads == 0 and seq.counters[0] == 4
+    _report(sinks, upto=1)
+    sender.send_groupcast((0,), _txn_request(5, 5, read_only=True))
+    loop.run_until_idle()
+    assert seq.fast_reads == 1 and seq.counters[0] == 4
+    assert len(_fast_requests(sinks)) == 1
 
 
 def _controller_setup(n_seq=2):

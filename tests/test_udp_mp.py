@@ -317,12 +317,12 @@ def test_launcher_messages_round_trip_through_codec():
 
 def test_mp_smoke_end_to_end(tmp_path):
     """The full stack across real OS processes, on the coordination-free
-    counters workload with the read fast path on: ≥8 processes, the
+    counters workload, whose reads take the fast path: ≥8 processes, the
     merged-state §6.7 checkers, and collision-free merged tracing."""
     run_dir = tmp_path / "run"
     result, events = run_traced_udp_smoke(
         tmp_path, "per-node", run_dir=str(run_dir),
-        workload="counters", fast_path=True)
+        workload="counters")
     assert result.processes >= 8
     assert result.run_dir == str(run_dir)
     # Events from the driver shard and at least one worker shard made
@@ -360,6 +360,30 @@ def test_mp_launcher_detects_killed_worker(tmp_path):
     for worker in seen["launcher"].workers.values():
         assert worker.proc.poll() is not None
     assert recorder.exists()
+
+
+def test_mp_missed_commits_not_hidden_by_collect_timeout(tmp_path,
+                                                        monkeypatch):
+    """A per-node run that misses ``min_commits`` reports the missed
+    commit count, even when the cluster is too wedged to answer the
+    state-collection RPC."""
+    import asyncio
+
+    from repro.harness import udp_smoke
+    from repro.runtime.launcher import ClusterLauncher
+
+    async def wedged(self, drain, timeout=30.0):
+        raise asyncio.TimeoutError
+
+    monkeypatch.setattr(udp_smoke._PerNode, "start",
+                        lambda self, timeout, interrupted: None)
+    monkeypatch.setattr(udp_smoke._PerNode, "wait",
+                        lambda self, predicate, timeout: False)
+    monkeypatch.setattr(ClusterLauncher, "collect_states", wedged)
+    with pytest.raises(ExperimentError, match="transactions committed"):
+        run_udp_smoke(processes="per-node", min_commits=10, n_clients=1,
+                      timeout=0.1, run_dir=str(tmp_path / "run"),
+                      recorder_path=str(tmp_path / "rec.jsonl"))
 
 
 def test_udp_smoke_sigint_drains_and_exports(tmp_path):
