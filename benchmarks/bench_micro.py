@@ -276,9 +276,6 @@ def main(argv=None) -> int:
                              "instead of overwriting them")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized iteration counts")
-    parser.add_argument("--no-udp", action="store_true",
-                        help="skip the real-socket UDP benchmarks "
-                             "(bench_udp.py / BENCH_udp.json)")
     args = parser.parse_args(argv)
 
     print("running microbenchmarks"
@@ -289,19 +286,10 @@ def main(argv=None) -> int:
     print(f"  {'fig6_throughput':22s} {fig6['throughput_txn_s']:>12,.0f} "
           f"txn/s (simulated; {fig6['committed']} committed, "
           f"{fig6['wall_seconds']}s wall)")
-    udp = None
-    if not args.no_udp:
-        import bench_udp
-        print("running UDP benchmarks"
-              + (" (quick)" if args.quick else "") + " ...")
-        udp = bench_udp.measure_udp(args.quick)
-        bench_udp.print_udp(udp)
 
     if args.check:
         print("checking against committed baselines ...")
         failures = check(micro, fig6)
-        if udp is not None:
-            failures += bench_udp.check_udp(udp)
         if failures:
             print("PERF CHECK FAILED:")
             for failure in failures:
@@ -317,11 +305,6 @@ def main(argv=None) -> int:
         json.dump(fig6, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {MICRO_PATH} and {FIG6_PATH}")
-    if udp is not None:
-        with open(bench_udp.UDP_PATH, "w") as f:
-            json.dump(udp, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {bench_udp.UDP_PATH}")
     return 0
 
 

@@ -15,7 +15,7 @@ the sequence numbers of every other participant too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.core.messages import TxnRecord
 from repro.core.transaction import SlotId
@@ -39,6 +39,43 @@ class LogEntry:
     def as_noop(self) -> "LogEntry":
         return LogEntry(index=self.index, slot=self.slot, kind="noop",
                         record=None)
+
+
+@dataclass(frozen=True)
+class ReplicaSnapshot:
+    """One replica's end state as the §6.7 checkers read it: the only
+    state evidence they take, whether captured in this process or
+    shipped from a worker over the per-node control plane."""
+
+    address: str
+    shard: int
+    replica_index: int
+    view_num: int
+    is_dl: bool
+    crashed: bool
+    #: Number of log entries fed to the execution engine (the checkers
+    #: compare stores only for fully caught-up replicas).
+    fed: int
+    #: The full log, as the protocol's own LogEntry dataclasses.
+    entries: tuple[LogEntry, ...]
+    #: Store contents as (key, value) pairs sorted by key: a canonical,
+    #: hashable form of the store, as a frozen dataclass field needs.
+    store: tuple[tuple[Any, Any], ...]
+
+    @classmethod
+    def of(cls, replica) -> "ReplicaSnapshot":
+        """Capture a live :class:`~repro.core.replica.ErisReplica`."""
+        return cls(
+            address=replica.address,
+            shard=replica.shard,
+            replica_index=replica.replica_index,
+            view_num=replica.view_num,
+            is_dl=replica.is_dl,
+            crashed=replica.crashed,
+            fed=len(replica._fed),
+            entries=tuple(replica.log),
+            store=tuple(sorted(replica.store.snapshot().items())),
+        )
 
 
 class ErisLog:

@@ -92,9 +92,3 @@ class IndependentTransaction:
         reads = frozenset(k for k in self.read_keys if owns(k))
         writes = frozenset(k for k in self.write_keys if owns(k))
         return reads, writes
-
-
-def make_txn_key(keys) -> frozenset:
-    """Normalize an iterable of keys into a frozenset (helper for
-    workload generators)."""
-    return frozenset(keys)

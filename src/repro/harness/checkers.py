@@ -1,16 +1,19 @@
 """Correctness checkers for Eris executions (§6.7 invariants).
 
-Two interchangeable evidence sources:
+Two evidence sources feed one invariant core:
 
-- **replica state** — a finished cluster's logs and stores (the
-  original checkers);
+- **replica state** — one :class:`~repro.core.log.ReplicaSnapshot` per
+  Eris replica: taken here from a live :class:`Cluster`, or shipped
+  back from per-node workers by the launcher's state-collection RPC;
 - **a causal trace** — the ``log_append`` / ``log_adopt`` event stream
   recorded by :class:`repro.obs.trace.Tracer`, so the same invariants
   are checkable on an exported JSONL file long after the cluster is
   gone, and on executions reconstructed event-by-event rather than from
   end state.
 
-The invariants:
+Each source picks its own reference log per shard (state: the live DL
+of the highest view; trace: the longest live log) and hands it to the
+same checks:
 
 - **serializability** — build the cross-shard precedence graph over
   transactions from each shard's committed log order; strict
@@ -18,135 +21,154 @@ The invariants:
   is the executable counterpart of the paper's second §6.7 invariant.
 - **atomicity** — a transaction committed at any participant appears in
   the log of *every* participant shard.
-- **replica consistency** — within each shard, all replicas' logs are
+- **replica consistency** — within each shard, live replicas' logs are
   prefix-consistent (and, state-side, executed stores converge after a
   drain).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 import networkx as nx
 
-from repro.core.replica import ErisReplica
-from repro.core.transaction import TxnId
+from repro.core.log import ReplicaSnapshot
 from repro.errors import InvariantViolation
-from repro.harness.cluster import Cluster
+from repro.harness.cluster import Cluster, live_dl
 from repro.obs.trace import TraceEvent, Tracer, load_trace
 
-
-def _eris_like(replica) -> bool:
-    """Checker admission: a real replica object, or a rehydrated
-    multi-process :class:`~repro.harness.snapshot.SnapshotReplica`
-    (marked ``eris_like``) exposing the same checker-facing surface."""
-    return isinstance(replica, ErisReplica) or \
-        getattr(replica, "eris_like", False)
+# -- the invariant core ----------------------------------------------------
+#
+# Evidence-neutral: a shard's commit order is a list of transaction
+# identities, and a log is a sequence of (slot, kind) pairs. ``source``
+# prefixes every message ("" for replica state, "trace: " for a trace).
 
 
-def _live_dl(shard: int, replicas) -> ErisReplica:
-    """The live replica that is DL in the *highest* view among live
-    replicas — a crashed old DL may still believe it leads its view."""
-    live = [r for r in replicas
-            if _eris_like(r) and not r.crashed]
-    if not live:
-        raise InvariantViolation(f"shard {shard} has no live replicas")
-    top_view = max(r.view_num for r in live)
-    for replica in live:
-        if replica.view_num == top_view and replica.is_dl:
-            return replica
-    raise InvariantViolation(f"shard {shard} has no live DL")
+def _first_occurrences(txns: Iterable) -> list:
+    """A shard's serialization order from its logged transactions. A
+    retried transaction can occupy two slots (the client's retry gets a
+    fresh stamp; execution suppresses the duplicate via the at-most-once
+    table), and only the first occurrence is the serialization point."""
+    seen: set = set()
+    order: list = []
+    for txn in txns:
+        if txn not in seen:
+            seen.add(txn)
+            order.append(txn)
+    return order
 
 
-def _shard_txn_orders(cluster: Cluster) -> dict[int, list[TxnId]]:
-    """Per shard, the txn-ids in the DL's log order (NO-OPs skipped).
-
-    A retried transaction can occupy two slots (the client's retry gets
-    a fresh stamp; execution suppresses the duplicate via the
-    at-most-once table) — only the first occurrence is the
-    serialization point, so later duplicates are dropped here.
-    """
-    orders: dict[int, list[TxnId]] = {}
-    for shard, replicas in cluster.replicas.items():
-        dl = _live_dl(shard, replicas)
-        seen: set[TxnId] = set()
-        order: list[TxnId] = []
-        for entry in dl.log:
-            if entry.kind != "txn":
-                continue
-            txn_id = entry.record.txn.txn_id
-            if txn_id in seen:
-                continue
-            seen.add(txn_id)
-            order.append(txn_id)
-        orders[shard] = order
-    return orders
-
-
-def check_serializability(cluster: Cluster) -> None:
-    """Raise :class:`InvariantViolation` if the cross-shard precedence
-    graph has a cycle."""
-    orders = _shard_txn_orders(cluster)
+def _check_acyclic(orders: dict[int, list], source: str) -> None:
+    """The cross-shard precedence graph over per-shard commit orders
+    must have no cycle."""
     graph = nx.DiGraph()
     for order in orders.values():
-        for earlier, later in zip(order, order[1:]):
-            # Consecutive edges suffice: shard order is total, so the
-            # transitive closure covers all same-shard pairs.
-            graph.add_edge(earlier, later)
+        # Consecutive edges suffice: shard order is total, so the
+        # transitive closure covers all same-shard pairs.
+        graph.add_edges_from(zip(order, order[1:]))
     try:
         cycle = nx.find_cycle(graph)
     except nx.NetworkXNoCycle:
         return
     raise InvariantViolation(
-        f"precedence cycle across shards: {cycle[:10]}")
+        f"{source}precedence cycle across shards: {cycle[:10]}")
 
 
-def check_atomicity(cluster: Cluster) -> None:
-    """Every logged transaction appears at every participant shard."""
-    orders = _shard_txn_orders(cluster)
-    logged: dict[int, set[TxnId]] = {shard: set(order)
-                                     for shard, order in orders.items()}
-    for shard, replicas in cluster.replicas.items():
-        dl = _live_dl(shard, replicas)
-        for entry in dl.log:
-            if entry.kind != "txn":
-                continue
-            txn = entry.record.txn
-            for participant in txn.participants:
-                if participant not in logged:
-                    continue
-                if txn.txn_id not in logged[participant]:
+def _check_participants(orders: dict[int, list], participants: dict,
+                        source: str) -> None:
+    """A transaction logged at any shard appears at every participant
+    shard that has a log."""
+    logged = {shard: set(order) for shard, order in orders.items()}
+    for shard, order in orders.items():
+        for txn in order:
+            for participant in participants.get(txn, ()):
+                if participant in logged and txn not in logged[participant]:
                     raise InvariantViolation(
-                        f"txn {txn.txn_id} logged at shard {shard} but "
+                        f"{source}txn {txn} logged at shard {shard} but "
                         f"missing at participant shard {participant}")
 
 
-def check_replica_consistency(cluster: Cluster) -> None:
+def _check_prefix(shard: int, a: str, a_log: Iterable, b: str,
+                  b_log: Iterable, source: str) -> None:
+    """Two replica logs of one shard agree on (slot, kind) wherever
+    both have an entry."""
+    for index, (mine, theirs) in enumerate(zip(a_log, b_log), 1):
+        if mine != theirs:
+            raise InvariantViolation(
+                f"{source}log divergence in shard {shard} at index "
+                f"{index}: {a} has {mine}, {b} has {theirs}")
+
+
+# -- state evidence --------------------------------------------------------
+
+#: What the state checkers accept: a live cluster (its Eris replicas
+#: are snapshotted), or replica snapshots — e.g. shipped from workers.
+StateLike = Union[Cluster, Iterable[ReplicaSnapshot]]
+
+
+def snapshot_cluster(cluster: Cluster) -> list[ReplicaSnapshot]:
+    """One snapshot per Eris replica of a live cluster."""
+    return [ReplicaSnapshot.of(replica)
+            for replicas in cluster.replicas.values()
+            for replica in replicas]
+
+
+def _by_shard(state: StateLike) -> dict[int, list[ReplicaSnapshot]]:
+    if isinstance(state, Cluster):
+        state = snapshot_cluster(state)
+    shards: dict[int, list[ReplicaSnapshot]] = {}
+    for snap in sorted(state, key=lambda s: (s.shard, s.replica_index)):
+        shards.setdefault(snap.shard, []).append(snap)
+    return shards
+
+
+def _state_orders(state: StateLike) -> tuple[dict[int, list], dict]:
+    """Per shard, the live DL's commit order; and every logged
+    transaction's participant shards."""
+    orders: dict[int, list] = {}
+    participants: dict = {}
+    for shard, snaps in _by_shard(state).items():
+        txns = [entry.record.txn for entry in live_dl(shard, snaps).entries
+                if entry.kind == "txn"]
+        participants.update((txn.txn_id, txn.participants) for txn in txns)
+        orders[shard] = _first_occurrences(txn.txn_id for txn in txns)
+    return orders, participants
+
+
+def check_serializability(state: StateLike) -> None:
+    """Raise :class:`InvariantViolation` if the cross-shard precedence
+    graph has a cycle."""
+    _check_acyclic(_state_orders(state)[0], "")
+
+
+def check_atomicity(state: StateLike) -> None:
+    """Every logged transaction appears at every participant shard."""
+    _check_participants(*_state_orders(state), "")
+
+
+def _slots(entries) -> Iterable[tuple]:
+    return ((entry.slot, entry.kind) for entry in entries)
+
+
+def check_replica_consistency(state: StateLike) -> None:
     """Within each shard: logs are prefix-consistent; stores of fully
     caught-up replicas match the DL's."""
-    for shard, replicas in cluster.replicas.items():
-        eris = [r for r in replicas if _eris_like(r) and not r.crashed]
-        if not eris:
+    for shard, snaps in _by_shard(state).items():
+        live = [snap for snap in snaps if not snap.crashed]
+        if not live:
             continue
-        dl = _live_dl(shard, replicas)
-        reference = dl.log.entries()
-        for replica in eris:
-            for mine, ref in zip(replica.log.entries(), reference):
-                if (mine.slot, mine.kind) != (ref.slot, ref.kind):
-                    raise InvariantViolation(
-                        f"log divergence in shard {shard} at index "
-                        f"{mine.index}: {replica.address} has "
-                        f"{(mine.slot, mine.kind)}, DL has "
-                        f"{(ref.slot, ref.kind)}")
-            if len(replica._fed) == len(reference) and \
-                    replica.store.snapshot() != dl.store.snapshot():
+        dl = live_dl(shard, live)
+        for snap in live:
+            _check_prefix(shard, snap.address, _slots(snap.entries),
+                          f"DL {dl.address}", _slots(dl.entries), "")
+            if snap.fed == len(dl.entries) and snap.store != dl.store:
                 raise InvariantViolation(
                     f"store divergence in shard {shard}: "
-                    f"{replica.address} executed the full log but its "
+                    f"{snap.address} executed the full log but its "
                     f"state differs from the DL's")
 
 
-# -- trace-backed checkers -------------------------------------------------
+# -- trace evidence --------------------------------------------------------
 
 #: What the trace checkers accept: a JSONL path, a live Tracer, or a
 #: sequence of TraceEvent objects / flat event dicts.
@@ -184,98 +206,59 @@ def trace_replica_orders(trace: TraceLike
     return orders
 
 
-def _trace_participants(trace: TraceLike) -> dict[str, tuple]:
+def _trace_participants(events: list[dict]) -> dict[str, tuple]:
     """txn label → participant shards, from ``log_append`` events."""
     participants: dict[str, tuple] = {}
-    for event in _trace_events(trace):
+    for event in events:
         if event["kind"] == "log_append" and event.get("txn") is not None \
                 and "participants" in event:
             participants[event["txn"]] = tuple(event["participants"])
     return participants
 
 
-def _trace_shard_txn_orders(orders: dict[int, dict[str, list[tuple]]],
-                            crashed: set[str] = frozenset()
-                            ) -> dict[int, list[str]]:
-    """Per shard, the deduplicated txn order of the longest *live*
-    replica log (mirrors the state checkers' use of the most advanced
-    live replica)."""
-    out: dict[int, list[str]] = {}
-    for shard, replica_orders in orders.items():
-        live = [order for node, order in replica_orders.items()
-                if node not in crashed]
-        longest = max(live, key=len, default=[])
-        seen: set[str] = set()
-        order: list[str] = []
-        for _slot, entry_kind, txn in longest:
-            if entry_kind != "txn" or txn in seen:
-                continue
-            seen.add(txn)
-            order.append(txn)
-        out[shard] = order
-    return out
+def _trace_live_logs(events: list[dict]
+                     ) -> dict[int, dict[str, list[tuple]]]:
+    """:func:`trace_replica_orders` without crashed replicas: a dead
+    DL's final appends may legitimately be superseded by the view/epoch
+    change that buried it."""
+    crashed = {e["node"] for e in events if e["kind"] == "crash"}
+    return {shard: {node: log for node, log in logs.items()
+                    if node not in crashed}
+            for shard, logs in trace_replica_orders(events).items()}
 
 
-def _trace_crashed_nodes(trace: TraceLike) -> set[str]:
-    return {e["node"] for e in _trace_events(trace) if e["kind"] == "crash"}
+def _trace_orders(events: list[dict]) -> dict[int, list[str]]:
+    """Per shard, the commit order of the longest live replica log."""
+    return {shard: _first_occurrences(
+                txn for _slot, kind, txn in max(logs.values(), key=len,
+                                                default=[])
+                if kind == "txn")
+            for shard, logs in _trace_live_logs(events).items()}
 
 
 def check_trace_replica_consistency(trace: TraceLike) -> None:
-    """Within each shard, every pair of recorded replica logs must be
-    prefix-consistent on (slot, kind). Crashed replicas are excluded
-    (mirroring the state checkers): a dead DL's final appends may
-    legitimately be superseded by the view/epoch change that buried it.
-    """
-    events = _trace_events(trace)
-    crashed = _trace_crashed_nodes(events)
-    for shard, replica_orders in trace_replica_orders(events).items():
-        nodes = sorted(n for n in replica_orders if n not in crashed)
+    """Within each shard, every pair of live recorded replica logs must
+    be prefix-consistent on (slot, kind)."""
+    for shard, logs in _trace_live_logs(_trace_events(trace)).items():
+        nodes = sorted(logs)
         for i, a in enumerate(nodes):
             for b in nodes[i + 1:]:
-                for index, (mine, theirs) in enumerate(
-                        zip(replica_orders[a], replica_orders[b])):
-                    if mine[:2] != theirs[:2]:
-                        raise InvariantViolation(
-                            f"trace log divergence in shard {shard} at "
-                            f"index {index + 1}: {a} has {mine[:2]}, "
-                            f"{b} has {theirs[:2]}")
+                _check_prefix(shard, a, (e[:2] for e in logs[a]),
+                              b, (e[:2] for e in logs[b]), "trace: ")
 
 
 def check_trace_serializability(trace: TraceLike) -> None:
     """Cross-shard precedence graph over the traced per-shard commit
     orders must be acyclic."""
-    events = _trace_events(trace)
-    orders = _trace_shard_txn_orders(trace_replica_orders(events),
-                                     _trace_crashed_nodes(events))
-    graph = nx.DiGraph()
-    for order in orders.values():
-        for earlier, later in zip(order, order[1:]):
-            graph.add_edge(earlier, later)
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return
-    raise InvariantViolation(
-        f"trace precedence cycle across shards: {cycle[:10]}")
+    _check_acyclic(_trace_orders(_trace_events(trace)), "trace: ")
 
 
 def check_trace_atomicity(trace: TraceLike) -> None:
     """A traced transaction logged at any shard appears at every
     participant shard."""
     events = _trace_events(trace)
-    orders = _trace_shard_txn_orders(trace_replica_orders(events),
-                                     _trace_crashed_nodes(events))
-    participants = _trace_participants(events)
-    logged = {shard: set(order) for shard, order in orders.items()}
-    for shard, order in orders.items():
-        for txn in order:
-            for participant in participants.get(txn, ()):
-                if participant not in logged:
-                    continue
-                if txn not in logged[participant]:
-                    raise InvariantViolation(
-                        f"trace: txn {txn} logged at shard {shard} but "
-                        f"missing at participant shard {participant}")
+    _check_participants(_trace_orders(events), _trace_participants(events),
+                        "trace: ")
 
 
 # -- chain-replicated sequencer invariants ---------------------------------
@@ -337,11 +320,8 @@ def check_trace_chain_gapless_logs(trace: TraceLike) -> None:
     events = _trace_events(trace)
     if not _has_chain_events(events):
         return
-    crashed = _trace_crashed_nodes(events)
-    for shard, replica_orders in trace_replica_orders(events).items():
-        for node, order in replica_orders.items():
-            if node in crashed:
-                continue
+    for shard, logs in _trace_live_logs(events).items():
+        for node, order in logs.items():
             per_epoch: dict[int, list[int]] = {}
             for slot, _entry_kind, _txn in order:
                 _shard, epoch, seq = slot
@@ -474,14 +454,15 @@ def run_trace_checks(trace: TraceLike) -> None:
     check_trace_fast_reads(events)
 
 
-def run_all_checks(cluster: Optional[Cluster] = None,
+def run_all_checks(cluster: Optional[StateLike] = None,
                    trace: Optional[TraceLike] = None,
                    recorder: Optional[Any] = None,
                    recorder_path: str = "flight-recorder.jsonl") -> None:
     """Run every applicable invariant check.
 
-    ``cluster`` drives the state-based checkers; ``trace`` (a JSONL
-    path, a live Tracer, or an event list) additionally drives the
+    ``cluster`` (a live :class:`Cluster`, snapshotted once here, or
+    replica snapshots) drives the state-based checkers; ``trace`` (a
+    JSONL path, a live Tracer, or an event list) additionally drives the
     trace-backed checkers. Passing a traced cluster alone checks its
     live tracer too.
 
@@ -494,11 +475,13 @@ def run_all_checks(cluster: Optional[Cluster] = None,
         raise ValueError("run_all_checks needs a cluster, a trace, or both")
     try:
         if cluster is not None:
+            if isinstance(cluster, Cluster):
+                if trace is None:
+                    trace = cluster.tracer
+                cluster = snapshot_cluster(cluster)
             check_serializability(cluster)
             check_atomicity(cluster)
             check_replica_consistency(cluster)
-            if trace is None and cluster.tracer is not None:
-                trace = cluster.tracer
         if trace is not None:
             run_trace_checks(trace)
     except InvariantViolation as exc:

@@ -22,7 +22,7 @@ from repro.core.client import ErisClient
 from repro.core.fc import FailureCoordinator
 from repro.core.general import GeneralTransactionManager
 from repro.core.replica import ErisConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.network import NetConfig, Network
 from repro.net.sequencer import MultiSequencer, SequencerProfile
@@ -41,6 +41,21 @@ _PROFILES = {
     "middlebox": SequencerProfile.middlebox,
     "endhost": SequencerProfile.endhost,
 }
+
+
+def live_dl(shard: int, replicas):
+    """The live replica that is DL in the *highest* view among live
+    replicas: a crashed old DL still believes it leads its view. Reads
+    only ``crashed``, ``view_num`` and ``is_dl``, so it takes Eris
+    replicas and their snapshots alike."""
+    live = [r for r in replicas if not r.crashed]
+    if not live:
+        raise InvariantViolation(f"shard {shard} has no live replicas")
+    top_view = max(r.view_num for r in live)
+    for replica in live:
+        if replica.view_num == top_view and replica.is_dl:
+            return replica
+    raise InvariantViolation(f"shard {shard} has no live DL")
 
 
 @dataclass
@@ -175,17 +190,12 @@ class Cluster:
         self.instrument_metrics()
         return self.metrics.snapshot()
 
-    # -- store access (used by loaders and checkers) -----------------------
-    def shard_stores(self, shard: int) -> list[KVStore]:
-        return self.stores[shard]
-
+    # -- store access -------------------------------------------------------
     def authoritative_store(self, shard: int) -> KVStore:
-        """The store that reflects all executed transactions: the DL /
-        leader / single node of ``shard``."""
+        """The store that reflects all executed transactions: the live
+        DL / leader / single node of ``shard``."""
         if self.config.system == "eris" or self.config.system == "eris-oum":
-            for replica in self.replicas[shard]:
-                if replica.is_dl:
-                    return replica.store
+            return live_dl(shard, self.replicas[shard]).store
         return self.stores[shard][0]
 
     # -- client creation ----------------------------------------------------

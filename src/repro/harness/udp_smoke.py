@@ -267,8 +267,6 @@ class _PerNode:
         """The state-collection RPC, then a graceful stop (workers
         export their shards): the merged snapshots and the workers'
         summed runtime counters."""
-        from repro.harness.snapshot import SnapshotCluster
-
         aloop = self.cluster.runtime.aloop
         replies = aloop.run_until_complete(
             self.launcher.collect_states(drain=drain))
@@ -277,8 +275,8 @@ class _PerNode:
         for reply in replies:
             for name, value in reply.counters:
                 counters[name] = counters.get(name, 0) + value
-        return SnapshotCluster([snap for reply in replies
-                                for snap in reply.snapshots]), counters
+        return [snap for reply in replies
+                for snap in reply.snapshots], counters
 
     def trace(self, tracer: Tracer, path: str) -> list:
         shards = [os.path.join(self.run_dir, f"trace-{rank}.jsonl")

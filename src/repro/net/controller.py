@@ -151,9 +151,6 @@ class SDNController(Node):
             return self.chain[0]
         return self.sequencers[self.active_index]
 
-    def _active_sequencer(self) -> MultiSequencer:
-        return self.runtime.endpoint(self.active_address)
-
     def _install_epoch_at(self, address: Address, epoch: int) -> None:
         """Install an epoch into a sequencer: directly when it lives in
         this process (the simulator and the single-process UDP runtime
@@ -382,10 +379,3 @@ class SDNController(Node):
                                version=self.chain_version,
                                members=list(self.chain),
                                epoch=self.current_epoch)
-
-    def force_chain_repair(self, dead: list[Address]) -> None:
-        """Immediately splice out ``dead`` (tests/benchmarks that do
-        not want to wait out the detection timeout)."""
-        if self._chain_active and not self._repairing \
-                and not self._failing_over:
-            self._begin_chain_repair(list(dead))

@@ -170,6 +170,3 @@ class Node:
         self.crashed = True
         if self.tracer is not None:
             self.tracer.record("crash", self.address)
-
-    def recover_address(self) -> None:  # pragma: no cover - used by demos
-        self.crashed = False

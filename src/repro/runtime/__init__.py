@@ -7,8 +7,9 @@ VR, and all four baselines) is written against the narrow
 timers, clock, seeded randomness, endpoint lifecycle — and never
 against a concrete fabric. Two backends implement it:
 
-- :mod:`repro.runtime.sim` — the discrete-event simulator (the
-  repository's original fabric; deterministic, microsecond-scale).
+- :class:`repro.net.network.Network` — the discrete-event simulator's
+  fabric, which implements the interface directly (the repository's
+  original fabric; deterministic, microsecond-scale).
 - :mod:`repro.runtime.asyncio_udp` — real UDP sockets on loopback
   driven by asyncio, with groupcast provided by a user-space sequencer
   endpoint, exactly as §5.4's end-host deployment. It is the one

@@ -893,6 +893,7 @@ def _ensure_registry() -> None:
         transaction.SlotId,
         transaction.IndependentTransaction,
         core_log.LogEntry,
+        core_log.ReplicaSnapshot,
         replication_log.ReplicatedLogEntry,
         # Eris protocol (§6)
         core_messages.IndependentTxnRequest,
@@ -967,7 +968,7 @@ def _ensure_registry() -> None:
         tapir.TSlowConfirmAck,
         tapir.TFinalize,
     ])
-    # The per-node control plane (replica snapshots included) registers
-    # on import. Load it here too, so every process interns the same
-    # type table whatever else it happened to import.
+    # The per-node control plane registers on import. Load it here
+    # too, so every process interns the same type table whatever else
+    # it happened to import.
     from repro.runtime import launcher, udp_mp  # noqa: F401

@@ -21,7 +21,7 @@ processes):
    install it, bring their transport up, and ack.
 
 After the workload, :class:`StateRequest` collects per-replica
-:class:`ReplicaSnapshot` payloads (the
+:class:`~repro.core.log.ReplicaSnapshot` payloads (the
 state-collection RPC behind the distributed §6.7 checkers), and
 :class:`ClusterStop` asks workers to export their trace/metrics shards
 and exit cleanly. Supervision is poll-based: a worker that exits
@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.log import LogEntry
+from repro.core.log import ReplicaSnapshot
 from repro.errors import ExperimentError
 from repro.runtime.codec import (
     CodecError,
@@ -93,28 +93,6 @@ class StateRequest:
 
 
 @dataclass(frozen=True)
-class ReplicaSnapshot:
-    """One replica's checker-relevant end state, as wire data
-    (:mod:`repro.harness.snapshot` turns it back into a replica the
-    §6.7 checkers read)."""
-
-    address: str
-    shard: int
-    replica_index: int
-    view_num: int
-    is_dl: bool
-    crashed: bool
-    #: Number of log entries fed to the execution engine (the checkers
-    #: compare stores only for fully caught-up replicas).
-    fed: int
-    #: The full log, as the protocol's own LogEntry dataclasses.
-    entries: tuple[LogEntry, ...]
-    #: Store contents as (key, value) pairs sorted by key: a canonical,
-    #: hashable form of the store, as a frozen dataclass field needs.
-    store: tuple[tuple[Any, Any], ...]
-
-
-@dataclass(frozen=True)
 class StateReply:
     rank: int
     role: str
@@ -136,7 +114,7 @@ class StopAck:
 
 
 register_messages([WorkerHello, ClusterStart, StartAck, StateRequest,
-                   ReplicaSnapshot, StateReply, ClusterStop, StopAck])
+                   StateReply, ClusterStop, StopAck])
 
 
 # -- framing ---------------------------------------------------------------

@@ -31,6 +31,7 @@ import signal
 import sys
 from typing import Any, Optional, Sequence
 
+from repro.core.log import ReplicaSnapshot
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.sampler import MetricsSampler
 from repro.obs.trace import CAUSE_ID_STRIDE, Tracer
@@ -127,12 +128,11 @@ class Worker:
 
     # -- state -------------------------------------------------------------
     def state_reply(self) -> StateReply:
-        from repro.harness.snapshot import snapshot_replica
         from repro.harness.udp_smoke import SMOKE_COUNTERS
 
         return StateReply(
             rank=self.rank, role=self.role,
-            snapshots=tuple(snapshot_replica(r)
+            snapshots=tuple(ReplicaSnapshot.of(r)
                             for replicas in self.cluster.replicas.values()
                             for r in replicas),
             counters=tuple((name, getattr(self.runtime, name))

@@ -66,10 +66,6 @@ class LockRequest:
     policy: "LockPolicy" = None  # filled in by LockManager.request
     request_id: int = field(default_factory=lambda: next(_request_ids))
 
-    @property
-    def all_keys(self) -> frozenset:
-        return self.read_keys | self.write_keys
-
 
 class LockManager:
     """Key-granularity shared/exclusive locks for one shard."""

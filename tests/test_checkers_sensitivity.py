@@ -1,8 +1,10 @@
 """The correctness checkers must actually catch violations: feed them
-hand-built inconsistent states and confirm they fire."""
+hand-built inconsistent states and confirm they fire — from a live
+cluster and from the snapshots a per-node worker ships alike."""
 
 import pytest
 
+from repro.core.log import ReplicaSnapshot
 from repro.core.messages import TxnRecord
 from repro.core.transaction import IndependentTransaction, SlotId, TxnId
 from repro.errors import InvariantViolation
@@ -12,8 +14,22 @@ from repro.harness.checkers import (
     check_serializability,
 )
 from repro.net.message import MultiStamp
+from repro.runtime.codec import decode_message, encode_message
 
 from conftest import make_ycsb_cluster
+
+
+def shipped(cluster):
+    """The cluster's state as per-node workers ship it: one snapshot
+    per replica, round-tripped through the wire codec."""
+    return [decode_message(encode_message(ReplicaSnapshot.of(replica)))
+            for replicas in cluster.replicas.values()
+            for replica in replicas]
+
+
+#: The two state forms every check must judge alike: the live cluster,
+#: and its shipped snapshots.
+STATE_FORMS = (lambda cluster: cluster, shipped)
 
 
 def inject_txn(replica, seq, txn_id, participants, seqs_by_shard):
@@ -39,8 +55,9 @@ def test_serializability_checker_finds_cross_shard_cycle():
     inject_txn(dl(cluster, 0), 2, t2, (0, 1), {0: 2, 1: 1})
     inject_txn(dl(cluster, 1), 1, t2, (0, 1), {0: 2, 1: 1})
     inject_txn(dl(cluster, 1), 2, t1, (0, 1), {0: 1, 1: 2})
-    with pytest.raises(InvariantViolation, match="cycle"):
-        check_serializability(cluster)
+    for form in STATE_FORMS:
+        with pytest.raises(InvariantViolation, match="cycle"):
+            check_serializability(form(cluster))
 
 
 def test_serializability_checker_accepts_consistent_orders():
@@ -51,7 +68,8 @@ def test_serializability_checker_accepts_consistent_orders():
     inject_txn(dl(cluster, 0), 2, t2, (0, 1), {0: 2, 1: 2})
     inject_txn(dl(cluster, 1), 1, t1, (0, 1), {0: 1, 1: 1})
     inject_txn(dl(cluster, 1), 2, t2, (0, 1), {0: 2, 1: 2})
-    check_serializability(cluster)
+    for form in STATE_FORMS:
+        check_serializability(form(cluster))
 
 
 def test_atomicity_checker_finds_missing_participant():
@@ -59,8 +77,10 @@ def test_atomicity_checker_finds_missing_participant():
     ghost = TxnId("cz", 1)
     inject_txn(dl(cluster, 0), 1, ghost, (0, 1), {0: 1, 1: 1})
     # Shard 1 never logs it.
-    with pytest.raises(InvariantViolation, match="missing at participant"):
-        check_atomicity(cluster)
+    for form in STATE_FORMS:
+        with pytest.raises(InvariantViolation,
+                           match="missing at participant"):
+            check_atomicity(form(cluster))
 
 
 def test_consistency_checker_finds_slot_divergence():
@@ -70,15 +90,18 @@ def test_consistency_checker_finds_slot_divergence():
     inject_txn(dl(cluster, 0), 1, t1, (0,), {0: 1})
     other = next(r for r in cluster.replicas[0] if not r.is_dl)
     inject_txn(other, 2, t2, (0,), {0: 2})   # wrong slot at index 1
-    with pytest.raises(InvariantViolation, match="divergence"):
-        check_replica_consistency(cluster)
+    for form in STATE_FORMS:
+        with pytest.raises(InvariantViolation, match="divergence"):
+            check_replica_consistency(form(cluster))
 
 
 def test_checkers_pass_on_fresh_cluster():
     cluster = make_ycsb_cluster(n_shards=2)
-    check_serializability(cluster)
-    check_atomicity(cluster)
-    check_replica_consistency(cluster)
+    for form in STATE_FORMS:
+        state = form(cluster)
+        check_serializability(state)
+        check_atomicity(state)
+        check_replica_consistency(state)
 
 
 # -- chain-sequencer invariants (trace-backed) -----------------------------

@@ -87,3 +87,6 @@ def test_tpcc_survives_dl_failure():
     new_dl = next(r for r in cluster.replicas[0]
                   if not r.crashed and r.is_dl)
     assert new_dl.view_num >= 1
+    # The crashed old DL still believes it leads view 0; the money
+    # check above must have read the live new DL's store.
+    assert cluster.authoritative_store(0) is new_dl.store

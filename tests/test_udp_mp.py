@@ -4,6 +4,7 @@ process-per-node smoke run."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import socket
@@ -13,12 +14,8 @@ import pytest
 
 from repro.errors import ExperimentError, InvariantViolation
 from repro.harness.checkers import run_all_checks
+from repro.core.log import ReplicaSnapshot
 from repro.harness.cluster import ClusterConfig
-from repro.harness.snapshot import (
-    ReplicaSnapshot,
-    SnapshotCluster,
-    snapshot_replica,
-)
 from repro.harness.topology import (
     eris_topology,
     role_addresses,
@@ -194,51 +191,37 @@ def _run_small_sim_cluster():
 
 
 def test_snapshot_cluster_round_trips_through_codec_and_passes_checks():
-    """Snapshots survive the wire codec and the unmodified checkers
-    accept the rehydrated cluster."""
+    """Snapshots survive the wire codec and the checkers accept the
+    shipped list."""
     cluster = _run_small_sim_cluster()
     snapshots = []
     for replicas in cluster.replicas.values():
         for replica in replicas:
-            snap = snapshot_replica(replica)
+            snap = ReplicaSnapshot.of(replica)
             decoded = decode_message(encode_message(snap))
             assert isinstance(decoded, ReplicaSnapshot)
             assert decoded == snap
             snapshots.append(decoded)
     assert any(snap.entries for snap in snapshots)
     assert all(snap.store for snap in snapshots)
-    merged = SnapshotCluster(snapshots)
-    assert set(merged.replicas) == set(cluster.replicas)
-    run_all_checks(merged)
+    assert {snap.shard for snap in snapshots} == set(cluster.replicas)
+    run_all_checks(snapshots)
 
 
 def test_snapshot_checkers_catch_tampered_state():
     """The distributed checkers keep their teeth: divergence planted in
     one snapshot's store is an InvariantViolation."""
     cluster = _run_small_sim_cluster()
-    snapshots = [snapshot_replica(r)
+    snapshots = [ReplicaSnapshot.of(r)
                  for replicas in cluster.replicas.values()
                  for r in replicas]
     victim = next(s for s in snapshots if s.store)
     key, value = victim.store[0]
-    tampered = ReplicaSnapshot(
-        address=victim.address, shard=victim.shard,
-        replica_index=victim.replica_index, view_num=victim.view_num,
-        is_dl=victim.is_dl, crashed=victim.crashed, fed=victim.fed,
-        entries=victim.entries,
-        store=((key, (value or 0) + 12345),) + victim.store[1:])
+    tampered = dataclasses.replace(
+        victim, store=((key, (value or 0) + 12345),) + victim.store[1:])
     snapshots = [tampered if s is victim else s for s in snapshots]
     with pytest.raises(InvariantViolation):
-        run_all_checks(SnapshotCluster(snapshots))
-
-
-def test_snapshot_replica_is_accepted_as_eris_like():
-    from repro.harness.checkers import _eris_like
-    from repro.harness.snapshot import SnapshotReplica
-    snap = ReplicaSnapshot(address="eris-r0.0", shard=0, replica_index=0,
-                           view_num=0, is_dl=True, crashed=False, fed=0,
-                           entries=(), store=())
-    assert _eris_like(SnapshotReplica(snap))
+        run_all_checks(snapshots)
 
 
 # -- trace shard merging ---------------------------------------------------
