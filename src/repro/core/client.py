@@ -78,6 +78,10 @@ class ErisClient(Node):
         self.max_retries = max_retries
         self._seq = 0
         self._pending: dict[TxnId, _PendingTxn] = {}
+        #: Lowest seq given up after ``max_retries``: a stale copy of
+        #: it may still be logged and executed at some participants, so
+        #: it holds the completion floor for good.
+        self._abandoned_floor: Optional[int] = None
         # Keyed by (replica, key): concurrent reads of one key from
         # *different* replicas are distinct requests and must not share
         # waiters — a stale replica's reply may satisfy only its own.
@@ -110,14 +114,14 @@ class ErisClient(Node):
         write_keys: frozenset = frozenset(),
         kind: str = "independent",
         op_class: str = "generic",
-        txn_id: Optional[TxnId] = None,
     ) -> TxnId:
         """Fire one independent transaction; ``callback`` runs when a
         view-consistent quorum from every participant arrives (or, for
         a READ_ONLY transaction the sequencer routed down the fast
         path, when a single :class:`FastReadReply` does)."""
+        txn_id = self.next_txn_id()
         txn = IndependentTransaction(
-            txn_id=txn_id or self.next_txn_id(),
+            txn_id=txn_id,
             proc=proc,
             args=args,
             participants=tuple(participants),
@@ -125,6 +129,7 @@ class ErisClient(Node):
             write_keys=write_keys,
             kind=kind,
             op_class=op_class,
+            floor_gap=txn_id.seq - self._completion_floor(txn_id.seq),
         )
         pending = _PendingTxn(
             txn=txn,
@@ -138,6 +143,19 @@ class ErisClient(Node):
         self._pending[txn.txn_id] = pending
         self._transmit(txn)
         return txn.txn_id
+
+    def _completion_floor(self, seq: int) -> int:
+        """The lowest seq, ``seq`` included, not yet seen complete at
+        every participant (§6.1): replicas keep at-most-once outcomes
+        only from here up. ``_pending`` is filled in increasing seq
+        order and deletion keeps that order, so its first key is its
+        lowest seq."""
+        oldest = next(iter(self._pending), None)
+        if oldest is not None and oldest.seq < seq:
+            seq = oldest.seq
+        if self._abandoned_floor is not None and self._abandoned_floor < seq:
+            seq = self._abandoned_floor
+        return seq
 
     def _transmit(self, txn: IndependentTransaction, retry: int = 0) -> None:
         packet = self.send_groupcast(txn.participants,
@@ -159,6 +177,9 @@ class ErisClient(Node):
         self.retry_count += 1
         if pending.retries > self.max_retries:
             del self._pending[txn_id]
+            if self._abandoned_floor is None \
+                    or txn_id.seq < self._abandoned_floor:
+                self._abandoned_floor = txn_id.seq
             # The give-up is a completed (failed) submission and must be
             # counted, or committed+aborted+timedout drifts from the
             # number of finished submissions and harness failure-rate

@@ -82,7 +82,13 @@ class ExecutionEngine:
         #: per sequence number (not latest-only) because clients may
         #: pipeline transactions whose executions complete out of
         #: order once general-transaction locks defer some of them.
+        #: Holds only seqs at or above the client's completion floor.
         self.client_table: dict[str, dict[int, _ExecResult]] = {}
+        #: client -> the highest completion floor its requests carried,
+        #: in log order. Every seq below it completed at every
+        #: participant, so its outcome is no longer kept and a request
+        #: for it is a stale duplicate.
+        self.client_floors: dict[str, int] = {}
         self.deferred_executions = 0
 
     # -- public API --------------------------------------------------------
@@ -94,6 +100,8 @@ class ExecutionEngine:
             done(False, "no-op")
             return
         txn = entry.record.txn
+        if txn.floor_gap is not None:
+            self._raise_floor(txn.txn_id.client, txn.floor)
         if self._is_duplicate(txn):
             self._reply_duplicate(txn, done)
             return
@@ -112,6 +120,7 @@ class ExecutionEngine:
         self._queued_prelims.clear()
         self._waiting_conclusory.clear()
         self.client_table.clear()
+        self.client_floors.clear()
 
     def cached_reply(self, txn_id: TxnId) -> Optional[tuple[bool, Any]]:
         """The recorded outcome for a transaction already executed on
@@ -132,12 +141,32 @@ class ExecutionEngine:
         ]
 
     # -- duplicate suppression --------------------------------------------------
+    def _raise_floor(self, client: str, floor: int) -> None:
+        """Act on a request's completion floor: forget the client's
+        outcomes below it. Done in log order, so every replica (and
+        every replay) keeps the same rows."""
+        if floor <= self.client_floors.get(client, 0):
+            return
+        self.client_floors[client] = floor
+        rows = self.client_table.get(client)
+        if rows:
+            for seq in [seq for seq in rows if seq < floor]:
+                del rows[seq]
+
     def _is_duplicate(self, txn: IndependentTransaction) -> bool:
-        return txn.txn_id.seq in self.client_table.get(txn.txn_id.client, {})
+        client, seq = txn.txn_id.client, txn.txn_id.seq
+        return seq < self.client_floors.get(client, 0) \
+            or seq in self.client_table.get(client, ())
 
     def _reply_duplicate(self, txn: IndependentTransaction,
                          done: DoneCallback) -> None:
-        cached = self.client_table[txn.txn_id.client][txn.txn_id.seq]
+        cached = self.client_table.get(txn.txn_id.client, {}).get(
+            txn.txn_id.seq)
+        if cached is None:
+            # Below the floor: the client already holds this outcome
+            # and ignores the answer.
+            done(False, "duplicate below completion floor")
+            return
         done(cached.committed, cached.result)
 
     # -- lock-free fast path ----------------------------------------------------

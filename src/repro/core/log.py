@@ -84,16 +84,22 @@ class ErisLog:
     def __init__(self, shard: GroupId):
         self.shard = shard
         self._entries: list[LogEntry] = []
-        # O(1) lookups for the recovery protocols: own-slot entries and
-        # every (group, epoch, seq) the entries' multi-stamps mention.
+        # O(1) lookups for the recovery protocols: own-slot entries, and
+        # per other (group, epoch) the seqs its multi-stamps name there.
         self._slot_index: dict[SlotId, LogEntry] = {}
-        self._stamp_index: dict[SlotId, LogEntry] = {}
+        self._stamp_index: dict[tuple[GroupId, int], dict[int, LogEntry]] = {}
 
     def _index(self, entry: LogEntry) -> None:
-        self._slot_index[entry.slot] = entry
+        own = entry.slot
+        self._slot_index[own] = entry
         if entry.record is not None:
-            for slot in stamped_slots(entry.record.multistamp):
-                self._stamp_index[slot] = entry
+            stamp = entry.record.multistamp
+            for gid, seq in stamp.stamps:
+                if gid != own.shard:
+                    group = self._stamp_index.get((gid, stamp.epoch))
+                    if group is None:
+                        group = self._stamp_index[gid, stamp.epoch] = {}
+                    group[seq] = entry
 
     def append_txn(self, slot: SlotId, record: TxnRecord) -> LogEntry:
         entry = LogEntry(index=len(self._entries) + 1, slot=slot,
@@ -121,7 +127,10 @@ class ErisLog:
     def find_stamped(self, slot: SlotId) -> Optional[LogEntry]:
         """Entry whose *multi-stamp* covers ``slot`` — answers foreign
         shards' TXN-REQUESTs."""
-        entry = self._stamp_index.get(slot)
+        entry = self._stamp_index.get((slot.shard, slot.epoch), {}).get(
+            slot.seq)
+        if entry is None:
+            entry = self._slot_index.get(slot)
         if entry is not None and entry.record is not None:
             return entry
         return None

@@ -57,7 +57,7 @@ class FastReads(ReplicaState):
         caught_up = len(self._fed) == self.log.last_index \
             and not self._delivery_queue
         if self._fed:
-            slot, _ = self._fed[-1]
+            slot = self._fed[-1].slot
             if slot.epoch == self.channel.epoch or not caught_up:
                 return (slot.epoch, slot.seq)
         return (self.channel.epoch, 0) if caught_up else (0, 0)

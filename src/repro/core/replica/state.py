@@ -105,10 +105,13 @@ class ReplicaState(Node):
             else shard
         self.channel = MultiSequencedChannel(channel_group, epoch=1)
         self.store = store
-        self.initial_snapshot = store.snapshot()
+        #: The store as loaded, taken before the first entry runs (the
+        #: loader fills stores after the replicas are built): what a
+        #: replay after a contradicting log restarts from.
+        self.initial_snapshot: Optional[dict] = None
         self.engine = ExecutionEngine(store, registry, shard, owns,
                                       clock=lambda: self.now)
-        self._fed: list[tuple[SlotId, str]] = []   # (slot, kind) fed so far
+        self._fed: list[LogEntry] = []   # the entries fed so far, in order
         self._delivery_queue: deque[tuple[SlotId, Optional[TxnRecord]]] = deque()
 
         self.txns_processed = 0
@@ -172,7 +175,9 @@ class ReplicaState(Node):
     def _feed_entry(self, entry: LogEntry, reply: bool = False) -> None:
         """Feed the engine the next entry in log order; with ``reply``,
         the result goes to the client (the DL's reply)."""
-        self._fed.append((entry.slot, entry.kind))
+        if self.initial_snapshot is None:
+            self.initial_snapshot = self.store.snapshot()
+        self._fed.append(entry)
         if self.tracer is not None:
             self.tracer.record("apply", self.address, shard=self.shard,
                                index=entry.index, entry_kind=entry.kind,
@@ -229,11 +234,10 @@ class ReplicaState(Node):
         """Install a merged log; if it contradicts what this replica
         already executed, rebuild application state by replay (the
         paper's application state transfer for rolled-back DLs)."""
-        mismatch = any(
-            i >= len(entries)
-            or self._fed[i] != (entries[i].slot, entries[i].kind)
-            for i in range(len(self._fed))
-        )
+        fed = len(self._fed)
+        mismatch = fed > len(entries) or any(
+            (done.slot, done.kind) != (entry.slot, entry.kind)
+            for done, entry in zip(self._fed, entries))
         self.log.replace(entries)
         if self.tracer is not None:
             self.tracer.record(
@@ -247,6 +251,9 @@ class ReplicaState(Node):
             self._fed = []
             if self.is_dl:
                 self._catch_up_engine(reply=False)
+        else:
+            # Same prefix: hold the adopted entries, not the replaced.
+            self._fed = self.log.entries(1, fed)
 
     def _install(self, entries: list[LogEntry], event: str,
                  **trace) -> None:

@@ -10,12 +10,12 @@ transactions are made from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Optional
 
 from repro.net.message import GroupId
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TxnId:
     """At-most-once identity: (client address, client sequence number)."""
 
@@ -38,7 +38,7 @@ class SlotId:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndependentTransaction:
     """A one-shot stored-procedure invocation across ``participants``.
 
@@ -55,6 +55,12 @@ class IndependentTransaction:
     and the replicas: ``read_only`` transactions are candidates for the
     dirty-set read fast path. ``generic`` (the default) always takes
     the full path.
+
+    ``floor_gap`` carries the client's completion floor (§6.1) as a
+    distance below ``txn_id.seq``, so the common closed-loop case is a
+    one-byte 0: every seq of this client below :attr:`floor` has
+    completed at every participant, and replicas may forget those
+    outcomes. ``None`` carries no floor and prunes nothing.
     """
 
     txn_id: TxnId
@@ -65,6 +71,7 @@ class IndependentTransaction:
     write_keys: frozenset = frozenset()
     kind: str = "independent"  # independent | preliminary | conclusory
     op_class: str = "generic"  # generic | read_only
+    floor_gap: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.participants:
@@ -81,6 +88,25 @@ class IndependentTransaction:
             raise ValueError(
                 f"{self.kind} transactions must be generic, "
                 f"got {self.op_class!r}")
+        if self.write_keys is not self.read_keys \
+                and self.write_keys == self.read_keys:
+            # A read-modify-write declares one key set twice; every
+            # logged copy keeps it once.
+            object.__setattr__(self, "write_keys", self.read_keys)
+        if self.floor_gap is not None \
+                and not 0 <= self.floor_gap <= self.txn_id.seq:
+            raise ValueError(
+                f"completion floor gap {self.floor_gap!r} outside "
+                f"0..{self.txn_id.seq}")
+
+    @property
+    def floor(self) -> Optional[int]:
+        """The client's completion floor: the lowest seq it had not yet
+        seen complete at every participant when it sent this request
+        (None when the request carries none)."""
+        if self.floor_gap is None:
+            return None
+        return self.txn_id.seq - self.floor_gap
 
     @property
     def is_distributed(self) -> bool:

@@ -36,6 +36,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+import sys
+from operator import attrgetter
+from types import MemberDescriptorType as _MemberDescriptor
 from typing import Any, Iterable
 
 from repro.errors import ReproError
@@ -64,18 +67,40 @@ _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 # without negotiation). Invalidated whenever a new type registers.
 _TYPE_IDS: dict[type, int] | None = None
 _TYPES_BY_ID: list[type] | None = None
-# Classes safe to rebuild without running the constructor: no
-# __post_init__ validator and no __slots__ anywhere in the MRO, so
-# object.__new__ + a direct __dict__ assignment is equivalent to
-# __init__ (frozen dataclasses pay per-field object.__setattr__ there —
-# the dominant decode cost for message-heavy payloads). Classes *with*
-# a __post_init__ (but still no __slots__) go in _VALIDATED_NEW: same
-# rebuild, then the validator runs explicitly — a dataclass __init__
-# is exactly "set every field, then call __post_init__", so decoded
-# frames keep full validation while skipping the frozen setattr tax.
-_FAST_NEW: set[type] = set()
-_VALIDATED_NEW: set[type] = set()
+# How a decoded message of each registered class is rebuilt without
+# running its constructor, whose per-field frozen object.__setattr__
+# calls would dominate decode: a class without __slots__ gets its
+# fields stored straight into a fresh instance __dict__; a __slots__
+# class (the hot wire types, which sit in every log entry) gets each
+# field installed through its cached member descriptor. A dataclass
+# __init__ is exactly "set every field, then call __post_init__", so
+# classes in _VALIDATED then run their validator explicitly and
+# decoded frames keep full validation.
+_DICT_NEW: set[type] = set()
+_SLOT_SETTERS: dict[type, tuple] = {}
+#: __slots__ class -> one C call returning its field values in order.
+_SLOT_GETTERS: dict[type, Any] = {}
+_VALIDATED: set[type] = set()
 _object_new = object.__new__
+# Decoded strings shared process-wide, so every log entry at every
+# replica holds one copy of each client id, procedure name and dict
+# key. Only short strings, and at most _SHARED_MAX of them, are
+# interned: CPython 3.12 never frees an interned string, and a peer's
+# payload strings (values, customer data) must not pin memory.
+_SHARED: dict[str, str] = {}
+_SHARED_MAX = 4096
+_SHARED_LEN = 32
+
+
+def _share(value: str) -> str:
+    """The process-wide copy of the short decoded string ``value``, or
+    ``value`` itself once the table is full."""
+    shared = _SHARED.get(value)
+    if shared is None:
+        if len(_SHARED) >= _SHARED_MAX:
+            return value
+        shared = _SHARED[value] = sys.intern(value)
+    return shared
 
 
 def register_message(cls: type) -> type:
@@ -93,8 +118,23 @@ def register_message(cls: type) -> type:
                 f"duplicate wire-message name {name!r}: "
                 f"{existing.__module__} vs {cls.__module__}")
         return cls
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    if any("__slots__" in base.__dict__ for base in cls.__mro__[:-1]):
+        slots = [getattr(cls, field, None) for field in names]
+        if any(type(slot) is not _MemberDescriptor for slot in slots):
+            raise CodecError(
+                f"{name}: a __slots__ wire dataclass must keep every "
+                "field in a slot")
+        _SLOT_SETTERS[cls] = tuple(slot.__set__ for slot in slots)
+        # attrgetter of one name returns the bare value, not a 1-tuple.
+        _SLOT_GETTERS[cls] = attrgetter(*names) if len(names) > 1 \
+            else lambda value, get=attrgetter(*names): (get(value),)
+    else:
+        _DICT_NEW.add(cls)
+    if hasattr(cls, "__post_init__"):
+        _VALIDATED.add(cls)
     _REGISTRY[name] = cls
-    _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    _FIELD_NAMES[cls] = names
     _TYPE_IDS = _TYPES_BY_ID = None   # interned ids must be recomputed
     return cls
 
@@ -125,15 +165,6 @@ def _intern_types() -> None:
         return
     _TYPES_BY_ID = [_REGISTRY[name] for name in sorted(_REGISTRY)]
     _TYPE_IDS = {cls: i for i, cls in enumerate(_TYPES_BY_ID)}
-    _FAST_NEW.clear()
-    _VALIDATED_NEW.clear()
-    for cls in _TYPES_BY_ID:
-        if any("__slots__" in base.__dict__ for base in cls.__mro__[:-1]):
-            continue
-        if hasattr(cls, "__post_init__"):
-            _VALIDATED_NEW.add(cls)
-        else:
-            _FAST_NEW.add(cls)
 
 
 # -- value encoding ---------------------------------------------------------
@@ -270,11 +301,13 @@ def _encode(out: bytearray, value: Any, depth: int,
             out.append(type_id)
         else:
             _write_uvarint(out, type_id)
-        fields = getattr(value, "__dict__", None)
-        if fields is not None and len(fields) == len(_FIELD_NAMES[cls]):
-            items = fields.values()
-        else:   # __slots__ classes carry no instance dict
-            items = (getattr(value, name) for name in _FIELD_NAMES[cls])
+        getter = _SLOT_GETTERS.get(cls)
+        if getter is not None:
+            items = getter(value)
+        else:
+            items = value.__dict__.values()
+            if len(items) != len(_FIELD_NAMES[cls]):
+                items = [getattr(value, name) for name in _FIELD_NAMES[cls]]
         for item in items:
             icls = item.__class__
             if icls is int and 0 <= item <= 0x7F:
@@ -368,7 +401,9 @@ def _decode(buf, pos: int, end: int, depth: int,
             _T_NONE=_T_NONE, _T_TRUE=_T_TRUE, _T_FALSE=_T_FALSE,
             _T_FLOAT=_T_FLOAT, _T_BYTES=_T_BYTES,
             _read_uvarint=_read_uvarint, _read_svarint=_read_svarint,
-            _unpack_double=_unpack_double) -> tuple[Any, int]:
+            _unpack_double=_unpack_double,
+            _SHARED_LEN=_SHARED_LEN, _shared_get=_SHARED.get,
+            _share=_share) -> tuple[Any, int]:
     """Decode one EWC2 value from ``buf[pos:end]``; returns
     ``(value, next_pos)``. ``buf`` may be bytes or a memoryview —
     slices taken for string/bytes bodies are zero-copy until
@@ -404,6 +439,8 @@ def _decode(buf, pos: int, end: int, depth: int,
             value = str(buf[pos:stop], "utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError(f"malformed UTF-8 string body: {exc}") from exc
+        if length <= _SHARED_LEN:
+            value = _shared_get(value) or _share(value)
         strings.append(value)
         return value, stop
     if tag == _T_INT:
@@ -427,7 +464,7 @@ def _decode_composite(buf, pos: int, end: int, depth: int,
                       strings: list, tag: int,
                       _T_SREF=_T_SREF, _T_MISSING=_T_MISSING,
                       _T_MSG=_T_MSG, _T_TUPLE=_T_TUPLE,
-                      _T_LIST=_T_LIST, _T_DICT=_T_DICT, _T_SET=_T_SET,
+                      _T_LIST=_T_LIST, _T_DICT=_T_DICT,
                       _T_FSET=_T_FSET, _T_BYTES=_T_BYTES,
                       _read_uvarint=_read_uvarint,
                       _object_new=_object_new,
@@ -471,10 +508,8 @@ def _decode_composite(buf, pos: int, end: int, depth: int,
         if count >= len(_TYPES_BY_ID):
             raise CodecError(f"unknown interned wire type id {count}")
         cls = _TYPES_BY_ID[count]
-        if cls in _FAST_NEW:
-            # No validator to run: skip __init__ (per-field frozen
-            # __setattr__ calls) and install decoded fields directly.
-            obj = _object_new(cls)
+        obj = _object_new(cls)
+        if cls in _DICT_NEW:
             fields = obj.__dict__
             for name in _FIELD_NAMES[cls]:
                 if pos < end:
@@ -495,48 +530,35 @@ def _decode_composite(buf, pos: int, end: int, depth: int,
                         continue
                 fields[name], pos = _decode(buf, pos, end, depth,
                                             strings)
-            return obj, pos
-        if cls in _VALIDATED_NEW:
-            obj = _object_new(cls)
-            fields = obj.__dict__
-            for name in _FIELD_NAMES[cls]:
+        else:
+            for setter in _SLOT_SETTERS[cls]:
                 if pos < end:
                     b = buf[pos]
                     if b & 0x80:
-                        fields[name] = b & 0x7F
+                        setter(obj, b & 0x7F)
                         pos += 1
                         continue
                     if b == _T_SREF and pos + 1 < end \
                             and buf[pos + 1] < 0x80 \
                             and buf[pos + 1] < len(strings):
-                        fields[name] = strings[buf[pos + 1]]
+                        setter(obj, strings[buf[pos + 1]])
                         pos += 2
                         continue
                     if b >= _T_BYTES and b != _T_SREF:
-                        fields[name], pos = _decode_composite(
+                        item, pos = _decode_composite(
                             buf, pos + 1, end, depth, strings, b)
+                        setter(obj, item)
                         continue
-                fields[name], pos = _decode(buf, pos, end, depth,
-                                            strings)
+                item, pos = _decode(buf, pos, end, depth, strings)
+                setter(obj, item)
+        if cls in _VALIDATED:
             try:
                 obj.__post_init__()
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, AttributeError) as exc:
                 raise CodecError(
                     f"cannot rebuild {cls.__name__}: {exc}") from exc
-            return obj, pos
-        kwargs = {}   # __slots__ classes: no instance dict to fill
-        for name in _FIELD_NAMES[cls]:
-            if pos < end and buf[pos] & 0x80:
-                kwargs[name] = buf[pos] & 0x7F
-                pos += 1
-            else:
-                kwargs[name], pos = _decode(buf, pos, end, depth, strings)
-        try:
-            return cls(**kwargs), pos
-        except (TypeError, ValueError) as exc:
-            raise CodecError(
-                f"cannot rebuild {cls.__name__}: {exc}") from exc
-    if tag == _T_TUPLE or tag == _T_LIST:
+        return obj, pos
+    if _T_TUPLE <= tag <= _T_FSET:      # tuple, list, set, frozenset
         items = []
         append = items.append
         for _ in range(count):
@@ -559,7 +581,17 @@ def _decode_composite(buf, pos: int, end: int, depth: int,
                     continue
             item, pos = _decode(buf, pos, end, depth, strings)
             append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
+        if tag == _T_TUPLE:
+            return tuple(items), pos
+        if tag == _T_LIST:
+            return items, pos
+        try:
+            decoded = frozenset(items) if tag == _T_FSET else set(items)
+        except TypeError as exc:
+            raise CodecError(f"unhashable set element: {exc}") from exc
+        if len(decoded) != count:
+            raise CodecError("duplicate set elements in EWC2 frame")
+        return decoded, pos
     if tag == _T_DICT:
         decoded = {}
         for _ in range(count):
@@ -576,31 +608,6 @@ def _decode_composite(buf, pos: int, end: int, depth: int,
         if len(decoded) != count:
             raise CodecError("duplicate dict keys in EWC2 frame")
         return decoded, pos
-    if tag == _T_SET or tag == _T_FSET:
-        decoded = set()
-        add = decoded.add
-        for _ in range(count):
-            if pos < end:
-                b = buf[pos]
-                if b & 0x80:
-                    add(b & 0x7F)
-                    pos += 1
-                    continue
-                if b == _T_SREF and pos + 1 < end \
-                        and buf[pos + 1] < 0x80 \
-                        and buf[pos + 1] < len(strings):
-                    add(strings[buf[pos + 1]])
-                    pos += 2
-                    continue
-            item, pos = _decode(buf, pos, end, depth, strings)
-            try:
-                add(item)
-            except TypeError as exc:
-                raise CodecError(
-                    f"unhashable set element: {item!r}") from exc
-        if len(decoded) != count:
-            raise CodecError("duplicate set elements in EWC2 frame")
-        return (decoded if tag == _T_SET else frozenset(decoded)), pos
     if tag == _T_BYTES:
         stop = pos + count
         if stop > end:
@@ -645,6 +652,7 @@ def _bind_packet_types() -> None:
     _Packet = Packet
     _GroupcastHeader = GroupcastHeader
     _MultiStamp = MultiStamp
+    _ensure_registry()     # the header's MultiStamp is built by slot
 
 
 # Packet frame header flag bits.
@@ -839,7 +847,10 @@ def decode_packet(buffer: bytes) -> Any:
             else:
                 seq, pos = _read_svarint(view, pos, end)
             stamps.append((gid, seq))
-        multistamp = _MultiStamp(epoch=epoch, stamps=tuple(stamps))
+        multistamp = _object_new(_MultiStamp)
+        set_epoch, set_stamps = _SLOT_SETTERS[_MultiStamp]
+        set_epoch(multistamp, epoch)
+        set_stamps(multistamp, tuple(stamps))
     payload, pos = _decode(view, pos, end, 0, [])
     if pos != end:
         raise CodecError(f"{end - pos} trailing bytes after EWC2 packet frame")

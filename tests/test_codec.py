@@ -22,6 +22,7 @@ checked exhaustively here:
 from __future__ import annotations
 
 import dataclasses
+import sys
 import typing
 
 import pytest
@@ -38,6 +39,7 @@ from repro.core.messages import (
 )
 from repro.core.transaction import IndependentTransaction, SlotId, TxnId
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
+from repro.runtime import codec
 from repro.runtime.codec import (
     CodecError,
     decode_message,
@@ -324,6 +326,64 @@ def test_slotted_log_classes_have_no_dict_and_roundtrip(carriage):
     decoded = carriage.decode(carriage.encode(view_change)).log[0]
     assert type(decoded) is LogEntry
     assert type(decoded.record.multistamp) is MultiStamp
+
+
+@CARRIAGES
+def test_decoded_hot_types_are_slotted_and_strings_interned(carriage):
+    """Every replica logs its own decoded copy of each request, so the
+    decoded objects carry no instance ``__dict__`` and their strings
+    are the one interned copy of each client id, procedure and key."""
+    txn = IndependentTransaction(
+        txn_id=_SAMPLE_TXN_ID, proc="ycsb_rmw", args={"keys": (3, 4)},
+        participants=(0, 1), read_keys=frozenset({3, 4}),
+        write_keys=frozenset({4, 3}), floor_gap=0)
+    request = IndependentTxnRequest(txn)
+    decoded = carriage.decode(carriage.encode(request))
+    assert decoded == request
+    record = TxnRecord(txn=decoded.txn, multistamp=_SAMPLE_STAMP)
+    for value in (decoded.txn, decoded.txn.txn_id, record,
+                  carriage.decode(carriage.encode(record)).multistamp):
+        assert not hasattr(value, "__dict__")
+    assert decoded.txn.proc is sys.intern("ycsb_rmw")
+    assert decoded.txn.txn_id.client is sys.intern("client-1")
+    assert next(iter(decoded.txn.args)) is sys.intern("keys")
+    # A read-modify-write's equal key sets are kept once.
+    assert decoded.txn.write_keys is decoded.txn.read_keys
+    assert decoded.txn.floor == _SAMPLE_TXN_ID.seq
+
+
+@CARRIAGES
+def test_only_short_strings_are_interned_and_only_a_bounded_number(
+        carriage, monkeypatch):
+    """CPython 3.12 never frees an interned string, so payload strings
+    are not interned: long ones never, short ones only until the shared
+    table is full."""
+    long_value = "customer-data-" * 4
+    first, second = (carriage.decode(carriage.encode([long_value]))[0]
+                     for _ in range(2))
+    assert first == second == long_value and first is not second
+    monkeypatch.setattr(codec, "_SHARED_MAX", len(codec._SHARED))
+    fresh = "fresh-%d" % id(monkeypatch)
+    first, second = (carriage.decode(carriage.encode([fresh]))[0]
+                     for _ in range(2))
+    assert first == second == fresh and first is not second
+    assert fresh not in codec._SHARED
+    assert carriage.decode(carriage.encode(["keys"]))[0] is sys.intern("keys")
+
+
+def test_forged_completion_floor_rejected_on_decode():
+    """A floor above the request's own seq would make replicas forget
+    outcomes the client still waits for; the validator runs on the
+    slotted decode path and rejects it."""
+    txn = IndependentTransaction(
+        txn_id=TxnId(client="c", seq=5), proc="p", args={},
+        participants=(0,), floor_gap=5)
+    buffer = encode_message(txn)
+    assert decode_message(buffer) == txn
+    gap = bytes([0x80 | 5])
+    assert buffer.endswith(gap)
+    with pytest.raises(CodecError, match="floor"):
+        decode_message(buffer[:-1] + bytes([0x80 | 6]))
 
 
 def test_missing_read_result_roundtrips_as_the_singleton():

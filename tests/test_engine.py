@@ -63,12 +63,13 @@ class Feeder:
 
 
 def txn(client, seq, proc="put", args=None, kind="independent",
-        reads=(), writes=()):
+        reads=(), writes=(), floor_gap=None):
     return IndependentTransaction(
         txn_id=TxnId(client=client, seq=seq), proc=proc,
         args=args if args is not None else {"kv": {"x": seq}},
         participants=(0,), kind=kind,
-        read_keys=frozenset(reads), write_keys=frozenset(writes))
+        read_keys=frozenset(reads), write_keys=frozenset(writes),
+        floor_gap=floor_gap)
 
 
 def test_executes_and_reports_result():
@@ -111,6 +112,57 @@ def test_pipelined_txns_from_one_client_both_execute():
     # But a true duplicate of either is still suppressed.
     f.feed_txn(txn("c", 2, args={"kv": {"x": 999}}))
     assert f.store.get("x") == 2
+
+
+# -- the §6.1 completion floor ---------------------------------------------
+
+def test_completion_floor_prunes_rows_below_it():
+    """A closed-loop client's every request says all its earlier seqs
+    completed: the table keeps one row for it, however long it runs."""
+    f = Feeder()
+    for seq in range(1, 51):
+        f.feed_txn(txn("c", seq, floor_gap=0))
+        assert set(f.engine.client_table["c"]) == {seq}
+    assert f.engine.client_floors == {"c": 50}
+    assert f.engine.cached_reply(TxnId("c", 49)) is None
+    assert f.engine.cached_reply(TxnId("c", 50)) == (True, "ok")
+
+
+def test_pipelined_floor_keeps_outstanding_rows():
+    f = Feeder()
+    f.feed_txn(txn("c", 1, floor_gap=0))
+    f.feed_txn(txn("c", 2, floor_gap=1))     # seq 1 still outstanding
+    f.feed_txn(txn("c", 3, floor_gap=2))
+    assert set(f.engine.client_table["c"]) == {1, 2, 3}
+    f.feed_txn(txn("c", 4, floor_gap=1))     # 1 and 2 completed
+    assert set(f.engine.client_table["c"]) == {3, 4}
+    # A late copy carrying an older floor never lowers it.
+    f.feed_txn(txn("c", 3, floor_gap=3))
+    assert f.engine.client_floors["c"] == 3
+    assert set(f.engine.client_table["c"]) == {3, 4}
+
+
+def test_request_below_the_floor_is_a_duplicate_and_not_executed():
+    f = Feeder()
+    f.feed_txn(txn("c", 1, floor_gap=0))
+    f.feed_txn(txn("c", 2, args={"kv": {"y": 2}}, floor_gap=0))
+    f.feed_txn(txn("c", 1, args={"kv": {"x": 99}}, floor_gap=0))
+    assert f.results[-1] == (False, "duplicate below completion floor")
+    assert f.store.get("x") == 1
+    assert set(f.engine.client_table["c"]) == {2}
+
+
+def test_floors_are_per_client_and_reset_with_the_engine():
+    f = Feeder()
+    f.feed_txn(txn("a", 5, floor_gap=0))
+    f.feed_txn(txn("b", 1, floor_gap=0))
+    f.feed_txn(txn("b", 2, floor_gap=0))
+    assert f.engine.client_floors == {"a": 5, "b": 2}
+    assert set(f.engine.client_table["a"]) == {5}
+    f.engine.reset()
+    assert f.engine.client_floors == {}
+    f.feed_txn(txn("a", 1, floor_gap=0))     # executes after a replay
+    assert f.results[-1] == (True, "ok")
 
 
 def test_lock_free_fast_path_without_generals():

@@ -181,6 +181,41 @@ def test_retry_exhaustion_counts_toward_completion_invariant():
     assert client.inflight == 0
 
 
+# -- the §6.1 completion floor ---------------------------------------------
+
+def complete(client, txn_id):
+    for idx in range(3):
+        client.on_TxnReply(f"r{idx}", reply(txn_id, 0, idx), None)
+
+
+def test_request_carries_the_lowest_incomplete_seq_as_its_floor():
+    loop, client = build_client()
+    first, _ = submit(client)
+    assert client._pending[first].txn.floor == 1
+    second, _ = submit(client)           # seq 1 still outstanding
+    assert client._pending[second].txn.floor == 1
+    assert client._pending[second].txn.floor_gap == 1
+    complete(client, first)
+    third, _ = submit(client)            # 2 outstanding, 1 done
+    assert client._pending[third].txn.floor == 2
+    complete(client, second)
+    complete(client, third)
+    fourth, _ = submit(client)           # closed loop: the gap is 0
+    assert client._pending[fourth].txn.floor_gap == 0
+
+
+def test_abandoned_seq_holds_the_floor_for_good():
+    loop, client = build_client()
+    client.max_retries = 1
+    client.submit("p", {}, (0,), lambda outcome: None)
+    loop.run(until=0.1)
+    assert client.timedout_count == 1
+    for _ in range(3):
+        txn_id, _ = submit(client)
+        assert client._pending[txn_id].txn.floor == 1
+        complete(client, txn_id)
+
+
 # -- reconnaissance reads (§7.1) -------------------------------------------
 
 def test_recon_replies_keyed_by_replica_not_just_key():

@@ -348,3 +348,126 @@ def test_five_replica_shard_recovers_from_a_dl_crash():
     assert {(r.status, r.view_num) for r in live} == {("normal", 1)}
     assert new.log.last_index == 4
     assert new.store.get(0) == 4
+
+
+# -- the §6.1 completion floor ---------------------------------------------
+
+def keys_on_shards(partitioner, shards):
+    """One key owned by each shard in ``shards``."""
+    return [next(k for k in range(1000) if partitioner.shard_of(k) == s)
+            for s in shards]
+
+
+def spy_requests(node):
+    """Record every transaction ``node`` (an ErisClient) groupcasts."""
+    sent = []
+    original = node.send_groupcast
+
+    def spy(groups, message):
+        if isinstance(message, IndependentTxnRequest):
+            sent.append(message.txn)
+        return original(groups, message)
+
+    node.send_groupcast = spy
+    return sent
+
+
+def all_replicas(cluster):
+    return [r for replicas in cluster.replicas.values() for r in replicas]
+
+
+def executed_state(replica):
+    """A replica's execution outcome: store, floors and table rows."""
+    return (replica.store.snapshot(), dict(replica.engine.client_floors),
+            {client: dict(rows)
+             for client, rows in replica.engine.client_table.items()})
+
+
+def test_client_table_holds_outstanding_plus_one_rows():
+    cluster = make_ycsb_cluster(n_shards=2)
+    client = cluster.make_client()
+    address = client.node.address
+    keys = keys_on_shards(cluster.partitioner, (0, 1))
+    ops = [rmw_op(keys[:1], cluster.partitioner),
+           rmw_op(keys[1:], cluster.partitioner),
+           rmw_op(keys, cluster.partitioner)]
+    for i in range(300):
+        assert submit_and_wait(cluster, client, ops[i % 3]).committed
+        for replica in all_replicas(cluster):
+            rows = replica.engine.client_table.get(address, {})
+            assert len(rows) <= client.node.inflight + 1
+    drive(cluster, 0.02)      # followers execute through commit_upto
+    for replica in all_replicas(cluster):
+        assert len(replica.engine.client_table.get(address, {})) <= 1
+        assert replica.engine.client_floors[address] >= 299
+
+
+@pytest.mark.parametrize("shards", [(0,), (0, 1)],
+                         ids=["single-shard", "two-shard"])
+def test_stale_retransmission_below_the_floor_is_logged_not_executed(shards):
+    from repro.harness.checkers import run_all_checks
+
+    cluster = make_ycsb_cluster(n_shards=2)
+    client = cluster.make_client()
+    sent = spy_requests(client.node)
+    op = rmw_op(keys_on_shards(cluster.partitioner, shards),
+                cluster.partitioner)
+    for _ in range(5):
+        assert submit_and_wait(cluster, client, op).committed
+    drive(cluster, 0.02)
+    stale = sent[0]
+    participants = [r for shard in shards for r in cluster.replicas[shard]]
+    for replica in participants:
+        assert replica.engine.cached_reply(stale.txn_id) is None  # pruned
+    before = {r.address: executed_state(r) for r in participants}
+    logged = {r.address: r.log.last_index for r in participants}
+
+    client.node.send_groupcast(stale.participants,
+                               IndependentTxnRequest(stale))
+    drive(cluster, 0.02)
+    for replica in participants:
+        assert replica.log.last_index == logged[replica.address] + 1
+        assert replica.log.get(replica.log.last_index).record.txn == stale
+        assert len(replica._fed) == replica.log.last_index
+        assert executed_state(replica) == before[replica.address]
+    run_all_checks(cluster)
+
+
+def test_adopt_log_replay_rebuilds_the_same_table():
+    cluster = make_ycsb_cluster(n_shards=1)
+    client = cluster.make_client()
+    other = cluster.make_client()
+    for i in range(12):
+        submit_and_wait(cluster, client if i % 3 else other,
+                        rmw_op([i % 4], cluster.partitioner))
+    drive(cluster, 0.02)
+    replicas = cluster.replicas[0]
+    dl = next(r for r in replicas if r.is_dl)
+    expected = executed_state(dl)
+    assert all(executed_state(r) == expected for r in replicas)
+    # A fed record that contradicts the agreed log forces a full replay.
+    entries = list(dl.log.entries())
+    dl._fed[0] = dl._fed[0].as_noop()
+    dl._adopt_log(entries)
+    assert len(dl._fed) == dl.log.last_index
+    assert executed_state(dl) == expected
+
+
+def test_abandoned_seq_pins_the_floor_at_every_replica():
+    cluster = make_ycsb_cluster(n_shards=1)
+    client = cluster.make_client()
+    node = client.node
+    node.max_retries = 1
+    address = node.address
+    op = rmw_op([0], cluster.partitioner)
+    cluster.network.drop_filter = lambda pkt: pkt.src == address
+    outcome = submit_and_wait(cluster, client, op)
+    assert not outcome.committed and node.timedout_count == 1
+    cluster.network.drop_filter = None
+    for _ in range(4):
+        assert submit_and_wait(cluster, client, op).committed
+    drive(cluster, 0.02)
+    for replica in cluster.replicas[0]:
+        # Seq 1 never completed, so no later request lets it go.
+        assert replica.engine.client_floors[address] == 1
+        assert set(replica.engine.client_table[address]) == {2, 3, 4, 5}
