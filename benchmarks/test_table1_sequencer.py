@@ -12,7 +12,8 @@ import pytest
 
 from repro.net.endpoint import Node
 from repro.net.network import NetConfig, Network
-from repro.net.sequencer import MultiSequencer, SequencerProfile
+from repro.net.sequencer import ChainInstall, MultiSequencer, \
+    SequencerProfile
 from repro.sim.event_loop import EventLoop
 
 from bench_common import print_paper_comparison
@@ -39,6 +40,8 @@ def measure_profile(profile: SequencerProfile, offered_rate: float,
     sink = _Sink("sink", net)
     net.groups.define(0, ["sink"])
     sequencer = MultiSequencer("seq", net, profile)
+    sequencer.apply_install(ChainInstall(version=1, epoch=1,
+                                         members=("seq",)))
     net.install_sequencer_route("seq")
     sender = _Sink("sender", net)
     interval = 1.0 / offered_rate
@@ -55,7 +58,8 @@ def measure_latency(profile: SequencerProfile) -> float:
     net = Network(loop, NetConfig(base_latency=0.0, jitter=0.0))
     sink = _Sink("sink", net)
     net.groups.define(0, ["sink"])
-    MultiSequencer("seq", net, profile)
+    MultiSequencer("seq", net, profile).apply_install(
+        ChainInstall(version=1, epoch=1, members=("seq",)))
     net.install_sequencer_route("seq")
     sender = _Sink("sender", net)
     sent_at = loop.now

@@ -402,12 +402,7 @@ def run(args: argparse.Namespace):
     kill_at = getattr(args, "kill_sequencer", None)
     if kill_at is not None:
         from repro.harness.faults import FaultPlan
-        plan = FaultPlan(cluster)
-        controller = cluster.controller
-        if controller is not None and controller.chain:
-            plan.kill_chain_node_at(kill_at, 0)
-        else:
-            plan.kill_sequencer_at(kill_at)
+        FaultPlan(cluster).kill_sequencer_at(kill_at)
     sampler = None
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:

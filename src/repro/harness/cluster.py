@@ -25,7 +25,8 @@ from repro.core.replica import ErisConfig
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.network import NetConfig, Network
-from repro.net.sequencer import MultiSequencer, SequencerProfile
+from repro.net.sequencer import ChainInstall, MultiSequencer, \
+    SequencerProfile
 from repro.obs import MetricsRegistry, Tracer
 from repro.replication.vr import VRConfig
 from repro.sim.event_loop import EventLoop
@@ -46,8 +47,8 @@ _PROFILES = {
 def live_dl(shard: int, replicas):
     """The live replica that is DL in the *highest* view among live
     replicas: a crashed old DL still believes it leads its view. Reads
-    only ``crashed``, ``view_num`` and ``is_dl``, so it takes Eris
-    replicas and their snapshots alike."""
+    only ``address``, ``crashed``, ``view_num`` and ``is_dl``, so it
+    takes Eris replicas and their snapshots alike."""
     live = [r for r in replicas if not r.crashed]
     if not live:
         raise InvariantViolation(f"shard {shard} has no live replicas")
@@ -55,7 +56,10 @@ def live_dl(shard: int, replicas):
     for replica in live:
         if replica.view_num == top_view and replica.is_dl:
             return replica
-    raise InvariantViolation(f"shard {shard} has no live DL")
+    views = ", ".join(f"{r.address} view {r.view_num}"
+                      + (" (DL)" if r.is_dl else "") for r in live)
+    raise InvariantViolation(
+        f"shard {shard} has no live DL in view {top_view}: {views}")
 
 
 @dataclass
@@ -73,10 +77,11 @@ class ClusterConfig:
     net: NetConfig = field(default_factory=NetConfig)
     sequencer_profile: str = "middlebox"
     n_sequencers: int = 2              # primary + standbys (Eris)
-    #: Chain-replicated sequencer (Eris only): length of the chain of
-    #: ``ChainSequencerNode`` elements fronting the system. 0 keeps the
-    #: paper's single soft-state sequencer; 2–3 enables splice repair
-    #: (``n_sequencers`` then counts the epoch-fallback standbys).
+    #: Sequencing chain (Eris only): length of the chain of
+    #: ``MultiSequencer`` elements fronting the system. 0 keeps the
+    #: paper's single soft-state sequencer (a chain of one, the first
+    #: standby); 2–3 enables splice repair (``n_sequencers`` then counts
+    #: the epoch-fallback standbys alone).
     sequencer_chain: int = 0
     server_service_time: float = 2e-6  # CPU per received message
     execution_cost: float = 0.5e-6     # CPU per executed transaction
@@ -214,18 +219,17 @@ class Cluster:
         self.network.config.drop_rate = rate
 
     def crash_active_sequencer(self) -> None:
-        if self.controller is None:
-            raise ConfigurationError("no controller in this deployment")
-        self.network.endpoint(self.controller.active_address).crash()
+        """Crash the chain head — the element the route points at."""
+        self.crash_chain_node(0)
 
     def crash_replica(self, shard: int, index: int) -> None:
         self.replicas[shard][index].crash()
 
     def crash_chain_node(self, index: int) -> None:
-        """Crash the ``index``-th element of the *current* sequencer
+        """Crash the ``index``-th element of the *current* sequencing
         chain (0 = head, -1 = tail)."""
-        if self.controller is None or not self.controller.chain:
-            raise ConfigurationError("no sequencer chain in this deployment")
+        if self.controller is None:
+            raise ConfigurationError("no controller in this deployment")
         self.network.endpoint(self.controller.chain[index]).crash()
 
 
@@ -267,7 +271,11 @@ def _build_eris(cluster: Cluster) -> None:
         if role == topology.controller_address:
             cluster.controller.start()
     if cluster.config.system == "eris-oum":
-        cluster.runtime.install_sequencer_route(topology.standby_addrs[0])
+        # No controller: the first standby is the chain of one for good.
+        head = topology.standby_addrs[0]
+        cluster.runtime.endpoint(head).apply_install(
+            ChainInstall(version=1, epoch=1, members=(head,)))
+        cluster.runtime.install_sequencer_route(head)
 
 
 def wire_eris(cluster: Cluster):

@@ -182,9 +182,9 @@ def run_failover_experiment(cluster: Cluster, workload, kill_at: float,
                             config: Optional[ExperimentConfig] = None
                             ) -> tuple[ExperimentResult, float]:
     """Extended fig14: run ``workload`` under closed-loop load, kill
-    the active sequencing element (chain head in chain mode, the
-    routed sequencer otherwise) at absolute time ``kill_at``, and
-    measure the outage window until throughput recovers.
+    the active sequencing element (the chain head, where the route
+    points) at absolute time ``kill_at``, and measure the outage window
+    until throughput recovers.
 
     Returns ``(result, window)`` where ``window`` compares directly
     between the epoch-bump path (``sequencer_chain=0``) and the
@@ -195,12 +195,7 @@ def run_failover_experiment(cluster: Cluster, workload, kill_at: float,
         raise ValueError("failover experiment needs a timeseries bucket")
     from repro.harness.faults import FaultPlan
 
-    plan = FaultPlan(cluster)
-    controller = cluster.controller
-    if controller is not None and controller.chain:
-        plan.kill_chain_node_at(kill_at, 0)
-    else:
-        plan.kill_sequencer_at(kill_at)
+    FaultPlan(cluster).kill_sequencer_at(kill_at)
     result = run_experiment(cluster, workload, config)
     window = failover_window(result.timeseries, kill_at)
     return result, window

@@ -16,8 +16,9 @@ in build order:
 ========================  ==============================================
 role                       hosts
 ========================  ==============================================
-``chain:<i>``              one chain-replicated sequencer element
-``seq:<i>``                one multi-sequencer (primary or standby)
+``chain:<i>``              one element of a multi-element sequencing chain
+``seq:<i>``                one standby sequencer (the first is the
+                           chain of one when there is no chain)
 ``fc``                     the failure coordinator
 ``controller``             the SDN controller (absent for ``eris-oum``)
 ``replica:<shard>:<i>``    one :class:`~repro.core.replica.ErisReplica`
@@ -42,9 +43,10 @@ class ErisTopology:
 
     #: shard -> replica addresses, in replica-index order.
     shard_addrs: dict[int, list[str]]
-    #: Chain-replicated sequencer elements, head first (empty = no chain).
+    #: Sequencing-chain elements, head first (empty = the chain is
+    #: ``standby_addrs[0]`` alone).
     chain_addrs: tuple[str, ...]
-    #: Multi-sequencers (primary + epoch-fallback standbys).
+    #: Standby sequencers the epoch failover walks.
     standby_addrs: tuple[str, ...]
     fc_address: str = "fc"
     #: None when the deployment has no controller role (the OUM
@@ -126,7 +128,6 @@ def build_role(cluster, role: str, topology: ErisTopology,
     """
     from repro.core.fc import FailureCoordinator
     from repro.core.replica import ErisReplica
-    from repro.net.chainseq import ChainSequencerNode
     from repro.net.controller import SDNController
     from repro.net.oum import OUMSequencer
     from repro.net.sequencer import MultiSequencer
@@ -149,14 +150,11 @@ def build_role(cluster, role: str, topology: ErisTopology,
         replica.msg_service_time = config.server_service_time
         cluster.stores.setdefault(shard, []).append(store)
         cluster.replicas.setdefault(shard, []).append(replica)
-    elif kind == "chain":
-        cluster.sequencers.append(ChainSequencerNode(
-            topology.chain_addrs[int(rest)], runtime, profile))
-    elif kind == "seq":
-        address = topology.standby_addrs[int(rest)]
+    elif kind in ("chain", "seq"):
         cls = OUMSequencer if config.system == "eris-oum" \
             else MultiSequencer
-        cluster.sequencers.append(cls(address, runtime, profile))
+        cluster.sequencers.append(cls(
+            role_addresses(topology, role)[0], runtime, profile))
     elif role == topology.fc_address:
         cluster.fc = FailureCoordinator(topology.fc_address, runtime,
                                         shards=topology.shard_addrs)

@@ -1,48 +1,64 @@
-"""The multi-stamping sequencer (§5.3–5.4).
+"""The sequencing element (§5.3–5.4): a chain of one or more
+multi-stamping sequencers.
 
-One sequencer is designated for the system at a time. Every sequenced
-groupcast packet is routed through it; the sequencer parses the
-groupcast header, atomically increments one counter per destination
-group, writes the resulting :class:`~repro.net.message.MultiStamp`
-(with its epoch number) into the packet, and fans per-recipient copies
-out to every member of every destination group.
+Every sequenced groupcast packet is routed to the chain's **head**. The
+head parses the groupcast header, atomically increments one counter
+per destination group, and writes the resulting
+:class:`~repro.net.message.MultiStamp` (with its epoch number) into the
+packet. The **tail** releases the stamped packet, fanning per-recipient
+copies out to every member of every destination group.
 
-All counter state is *soft*: a replacement sequencer starts every
-counter at zero in a strictly higher epoch, and receivers order
-messages lexicographically by (epoch, sequence) — the paper's
-fault-tolerance design, which pushes recovery to the application (the
-Eris epoch-change protocol) instead of replicating the sequencer.
+The paper's sequencer is the chain of one: head and tail are the same
+element, so it fans the stamped packet out directly. All of its counter
+state is *soft*: when it fails the SDN controller installs a standby in
+a strictly higher epoch with every counter at zero, and receivers order
+messages lexicographically by (epoch, sequence) — the paper's design,
+which pushes recovery to the Eris epoch-change protocol.
+
+A longer chain (NetChain/Harmonia-style, beyond the paper) keeps the
+counters alive across a single element failure. The head sends one
+:class:`ChainForward` per stamp down the chain; every element absorbs
+it into its own counters (element-wise max, so ``head >= mid >=
+tail``); only the tail releases it, so a stamp is externally visible
+only once fully replicated. The controller repairs a failed element by
+*splicing* the chain — a strictly-higher-version
+:class:`ChainInstall` into the survivors, carrying the surviving
+tail's counters — without touching the epoch. Forwards carrying a
+stale version are rejected, so a spliced-out tail can release nothing.
+Stamps assigned but never released are gaps to the receivers: the
+packet-drop case Eris already handles (§6.3/§6.5).
+
+An element stamps, forwards and releases only under an installed
+configuration, and derives its role from its position in the member
+list. An install in the element's epoch merges the installed counters
+(a splice); an install in a higher epoch restarts them (a failover).
 
 Three deployment profiles mirror §5.4 / Table 1: an in-switch design, a
 network-processor middlebox, and a commodity end host. They differ only
 in per-packet processing capacity and added latency.
 
 Every groupcast is stamped and released synchronously on arrival (see
-DESIGN.md, "Batching: measured and removed"). Beyond the paper's base
-design, this sequencer has grown two extensions:
-
-- **Chain replication**: :class:`repro.net.chainseq.ChainSequencerNode`
-  subclasses this node so counter state survives sequencer failure
-  without an epoch change; only the chain tail releases stamped
-  packets.
-- **Coordination-free read fast path**: a Harmonia-style per-key
-  *dirty-set* of in-flight conflicting writes, maintained at stamp
-  time (§3.2 is where Eris pins the serial order; the dirty-set tracks
-  which prefix of that order every replica has executed). READ_ONLY
-  transactions whose keys are clean are forwarded to a single replica
-  instead of being stamped for the §5.1 full-quorum path. Tracking
-  starts at the first READ_ONLY transaction the element sees, so a
-  workload without reads pays nothing for it. The activation, install
-  and clear rules, false-positive semantics, and the chain interaction
-  are specified in DESIGN.md ("The dirty-set protocol").
+DESIGN.md, "Batching: measured and removed"). The head also runs the
+**coordination-free read fast path**: a Harmonia-style per-key
+*dirty-set* of in-flight conflicting writes, maintained at stamp time
+(§3.2 is where Eris pins the serial order; the dirty-set tracks which
+prefix of that order every replica has executed). READ_ONLY
+transactions whose keys are clean are forwarded to a single replica
+instead of being stamped for the §5.1 full-quorum path. Tracking starts
+at the first READ_ONLY transaction the head sees, so a workload without
+reads pays nothing for it. The activation, install and clear rules,
+false-positive semantics, and the chain interaction are specified in
+DESIGN.md ("The dirty-set protocol").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from repro.net.endpoint import Node
-from repro.net.message import MultiStamp, Packet
+from repro.net.message import Address, GroupcastHeader, GroupId, \
+    MultiStamp, Packet
 from repro.net.network import Network
 
 _messages = None
@@ -61,10 +77,72 @@ def _load_core_messages() -> None:
 
 #: Hard cap on the ingress-timestamp map. Entries are normally popped
 #: when the packet is stamped; packets that never reach ``stamp`` (in
-#: flight across a crash, rejected by a retired chain node) would
+#: flight across a crash, rejected by a non-head element) would
 #: otherwise accumulate forever. The bound evicts oldest-first, which
 #: only costs queue-delay attribution for pathologically old packets.
 INGRESS_BOUND = 4096
+
+
+# -- control plane (SDN controller <-> element) ------------------------------
+
+@dataclass(frozen=True)
+class SequencerPing:
+    nonce: int
+
+
+@dataclass(frozen=True)
+class SequencerPong:
+    nonce: int
+
+
+@dataclass(frozen=True)
+class ChainInstall:
+    """Controller -> element: a chain configuration. A receiver absent
+    from ``members`` retires (the fencing that keeps a falsely-suspected
+    element from serving stale stamps); members adopt the config and
+    ack."""
+
+    version: int
+    epoch: int
+    members: tuple[Address, ...]
+    counters: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ChainInstallAck:
+    version: int
+    sender: Address
+
+
+@dataclass(frozen=True)
+class ChainStateRequest:
+    """Controller -> surviving tail: read your counter state."""
+
+    nonce: int
+
+
+@dataclass(frozen=True)
+class ChainState:
+    """Tail -> controller: counter snapshot for splice repair."""
+
+    nonce: int
+    version: int
+    epoch: int
+    counters: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ChainForward:
+    """One counter write propagating head -> tail. Carries everything
+    the tail needs to release the original groupcast packet."""
+
+    version: int
+    epoch: int
+    stamps: tuple[tuple[GroupId, int], ...]
+    origin: Address
+    payload: Any
+    groups: tuple[GroupId, ...]
+    trace_id: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -99,7 +177,12 @@ class SequencerProfile:
 
 
 class MultiSequencer(Node):
-    """A network element that multi-stamps groupcast packets."""
+    """One element of the sequencing chain: the head multi-stamps
+    groupcast packets, the tail releases them.
+
+    Until a configuration is installed the element is ``retired`` and
+    refuses to stamp, forward, or release.
+    """
 
     def __init__(self, address: str, network: Network,
                  profile: SequencerProfile | None = None, epoch: int = 1):
@@ -112,6 +195,16 @@ class MultiSequencer(Node):
         # Fabric-arrival timestamps for queue-delay attribution, keyed
         # by packet id. Populated only while a tracer is attached.
         self._ingress: dict[int, float] = {}
+        # -- chain configuration (installed by the SDN controller) ---------
+        self.version = 0
+        self.members: tuple[Address, ...] = ()
+        self.retired = True
+        self.is_head = False
+        self.is_tail = False
+        self.successor: Optional[Address] = None
+        self.forwards_propagated = 0
+        self.releases = 0
+        self.stale_rejected = 0
         # -- coordination-free read fast path ------------------------------
         _load_core_messages()
         #: Dirty-set tracking: off until the first fast-read candidate
@@ -137,24 +230,71 @@ class MultiSequencer(Node):
         self.fast_read_misses = 0
         self.watermarks_absorbed = 0
 
-    def install_epoch(self, epoch: int) -> None:
-        """SDN controller installs a strictly higher epoch; counters
-        restart (soft state is lost with the previous sequencer)."""
-        if epoch <= self.epoch and self.packets_stamped:
+    # -- configuration (installed by the SDN controller) -------------------
+    def apply_install(self, install: ChainInstall) -> bool:
+        """Adopt (or be fenced by) a chain configuration. Returns True
+        when this element is a member of the new chain (ack-worthy);
+        idempotent for re-delivered installs of the current version."""
+        if install.version < self.version:
+            return False  # stale retransmission of an old install
+        if install.epoch < self.epoch:
             raise ValueError(
-                f"epoch must increase: {epoch} <= {self.epoch}"
-            )
-        self.epoch = epoch
-        self.counters = {}
-        # Fast-path soft state is epoch-scoped: a fresh epoch starts
-        # with an empty dirty-set but also with *no* watermark reports,
-        # and _covered demands current-epoch reports from every
-        # replica, so reads stay on the slow path until the shard
-        # demonstrably catches up. Conservative, never unsafe.
-        self._dirty.clear()
-        self._blind_high.clear()
-        self._applied.clear()
+                f"epoch must not decrease: {install.epoch} < {self.epoch}")
+        members = tuple(install.members)
+        self.version = install.version
+        self.members = members
+        self.retired = self.address not in members
+        self.is_head = not self.retired and members[0] == self.address
+        self.is_tail = not self.retired and members[-1] == self.address
+        self.successor = None if self.retired or self.is_tail \
+            else members[members.index(self.address) + 1]
+        if self.retired:
+            if self.tracer is not None:
+                self.tracer.record("chain_retired", self.address,
+                                   version=install.version)
+            return False
+        if install.epoch > self.epoch:
+            # A failover: the previous epoch's soft state is gone.
+            # Fast-path state is epoch-scoped too: a fresh epoch starts
+            # with an empty dirty-set but also with *no* watermark
+            # reports, and _covered demands current-epoch reports from
+            # every replica, so reads stay on the slow path until the
+            # shard demonstrably catches up. Conservative, never unsafe.
+            self.epoch = install.epoch
+            self.counters = {}
+            self._dirty.clear()
+            self._blind_high.clear()
+            self._applied.clear()
+        # Counters only ever move forward: merge the installed snapshot
+        # (the surviving tail's state) element-wise with our own, which
+        # is >= it for every group we have seen.
+        counters = self.counters
+        for gid, seq in install.counters.items():
+            if counters.get(gid, 0) < seq:
+                counters[gid] = seq
+        if self.tracer is not None:
+            self.tracer.record("chain_install", self.address,
+                               version=install.version,
+                               members=list(members))
+        return True
 
+    def on_ChainInstall(self, src: Address, msg: ChainInstall,
+                        packet: Packet) -> None:
+        if self.apply_install(msg):
+            self.send(src, ChainInstallAck(version=msg.version,
+                                           sender=self.address))
+
+    def on_ChainStateRequest(self, src: Address, msg: ChainStateRequest,
+                             packet: Packet) -> None:
+        self.send(src, ChainState(nonce=msg.nonce, version=self.version,
+                                  epoch=self.epoch,
+                                  counters=dict(self.counters)))
+
+    def on_SequencerPing(self, src: Address, msg: SequencerPing,
+                         packet: Packet) -> None:
+        self.send(src, SequencerPong(msg.nonce))
+
+    # -- data plane --------------------------------------------------------
     # The sequencer handles raw packets, not payload messages.
     def _process(self, packet: Packet) -> None:
         if self.crashed:
@@ -162,8 +302,8 @@ class MultiSequencer(Node):
         self.messages_processed += 1
         if packet.groupcast is None:
             if packet.dst == self.address:
-                # Control-plane traffic for the sequencer itself
-                # (health-check pings from the SDN controller).
+                # Control-plane traffic for the element itself (pings,
+                # installs, state reads) and chain forwards.
                 self.handle(packet.src, packet.payload, packet)
             elif packet.dst is not None:
                 # Not groupcast traffic; a real switch just forwards.
@@ -181,7 +321,14 @@ class MultiSequencer(Node):
         fast-read candidate — a single-shard READ_ONLY request with
         declared read keys, at an element that may serve it — turns
         tracking on and is stamped normally. Any other packet costs
-        two class checks and no call."""
+        two class checks and no call.
+
+        Only the installed head stamps. A retired (fenced or
+        not-yet-installed) element, or a non-head that still receives
+        routed traffic mid-splice, drops instead. The check lives here
+        rather than at delivery: ``deliver`` holds a packet for the
+        profile's ``added_latency`` before ``_process``, so a splice
+        landing in between still fences it."""
         payload = packet.payload
         kind = payload.__class__
         if kind is _messages.AppliedUpto:
@@ -197,21 +344,28 @@ class MultiSequencer(Node):
                     self._start_tracking()
                 elif self._maybe_fast_read(packet, txn):
                     return
-        self._stamp_one(packet)
-
-    def _stamp_one(self, packet: Packet) -> None:
-        """Stamp one groupcast and emit it. Split out so variants (OUM
-        flooding, chain replication) can change where stamped packets
-        go — and keep their stamp-time admission checks — without
-        re-implementing the dispatch above."""
+        if not self.is_head:
+            self._ingress.pop(packet.packet_id, None)
+            self._reject(packet.trace_id, version=self.version,
+                         reason="not-head")
+            return
         self._emit(self.stamp(packet))
 
     def _emit(self, stamped: Packet) -> None:
-        """Release a stamped packet to its destination groups: one
-        fan-out, so a real transport encodes the shared body once."""
-        runtime = self.runtime
-        runtime.fan_out(stamped,
-                        runtime.groups.members_of(stamped.groupcast.groups))
+        """Send a stamped packet on: a tail (a chain of one) releases it
+        with one fan-out, so a real transport encodes the shared body
+        once; any other head forwards it down the chain."""
+        if self.is_tail:
+            runtime = self.runtime
+            runtime.fan_out(stamped, runtime.groups.members_of(
+                stamped.groupcast.groups))
+            return
+        stamp = stamped.multistamp
+        self.send(self.successor, ChainForward(
+            version=self.version, epoch=stamp.epoch, stamps=stamp.stamps,
+            origin=stamped.src, payload=stamped.payload,
+            groups=stamped.groupcast.groups, trace_id=stamped.trace_id))
+        self.forwards_propagated += 1
 
     def stamp(self, packet: Packet) -> Packet:
         """Atomically assign one sequence number per destination group."""
@@ -232,6 +386,63 @@ class MultiSequencer(Node):
                 queue_delay=self._queue_delay(packet))
         return packet
 
+    def on_ChainForward(self, src: Address, msg: ChainForward,
+                        packet: Packet) -> None:
+        """Version-fence and absorb one propagated write, then pass it
+        on — or, at the tail, release it. Writes from a previous chain
+        incarnation are rejected: the splice already accounted or
+        dropped them, and accepting one could release a sequence number
+        the repaired chain has reassigned (the stale-tail bug the fence
+        prevents)."""
+        if self.retired or msg.version != self.version:
+            self._reject(msg.trace_id, version=msg.version,
+                         current=self.version, reason="version-mismatch")
+            return
+        counters = self.counters
+        for gid, seq in msg.stamps:
+            if counters.get(gid, 0) < seq:
+                counters[gid] = seq
+        # Replicate the head's dirty-set bookkeeping down the chain
+        # (DESIGN.md: chain interaction), whether or not the head tracks
+        # yet: every released write passed through every survivor in
+        # chain order, so a spliced-in head's dirty entries are a
+        # superset of the in-flight writes that can still be released,
+        # and it can serve the dirty-set check without an epoch change.
+        self._note_stamped(msg.payload, msg.epoch, msg.stamps)
+        if self.is_tail:
+            self._release(msg)
+        else:
+            self.send(self.successor, msg)
+            self.forwards_propagated += 1
+
+    def _release(self, msg: ChainForward) -> None:
+        """Serve a fully replicated stamp: reconstruct the groupcast
+        packet (same causal id, so span attribution still telescopes
+        through the original message) and fan out to every member of
+        every destination group."""
+        released = Packet(src=msg.origin, dst=None, payload=msg.payload,
+                          groupcast=GroupcastHeader(tuple(msg.groups)),
+                          multistamp=MultiStamp(epoch=msg.epoch,
+                                                stamps=tuple(msg.stamps)),
+                          sequenced=True)
+        released.trace_id = msg.trace_id
+        self.releases += 1
+        if self.tracer is not None:
+            self.tracer.record(
+                "chain_release", self.address,
+                cause=msg.trace_id if msg.trace_id is not None else -1,
+                epoch=msg.epoch, version=self.version,
+                stamps=[[gid, seq] for gid, seq in msg.stamps])
+        runtime = self.runtime
+        runtime.fan_out(released, runtime.groups.members_of(msg.groups))
+
+    def _reject(self, trace_id: Optional[int], **detail) -> None:
+        self.stale_rejected += 1
+        if self.tracer is not None:
+            self.tracer.record(
+                "chain_stale", self.address,
+                cause=trace_id if trace_id is not None else -1, **detail)
+
     # -- coordination-free read fast path (DESIGN.md: dirty-set protocol) -
     def _start_tracking(self) -> None:
         """*Activation rule*: raise every group's blind mark to its
@@ -249,7 +460,7 @@ class MultiSequencer(Node):
         time — before the write is released or applied anywhere — so
         the dirty window conservatively covers the write's entire
         in-flight life; chain elements run it again as each write
-        passes them (:mod:`repro.net.chainseq`).
+        passes them (:meth:`on_ChainForward`).
         """
         txn = getattr(payload, "txn", None)
         if txn is not None and txn.op_class == "read_only":
@@ -352,8 +563,10 @@ class MultiSequencer(Node):
 
     def _may_serve_fast_reads(self) -> bool:
         """Is this element currently authorized to answer the dirty-set
-        check? Chain nodes override: only the active head may."""
-        return True
+        check? Only the installed head: a fenced, middle or tail
+        element's dirty view is not authoritative, since only the head
+        sees every stamp as it happens."""
+        return self.is_head
 
     def _maybe_fast_read(self, packet: Packet, txn) -> bool:
         """Serve a clean fast-read candidate from one replica, bypassing
@@ -403,6 +616,13 @@ class MultiSequencer(Node):
                        fn=lambda: self.fast_read_misses, monotone=True)
         registry.gauge(self.address, "watermarks_absorbed",
                        fn=lambda: self.watermarks_absorbed, monotone=True)
+        registry.gauge(self.address, "chain_version", fn=lambda: self.version)
+        registry.gauge(self.address, "chain_releases",
+                       fn=lambda: self.releases)
+        registry.gauge(self.address, "chain_forwards",
+                       fn=lambda: self.forwards_propagated)
+        registry.gauge(self.address, "chain_stale_rejected",
+                       fn=lambda: self.stale_rejected)
 
     def service_time_for(self, packet: Packet) -> float:
         return self.profile.per_packet_service

@@ -891,7 +891,7 @@ def _ensure_registry() -> None:
     from repro.core import log as core_log
     from repro.core import messages as core_messages
     from repro.core import transaction
-    from repro.net import chainseq, controller, message
+    from repro.net import message, sequencer
     from repro.replication import log as replication_log
     from repro.replication import vr
 
@@ -933,16 +933,14 @@ def _ensure_registry() -> None:
         core_messages.AppliedUpto,
         core_messages.FastReadRequest,
         core_messages.FastReadReply,
-        # control plane
-        controller.SequencerPing,
-        controller.SequencerPong,
-        controller.EpochInstall,
-        # chain-replicated sequencer
-        chainseq.ChainForward,
-        chainseq.ChainStateRequest,
-        chainseq.ChainState,
-        chainseq.ChainInstall,
-        chainseq.ChainInstallAck,
+        # sequencing chain: control plane and forwards
+        sequencer.SequencerPing,
+        sequencer.SequencerPong,
+        sequencer.ChainInstall,
+        sequencer.ChainInstallAck,
+        sequencer.ChainStateRequest,
+        sequencer.ChainState,
+        sequencer.ChainForward,
         # Viewstamped Replication
         vr.VRPrepare,
         vr.VRPrepareOK,

@@ -134,9 +134,9 @@ class Runtime:
     def endpoint(self, address: "Address") -> Any:
         """The co-located endpoint object registered under ``address``.
 
-        Control-plane convenience (the SDN controller installs epochs
-        into sequencers through it); only valid for endpoints living in
-        this runtime's process.
+        Control-plane convenience (the SDN controller installs chain
+        configurations into sequencers through it); only valid for
+        endpoints living in this runtime's process.
         """
         raise NotImplementedError
 

@@ -23,6 +23,15 @@ from repro.workloads import Partitioner, register_ycsb_procedures
 from repro.workloads.ycsb import load_ycsb
 
 
+def install_alone(sequencer, epoch: int = 1, version: int = 1) -> None:
+    """Install ``sequencer`` as a chain of one — the paper's single
+    sequencer — as the SDN controller would."""
+    from repro.net.sequencer import ChainInstall
+
+    sequencer.apply_install(ChainInstall(
+        version=version, epoch=epoch, members=(sequencer.address,)))
+
+
 @pytest.fixture
 def loop() -> EventLoop:
     return EventLoop()

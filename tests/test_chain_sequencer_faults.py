@@ -1,4 +1,4 @@
-"""Fault matrix for the chain-replicated sequencer (`repro.net.chainseq`).
+"""Fault matrix for a sequencing chain longer than one (`repro.net.sequencer`).
 
 Every scenario drives real transactions through a chain-fronted Eris
 cluster, injects the fault, and then holds the execution to the §6.7
@@ -16,6 +16,7 @@ from repro.baselines.common import WorkloadOp
 from repro.harness.checkers import run_all_checks, run_trace_checks
 from repro.harness.faults import FaultPlan
 from repro.net.controller import ControllerConfig
+from repro.net.sequencer import ChainInstall
 
 from conftest import drive, make_ycsb_cluster, submit_and_wait
 
@@ -147,7 +148,7 @@ def test_stale_tail_fenced_after_repair():
 def test_stale_forward_version_rejected_after_repair():
     """A ChainForward from the pre-repair incarnation reaching a
     repaired node is dropped by the version fence (never released)."""
-    from repro.net.chainseq import ChainForward
+    from repro.net.sequencer import ChainForward
 
     cluster = make_chain_cluster(chain=2)
     client = cluster.make_client()
@@ -251,6 +252,81 @@ def test_whole_chain_lost_falls_back_to_epoch_change():
                 assert replica.epoch_num == 2
     run_trace_checks(cluster.tracer)
     run_all_checks(cluster)
+
+
+class _SequencersLookRemote:
+    """The controller's runtime with every sequencing element in
+    another process: installs into them must travel as messages."""
+
+    def __init__(self, runtime, remote):
+        self._runtime = runtime
+        self._remote = set(remote)
+
+    def __getattr__(self, name):
+        return getattr(self._runtime, name)
+
+    def has_endpoint(self, address):
+        return address not in self._remote \
+            and self._runtime.has_endpoint(address)
+
+
+def test_lost_failover_install_is_resent_until_acked():
+    """The paper's single sequencer dies and the install into the
+    standby is lost on the wire. The controller must resend it until
+    the standby acks; the standby must not stamp before it arrives
+    (it would reuse the dead sequencer's epoch-1 stamps)."""
+    cluster = make_chain_cluster(chain=0)
+    client = cluster.make_client()
+    for i in range(3):
+        submit_and_wait(cluster, client, rmw_op([i], cluster.partitioner))
+    controller = cluster.controller
+    controller.runtime = _SequencersLookRemote(cluster.network,
+                                               controller.sequencers)
+    lost = []
+
+    def lose_first_install(packet):
+        if isinstance(packet.payload, ChainInstall) and not lost:
+            lost.append(packet.dst)
+            return True
+        return False
+
+    cluster.network.drop_filter = lose_first_install
+    cluster.crash_active_sequencer()
+    drive(cluster, 0.1)
+    standby = cluster.network.endpoint("seq1")
+    assert lost == ["seq1"]
+    assert controller.failovers == 1
+    assert standby.epoch == 2 and standby.is_head and standby.is_tail
+    result = submit_and_wait(cluster, client,
+                             rmw_op([0, 9], cluster.partitioner),
+                             timeout=1.0)
+    assert result.committed
+    run_trace_checks(cluster.tracer)
+    run_all_checks(cluster)
+
+
+@pytest.mark.parametrize("chain, kill, routes", [
+    (0, "all", [None, "seq1"]),
+    (2, "all", [None, "seq1"]),
+    (3, "head", [None, "chain1"]),
+], ids=["chain-of-one-lost", "chain-of-two-lost", "head-of-three-killed"])
+def test_route_withdrawn_once_per_failure(chain, kill, routes, monkeypatch):
+    """One failure, one withdrawal and one re-route: on the per-node
+    runtime every route change is a broadcast to every peer process."""
+    cluster = make_chain_cluster(chain=chain)
+    installed = []
+    install = cluster.network.install_sequencer_route
+
+    def record(address):
+        installed.append(address)
+        install(address)
+
+    monkeypatch.setattr(cluster.network, "install_sequencer_route", record)
+    members = len(cluster.controller.chain) if kill == "all" else 1
+    for index in range(members):
+        cluster.crash_chain_node(index)
+    drive(cluster, 0.1)
+    assert installed == routes
 
 
 # -- the acceptance criterion: repair beats the epoch bump -----------------

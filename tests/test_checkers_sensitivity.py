@@ -95,6 +95,21 @@ def test_consistency_checker_finds_slot_divergence():
             check_replica_consistency(form(cluster))
 
 
+def test_missing_dl_names_every_live_replica_and_its_view():
+    """A replica that reached a view whose DL has not yet: the
+    violation must say which replica sits in which view."""
+    import dataclasses
+
+    cluster = make_ycsb_cluster(n_shards=1)
+    snaps = [ReplicaSnapshot.of(r) for r in cluster.replicas[0]]
+    snaps[2] = dataclasses.replace(snaps[2], view_num=1)
+    with pytest.raises(InvariantViolation) as err:
+        check_serializability(snaps)
+    assert str(err.value) == (
+        "shard 0 has no live DL in view 1: eris-r0.0 view 0 (DL), "
+        "eris-r0.1 view 0, eris-r0.2 view 1")
+
+
 def test_checkers_pass_on_fresh_cluster():
     cluster = make_ycsb_cluster(n_shards=2)
     for form in STATE_FORMS:

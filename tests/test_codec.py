@@ -451,7 +451,7 @@ def test_unregistered_dataclass_encode_raises_codec_error():
 
 @CARRIAGES
 def test_chain_forward_roundtrips_with_payload_and_without(carriage):
-    from repro.net.chainseq import ChainForward
+    from repro.net.sequencer import ChainForward
 
     loaded = ChainForward(version=3, epoch=2, stamps=((0, 7), (1, 9)),
                           origin="client-4", payload=_SAMPLE_TXN,
@@ -466,7 +466,7 @@ def test_chain_forward_roundtrips_with_payload_and_without(carriage):
 
 @CARRIAGES
 def test_chain_repair_control_plane_roundtrips(carriage):
-    from repro.net.chainseq import (ChainInstall, ChainInstallAck,
+    from repro.net.sequencer import (ChainInstall, ChainInstallAck,
                                     ChainState, ChainStateRequest)
 
     install = ChainInstall(version=4, epoch=2,
@@ -490,7 +490,7 @@ def test_chain_messages_are_registered():
 
 
 def test_chain_forward_wrong_field_count_raises_codec_error():
-    from repro.net.chainseq import ChainForward
+    from repro.net.sequencer import ChainForward
 
     good = encode_message(ChainForward(version=1, epoch=1, stamps=(),
                                        origin="c", payload=None,
@@ -501,7 +501,7 @@ def test_chain_forward_wrong_field_count_raises_codec_error():
 
 
 def test_chain_install_malformed_counters_raises_codec_error():
-    from repro.net.chainseq import ChainInstall
+    from repro.net.sequencer import ChainInstall
 
     good = encode_message(ChainInstall(version=1, epoch=1,
                                        members=("a",), counters={0: 1}))

@@ -20,6 +20,7 @@ from repro.harness import (
     build_cluster,
     run_experiment,
 )
+from repro.net.controller import ControllerConfig
 from repro.net.network import NetConfig, Network
 from repro.sim.event_loop import EventLoop
 from repro.sim.process import Timer
@@ -54,16 +55,59 @@ CHAIN_COMMITTED = 595
 CHAIN_PACKETS_SENT = 4804
 CHAIN_THROUGHPUT = 198333.33333333334
 
+# Event streams through each way the sequencing element can fail, under
+# a controller that detects within 2 ms: the paper's single sequencer
+# killed (epoch failover to the standby), a 3-element chain's head
+# killed (splice repair, no epoch change), and a 2-element chain lost
+# whole (fallback to the epoch path). Captured before the single
+# sequencer became a one-element chain; each must stay bit-identical.
+FAST_CONTROLLER = ControllerConfig(ping_interval=1e-3, failure_threshold=2,
+                                   reroute_delay=4e-3,
+                                   chain_repair_delay=1e-3)
+KILL_AT = 3e-3
+
+
+def _kill_sequencer(cluster):
+    cluster.crash_active_sequencer()
+
+
+def _kill_chain_head(cluster):
+    cluster.crash_chain_node(0)
+
+
+def _kill_whole_chain(cluster):
+    for index in range(len(cluster.controller.chain)):
+        cluster.crash_chain_node(index)
+
+
+FAILOVER_PINS = {
+    # name: (sequencer_chain, kill, digest, fired, committed)
+    "sequencer-kill": (
+        0, _kill_sequencer,
+        "f4bb4d1e39b3b6be87c394e6e706d041997d13d32eb3bf25c8d85032fa0605db",
+        63689, 4864),
+    "chain-head-kill": (
+        3, _kill_chain_head,
+        "c1b7d34374a268503aaad4b4168bd6bf2ab8707e646c6798f2eb6a25c06e730e",
+        64768, 3965),
+    "whole-chain-loss": (
+        2, _kill_whole_chain,
+        "b7d1d6b4441f2df4866bc9e13cc0c2fbde8cf277059f066b2824f2de3d82c9d8",
+        59632, 4460),
+}
+
 
 def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
                    sequencer_chain: int = 0, instrument: bool = False,
-                   sample_series_to: str = ""):
+                   sample_series_to: str = "", kill=None):
     """One small fig6-style Eris measurement with an event fingerprint.
 
     ``instrument`` registers every component's pull-gauges (no sampler:
     nothing is scheduled, so the pinned digest must hold);
     ``sample_series_to`` additionally runs the metrics sampler on the
     simulated clock and exports the JSONL series to that path.
+    ``kill(cluster)`` runs at :data:`KILL_AT` under a fast-detecting
+    controller and a window long enough to fail over and commit again.
     """
     registry = ProcedureRegistry()
     register_ycsb_procedures(registry)
@@ -71,7 +115,8 @@ def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
     cluster = build_cluster(
         ClusterConfig(system="eris", n_shards=2, seed=42, tracing=tracing,
                       sequencer_chain=sequencer_chain,
-                      net=NetConfig(paranoid_codec=paranoid_codec)),
+                      net=NetConfig(paranoid_codec=paranoid_codec),
+                      **({"controller": FAST_CONTROLLER} if kill else {})),
         registry, partitioner,
         loader=lambda stores, p: load_ycsb(stores, p, 500))
     digest = hashlib.sha256()
@@ -90,10 +135,13 @@ def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
         sampler = MetricsSampler(cluster.runtime, cluster.metrics,
                                  interval=1e-3)
         sampler.start()
+    if kill is not None:
+        cluster.loop.schedule_at(KILL_AT, kill, cluster)
     workload = YCSBWorkload(YCSBConfig(workload="srw", n_keys=500),
                             partitioner, SplitRandom(43))
     result = run_experiment(cluster, workload, ExperimentConfig(
-        n_clients=20, warmup=1e-3, duration=3e-3, drain=1e-3))
+        n_clients=20, warmup=1e-3, duration=20e-3 if kill else 3e-3,
+        drain=1e-3))
     if sampler is not None:
         sampler.stop()
         sampler.export(sample_series_to)
@@ -105,6 +153,8 @@ def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
         "packets_sent": cluster.network.packets_sent,
         "packets_delivered": cluster.network.packets_delivered,
         "seq": cluster.loop._seq,
+        "failovers": cluster.controller.failovers,
+        "chain_repairs": cluster.controller.chain_repairs,
     }
 
 
@@ -250,6 +300,18 @@ def test_chain_mode_ewc2_paranoid_codec_is_bit_identical(monkeypatch):
     assert run["committed"] == CHAIN_COMMITTED
     assert len(magics) == run["packets_delivered"] > 0
     assert set(magics) == {b"EWC2"}
+
+
+@pytest.mark.parametrize("name", sorted(FAILOVER_PINS))
+def test_failover_event_stream_matches_pinned_sequence(name):
+    chain, kill, digest, fired, committed = FAILOVER_PINS[name]
+    run = run_small_eris(sequencer_chain=chain, kill=kill)
+    # The kill really took the path the case is named after.
+    repaired = name == "chain-head-kill"
+    assert run["chain_repairs"] == int(repaired)
+    assert run["failovers"] == int(not repaired)
+    assert (run["digest"], run["fired"], run["committed"]) == \
+        (digest, fired, committed)
 
 
 # -- telemetry vs the pinned stream ----------------------------------------

@@ -26,6 +26,8 @@ from repro.net.sequencer import MultiSequencer, SequencerProfile
 from repro.obs import Tracer
 from repro.sim.event_loop import EventLoop
 
+from conftest import install_alone
+
 N_GROUPS = 4
 
 
@@ -49,6 +51,7 @@ def build(n_sequencers=1):
         net.groups.define(g, addrs)
     seqs = [MultiSequencer(f"seq{i}", net, SequencerProfile.in_switch())
             for i in range(n_sequencers)]
+    install_alone(seqs[0])
     net.install_sequencer_route("seq0")
     sender = Sink("client", net)
     return loop, net, seqs, sender
@@ -156,11 +159,15 @@ def test_epoch_monotone_and_gap_free_across_failovers():
 
 
 def test_install_epoch_must_increase_once_stamped():
+    """Only a strictly higher epoch restarts the counters: an install in
+    the same epoch (a splice) merges them, a lower one is refused."""
     loop, net, seqs, sender = build()
     sender.send_groupcast((0,), "txn")
     loop.run_until_idle()
     assert seqs[0].packets_stamped == 1
     with pytest.raises(ValueError):
-        seqs[0].install_epoch(1)             # same epoch: rejected
-    seqs[0].install_epoch(2)                 # higher: counters restart
+        install_alone(seqs[0], epoch=0, version=2)  # lower: rejected
+    install_alone(seqs[0], epoch=1, version=2)  # same epoch: merged
+    assert seqs[0].counters == {0: 1}
+    install_alone(seqs[0], epoch=2, version=3)  # higher: counters restart
     assert seqs[0].counters == {}

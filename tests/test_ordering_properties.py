@@ -12,6 +12,8 @@ from repro.net.network import NetConfig, Network
 from repro.net.sequencer import MultiSequencer, SequencerProfile
 from repro.sim.event_loop import EventLoop
 
+from conftest import install_alone
+
 
 class Receiver(Node):
     def __init__(self, address, network, group):
@@ -33,7 +35,7 @@ def run_groupcasts(destinations: list[tuple[int, ...]], n_groups: int,
         receiver = Receiver(f"g{group}", net, group)
         receivers[group] = receiver
         net.groups.define(group, [receiver.address])
-    MultiSequencer("seq", net, SequencerProfile.in_switch())
+    install_alone(MultiSequencer("seq", net, SequencerProfile.in_switch()))
     net.install_sequencer_route("seq")
     sender = Receiver("client", net, -1)
     for groups in destinations:

@@ -17,6 +17,8 @@ from repro.net.sequencer import INGRESS_BOUND, MultiSequencer, \
     SequencerProfile
 from repro.sim.event_loop import EventLoop
 
+from conftest import install_alone
+
 
 class Sink(Node):
     def __init__(self, address, network):
@@ -37,6 +39,7 @@ def build(groups=2, members=3, oum=False):
         net.groups.define(g, addrs)
     cls = OUMSequencer if oum else MultiSequencer
     seq = cls("seq0", net, SequencerProfile.in_switch())
+    install_alone(seq)
     net.install_sequencer_route("seq0")
     sender = Sink("client", net)
     return loop, net, seq, sinks, sender
@@ -100,7 +103,7 @@ def test_emit_fans_out_once_per_stamp_in_group_order():
 
 def test_epoch_attached_to_stamp():
     loop, net, seq, sinks, sender = build()
-    seq.install_epoch(5)
+    install_alone(seq, epoch=5, version=2)
     sender.send_groupcast((0,), "x")
     loop.run_until_idle()
     assert sinks[0][0].packets[0].multistamp.epoch == 5
@@ -111,7 +114,7 @@ def test_install_epoch_resets_counters():
     sender.send_groupcast((0,), "x")
     loop.run_until_idle()
     assert seq.counters[0] == 1
-    seq.install_epoch(2)
+    install_alone(seq, epoch=2, version=2)
     assert seq.counters == {}
     sender.send_groupcast((0,), "y")
     loop.run_until_idle()
@@ -120,11 +123,11 @@ def test_install_epoch_resets_counters():
 
 def test_install_lower_epoch_rejected_after_stamping():
     loop, net, seq, sinks, sender = build()
-    seq.install_epoch(5)
+    install_alone(seq, epoch=5, version=2)
     sender.send_groupcast((0,), "x")
     loop.run_until_idle()
     with pytest.raises(ValueError):
-        seq.install_epoch(4)
+        install_alone(seq, epoch=4, version=3)
 
 
 def test_profiles_match_table1_capacities():
