@@ -12,6 +12,12 @@ Clients retry unacknowledged transactions (the retry is stamped fresh
 by the sequencer; replicas' at-most-once tables suppress
 re-execution, §6.1), so the client also provides the reliability
 backstop against packets the in-network layer dropped.
+
+Clients also carry each shard's stable point to the others: a DL's
+reply to a multi-shard transaction may name how far every replica of
+its shard has executed, and the client's next request relays it, so a
+replica can cut multi-shard entries from its log (DESIGN.md, "Bounded
+replica logs").
 """
 
 from __future__ import annotations
@@ -82,6 +88,10 @@ class ErisClient(Node):
         #: it may still be logged and executed at some participants, so
         #: it holds the completion floor for good.
         self._abandoned_floor: Optional[int] = None
+        #: Shard -> the newest stable point ``(epoch, seq)`` a DL
+        #: reported, and those of them no request has relayed yet.
+        self._stable: dict[GroupId, tuple[int, int]] = {}
+        self._stable_news: dict[GroupId, tuple[int, int]] = {}
         # Keyed by (replica, key): concurrent reads of one key from
         # *different* replicas are distinct requests and must not share
         # waiters — a stale replica's reply may satisfy only its own.
@@ -158,8 +168,13 @@ class ErisClient(Node):
         return seq
 
     def _transmit(self, txn: IndependentTransaction, retry: int = 0) -> None:
+        stable = None
+        if self._stable_news:
+            stable = tuple(value for shard, point in self._stable_news.items()
+                           for value in (shard, *point))
+            self._stable_news.clear()
         packet = self.send_groupcast(txn.participants,
-                                     IndependentTxnRequest(txn))
+                                     IndependentTxnRequest(txn, stable))
         tracer = self.tracer
         if tracer is not None and packet is not None:
             # One txn_submit per transmission attempt; the causal id
@@ -200,6 +215,10 @@ class ErisClient(Node):
 
     # -- replies ----------------------------------------------------------
     def on_TxnReply(self, src: Address, msg: TxnReply, packet: Packet) -> None:
+        if msg.stable:
+            point = (msg.epoch_num, msg.stable)
+            if point > self._stable.get(msg.shard, (0, 0)):
+                self._stable[msg.shard] = self._stable_news[msg.shard] = point
         pending = self._pending.get(msg.txn_id)
         if pending is None or msg.shard in pending.satisfied:
             return

@@ -122,6 +122,29 @@ class ExecutionEngine:
         self.client_table.clear()
         self.client_floors.clear()
 
+    @property
+    def quiescent(self) -> bool:
+        """Has every fed entry run, with no lock held or queued? Only
+        then does the store plus the §6.1 table capture the engine."""
+        return not (self.pending_generals or self._queued_prelims
+                    or self._waiting_conclusory
+                    or self.locks.queue_length() > 0)
+
+    def table_snapshot(self) -> tuple[dict, dict]:
+        """A copy of the §6.1 at-most-once state (a checkpoint's half
+        beside the store)."""
+        return ({client: dict(rows)
+                 for client, rows in self.client_table.items()},
+                dict(self.client_floors))
+
+    def load_table(self, snapshot: tuple[dict, dict]) -> None:
+        """Restart from a checkpoint: :meth:`reset`, then the table."""
+        self.reset()
+        table, floors = snapshot
+        self.client_table.update(
+            (client, dict(rows)) for client, rows in table.items())
+        self.client_floors.update(floors)
+
     def cached_reply(self, txn_id: TxnId) -> Optional[tuple[bool, Any]]:
         """The recorded outcome for a transaction already executed on
         this shard (at-most-once semantics, §6.1)."""

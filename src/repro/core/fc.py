@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.core.log import (
     LogEntry,
+    last_index_of,
     last_seq_of,
     merge_logs,
     stamp_hits,
@@ -163,6 +164,12 @@ class FailureCoordinator(Node):
             # cannot resurrect the transaction.
             self.send(src, TxnDropped(slot=slot))
             return
+        if msg.record is None:
+            # The replica cut the slot: every replica of its shard has
+            # executed it, so no one is missing it and no shard can
+            # promise its drop. The find is stale; end it.
+            self._finish_find(slot, None, ())
+            return
         if slot not in self.found:
             self.found[slot] = msg.record
             self.finds_resolved += 1
@@ -201,6 +208,8 @@ class FailureCoordinator(Node):
         extra = state.requesters if state is not None else set()
         if state is not None and state.timer is not None:
             state.timer.stop()
+        if decision is None:
+            return
         for addr in set(recipients) | extra:
             self.send(addr, decision)
 
@@ -279,7 +288,8 @@ class FailureCoordinator(Node):
             fresh = [s for s in responses.values()
                      if s.last_normal_epoch == freshest]
             view = max(s.view_num for s in fresh)
-            base = max((list(s.log) for s in fresh), key=len, default=[])
+            base = max((s.log for s in fresh), key=last_index_of,
+                       default=())
             new_log = self._complete_log(shard, base, freshest, known,
                                          frozenset(all_perm_drops))
             start = StartEpoch(shard=shard, new_epoch=change.new_epoch,
@@ -287,16 +297,18 @@ class FailureCoordinator(Node):
             change.start_msgs[shard] = start
             change.acks[shard] = set()
             self._trace("fc_epoch_start", epoch=change.new_epoch,
-                        shard=shard, view=view, log_len=len(new_log))
+                        shard=shard, view=view,
+                        log_len=last_index_of(new_log))
             for addr in addrs:
                 self.send(addr, start)
         self.epoch_changes_completed += 1
 
-    def _complete_log(self, shard: GroupId, base: list[LogEntry],
+    def _complete_log(self, shard: GroupId, base: tuple[LogEntry, ...],
                       epoch: int, known: dict[SlotId, TxnRecord],
                       perm_drops: frozenset) -> list[LogEntry]:
-        """Extend the longest log with transactions other shards know
-        about, NO-OP the unrecoverable gaps, and apply drop decisions."""
+        """Extend the longest log (a shipped base + suffix) with
+        transactions other shards know about, NO-OP the unrecoverable
+        gaps, and apply drop decisions."""
         out = merge_logs([base], perm_drops)
         last_seq = last_seq_of(out, epoch)
         target = max([last_seq] + [slot.seq for slot in known
@@ -308,7 +320,7 @@ class FailureCoordinator(Node):
             if record is not None and stamp_hits(record.multistamp,
                                                  perm_drops):
                 record = None
-            out.append(LogEntry(index=len(out) + 1, slot=slot,
+            out.append(LogEntry(index=last_index_of(out) + 1, slot=slot,
                                 kind="noop" if record is None else "txn",
                                 record=record))
         return out

@@ -19,9 +19,18 @@ from repro.net.message import Address, GroupId, MultiStamp
 
 @dataclass(frozen=True)
 class IndependentTxnRequest:
-    """Client → shards, via multi-sequenced groupcast."""
+    """Client → shards, via multi-sequenced groupcast.
+
+    ``stable`` relays the shard stable points the client learned from
+    DL replies since its previous request, flat as ``(shard, epoch,
+    seq, ...)``: every replica of ``shard`` has executed its log
+    through slot ``(epoch, seq)``. Replicas of other shards read it to
+    cut multi-shard entries (DESIGN.md, "Bounded replica logs"). It is
+    not logged.
+    """
 
     txn: IndependentTransaction
+    stable: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,11 @@ class TxnReply:
     is_dl: bool
     committed: bool = True
     result: Any = None
+    #: On the first of a DL's replies to multi-shard transactions since
+    #: its shard's stable point moved: that point, the highest sequence
+    #: number of ``epoch_num`` every replica of the shard has executed
+    #: (0: nothing new).
+    stable: int = 0
 
 
 # -- drop recovery (§6.3) ----------------------------------------------
@@ -87,10 +101,12 @@ class TxnRequestMsg:
 
 @dataclass(frozen=True)
 class HasTxn:
-    """Replica → FC: here is the transaction matching the slot."""
+    """Replica → FC: here is the transaction matching the slot.
+    ``record=None`` answers for a slot this replica has cut: every
+    replica of its shard executed it, so the find is stale."""
 
     slot: SlotId
-    record: TxnRecord
+    record: Optional[TxnRecord]
     sender: Address
 
 
@@ -230,6 +246,8 @@ class SyncLog:
     from_index: int       # 1-based index of entries[0] in the DL's log
     entries: tuple
     commit_upto: int
+    #: The shard's stable index: every replica has executed through it.
+    stable: int = 0
 
 
 @dataclass(frozen=True)
@@ -239,6 +257,8 @@ class SyncAck:
     epoch_num: int
     log_len: int
     sender: Address
+    #: Index of the last entry this follower has executed.
+    applied: int = 0
 
 
 # -- coordination-free read fast path ------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.messages import (
-    FindTxn, HasTxn, IndependentTxnRequest, PeerTxnRequest, PeerTxnResponse,
+    FindTxn, HasTxn, PeerTxnRequest, PeerTxnResponse,
     TempDroppedTxn, TxnDropped, TxnFound, TxnRecord, TxnRequestMsg)
 from repro.core.replica.state import (
     ReplicaState, _slot_fields, record_from_packet)
@@ -112,12 +112,8 @@ class DropRecovery(ReplicaState):
         self._cancel_recovery(slot)
         if slot.epoch != self.channel.epoch or slot.seq < self.channel.next_seq:
             return
-        packet = None
-        if record is not None:
-            packet = Packet(src="recovered", dst=self.address,
-                            payload=IndependentTxnRequest(record.txn),
-                            multistamp=record.multistamp)
-        for upcall in self.channel.resolve(slot.seq, packet):
+        for upcall in self.channel.resolve(slot.seq,
+                                           self._recovered_packet(record)):
             self._apply_upcall(upcall)
         self._drain()
 
@@ -133,7 +129,10 @@ class DropRecovery(ReplicaState):
         if record is None and slot.shard == self.channel.group \
                 and slot.epoch == self.channel.epoch:
             record = record_from_packet(self.channel.get_buffered(slot.seq))
-        if record is not None:
+        if record is not None or self.log.is_cut(slot):
+            # A cut slot was executed at every replica of this shard:
+            # never promise to drop it (DESIGN.md, "Bounded replica
+            # logs"); the record-less answer ends the stale find.
             self.send(src, HasTxn(slot=slot, record=record,
                                   sender=self.address))
             return

@@ -54,10 +54,10 @@ class FastReads(ReplicaState):
         (current epoch, 0) is reported only when the replica is
         demonstrably caught up; otherwise the stale position makes the
         sequencer's coverage check fail, the safe direction."""
-        caught_up = len(self._fed) == self.log.last_index \
+        caught_up = self.fed_index == self.log.last_index \
             and not self._delivery_queue
-        if self._fed:
-            slot = self._fed[-1].slot
+        slot = self.log.slot_at(self.fed_index)
+        if slot is not None:
             if slot.epoch == self.channel.epoch or not caught_up:
                 return (slot.epoch, slot.seq)
         return (self.channel.epoch, 0) if caught_up else (0, 0)

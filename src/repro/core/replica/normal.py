@@ -22,6 +22,9 @@ class NormalCase(ReplicaState):
 
     def handle(self, src: Address, message: Any, packet: Packet) -> None:
         if packet.multistamp is not None:
+            stable = getattr(message, "stable", None)
+            if stable:
+                self._learn_foreign_stable(stable)
             self._on_sequenced(packet)
         else:
             super().handle(src, message, packet)

@@ -1,12 +1,17 @@
 """Synchronization (§6.6). The DL periodically ships every follower the
 safe-to-execute point plus the log entries that follower demonstrably
 missed; the follower logs them, executes the safe prefix and
-acknowledges. The SyncLog doubles as the DL heartbeat that arms view
+acknowledges with how far it executed. The lowest such point over the
+shard is its stable index, which the next SyncLog carries: each side
+then cuts its log at a checkpoint at or below it (DESIGN.md, "Bounded
+replica logs"). The SyncLog doubles as the DL heartbeat that arms view
 changes. The sync tick also drives the §7.2 abort of general
 transactions whose client failed.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.core.log import LogEntry
 from repro.core.messages import IndependentTxnRequest, SyncAck, SyncLog
@@ -26,15 +31,17 @@ class Synchronization(ReplicaState):
 
     def _reset_sync_progress(self) -> None:
         """Per-peer sync bookkeeping (DL side): ``_peer_synced`` is the
-        log length each follower last acknowledged, ``_peer_announced``
-        the ``commit_upto`` of the previous SyncLog sent to it."""
+        log length each follower last acknowledged, ``_peer_applied``
+        how far it had executed, ``_peer_announced`` the
+        ``commit_upto`` of the previous SyncLog sent to it."""
         self._peer_synced: dict[Address, int] = {a: 0 for a in self._peers()}
+        self._peer_applied: dict[Address, int] = dict(self._peer_synced)
         self._peer_announced: dict[Address, int] = dict(self._peer_synced)
 
-    def _install(self, entries: list[LogEntry], event: str,
+    def _install(self, image: Sequence[LogEntry], event: str,
                  **trace) -> None:
         """A new view or epoch restarts the DL's per-peer progress."""
-        super()._install(entries, event, **trace)
+        super()._install(image, event, **trace)
         self._reset_sync_progress()
 
     def _sync_tick(self) -> None:
@@ -42,6 +49,8 @@ class Synchronization(ReplicaState):
             return
         self._trace("sync", view=self.view_num, epoch=self.epoch_num,
                     log_len=self.log.last_index)
+        self._checkpoint_step(min(self.fed_index,
+                                  *self._peer_applied.values()))
         for peer in self._peers():
             # Followers log entries from the groupcast itself; ship only
             # those a follower had a whole interval to receive and still
@@ -53,7 +62,7 @@ class Synchronization(ReplicaState):
                 shard=self.shard, view_num=self.view_num,
                 epoch_num=self.epoch_num, from_index=from_index,
                 entries=tuple(self.log.entries(from_index, announced)),
-                commit_upto=self.log.last_index))
+                commit_upto=self.log.last_index, stable=self._stable_index))
         self._abort_stuck_generals()
 
     def on_SyncLog(self, src: Address, msg: SyncLog, packet: Packet) -> None:
@@ -84,16 +93,18 @@ class Synchronization(ReplicaState):
         # Execute the safe prefix.
         self._catch_up_engine(reply=False,
                               upto=min(msg.commit_upto, self.log.last_index))
+        self._checkpoint_step(msg.stable)
         self.send(src, SyncAck(
             shard=self.shard, view_num=self.view_num,
             epoch_num=self.epoch_num, log_len=self.log.last_index,
-            sender=self.address))
+            sender=self.address, applied=self.fed_index))
         self._drain()
 
     def on_SyncAck(self, src: Address, msg: SyncAck, packet: Packet) -> None:
         if msg.view_num == self.view_num and msg.epoch_num == self.epoch_num:
             self._peer_synced[src] = max(self._peer_synced.get(src, 0),
                                          msg.log_len)
+            self._peer_applied[src] = msg.applied
 
     # -- client-failure aborts (§7.2) -----------------------------------------
     def _abort_stuck_generals(self) -> None:

@@ -11,7 +11,7 @@ START-VIEW, as VR does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.log import LogEntry, merge_logs, stamped_slots
 from repro.core.messages import HasTxn, StartView, ViewChange
@@ -27,7 +27,8 @@ class _ViewChangeRound:
     view: int
     #: VIEW-CHANGE messages received for ``view``, by sender.
     received: dict[Address, ViewChange] = field(default_factory=dict)
-    #: The merged log, once a majority arrived (new DL only).
+    #: The merged log (base + suffix), once a majority arrived (new DL
+    #: only).
     merged: Optional[list[LogEntry]] = None
     #: Undecided temp-drops the merged log holds; the round finishes
     #: once the FC has decided every one.
@@ -129,11 +130,11 @@ class ViewChangeProtocol(ReplicaState):
         return StartView(shard=self.shard, view_num=self.view_num,
                          epoch_num=self.epoch_num, **self._figure4_fields())
 
-    def _install(self, entries: list[LogEntry], event: str,
+    def _install(self, image: Sequence[LogEntry], event: str,
                  **trace) -> None:
         """Whether it completes a view or an epoch change, installing an
         agreed log ends the view-change round in progress, if any."""
-        super()._install(entries, event, **trace)
+        super()._install(image, event, **trace)
         self._vc_round = None
 
     def on_StartView(self, src: Address, msg: StartView,

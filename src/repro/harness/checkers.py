@@ -13,7 +13,10 @@ Two evidence sources feed one invariant core:
 
 Each source picks its own reference log per shard (state: the live DL
 of the highest view; trace: the longest live log) and hands it to the
-same checks:
+same checks. A replica's state covers its cut prefix through the
+snapshot's :class:`~repro.core.log.CutSummary` — a digest of the
+prefix's ``(slot, kind)`` sequence and its commit order — stitched onto
+the entries above the base, so a cut weakens no check:
 
 - **serializability** — build the cross-shard precedence graph over
   transactions from each shard's committed log order; strict
@@ -23,7 +26,7 @@ same checks:
   the log of *every* participant shard.
 - **replica consistency** — within each shard, live replicas' logs are
   prefix-consistent (and, state-side, executed stores converge after a
-  drain).
+  drain, and no normal replica's channel runs ahead of its log).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Any, Iterable, Optional, Union
 
 import networkx as nx
 
-from repro.core.log import ReplicaSnapshot
+from repro.core.log import ReplicaSnapshot, fold_digest, last_seq_of
 from repro.errors import InvariantViolation
 from repro.harness.cluster import Cluster, live_dl
 from repro.obs.trace import TraceEvent, Tracer, load_trace
@@ -89,10 +92,10 @@ def _check_participants(orders: dict[int, list], participants: dict,
 
 
 def _check_prefix(shard: int, a: str, a_log: Iterable, b: str,
-                  b_log: Iterable, source: str) -> None:
-    """Two replica logs of one shard agree on (slot, kind) wherever
-    both have an entry."""
-    for index, (mine, theirs) in enumerate(zip(a_log, b_log), 1):
+                  b_log: Iterable, source: str, start: int = 1) -> None:
+    """Two replica logs of one shard, both from index ``start``, agree
+    on (slot, kind) wherever both have an entry."""
+    for index, (mine, theirs) in enumerate(zip(a_log, b_log), start):
         if mine != theirs:
             raise InvariantViolation(
                 f"{source}log divergence in shard {shard} at index "
@@ -128,10 +131,12 @@ def _state_orders(state: StateLike) -> tuple[dict[int, list], dict]:
     orders: dict[int, list] = {}
     participants: dict = {}
     for shard, snaps in _by_shard(state).items():
-        txns = [entry.record.txn for entry in live_dl(shard, snaps).entries
-                if entry.kind == "txn"]
-        participants.update((txn.txn_id, txn.participants) for txn in txns)
-        orders[shard] = _first_occurrences(txn.txn_id for txn in txns)
+        dl = live_dl(shard, snaps)
+        txns = list(dl.cut.txns())
+        txns.extend((entry.record.txn.txn_id, entry.record.txn.participants)
+                    for entry in dl.entries if entry.kind == "txn")
+        participants.update(txns)
+        orders[shard] = _first_occurrences(txn_id for txn_id, _ in txns)
     return orders, participants
 
 
@@ -150,18 +155,55 @@ def _slots(entries) -> Iterable[tuple]:
     return ((entry.slot, entry.kind) for entry in entries)
 
 
+def _check_snapshot_prefix(shard: int, a: ReplicaSnapshot, a_name: str,
+                           b: ReplicaSnapshot, b_name: str) -> None:
+    """Two replicas' logs agree on (slot, kind) wherever both have an
+    entry, their cut prefixes included: the one cut shorter rolls its
+    digest up to the other's base, then the entries above both bases
+    are compared one by one."""
+    if a.cut.base > b.cut.base:
+        a, a_name, b, b_name = b, b_name, a, a_name
+    base = b.cut.base
+    if a.last_index < base:
+        raise InvariantViolation(
+            f"log divergence in shard {shard}: {a_name}'s log ends at "
+            f"index {a.last_index}, below the index {base} {b_name} cut "
+            f"as executed at every replica")
+    if fold_digest(a.cut.digest, a.entries[:base - a.cut.base]) \
+            != b.cut.digest:
+        raise InvariantViolation(
+            f"log divergence in shard {shard} at or below index {base}: "
+            f"{a_name}'s prefix digest differs from {b_name}'s cut prefix")
+    _check_prefix(shard, a_name, _slots(a.entries[base - a.cut.base:]),
+                  b_name, _slots(b.entries), "", start=base + 1)
+
+
+def _check_channel(shard: int, snap: ReplicaSnapshot) -> None:
+    """A normal replica's channel never runs ahead of its log: the
+    next slot it will log follows the last one it logged."""
+    epoch, next_seq = snap.channel
+    logged = last_seq_of(snap.entries, epoch, snap.cut.base_slot)
+    if snap.status == "normal" and next_seq > logged + 1:
+        raise InvariantViolation(
+            f"channel ahead of log in shard {shard}: {snap.address} "
+            f"expects seq {next_seq} of epoch {epoch} next, but its log "
+            f"ends at seq {logged}")
+
+
 def check_replica_consistency(state: StateLike) -> None:
     """Within each shard: logs are prefix-consistent; stores of fully
-    caught-up replicas match the DL's."""
+    caught-up replicas match the DL's; and no normal replica's channel
+    is ahead of its log."""
     for shard, snaps in _by_shard(state).items():
         live = [snap for snap in snaps if not snap.crashed]
         if not live:
             continue
         dl = live_dl(shard, live)
         for snap in live:
-            _check_prefix(shard, snap.address, _slots(snap.entries),
-                          f"DL {dl.address}", _slots(dl.entries), "")
-            if snap.fed == len(dl.entries) and snap.store != dl.store:
+            _check_snapshot_prefix(shard, snap, snap.address, dl,
+                                   f"DL {dl.address}")
+            _check_channel(shard, snap)
+            if snap.fed == dl.last_index and snap.store != dl.store:
                 raise InvariantViolation(
                     f"store divergence in shard {shard}: "
                     f"{snap.address} executed the full log but its "
@@ -199,8 +241,12 @@ def trace_replica_orders(trace: TraceLike
             shard_orders.setdefault(event["node"], []).append(
                 (tuple(event["slot"]), event["entry_kind"], event["txn"]))
         elif kind == "log_adopt":
+            # The adopted entries sit above the adopter's base; below
+            # it, its log is what the trace already showed.
             shard_orders = orders.setdefault(event["shard"], {})
-            shard_orders[event["node"]] = [
+            node = event["node"]
+            shard_orders[node] = shard_orders.get(node, [])[
+                :event.get("base", 0)] + [
                 (tuple(slot), entry_kind, txn)
                 for _index, entry_kind, txn, slot in event["entries"]]
     return orders

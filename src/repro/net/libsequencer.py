@@ -111,6 +111,27 @@ class MultiSequencedChannel:
         self.next_seq = next_seq
         return self._advance()
 
+    def rewind(self, next_seq: int,
+               held: dict[int, Optional[Packet]]) -> list[Upcall]:
+        """Move the expected sequence number back to ``next_seq`` (the
+        application adopted a log that ends before what this channel
+        delivered). ``held`` maps the rewound sequence numbers to the
+        packets the application still has (None: dropped); they are
+        redelivered in order, and any it lacks are reported missing."""
+        delivered_upto = self.next_seq
+        self.next_seq = next_seq
+        for seq, packet in held.items():
+            if next_seq <= seq and seq not in self._buffer:
+                self._buffer[seq] = packet
+        upcalls = [
+            Upcall(UpcallKind.DROP_NOTIFICATION, epoch=self.epoch, seq=seq)
+            for seq in range(next_seq, delivered_upto)
+            if seq not in self._buffer
+        ]
+        self._notified.update(u.seq for u in upcalls)
+        upcalls.extend(self._advance())
+        return upcalls
+
     def missing(self, upto: Optional[int] = None) -> list[int]:
         """Sequence numbers currently known missing (notified gaps)."""
         horizon = upto if upto is not None else (

@@ -904,6 +904,7 @@ def _ensure_registry() -> None:
         transaction.SlotId,
         transaction.IndependentTransaction,
         core_log.LogEntry,
+        core_log.CutSummary,
         core_log.ReplicaSnapshot,
         replication_log.ReplicatedLogEntry,
         # Eris protocol (§6)

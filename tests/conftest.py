@@ -60,6 +60,15 @@ def make_ycsb_cluster(system: str = "eris", n_shards: int = 2,
     return cluster
 
 
+def logged_txn_ids(replica) -> list:
+    """The transaction ids a replica's log holds, in log order: the
+    multi-shard ones of its cut prefix (all its summary keeps), then
+    every one above the base."""
+    log = replica.log
+    return [txn_id for txn_id, _ in log.summary().txns()] + [
+        entry.record.txn.txn_id for entry in log if entry.kind == "txn"]
+
+
 def submit_and_wait(cluster, client, op, timeout: float = 0.5):
     """Submit one op on a SystemClient and drive the loop until done."""
     results = []

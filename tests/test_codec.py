@@ -28,7 +28,7 @@ import typing
 import pytest
 
 from conftest import CARRIAGES
-from repro.core.log import LogEntry
+from repro.core.log import ErisLog, LogEntry, ReplicaSnapshot
 from repro.core.messages import (
     HasTxn,
     IndependentTxnRequest,
@@ -326,6 +326,29 @@ def test_slotted_log_classes_have_no_dict_and_roundtrip(carriage):
     decoded = carriage.decode(carriage.encode(view_change)).log[0]
     assert type(decoded) is LogEntry
     assert type(decoded.record.multistamp) is MultiStamp
+
+
+@CARRIAGES
+def test_replica_snapshot_with_a_cut_roundtrips(carriage):
+    """Per-node workers ship ``ReplicaSnapshot``s to the checkers: the
+    channel position, the status and the cut summary of a log that
+    was cut must cross intact, and the summary must still yield the
+    cut prefix's commit order."""
+    log = ErisLog(1)
+    log.append_txn(SlotId(1, 2, 1), _SAMPLE_RECORD)
+    log.append_noop(SlotId(1, 2, 2))
+    log.append_txn(SlotId(1, 2, 3), _SAMPLE_RECORD)
+    log.cut(2)
+    snapshot = ReplicaSnapshot(
+        address="eris-r1.0", shard=1, replica_index=0, view_num=3,
+        is_dl=True, crashed=False, fed=3, entries=tuple(log),
+        store=((3, 4),), status="view-change", channel=(2, 4),
+        cut=log.summary())
+    decoded = carriage.decode(carriage.encode(snapshot))
+    assert decoded == snapshot
+    assert decoded.last_index == 3
+    assert list(decoded.cut.txns()) == [(_SAMPLE_TXN_ID, (0, 1))]
+    assert decoded.cut.base_slot == SlotId(1, 2, 2)
 
 
 @CARRIAGES

@@ -1,6 +1,8 @@
 """Unit tests for the Eris client's quorum logic, driven with
 hand-crafted TxnReply messages (no replicas)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.client import ErisClient
@@ -214,6 +216,24 @@ def test_abandoned_seq_holds_the_floor_for_good():
         txn_id, _ = submit(client)
         assert client._pending[txn_id].txn.floor == 1
         complete(client, txn_id)
+
+
+def test_request_relays_each_new_stable_point_once():
+    """A DL's reply to a multi-shard transaction names its shard's
+    stable point; the client's next request relays each new one, once
+    (DESIGN.md, "Bounded replica logs")."""
+    loop, client = build_client()
+    sent = []
+    client.send_groupcast = lambda groups, message: sent.append(message)
+    txn_id, _ = submit(client, participants=(0, 1))
+    for shard in (0, 1):
+        dl_reply = dataclasses.replace(reply(txn_id, shard, 0), stable=7)
+        client.on_TxnReply("r0", dl_reply, None)
+        client.on_TxnReply("r0", dl_reply, None)      # nothing new
+    for _ in range(2):
+        submit(client, participants=(0, 1))
+    assert [message.stable for message in sent] == \
+        [None, (0, 1, 7, 1, 1, 7), None]
 
 
 # -- reconnaissance reads (§7.1) -------------------------------------------

@@ -6,11 +6,12 @@ misses it (FC recovery), every participant misses it (FC permanent
 drop with cross-shard atomicity)."""
 
 from repro.baselines.common import WorkloadOp
-from repro.core.transaction import SlotId
+from repro.core.transaction import SlotId, TxnId
 from repro.harness.checkers import run_all_checks
 from repro.store.kv import MISSING
 
-from conftest import drive, make_ycsb_cluster, submit_and_wait
+from conftest import (
+    drive, logged_txn_ids, make_ycsb_cluster, submit_and_wait)
 
 
 def rmw_op(keys, partitioner):
@@ -105,11 +106,15 @@ def test_fully_lost_txn_permanently_dropped_atomically():
     # The lost transaction executed nowhere: atomic all-or-nothing.
     assert cluster.authoritative_store(0).get(0) == 0
     assert cluster.authoritative_store(1).get(1) == 0
-    # Both shards hold a NO-OP in the dropped slot.
+    # Both shards hold a NO-OP in the dropped slot: in the log, or cut
+    # with no trace of the lost transaction in the commit order.
+    lost = TxnId(client.node.address, 1)
     for shard in (0, 1):
         dl = next(r for r in cluster.replicas[shard] if r.is_dl)
-        entry = dl.log.find_slot(SlotId(shard, 1, 1))
-        assert entry is not None and entry.is_noop
+        slot = SlotId(shard, 1, 1)
+        entry = dl.log.find_slot(slot)
+        assert entry.is_noop if entry is not None else dl.log.is_cut(slot)
+        assert lost not in logged_txn_ids(dl)
     run_all_checks(cluster)
 
 

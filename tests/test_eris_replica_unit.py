@@ -5,9 +5,11 @@ import pytest
 
 from repro.baselines.common import WorkloadOp
 from repro.core.messages import IndependentTxnRequest, SyncAck, SyncLog
+from repro.core.replica.state import CANDIDATE_SPACING
 from repro.core.transaction import SlotId
 
-from conftest import drive, make_ycsb_cluster, submit_and_wait
+from conftest import (
+    drive, logged_txn_ids, make_ycsb_cluster, submit_and_wait)
 
 
 def rmw_op(keys, partitioner):
@@ -80,7 +82,7 @@ def test_steady_state_sync_ships_no_entries():
     for follower in dl._peers():
         replica = cluster.network.endpoint(follower)
         assert replica.log.last_index == 21
-        assert len(replica._fed) == 21      # executed through commit_upto
+        assert replica.fed_index == 21      # executed through commit_upto
 
 
 def test_sync_alone_repairs_a_lost_last_groupcast():
@@ -177,9 +179,9 @@ def test_oum_mode_logs_noops_for_foreign_txns():
     drive(cluster, 0.01)
     shard0_dl = next(r for r in cluster.replicas[0] if r.is_dl)
     assert shard0_dl.log.last_index == 1
-    assert shard0_dl.log.get(1).is_noop          # burned a slot + CPU
+    assert logged_txn_ids(shard0_dl) == []       # burned a slot + CPU
     shard1_dl = next(r for r in cluster.replicas[1] if r.is_dl)
-    assert shard1_dl.log.get(1).kind == "txn"
+    assert len(logged_txn_ids(shard1_dl)) == 1
 
 
 def test_oum_mode_cross_shard_txn_executes_once_per_shard():
@@ -427,8 +429,8 @@ def test_stale_retransmission_below_the_floor_is_logged_not_executed(shards):
     drive(cluster, 0.02)
     for replica in participants:
         assert replica.log.last_index == logged[replica.address] + 1
-        assert replica.log.get(replica.log.last_index).record.txn == stale
-        assert len(replica._fed) == replica.log.last_index
+        assert logged_txn_ids(replica)[-1] == stale.txn_id
+        assert replica.fed_index == replica.log.last_index
         assert executed_state(replica) == before[replica.address]
     run_all_checks(cluster)
 
@@ -437,7 +439,7 @@ def test_adopt_log_replay_rebuilds_the_same_table():
     cluster = make_ycsb_cluster(n_shards=1)
     client = cluster.make_client()
     other = cluster.make_client()
-    for i in range(12):
+    for i in range(CANDIDATE_SPACING + 12):
         submit_and_wait(cluster, client if i % 3 else other,
                         rmw_op([i % 4], cluster.partitioner))
     drive(cluster, 0.02)
@@ -445,11 +447,16 @@ def test_adopt_log_replay_rebuilds_the_same_table():
     dl = next(r for r in replicas if r.is_dl)
     expected = executed_state(dl)
     assert all(executed_state(r) == expected for r in replicas)
-    # A fed record that contradicts the agreed log forces a full replay.
-    entries = list(dl.log.entries())
-    dl._fed[0] = dl._fed[0].as_noop()
-    dl._adopt_log(entries)
-    assert len(dl._fed) == dl.log.last_index
+    assert dl.log.base > 0               # synced: the prefix is cut
+    for i in range(3):
+        submit_and_wait(cluster, client, rmw_op([i], cluster.partitioner))
+    expected = executed_state(dl)
+    # A fed entry that the agreed log contradicts forces a replay from
+    # the base's checkpoint.
+    image = dl.log.image()
+    dl.log._entries[0] = dl.log._entries[0].as_noop()
+    dl._adopt_log(image)
+    assert dl.fed_index == dl.log.last_index
     assert executed_state(dl) == expected
 
 

@@ -3,7 +3,8 @@
 from repro.baselines.common import WorkloadOp
 from repro.harness.checkers import run_all_checks
 
-from conftest import drive, make_ycsb_cluster, submit_and_wait
+from conftest import (
+    drive, logged_txn_ids, make_ycsb_cluster, submit_and_wait)
 
 
 def rmw_op(keys, partitioner):
@@ -45,8 +46,7 @@ def test_committed_txns_survive_view_change():
     new = live_dl(cluster, 0)
     # All five increments must be reflected at the new DL.
     assert new.store.get(0) == 5
-    txn_entries = [e for e in new.log if e.kind == "txn"]
-    assert len(txn_entries) == 5
+    assert len(logged_txn_ids(new)) == 5
 
 
 def test_processing_continues_after_view_change():

@@ -152,7 +152,7 @@ def test_checker_detects_injected_divergence():
                              participants=(0,),
                              read_keys=frozenset([0]),
                              write_keys=frozenset([0])), done.append)
-    cluster.loop.run(until=0.05)
+    cluster.loop.run(until=1e-3)      # committed, not yet cut
     assert done and done[0].committed
     # Tamper with one replica's log: checker must notice.
     from repro.core.transaction import SlotId

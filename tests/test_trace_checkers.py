@@ -5,7 +5,7 @@ JSONL file."""
 
 import pytest
 
-from conftest import make_ycsb_cluster
+from conftest import logged_txn_ids, make_ycsb_cluster
 from repro.baselines.common import WorkloadOp
 from repro.errors import InvariantViolation
 from repro.harness import run_all_checks, run_trace_checks
@@ -62,7 +62,8 @@ def test_trace_orders_match_replica_state():
         dl = cluster.replicas[shard][0]
         traced = replica_orders[dl.address]
         assert len(traced) == len(dl.log)
-        for (slot, kind, _txn), entry in zip(traced, dl.log):
+        # The trace keeps the prefix the replica cut.
+        for (slot, kind, _txn), entry in zip(traced[dl.log.base:], dl.log):
             assert slot == (entry.slot.shard, entry.slot.epoch,
                             entry.slot.seq)
             assert kind == entry.kind
@@ -150,3 +151,49 @@ def test_log_adopt_replaces_traced_order():
          "entries": [[1, "txn", "1:1", [0, 1, 1]]]},  # ...then adopted
     ]
     check_trace_replica_consistency(trace)     # no violation
+
+
+def _adopt(node, base, entries):
+    return {"ts": 2.0, "kind": "log_adopt", "node": node, "cause": -1,
+            "shard": 0, "rebuilt": False, "base": base,
+            "entries": [[index, "txn", f"1:{seq}", [0, 1, seq]]
+                        for index, seq in entries]}
+
+
+def test_adopt_of_base_and_suffix_keeps_the_traced_prefix():
+    """A replica that cut its log adopts only the entries above its
+    base: the trace keeps the prefix it already saw, and rebuilds the
+    same per-shard orders as when the whole log was shipped."""
+    appended = [_append(node, 0, seq, seq, f"1:{seq}")
+                for seq in range(1, 6) for node in ("r0.0", "r0.1")]
+    cut = {"ts": 1.5, "kind": "log_cut", "node": "r0.1", "cause": -1,
+           "shard": 0, "base": 3}
+    whole = appended + [_adopt("r0.1", 0, [(i, i) for i in range(1, 7)])]
+    above = appended + [cut, _adopt("r0.1", 3, [(4, 4), (5, 5), (6, 6)])]
+    orders = trace_replica_orders(above)
+    assert orders == trace_replica_orders(whole)
+    assert [slot[2] for slot, _, _ in orders[0]["r0.1"]] == \
+        [1, 2, 3, 4, 5, 6]
+    run_trace_checks(above)
+
+
+def test_trace_orders_match_replica_state_across_a_view_change():
+    """A traced run in which replicas cut their logs and then adopt a
+    new view's base + suffix: the trace rebuilds each live replica's
+    whole commit order, cut prefix included."""
+    cluster = _run_traced_cluster(n_ops=150)
+    dead = next(r for r in cluster.replicas[0] if r.is_dl)
+    assert dead.log.base > 0
+    dead.crash()
+    cluster.loop.run(until=cluster.loop.now + 0.2)
+    orders = trace_replica_orders(cluster.tracer)
+    for replica in cluster.replicas[0]:
+        if replica.crashed:
+            continue
+        traced = [txn for _slot, kind, txn in orders[0][replica.address]
+                  if kind == "txn"]
+        assert traced == [txn_id.label()
+                          for txn_id in logged_txn_ids(replica)]
+    assert any(e.kind == "log_adopt" and e.to_dict()["base"]
+               for e in cluster.tracer.events)
+    run_all_checks(cluster)
