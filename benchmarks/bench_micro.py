@@ -11,9 +11,10 @@ Measures the layers every protocol and baseline sits on:
   path that used to pollute the heap with cancelled entries.
 * ``network_fanout``      — sequencer-style ``Network.fan_out`` rate
   (per-recipient packet copies/s) through the fabric fast path.
-* ``codec_ewc2_roundtrip`` — EWC2 encode+decode rate (packets/s) of a
-  sequenced txn request, a TxnReply and a SyncLog segment: the frames
-  that dominate the wire in normal-case operation, one per datagram.
+* ``codec_ewc2_roundtrip`` — wire-codec encode+decode rate (packets/s)
+  of a sequenced txn request, a TxnReply and a SyncLog segment: the
+  frames that dominate the wire in normal-case operation, one per
+  datagram (the row keeps the name it had under the EWC2 layout).
 * ``fig6_e2e``            — the Figure 6 Eris saturation point
   (220 closed-loop clients, YCSB+T SRW): end-to-end committed txn/s of
   *simulated* time (deterministic, machine-independent) plus the
@@ -25,6 +26,15 @@ re-measures and fails (exit 1) on a >20% wall-clock regression against
 the committed values, or on *any* change to the simulated fig6
 throughput — the latter is deterministic, so a change means behaviour
 changed, not the machine.
+
+Every wall-clock row is timed in CPU seconds of this process and
+reference-scaled: a fixed 20k-iteration pure-Python spin is timed next
+to it, and the row's rate is multiplied by ``NOMINAL_MOPS`` over the
+spin's speed, so it reads as if measured on a host that runs the spin
+at ``NOMINAL_MOPS`` million iterations per CPU second. A slower or
+busier host then fails ``--check`` only when the code got slower
+relative to the interpreter. The raw rates and the spin's speed are
+recorded beside the scaled values.
 
 Usage::
 
@@ -62,6 +72,42 @@ FIG6_PATH = os.path.join(REPO_ROOT, "BENCH_fig6.json")
 #: metrics are deterministic and checked exactly.
 REGRESSION_TOLERANCE = 0.20
 
+#: The reference spin's speed, in million iterations per CPU second, on
+#: the host class the scaled rows are expressed in (CPython 3.11).
+NOMINAL_MOPS = 30.0
+
+
+def _spin_mops() -> float:
+    """Speed of a fixed pure-Python loop right now (about 0.7 ms)."""
+    began = time.process_time()
+    total = 0
+    for i in range(20_000):
+        total += i & 7
+    return 20_000 / 1e6 / max(1e-9, time.process_time() - began)
+
+
+def _host_mops() -> float:
+    """The spin's speed, median of five."""
+    return sorted(_spin_mops() for _ in range(5))[2]
+
+
+def _scaled(measure_row, repeats: int = 5):
+    """Run one wall-clock row ``repeats`` times, each between two spins,
+    and scale each run's rate by the spins around it; returns ``(median
+    scaled rate, its raw rate, its host speed)`` plus any extra results
+    of that run. Pairing each run with the spins beside it cancels the
+    host's drift, which a shared machine shows within seconds."""
+    runs = []
+    before = _host_mops()
+    for _ in range(repeats):
+        result = measure_row()
+        rate, *extra = result if isinstance(result, tuple) else (result,)
+        after = _host_mops()
+        speed = (before + after) / 2
+        runs.append((rate * NOMINAL_MOPS / speed, rate, speed, *extra))
+        before = after
+    return sorted(runs)[len(runs) // 2]
+
 
 # -- microbenchmarks -------------------------------------------------------
 
@@ -71,13 +117,13 @@ def bench_event_loop_dispatch(n_events: int) -> float:
     fn = lambda: None  # noqa: E731 - minimal callback, measures the loop
     chunk = 10_000
     done = 0
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     while done < n_events:
         for i in range(chunk):
             loop.schedule(1e-6 * i, fn)
         loop.run_until_idle()
         done += chunk
-    return n_events / (time.perf_counter() - t0)
+    return n_events / (time.process_time() - t0)
 
 
 def bench_timer_restart(n_timers: int, rounds: int) -> tuple[float, int]:
@@ -88,11 +134,11 @@ def bench_timer_restart(n_timers: int, rounds: int) -> tuple[float, int]:
     """
     loop = EventLoop()
     timers = [Timer(loop, 1.0, lambda: None) for _ in range(n_timers)]
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for _ in range(rounds):
         for timer in timers:
             timer.start()
-    rate = (n_timers * rounds) / (time.perf_counter() - t0)
+    rate = (n_timers * rounds) / (time.process_time() - t0)
     return rate, len(loop._heap)
 
 
@@ -111,13 +157,13 @@ def bench_network_fanout(n_rounds: int, n_receivers: int = 3) -> float:
     # Periodic drains keep the heap from growing into a different
     # (colder) size regime than real runs.
     drain_every = 20_000 // n_receivers
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for i in range(n_rounds):
         net.fan_out(packet, receivers)
         if i % drain_every == drain_every - 1:
             loop.run_until_idle()
     loop.run_until_idle()
-    return (n_rounds * n_receivers) / (time.perf_counter() - t0)
+    return (n_rounds * n_receivers) / (time.process_time() - t0)
 
 
 def _codec_corpus() -> list:
@@ -156,7 +202,7 @@ def _codec_corpus() -> list:
 
 
 def bench_codec_roundtrip(n_reps: int) -> float:
-    """EWC2 encode+decode rate (packets/s) on the corpus: best-of-
+    """Encode+decode rate (packets/s) on the corpus: best-of-
     ``n_reps`` slices per packet, time-weighted across the corpus (sum
     of per-packet best times), i.e. the rate of round-tripping the
     whole mix."""
@@ -166,10 +212,10 @@ def bench_codec_roundtrip(n_reps: int) -> float:
     best: dict[str, float] = {}
     for _ in range(n_reps):
         for name, packet in corpus:
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             for _ in range(inner):
                 decode_packet(encode_packet(packet))
-            dt = time.perf_counter() - t0
+            dt = time.process_time() - t0
             best[name] = min(dt, best.get(name, dt))
     return inner * len(corpus) / sum(best.values())
 
@@ -197,28 +243,34 @@ def bench_fig6_e2e() -> dict:
 
 def measure(quick: bool) -> tuple[dict, dict]:
     scale = 0.2 if quick else 1.0
-    dispatch = bench_event_loop_dispatch(int(300_000 * scale))
-    restarts, heap_after = bench_timer_restart(1000, int(200 * scale))
-    fanout = bench_network_fanout(int(100_000 * scale))
-    codec = bench_codec_roundtrip(3 if quick else 8)
+    rows = {
+        "event_loop_dispatch": ("events/s", lambda: bench_event_loop_dispatch(
+            int(300_000 * scale))),
+        "timer_restart": ("restarts/s", lambda: bench_timer_restart(
+            1000, int(200 * scale))),
+        "network_fanout": ("packets/s", lambda: bench_network_fanout(
+            int(100_000 * scale))),
+        "codec_ewc2_roundtrip": ("packets/s", lambda: bench_codec_roundtrip(
+            3 if quick else 8)),
+    }
+    benchmarks = {}
+    for name, (unit, row) in rows.items():
+        value, raw, speed, *extra = _scaled(row)
+        benchmarks[name] = {"value": round(value), "unit": unit,
+                            "raw": round(raw), "host_mops": round(speed, 2)}
+        if extra:
+            benchmarks[name]["heap_entries_after"] = extra[0]
     fig6 = bench_fig6_e2e()
     micro = {
-        "schema": 1,
-        "note": "wall-clock rates; comparable only on similar hardware",
-        "benchmarks": {
-            "event_loop_dispatch": {"value": round(dispatch),
-                                    "unit": "events/s"},
-            "timer_restart": {"value": round(restarts), "unit": "restarts/s",
-                              "heap_entries_after": heap_after},
-            "network_fanout": {"value": round(fanout), "unit": "packets/s"},
-            "codec_ewc2_roundtrip": {"value": round(codec),
-                                     "unit": "packets/s"},
-        },
-        # Pre-optimisation rates measured with this same harness on the
-        # same machine that pinned this file (perf-trajectory record;
-        # the pre-optimisation timer_restart run also left 200,000
-        # cancelled entries in the heap where the current one leaves
-        # one live entry per timer).
+        "schema": 2,
+        "note": f"wall-clock rates scaled to a {NOMINAL_MOPS:g} MOPS "
+                "reference spin; raw rates beside them",
+        "benchmarks": benchmarks,
+        # Pre-optimisation rates (raw, not scaled) measured with this
+        # same harness on the machine that pinned the schema-1 file
+        # (perf-trajectory record; the pre-optimisation timer_restart
+        # run also left 200,000 cancelled entries in the heap where the
+        # current one leaves one live entry per timer).
         "reference_pre_optimization": {
             "event_loop_dispatch": 553807,
             "timer_restart": 725784,
@@ -245,7 +297,7 @@ def check(micro: dict, fig6: dict) -> list[str]:
         floor = baseline * (1.0 - REGRESSION_TOLERANCE)
         status = "ok" if current >= floor else "REGRESSION"
         print(f"  {name:22s} {current:>12,} vs baseline {baseline:>12,}  "
-              f"[{status}]")
+              f"[{status}] (scaled to {NOMINAL_MOPS:g} MOPS)")
         if current < floor:
             failures.append(
                 f"{name}: {current:,} < {floor:,.0f} "
@@ -282,7 +334,8 @@ def main(argv=None) -> int:
           + (" (quick)" if args.quick else "") + " ...")
     micro, fig6 = measure(args.quick)
     for name, entry in micro["benchmarks"].items():
-        print(f"  {name:22s} {entry['value']:>12,} {entry['unit']}")
+        print(f"  {name:22s} {entry['value']:>12,} {entry['unit']} "
+              f"(raw {entry['raw']:,} at {entry['host_mops']} MOPS)")
     print(f"  {'fig6_throughput':22s} {fig6['throughput_txn_s']:>12,.0f} "
           f"txn/s (simulated; {fig6['committed']} committed, "
           f"{fig6['wall_seconds']}s wall)")

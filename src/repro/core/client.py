@@ -173,8 +173,9 @@ class ErisClient(Node):
             stable = tuple(value for shard, point in self._stable_news.items()
                            for value in (shard, *point))
             self._stable_news.clear()
-        packet = self.send_groupcast(txn.participants,
-                                     IndependentTxnRequest(txn, stable))
+        packet = self.send_groupcast(
+            txn.participants, IndependentTxnRequest(txn, stable),
+            read_only=txn.op_class == "read_only")
         tracer = self.tracer
         if tracer is not None and packet is not None:
             # One txn_submit per transmission attempt; the causal id

@@ -39,6 +39,10 @@ class Node:
     #: Default per-message processing cost (seconds). Subclasses and
     #: cluster builders override this to model faster/slower servers.
     msg_service_time: float = 0.0
+    #: True for a node that reads only packet headers: a transport that
+    #: receives bytes may then hand it groupcasts with ``payload=None``
+    #: and the undecoded ``body``.
+    opaque_bodies: bool = False
 
     def __init__(self, address: Address, runtime: Runtime):
         self.address = address
@@ -77,12 +81,14 @@ class Node:
         return packet
 
     def send_groupcast(self, groups: tuple[int, ...], message: Any,
-                       sequenced: bool = True) -> Optional[Packet]:
+                       sequenced: bool = True,
+                       read_only: bool = False) -> Optional[Packet]:
         """Groupcast a message to a set of groups (§5.2).
 
         With ``sequenced=True`` the packet is routed through the
-        installed sequencer and arrives multi-stamped. Returns the
-        injected packet (``None`` when crashed).
+        installed sequencer and arrives multi-stamped. ``read_only``
+        marks a READ_ONLY transaction in the groupcast header. Returns
+        the injected packet (``None`` when crashed).
         """
         if self.crashed:
             return None
@@ -90,7 +96,7 @@ class Node:
             src=self.address,
             dst=None,
             payload=message,
-            groupcast=GroupcastHeader(tuple(groups)),
+            groupcast=GroupcastHeader(tuple(groups), read_only),
             sequenced=sequenced,
         )
         self.runtime.send(packet)

@@ -28,9 +28,15 @@ _packet_ids = itertools.count()
 
 @dataclass(frozen=True)
 class GroupcastHeader:
-    """The header between IP and UDP naming the destination groups."""
+    """The header between IP and UDP naming the destination groups.
+
+    ``read_only`` is the sender's mark of a READ_ONLY transaction, the
+    op type Harmonia's switch reads from its own header: an element
+    that stamps without decoding bodies decodes only flagged ones to
+    consider them for the fast read."""
 
     groups: tuple[GroupId, ...]
+    read_only: bool = False
 
     def __post_init__(self) -> None:
         if len(set(self.groups)) != len(self.groups):
@@ -72,6 +78,10 @@ class Packet:
     #: Causal id assigned by an attached tracer at injection time; all
     #: fan-out copies of one logical message share it (None untraced).
     trace_id: Optional[int] = None
+    #: The payload's encoded bytes when a transport received them and
+    #: left them undecoded (``payload`` is then None until decoded);
+    #: sending the packet on forwards these bytes as they are.
+    body: Optional[bytes] = None
 
     def copy_to(self, dst: Address) -> "Packet":
         """A per-recipient copy: only the header differs — the payload,
@@ -88,4 +98,5 @@ class Packet:
         clone.sequenced = self.sequenced
         clone.packet_id = next(_packet_ids)
         clone.trace_id = self.trace_id
+        clone.body = self.body
         return clone

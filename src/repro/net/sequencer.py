@@ -60,6 +60,7 @@ from repro.net.endpoint import Node
 from repro.net.message import Address, GroupcastHeader, GroupId, \
     MultiStamp, Packet
 from repro.net.network import Network
+from repro.runtime.codec import CodecError, body_type, decode_body
 
 _messages = None
 
@@ -184,6 +185,8 @@ class MultiSequencer(Node):
     refuses to stamp, forward, or release.
     """
 
+    opaque_bodies = True
+
     def __init__(self, address: str, network: Network,
                  profile: SequencerProfile | None = None, epoch: int = 1):
         super().__init__(address, network)
@@ -205,6 +208,8 @@ class MultiSequencer(Node):
         self.forwards_propagated = 0
         self.releases = 0
         self.stale_rejected = 0
+        #: Received bodies this element had to decode (see _open).
+        self.bodies_decoded = 0
         # -- coordination-free read fast path ------------------------------
         _load_core_messages()
         #: Dirty-set tracking: off until the first fast-read candidate
@@ -329,6 +334,8 @@ class MultiSequencer(Node):
         rather than at delivery: ``deliver`` holds a packet for the
         profile's ``added_latency`` before ``_process``, so a splice
         landing in between still fences it."""
+        if packet.payload is None and not self._open(packet):
+            return
         payload = packet.payload
         kind = payload.__class__
         if kind is _messages.AppliedUpto:
@@ -350,6 +357,26 @@ class MultiSequencer(Node):
                          reason="not-head")
             return
         self._emit(self.stamp(packet))
+
+    def _open(self, packet: Packet) -> bool:
+        """Decode a body the transport left undecoded, if the element
+        must read it. §5.3's sequencer reads only the groupcast header,
+        so a body stays bytes unless it is a watermark report, a
+        transaction the client flagged READ_ONLY, a write the dirty-set
+        must record, or a payload a chain forward carries. Returns
+        False, dropping the packet, for such a body that cannot be
+        decoded; any other body is stamped and forwarded unread."""
+        if (self.is_tail and not self.tracking
+                and not packet.groupcast.read_only
+                and body_type(packet.body) is not _messages.AppliedUpto):
+            return True
+        try:
+            packet.payload = decode_body(packet.body)
+        except CodecError:
+            self.runtime.decode_errors += 1
+            return False
+        self.bodies_decoded += 1
+        return True
 
     def _emit(self, stamped: Packet) -> None:
         """Send a stamped packet on: a tail (a chain of one) releases it
@@ -616,6 +643,8 @@ class MultiSequencer(Node):
                        fn=lambda: self.fast_read_misses, monotone=True)
         registry.gauge(self.address, "watermarks_absorbed",
                        fn=lambda: self.watermarks_absorbed, monotone=True)
+        registry.gauge(self.address, "bodies_decoded",
+                       fn=lambda: self.bodies_decoded, monotone=True)
         registry.gauge(self.address, "chain_version", fn=lambda: self.version)
         registry.gauge(self.address, "chain_releases",
                        fn=lambda: self.releases)

@@ -24,13 +24,20 @@ bare message frames and on packet payloads received through
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 
 import pytest
 
 from conftest import CARRIAGES
-from repro.core.messages import SyncLog, TxnReply
-from repro.core.transaction import IndependentTransaction, TxnId
+from repro.core.log import LogEntry
+from repro.core.messages import (
+    IndependentTxnRequest,
+    SyncLog,
+    TxnRecord,
+    TxnReply,
+)
+from repro.core.transaction import IndependentTransaction, SlotId, TxnId
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.runtime import codec as C
 from repro.runtime.codec import (
@@ -111,6 +118,121 @@ def test_corrupted_utf8_rejected(carriage):
     assert seen_error
 
 
+# -- per-class layouts -------------------------------------------------------
+
+_KEYS = frozenset({17, 1504})
+_RMW = IndependentTransaction(
+    txn_id=TxnId(client="client-2", seq=300), proc="ycsb_rmw",
+    args={"keys": (17, 1504)}, participants=(0, 1), read_keys=_KEYS,
+    write_keys=_KEYS, floor_gap=0)
+_STAMP = MultiStamp(epoch=1, stamps=((0, 41), (1, 40)))
+
+
+def _layout_packets():
+    """The hot frames in the layouts that skip default-valued fields: a
+    stamped RMW request (one key set travelling once, a stable-point
+    relay), a follower's reply (every defaulted field absent), and a
+    SyncLog carrying a log entry."""
+    entry = LogEntry(index=41, slot=SlotId(shard=0, epoch=1, seq=41),
+                     kind="txn", record=TxnRecord(txn=_RMW,
+                                                  multistamp=_STAMP))
+    return {
+        "stamped-request": Packet(
+            src="eris-seq0", dst="eris-r0.1",
+            payload=IndependentTxnRequest(_RMW, stable=(1, 1, 39)),
+            groupcast=GroupcastHeader((0, 1)), multistamp=_STAMP,
+            sequenced=True, trace_id=12),
+        "reply": Packet(
+            src="eris-r0.1", dst="client-2",
+            payload=TxnReply(txn_id=_RMW.txn_id, txn_index=41, view_num=0,
+                             epoch_num=1, shard=0, replica_index=1,
+                             is_dl=False)),
+        "sync-log": Packet(
+            src="eris-r0.0", dst="eris-r0.2",
+            payload=SyncLog(shard=0, view_num=0, epoch_num=1,
+                            from_index=41, entries=(entry,),
+                            commit_upto=41, stable=38)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_layout_packets()))
+def test_layout_truncation_at_every_byte_raises_codec_error(name):
+    packet = _layout_packets()[name]
+    frame = encode_packet(packet)
+    assert decode_datagram(frame) == packet
+    for cut in range(len(frame)):
+        with pytest.raises(CodecError):
+            decode_datagram(frame[:cut])
+
+
+def test_default_valued_fields_stay_off_the_wire():
+    """A follower's reply carries no ``committed``/``result``/``stable``
+    and a request none of ``"independent"``/``"generic"``/``stable``;
+    an RMW's key set travels once."""
+    packets = _layout_packets()
+    reply = encode_message(packets["reply"].payload)
+    assert reply[len(C._MAGIC) + 2] == 0         # presence byte: none
+    request = encode_message(IndependentTxnRequest(_RMW))
+    for default in (b"independent", b"generic"):
+        assert default not in request
+    assert request.count(bytes([C._T_FSET, 2])) == 1
+    assert request.count(bytes([C._T_PREV])) == 1
+    decoded = decode_message(request).txn
+    assert decoded == _RMW and decoded.write_keys is decoded.read_keys
+
+
+def _presence_offset(frame: bytes) -> int:
+    assert frame[len(C._MAGIC)] == C._T_MSG and frame[5] < 0x80
+    return len(C._MAGIC) + 2
+
+
+@pytest.mark.parametrize("message", [
+    TxnReply(txn_id=TxnId(client="c", seq=1), txn_index=1, view_num=0,
+             epoch_num=1, shard=0, replica_index=1, is_dl=False),
+    IndependentTxnRequest(_RMW),
+    _RMW,
+], ids=["reply", "request", "transaction"])
+def test_forged_presence_bit_beyond_the_fields_rejected(message):
+    """Each bit of the presence byte names one defaulted field; a bit
+    past the class's last one is a forgery, whatever follows it."""
+    frame = encode_message(message)
+    at = _presence_offset(frame)
+    defaulted = sum(f.default is not dataclasses.MISSING
+                    for f in dataclasses.fields(message))
+    for bit in range(defaulted, 8):
+        forged = frame[:at] + bytes([frame[at] | 1 << bit]) + frame[at + 1:]
+        with pytest.raises(CodecError, match="presence bit beyond"):
+            decode_message(forged)
+
+
+@pytest.mark.parametrize("cls", [TxnReply, IndependentTxnRequest, SyncLog])
+def test_forged_frame_without_its_required_fields_rejected(cls):
+    """A required field has no presence bit, so no frame can mark it
+    absent: a frame of the message tag, the type id and a presence
+    byte saying every defaulted field is absent runs out of bytes where
+    the first required field must be."""
+    type_id = C.wire_type_table().index(cls.__name__)
+    frame = bytes(C._MAGIC) + bytes([C._T_MSG, type_id, 0x00])
+    with pytest.raises(CodecError, match="truncated"):
+        decode_message(frame)
+
+
+def test_forged_same_as_previous_field_rejected():
+    """``_T_PREV`` stands only for a frozenset field that is the
+    frozenset field before it: anywhere else it is an unknown tag."""
+    frame = encode_message(_RMW)
+    keys = encode_message(_KEYS)[len(C._MAGIC):]
+    assert frame.count(keys) == 1
+    # The read set follows the participants tuple, not a frozenset.
+    forged = frame.replace(keys, bytes([C._T_PREV]))
+    with pytest.raises(CodecError, match="unknown"):
+        decode_message(forged)
+    # A message of another class, where no field pair qualifies.
+    reply = encode_message(_layout_packets()["reply"].payload)
+    with pytest.raises(CodecError, match="unknown"):
+        decode_message(reply[:-1] + bytes([C._T_PREV]))
+
+
 # -- resource-exhaustion forgeries -----------------------------------------
 
 @CARRIAGES
@@ -175,12 +297,14 @@ def test_ewc2_unknown_tag_rejected():
 
 
 def test_ewc1_magic_is_a_foreign_buffer():
-    """Frames of the retired tagged-JSON format (magic ``EWC1``) and of
-    the retired multi-frame datagram container (magic ``EWCB``) are
+    """Frames of the retired tagged-JSON format (magic ``EWC1``), of
+    the retired multi-frame datagram container (magic ``EWCB``) and of
+    the positional layout without presence bytes (magic ``EWC2``) are
     foreign bytes: every decode entry point rejects them."""
     frame = encode_packet(Packet(src="a", dst="b", payload=None))
     retired = (b'EWC1["t","s","d",1,null,null,false,0,null]',
-               b"EWCB\x01" + bytes([len(frame)]) + frame)
+               b"EWCB\x01" + bytes([len(frame)]) + frame,
+               b"EWC2" + frame[len(C._MAGIC):])
     for buffer in retired:
         for decode in (decode_message, decode_packet, decode_datagram):
             with pytest.raises(CodecError, match="bad magic"):

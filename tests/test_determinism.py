@@ -230,7 +230,7 @@ def test_ewc2_paranoid_codec_mode_is_bit_identical(monkeypatch):
     assert run["packets_sent"] == PRE_OPTIMIZATION_PACKETS_SENT
     assert run["throughput"] == pytest.approx(PRE_OPTIMIZATION_THROUGHPUT)
     assert len(magics) == run["packets_delivered"] > 0
-    assert set(magics) == {b"EWC2"}
+    assert set(magics) == {b"EWC3"}
 
 
 def test_paranoid_codec_carries_reads_of_absent_keys():
@@ -299,7 +299,7 @@ def test_chain_mode_ewc2_paranoid_codec_is_bit_identical(monkeypatch):
     assert run["fired"] == CHAIN_FIRED
     assert run["committed"] == CHAIN_COMMITTED
     assert len(magics) == run["packets_delivered"] > 0
-    assert set(magics) == {b"EWC2"}
+    assert set(magics) == {b"EWC3"}
 
 
 @pytest.mark.parametrize("name", sorted(FAILOVER_PINS))

@@ -224,7 +224,8 @@ def test_request_relays_each_new_stable_point_once():
     (DESIGN.md, "Bounded replica logs")."""
     loop, client = build_client()
     sent = []
-    client.send_groupcast = lambda groups, message: sent.append(message)
+    client.send_groupcast = \
+        lambda groups, message, **header: sent.append(message)
     txn_id, _ = submit(client, participants=(0, 1))
     for shard in (0, 1):
         dl_reply = dataclasses.replace(reply(txn_id, shard, 0), stable=7)

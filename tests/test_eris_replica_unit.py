@@ -365,10 +365,10 @@ def spy_requests(node):
     sent = []
     original = node.send_groupcast
 
-    def spy(groups, message):
+    def spy(groups, message, **header):
         if isinstance(message, IndependentTxnRequest):
             sent.append(message.txn)
-        return original(groups, message)
+        return original(groups, message, **header)
 
     node.send_groupcast = spy
     return sent

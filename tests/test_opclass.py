@@ -149,6 +149,19 @@ def test_fast_path_messages_roundtrip(carriage):
         assert carriage.decode(carriage.encode(message)) == message
 
 
+def _with_op_class(frame: bytes, op_class: bytes) -> bytes:
+    """A bare IndependentTransaction frame whose op class (its fourth
+    defaulted field, after which only an absent ``floor_gap`` follows)
+    is forged to travel as ``op_class``: its presence bit is set and
+    its value appended — a well-formed frame."""
+    bitmap = len(C._MAGIC) + 2          # after the message tag and type id
+    op_class_bit, floor_gap_bit = 1 << 3, 1 << 4
+    assert not frame[bitmap] & (op_class_bit | floor_gap_bit)
+    return (frame[:bitmap] + bytes([frame[bitmap] | op_class_bit])
+            + frame[bitmap + 1:] + bytes([C._T_STR, len(op_class)])
+            + op_class)
+
+
 @CARRIAGES
 def test_forged_op_class_rejected_on_decode(carriage):
     """A byte-patched frame cannot smuggle an undeclared op-class past
@@ -165,10 +178,8 @@ def test_forged_commutative_class_rejected_on_decode():
     carry it — length prefix included, so the frame stays well-formed —
     fails the op-class validator during decode."""
     buffer = encode_message(_counter_add_txn())
-    generic = bytes([C._T_STR, len(b"generic")]) + b"generic"
-    assert buffer.count(generic) == 1
-    forged = buffer.replace(
-        generic, bytes([C._T_STR, len(b"commutative")]) + b"commutative")
+    assert b"generic" not in buffer    # the default class stays off the wire
+    forged = _with_op_class(buffer, b"commutative")
     with pytest.raises(CodecError, match="commutative"):
         decode_message(forged)
 
@@ -182,9 +193,7 @@ def test_forged_read_only_writer_rejected_on_decode():
         participants=(0,), write_keys=frozenset({"acct"}),
         op_class="generic")
     buffer = encode_message(txn)
-    generic = bytes([C._T_STR, len(b"generic")]) + b"generic"
-    assert buffer.count(generic) == 1
-    forged = buffer.replace(
-        generic, bytes([C._T_STR, len(b"read_only")]) + b"read_only")
+    assert b"generic" not in buffer
+    forged = _with_op_class(buffer, b"read_only")
     with pytest.raises(CodecError, match="read_only"):
         decode_message(forged)

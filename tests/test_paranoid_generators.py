@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import drive, submit_and_wait
+from repro.baselines.common import WorkloadOp
 from repro.harness import (
     ClusterConfig,
     ExperimentConfig,
@@ -19,6 +21,7 @@ from repro.harness import (
     run_experiment,
 )
 from repro.harness.checkers import run_all_checks
+from repro.net.controller import ControllerConfig
 from repro.net.network import NetConfig
 from repro.sim.randomness import SplitRandom
 from repro.store import ProcedureRegistry
@@ -95,3 +98,82 @@ def test_generator_runs_clean_over_the_paranoid_codec(generator):
             assert all(txn.floor is not None for txn in txns)
             table = replica.engine.client_table
             assert sum(map(len, table.values())) <= 2 * len(table)
+
+
+# -- protocol paths whose messages carry non-default field values ----------
+
+def _paranoid_ycsb_cluster(**config):
+    registry = ProcedureRegistry()
+    register_ycsb_procedures(registry)
+    return build_cluster(
+        ClusterConfig(system="eris", n_shards=2, seed=5,
+                      net=NetConfig(paranoid_codec=True), **config),
+        registry, Partitioner(2),
+        loader=lambda stores, p: load_ycsb(stores, p, 100))
+
+
+def _rmw(keys, partitioner, **general):
+    keys = frozenset(keys)
+    return WorkloadOp(proc="ycsb_rmw", args={"keys": tuple(sorted(keys))},
+                      participants=partitioner.participants_for(keys),
+                      read_keys=keys, write_keys=keys, **general)
+
+
+def test_general_transactions_cross_the_paranoid_codec():
+    """§7's preliminary and conclusory halves carry a non-default
+    ``kind``, and an aborted general transaction a ``committed=False``
+    reply: both cross the codec and the checkers pass."""
+    cluster = _paranoid_ycsb_cluster()
+    part = cluster.partitioner
+    client = cluster.make_client()
+    submit_and_wait(cluster, client, _rmw([0, 1], part))
+    swap = _rmw([0, 1], part, is_general=True,
+                compute=lambda values: {0: values.get(1), 1: values.get(0)})
+    assert submit_and_wait(cluster, client, swap).committed
+    refuse = _rmw([0, 1], part, is_general=True,
+                  compute=lambda values: None)
+    assert not submit_and_wait(cluster, client, refuse).committed
+    drive(cluster, 0.01)
+    run_all_checks(cluster)
+    kinds = {entry.record.txn.kind for replicas in cluster.replicas.values()
+             for replica in replicas for entry in replica.log
+             if entry.kind == "txn"}
+    assert {"preliminary", "conclusory"} <= kinds
+
+
+def test_view_change_crosses_the_paranoid_codec():
+    """A §6.4 view change: ViewChange/StartView ship the log, drop sets
+    and cut over the codec, and the new view keeps committing."""
+    cluster = _paranoid_ycsb_cluster()
+    part = cluster.partitioner
+    client = cluster.make_client()
+    for _ in range(4):
+        submit_and_wait(cluster, client, _rmw([0], part))
+    shard = part.shard_of(0)
+    next(r for r in cluster.replicas[shard] if r.is_dl).crash()
+    drive(cluster, 0.25)
+    assert submit_and_wait(cluster, client, _rmw([0, 1], part),
+                           timeout=1.0).committed
+    live = [r for r in cluster.replicas[shard] if not r.crashed]
+    assert all(r.view_num >= 1 for r in live)
+    assert cluster.authoritative_store(shard).get(0) == 5
+    run_all_checks(cluster)
+
+
+def test_epoch_change_crosses_the_paranoid_codec():
+    """A §6.5 epoch change after a sequencer failover: EpochState and
+    StartEpoch ship logs over the codec and the new epoch commits."""
+    cluster = _paranoid_ycsb_cluster(controller=ControllerConfig(
+        ping_interval=3e-3, failure_threshold=2, reroute_delay=10e-3))
+    part = cluster.partitioner
+    client = cluster.make_client()
+    for _ in range(4):
+        submit_and_wait(cluster, client, _rmw([0, 1], part))
+    cluster.crash_active_sequencer()
+    drive(cluster, 0.3)
+    assert submit_and_wait(cluster, client, _rmw([0, 1], part),
+                           timeout=1.0).committed
+    drive(cluster, 0.1)
+    assert cluster.fc.epoch_changes_completed >= 1
+    assert cluster.authoritative_store(part.shard_of(0)).get(0) == 5
+    run_all_checks(cluster)
