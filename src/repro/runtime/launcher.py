@@ -4,7 +4,7 @@ The :class:`ClusterLauncher` turns a :class:`~repro.harness.cluster.
 ClusterConfig` into a real multi-process deployment: one OS process per
 role (``python -m repro node --role ...``), supervised from the driver
 process. Coordination runs over a tiny TCP control plane — length-
-prefixed EWC2 frames from the same ``encode_message`` the data plane
+prefixed EWC3 frames from the same ``encode_message`` the data plane
 uses, so the control protocol gets the codec's validation for free.
 The launching process and every worker load the same message modules
 (this one and the worker runtime), so both ends derive the same
