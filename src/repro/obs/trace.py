@@ -32,6 +32,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from repro.runtime.codec import CodecError, body_type, decode_body
+
 #: Reserved top-level keys of the flat event schema.
 RESERVED_KEYS = ("ts", "kind", "node", "cause")
 
@@ -60,6 +62,10 @@ class TraceEvent:
 
 
 def _payload_name(packet) -> str:
+    if packet.payload is None and packet.body is not None:
+        # A body the transport left undecoded is named by its type id.
+        kind = body_type(packet.body)
+        return kind.__name__ if kind is not None else "bytes"
     return type(packet.payload).__name__
 
 
@@ -176,8 +182,16 @@ class Tracer:
         # Operation class and declared write set (when the payload is a
         # transaction) feed the §6.7 fast-path checkers: they are the
         # sequencer-side ground truth a forged relaxed-path event is
-        # checked against.
-        txn = getattr(packet.payload, "txn", None)
+        # checked against. A body the element did not decode is decoded
+        # here, as a copy, so tracing never changes what the element
+        # reads.
+        payload = packet.payload
+        if payload is None and packet.body is not None:
+            try:
+                payload = decode_body(packet.body)
+            except CodecError:
+                pass
+        txn = getattr(payload, "txn", None)
         if txn is not None:
             data["txn"] = txn.txn_id.label()
             data["op_class"] = txn.op_class
