@@ -75,6 +75,9 @@ class ClusterConfig:
     #: classes are identical under both; only the fabric changes.
     backend: str = "sim"
     net: NetConfig = field(default_factory=NetConfig)
+    #: Sequencer deployment profile (Table 1). This and the two
+    #: service times below are charged on the simulator only; a UDP
+    #: runtime pays real CPU instead (``Runtime.models_cost``).
     sequencer_profile: str = "middlebox"
     n_sequencers: int = 2              # primary + standbys (Eris)
     #: Sequencing chain (Eris only): length of the chain of
@@ -83,8 +86,8 @@ class ClusterConfig:
     #: standby); 2–3 enables splice repair (``n_sequencers`` then counts
     #: the epoch-fallback standbys alone).
     sequencer_chain: int = 0
-    server_service_time: float = 2e-6  # CPU per received message
-    execution_cost: float = 0.5e-6     # CPU per executed transaction
+    server_service_time: float = 2e-6  # CPU per received message (sim)
+    execution_cost: float = 0.5e-6     # CPU per executed txn (sim)
     client_retry_timeout: float = 2e-3
     #: Ablation: one-phase commit for single-shard Lock-Store txns
     #: (the paper's Lock-Store always runs the full 2PC exchange).

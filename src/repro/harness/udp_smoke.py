@@ -64,8 +64,7 @@ SMOKE_COUNTERS = ("packets_sent", "packets_delivered", "frames_sent",
 #: callback scheduling is not, so everything gets generous headroom.
 _UDP_ERIS = dict(sync_interval=20e-3, view_change_timeout=500e-3,
                  drop_detection_delay=5e-3, peer_recovery_timeout=50e-3,
-                 fc_retry_timeout=100e-3, general_abort_timeout=500e-3,
-                 execution_cost=0.0)
+                 fc_retry_timeout=100e-3, general_abort_timeout=500e-3)
 _UDP_CONTROLLER = dict(ping_interval=50e-3, failure_threshold=3,
                        reroute_delay=100e-3)
 
@@ -107,9 +106,6 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
     return ClusterConfig(
         system="eris", backend="udp", n_shards=n_shards,
         n_replicas=n_replicas, seed=seed,
-        # Real sockets cost real CPU; the simulator's synthetic
-        # service-time model would only double-charge it.
-        server_service_time=0.0, execution_cost=0.0,
         client_retry_timeout=100e-3,
         sequencer_chain=chain,
         eris=ErisConfig(**_UDP_ERIS),

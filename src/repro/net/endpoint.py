@@ -15,7 +15,9 @@ seconds, and handlers can charge extra execution time with
 makes servers saturate, which in turn is what makes throughput
 comparisons between protocols meaningful: a protocol that makes each
 server process more messages per transaction gets a proportionally
-lower ceiling, exactly the effect the paper measures.
+lower ceiling, exactly the effect the paper measures. The model runs
+only where the runtime ``models_cost`` (the simulator); over real
+sockets a node processes each arrival at once and pays its real CPU.
 
 A node talks to the outside world exclusively through its
 :class:`~repro.runtime.interface.Runtime` (clock, timers, transport),
@@ -47,6 +49,7 @@ class Node:
     def __init__(self, address: Address, runtime: Runtime):
         self.address = address
         self.runtime = runtime
+        self._models_cost = runtime.models_cost
         self._busy_until = 0.0
         self._inbox: deque[Packet] = deque()
         self._drain_pending = False
@@ -117,7 +120,7 @@ class Node:
 
     def busy(self, duration: float) -> None:
         """Charge extra CPU time (e.g. transaction execution)."""
-        if duration <= 0.0:
+        if duration <= 0.0 or not self._models_cost:
             return
         base = max(self._busy_until, self.runtime.now)
         self._busy_until = base + duration
@@ -132,6 +135,9 @@ class Node:
         genuinely delays everything queued behind it.
         """
         if self.crashed:
+            return
+        if not self._models_cost:
+            self._process(packet)
             return
         self._inbox.append(packet)
         self._drain_inbox()

@@ -35,7 +35,8 @@ list. An install in the element's epoch merges the installed counters
 
 Three deployment profiles mirror §5.4 / Table 1: an in-switch design, a
 network-processor middlebox, and a commodity end host. They differ only
-in per-packet processing capacity and added latency.
+in per-packet processing capacity and added latency, which only a
+runtime that ``models_cost`` (the simulator) charges.
 
 Every groupcast is stamped and released synchronously on arrival (see
 DESIGN.md, "Batching: measured and removed"). The head also runs the
@@ -331,9 +332,9 @@ class MultiSequencer(Node):
         Only the installed head stamps. A retired (fenced or
         not-yet-installed) element, or a non-head that still receives
         routed traffic mid-splice, drops instead. The check lives here
-        rather than at delivery: ``deliver`` holds a packet for the
-        profile's ``added_latency`` before ``_process``, so a splice
-        landing in between still fences it."""
+        rather than at delivery: on the simulator ``deliver`` holds a
+        packet for the profile's ``added_latency`` before ``_process``,
+        so a splice landing in between still fences it."""
         if packet.payload is None and not self._open(packet):
             return
         payload = packet.payload
@@ -622,12 +623,15 @@ class MultiSequencer(Node):
     def _queue_delay(self, packet: Packet) -> float | None:
         """Time the packet waited behind other packets: processing
         finished now, so the wait is now minus fabric arrival minus the
-        profile's unavoidable traversal latency and service time."""
+        profile's traversal latency and service time, where the runtime
+        charges them."""
         ingress = self._ingress.pop(packet.packet_id, None)
         if ingress is None:
             return None  # tracer attached after this packet arrived
-        wait = (self.now - ingress - self.profile.added_latency
-                - self.profile.per_packet_service)
+        wait = self.now - ingress
+        if self._models_cost:
+            wait -= (self.profile.added_latency
+                     + self.profile.per_packet_service)
         return max(0.0, wait)
 
     def instrument(self, registry) -> None:
@@ -664,7 +668,8 @@ class MultiSequencer(Node):
         self._ingress.clear()
 
     def deliver(self, packet: Packet) -> None:
-        # Charge the profile's traversal latency on top of queueing.
+        # Charge the profile's traversal latency on top of queueing,
+        # where the runtime models cost; real sockets stamp at once.
         if self.crashed:
             return
         if self.tracer is not None and packet.groupcast is not None:
@@ -672,5 +677,8 @@ class MultiSequencer(Node):
             while len(ingress) >= INGRESS_BOUND:
                 ingress.pop(next(iter(ingress)))
             ingress[packet.packet_id] = self.now
-        self.call_later(self.profile.added_latency,
-                        super().deliver, packet)
+        if self._models_cost:
+            self.call_later(self.profile.added_latency,
+                            super().deliver, packet)
+        else:
+            self._process(packet)

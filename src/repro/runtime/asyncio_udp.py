@@ -20,6 +20,12 @@ Backend properties (full matrix in DESIGN.md):
   reliable and FIFO, but UDP makes no promises and neither do we.
 - **groupcast** — user-space sequencer endpoint over UDP.
 - **clock** — the asyncio event loop's monotonic clock (real seconds).
+  The loop polls with ``select(2)`` (µs timeouts; fds below 1024 only),
+  so a timer wakes at its deadline plus about 0.1 ms of kernel slack,
+  not at the next whole millisecond as under epoll.
+- **cost** — real CPU only: the nodes' modelled service times,
+  execution charges and sequencer traversal latency are not charged
+  (``models_cost`` is False).
 - **determinism** — none; scheduling is the OS's business here. The
   §6.7 safety checkers still must pass on every run.
 
@@ -51,6 +57,7 @@ loop exactly as they run inside the simulated event loop.
 from __future__ import annotations
 
 import asyncio
+import selectors
 import socket
 from typing import Any, Callable, Optional
 
@@ -72,6 +79,9 @@ _RECV_BUFFER_BYTES = 65536
 #: Datagrams drained per reader wakeup before yielding back to the
 #: loop, so one chatty peer cannot starve timers and the control plane.
 _RECV_BATCH = 128
+
+#: ``select(2)`` watches only descriptors below ``FD_SETSIZE``.
+_SELECT_FD_LIMIT = 1024
 
 
 class _AsyncioTimer:
@@ -150,11 +160,12 @@ class AsyncioUdpRuntime(Runtime):
     """Runtime over real UDP sockets on loopback, driven by asyncio."""
 
     backend = "asyncio-udp"
+    models_cost = False
 
     def __init__(self, seed: int = 0, host: str = "127.0.0.1"):
         super().__init__()
         self.host = host
-        self.aloop = asyncio.new_event_loop()
+        self.aloop = asyncio.SelectorEventLoop(selectors.SelectSelector())
         self.base_rng = SplitRandom(seed)
         self.groups = GroupMembership()
         self.sequencer_address: Optional[Address] = None
@@ -227,6 +238,11 @@ class AsyncioUdpRuntime(Runtime):
         # Bind now so the logical address resolves (and the kernel
         # buffers early arrivals) before the reader is attached.
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        if sock.fileno() >= _SELECT_FD_LIMIT:
+            sock.close()
+            raise NetworkError(
+                f"endpoint {address!r} needs an fd below select(2)'s "
+                f"limit of {_SELECT_FD_LIMIT}")
         sock.setblocking(False)
         sock.bind((self.host, 0))
         self._endpoints[address] = node

@@ -70,6 +70,14 @@ class Runtime:
     #: Short backend identifier ("sim", "asyncio-udp", ...).
     backend: str = "abstract"
 
+    #: Whether nodes charge their modelled costs (per-message service
+    #: time, :meth:`~repro.net.endpoint.Node.busy` execution, the
+    #: sequencer profile's traversal latency) as delay. True on the
+    #: simulator, where the model is the only cost; False on real
+    #: sockets, which cost real CPU that a modelled delay would only
+    #: double-charge.
+    models_cost: bool = True
+
     #: Optional :class:`repro.obs.trace.Tracer`; hot paths guard every
     #: hook with one ``is not None`` check.
     tracer: Any = None

@@ -20,8 +20,9 @@ subclass adds only what is multi-process:
   routed to the sequencer by the *sender's* runtime and the senders
   live in other processes.
 
-Timers are the parent's too: each one fires at its own deadline (see
-DESIGN.md, "Multi-process clusters", for why they are not coalesced).
+Timers are the parent's too: each one wakes at its own deadline plus
+``select(2)`` slack (see DESIGN.md, "Multi-process clusters", for why
+they are not coalesced).
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ runtime differs, which is the point of the abstraction.
 from __future__ import annotations
 
 import socket
+import statistics
 
 import pytest
 
 from repro.errors import NetworkError
 from repro.net.endpoint import Node
+from repro.net.message import GroupcastHeader, Packet
+from repro.runtime import asyncio_udp
 from repro.runtime.asyncio_udp import AsyncioUdpRuntime
 
 from conftest import run_traced_udp_smoke
@@ -156,6 +159,142 @@ def test_stop_before_start_closes_orphan_sockets():
     rt.stop()
     assert all(sock.fileno() == -1 for sock in socks)
     rt.stop()                     # idempotent
+
+
+def test_timers_wake_near_their_deadline(runtime):
+    """The loop polls with select(2), whose timeout is in microseconds:
+    a 200 us timer on an idle loop wakes at its deadline plus kernel
+    slack, not at the next whole millisecond as under epoll."""
+    lateness = []
+
+    def arm():
+        runtime.call_later(200e-6, fire, runtime.now + 200e-6)
+
+    def fire(due):
+        lateness.append(runtime.now - due)
+        if len(lateness) < 40:
+            arm()
+
+    arm()
+    assert runtime.run_until(lambda: len(lateness) == 40, timeout=5.0)
+    assert statistics.median(lateness) < 0.4e-3
+
+
+def test_register_past_the_select_fd_limit_raises(runtime, monkeypatch):
+    """select(2) cannot watch an fd past FD_SETSIZE: registration says
+    so instead of a ValueError escaping from inside the loop."""
+    monkeypatch.setattr(asyncio_udp, "_SELECT_FD_LIMIT", 0)
+    with pytest.raises(NetworkError, match="select.*limit of 0"):
+        Echo("a", runtime)
+    assert not runtime.has_endpoint("a")
+
+
+# -- real costs only: no modelled delay on real sockets --------------------
+
+def test_udp_node_charges_no_modelled_cost(runtime):
+    """A node's service time and busy() charge are simulator models;
+    over real sockets the next packet is processed inline."""
+    assert not runtime.models_cost
+
+    class Worker(Echo):
+        msg_service_time = 1e-3
+
+        def handle(self, src, message, packet):
+            self.seen.append(message)
+            self.busy(1e-3)
+
+    node = Worker("w", runtime)
+    for i in range(2):
+        node.deliver(Packet(src="x", dst="w", payload=("job", i)))
+        assert node.seen[-1] == ("job", i)
+
+
+def test_element_stamps_inside_the_delivering_callback():
+    """The default middlebox profile's traversal latency is a simulator
+    model: on real sockets the element stamps and fans out inside the
+    callback that delivered the packet, scheduling no timer."""
+    from repro.baselines.common import WorkloadOp
+    from repro.harness.udp_smoke import build_udp_cluster
+
+    cluster = build_udp_cluster(n_shards=2, n_replicas=3)
+    runtime = cluster.runtime
+    element = cluster.sequencers[0]
+    assert element.profile.name == "middlebox"
+    inside = []
+    timers = []
+    stamped_inside = []
+    aloop = runtime.aloop
+
+    def counting(schedule):
+        def wrapper(*args, **kwargs):
+            if inside:
+                timers.append(args)
+            return schedule(*args, **kwargs)
+        return wrapper
+
+    aloop.call_later = counting(aloop.call_later)
+    aloop.call_at = counting(aloop.call_at)
+    deliver = element.deliver
+
+    def spy(packet):
+        inside.append(packet)
+        before = element.packets_stamped
+        deliver(packet)
+        inside.pop()
+        stamped_inside.append(element.packets_stamped - before)
+
+    element.deliver = spy
+    fan_out = runtime.fan_out
+    fanned_inside = []
+
+    def fan_spy(packet, destinations):
+        fanned_inside.append(bool(inside))
+        fan_out(packet, destinations)
+
+    runtime.fan_out = fan_spy
+    try:
+        client = cluster.make_client()
+        runtime.start()
+        op = WorkloadOp(proc="ycsb_write", args={"key": 0, "value": 1},
+                        participants=cluster.partitioner.participants_for(
+                            (0,)),
+                        write_keys=frozenset({0}))
+        results = []
+        client.submit(op, results.append)
+        assert runtime.run_until(lambda: bool(results), timeout=10.0)
+        assert results[0].committed
+        assert sum(stamped_inside) == element.packets_stamped >= 1
+        assert fanned_inside and all(fanned_inside)
+        assert timers == []
+    finally:
+        runtime.stop()
+
+
+def test_udp_queue_delay_subtracts_no_modelled_latency(runtime,
+                                                       monkeypatch):
+    """The element's traced queue delay is arrival-to-stamp time minus
+    only what the runtime charged: on real sockets, nothing. The clock
+    is frozen so the wait is exactly the 5 us set here."""
+    from repro.net.sequencer import (
+        ChainInstall,
+        MultiSequencer,
+        SequencerProfile,
+    )
+
+    tracer = runtime.attach_tracer()
+    element = MultiSequencer("seq", runtime, SequencerProfile.middlebox())
+    element.apply_install(ChainInstall(version=1, epoch=1,
+                                       members=("seq",)))
+    member = Echo("m0", runtime)
+    runtime.groups.define(0, [member.address])
+    packet = Packet(src="c", dst=None, payload=("txn",),
+                    groupcast=GroupcastHeader((0,), False), sequenced=True)
+    monkeypatch.setattr(AsyncioUdpRuntime, "now",
+                        property(lambda self: 100.0))
+    element._ingress[packet.packet_id] = 100.0 - 5e-6
+    element._process(packet)
+    [stamp] = tracer.select("stamp", "seq")
+    assert stamp.data["queue_delay"] == pytest.approx(5e-6)
 
 
 # -- receive path: one wakeup drains a burst ------------------------------
