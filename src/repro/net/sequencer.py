@@ -211,6 +211,8 @@ class MultiSequencer(Node):
         self.stale_rejected = 0
         #: Received bodies this element had to decode (see _open).
         self.bodies_decoded = 0
+        #: Traversal-latency timers ``deliver`` scheduled (models_cost).
+        self.stamp_wakeups = 0
         # -- coordination-free read fast path ------------------------------
         _load_core_messages()
         #: Dirty-set tracking: off until the first fast-read candidate
@@ -649,6 +651,8 @@ class MultiSequencer(Node):
                        fn=lambda: self.watermarks_absorbed, monotone=True)
         registry.gauge(self.address, "bodies_decoded",
                        fn=lambda: self.bodies_decoded, monotone=True)
+        registry.gauge(self.address, "stamp_wakeups",
+                       fn=lambda: self.stamp_wakeups, monotone=True)
         registry.gauge(self.address, "chain_version", fn=lambda: self.version)
         registry.gauge(self.address, "chain_releases",
                        fn=lambda: self.releases)
@@ -678,6 +682,7 @@ class MultiSequencer(Node):
                 ingress.pop(next(iter(ingress)))
             ingress[packet.packet_id] = self.now
         if self._models_cost:
+            self.stamp_wakeups += 1
             self.call_later(self.profile.added_latency,
                             super().deliver, packet)
         else:

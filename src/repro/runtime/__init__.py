@@ -13,8 +13,9 @@ against a concrete fabric. Two backends implement it:
 - :mod:`repro.runtime.asyncio_udp` — real UDP sockets on loopback
   driven by asyncio, with groupcast provided by a user-space sequencer
   endpoint, exactly as §5.4's end-host deployment. It is the one
-  socket layer: a drained ``add_reader`` receive path and raw
-  ``sendto`` egress. :mod:`repro.runtime.udp_mp` subclasses it for
+  socket layer: one socket per runtime for every endpoint it hosts,
+  a drained ``add_reader`` receive path that demultiplexes on each
+  frame's ``dst``, and ``sendto`` egress. :mod:`repro.runtime.udp_mp` subclasses it for
   process-per-node clusters, adding only the remote port map and the
   sequencer-route broadcast.
 

@@ -1,16 +1,16 @@
 """Asyncio + real UDP sockets: the loopback backend of the runtime.
 
-Every registered endpoint gets its own UDP socket bound to
-``127.0.0.1:<ephemeral>``; a logical-address → port map plays the role
-of DNS. Packets are serialized with the typed wire codec
-(:mod:`repro.runtime.codec`), cross the kernel's loopback path, and are
-decoded on receive — so unlike the simulator nothing is ever shared by
-reference, and the exact bytes a real deployment would emit are what
-travels.
+The runtime owns one UDP socket bound to ``127.0.0.1:<ephemeral>``,
+through which every endpoint it hosts receives and sends, as a §5.4
+end-host server has one endpoint; a logical-address → port map plays
+the role of DNS. Packets are serialized with the typed wire codec (:mod:`repro.runtime.codec`), cross the kernel's
+loopback path, and are decoded on receive — so unlike the simulator
+nothing is ever shared by reference, and the exact bytes a real
+deployment would emit are what travels.
 
 Groupcast is provided the way §5.4's end-host deployment provides it:
 a sequencer endpoint (the unmodified :class:`~repro.net.sequencer.
-MultiSequencer`) receives sequenced groupcasts over its own socket,
+MultiSequencer`) receives sequenced groupcasts addressed to it,
 stamps them, and fans unicast copies back out. The SDN controller's
 "route installation" becomes an entry in this runtime's routing state.
 
@@ -32,21 +32,24 @@ Backend properties (full matrix in DESIGN.md):
 The socket layer is one path, shared with the multi-process subclass
 (:mod:`repro.runtime.udp_mp`):
 
-- **receive** — each endpoint socket is serviced by a
-  ``loop.add_reader`` callback that drains up to 128 datagrams per
-  wakeup with ``sock.recv``, so one loop wakeup amortizes over every
-  datagram the kernel has queued (eRPC's batched-receive observation,
-  on commodity UDP). A node that reads only headers
-  (``opaque_bodies``: the sequencing element) gets each groupcast with
-  its body undecoded, which a fan-out then forwards as it is.
+- **receive** — one ``loop.add_reader`` callback reads up to
+  ``_RECV_BATCH`` queued datagrams per wakeup, for every co-hosted
+  node at once (eRPC's batched-receive observation, on commodity UDP),
+  and delivers each to the endpoint its decoded ``dst`` names, in
+  registration order and FIFO per endpoint (:meth:`_on_readable`). An
+  unknown ``dst`` is a ``dead-destination`` drop. A node that reads
+  only headers (``opaque_bodies``: the sequencing element)
+  gets each groupcast with its body undecoded, which a fan-out then
+  forwards as it is.
 - **send** — every packet is encoded into one frame and leaves at once,
-  as one datagram, through one plain non-blocking ``socket.sendto``; a
+  as one datagram, through the same socket's non-blocking ``sendto``; a
   full kernel buffer (EAGAIN) or any other ``OSError`` is counted in
   ``send_errors`` and the datagram is lost, which Eris's drop machinery
   already tolerates.
-- **lifecycle** — :meth:`start` and :meth:`stop` are synchronous and
-  never enter the event loop; the runtime owns every file descriptor
-  outright and closes each exactly once.
+- **lifecycle** — the socket is bound when the runtime is built, so
+  the kernel buffers early arrivals and build-time sends until
+  :meth:`start` attaches the reader. :meth:`start` and :meth:`stop` are
+  synchronous and never enter the event loop.
 
 The runtime is single-threaded: drive it with
 :meth:`AsyncioUdpRuntime.run_for` / :meth:`run_until` from ordinary
@@ -76,12 +79,23 @@ from repro.sim.randomness import SplitRandom
 #: Receive size: the maximum UDP payload fits with room to spare.
 _RECV_BUFFER_BYTES = 65536
 
-#: Datagrams drained per reader wakeup before yielding back to the
-#: loop, so one chatty peer cannot starve timers and the control plane.
-_RECV_BATCH = 128
+#: Datagrams one reader wakeup reads before delivering them. The
+#: registration-order delivery keeps the control plane ahead of client
+#: traffic only across what one drain sees, so this must exceed the
+#: queue a closed loop builds (DESIGN.md, "One socket runtime", has the
+#: runs that chose it).
+_RECV_BATCH = 1024
+
+#: Receive buffer asked of the kernel, which caps it at
+#: ``net.core.rmem_max`` (DESIGN.md records the measurement).
+_RCVBUF_BYTES = 4 << 20
 
 #: ``select(2)`` watches only descriptors below ``FD_SETSIZE``.
 _SELECT_FD_LIMIT = 1024
+
+#: Bucket growth of the ``runtime.loop_lag`` histogram: a percentile
+#: reads at most 9% above the true lag.
+_LOOP_LAG_GROWTH = 2 ** 0.125
 
 
 class _AsyncioTimer:
@@ -165,15 +179,27 @@ class AsyncioUdpRuntime(Runtime):
     def __init__(self, seed: int = 0, host: str = "127.0.0.1"):
         super().__init__()
         self.host = host
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        if sock.fileno() >= _SELECT_FD_LIMIT:
+            sock.close()
+            raise NetworkError(
+                f"the runtime's socket needs an fd below select(2)'s "
+                f"limit of {_SELECT_FD_LIMIT}")
+        sock.setblocking(False)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _RCVBUF_BYTES)
+        sock.bind((host, 0))
+        self._sock = sock
+        self._port: int = sock.getsockname()[1]
         self.aloop = asyncio.SelectorEventLoop(selectors.SelectSelector())
         self.base_rng = SplitRandom(seed)
         self.groups = GroupMembership()
         self.sequencer_address: Optional[Address] = None
         self._endpoints: dict[Address, Any] = {}
-        self._socks: dict[Address, socket.socket] = {}
+        #: Local address -> port (always ``_port``), the addresses whose
+        #: node has ``opaque_bodies``, and the delivery order (rank).
         self._ports: dict[Address, int] = {}
-        self._egress: Optional[socket.socket] = None
-        self._pending_sends: list[tuple[Address, bytes]] = []
+        self._opaque: set[Address] = set()
+        self._rank: dict[Address, int] = {}
         self._started = False
         self._closed = False
         self.packets_sent = 0
@@ -235,28 +261,17 @@ class AsyncioUdpRuntime(Runtime):
         address = node.address
         if address in self._endpoints:
             raise NetworkError(f"duplicate endpoint address {address!r}")
-        # Bind now so the logical address resolves (and the kernel
-        # buffers early arrivals) before the reader is attached.
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        if sock.fileno() >= _SELECT_FD_LIMIT:
-            sock.close()
-            raise NetworkError(
-                f"endpoint {address!r} needs an fd below select(2)'s "
-                f"limit of {_SELECT_FD_LIMIT}")
-        sock.setblocking(False)
-        sock.bind((self.host, 0))
         self._endpoints[address] = node
-        self._socks[address] = sock
-        self._ports[address] = sock.getsockname()[1]
-        if self._started:
-            self._attach_reader(address, sock)
+        self._ports[address] = self._port
+        self._rank[address] = len(self._rank)
+        if getattr(node, "opaque_bodies", False):
+            self._opaque.add(address)
 
     def unregister(self, address: Address) -> None:
         self._endpoints.pop(address, None)
         self._ports.pop(address, None)
-        sock = self._socks.pop(address, None)
-        if sock is not None:
-            self._close_socket(sock)
+        self._rank.pop(address, None)
+        self._opaque.discard(address)
 
     def endpoint(self, address: Address) -> Any:
         try:
@@ -329,11 +344,6 @@ class AsyncioUdpRuntime(Runtime):
         data = encode_packet(packet, tail)
         if self.tracer is not None:
             self.tracer.packet_tx(packet)
-        if self._egress is None:
-            # Egress not up yet (e.g. the controller pings its
-            # sequencers at build time); flushed by start().
-            self._pending_sends.append((packet.dst, data))
-            return
         self.frames_sent += 1
         self._sendto(data, addr)
 
@@ -344,48 +354,48 @@ class AsyncioUdpRuntime(Runtime):
         if self._hist_datagram_bytes is not None:
             self._hist_datagram_bytes.record(len(data))
         try:
-            self._egress.sendto(data, addr)
+            self._sock.sendto(data, addr)
         except OSError:
             # EAGAIN included: UDP gives no delivery promise, and
             # Eris's §6.3/§6.5 drop machinery recovers lost stamps.
             self.send_errors += 1
 
     # -- receiving ---------------------------------------------------------
-    def _attach_reader(self, address: Address, sock: socket.socket) -> None:
-        self.aloop.add_reader(sock.fileno(), self._on_readable,
-                              address, sock)
-
-    def _on_readable(self, address: Address, sock: socket.socket) -> None:
-        """Drain the socket: one wakeup, up to ``_RECV_BATCH`` datagrams."""
+    def _on_readable(self) -> None:
+        """Read what is queued, up to ``_RECV_BATCH`` datagrams, then
+        deliver it in registration order, FIFO per endpoint. A cluster
+        registers its sequencers and controller before its replicas and
+        clients, so pings and stamps do not wait behind client traffic,
+        and what the deliveries send waits for the next wakeup, so a
+        drain cannot feed itself while timers wait."""
         self.recv_wakeups += 1
+        recv = self._sock.recv
+        packets = []
         for _ in range(_RECV_BATCH):
             try:
-                data = sock.recv(_RECV_BUFFER_BYTES)
+                data = recv(_RECV_BUFFER_BYTES)
             except (BlockingIOError, InterruptedError):
-                return
+                break
             except OSError:
                 self.socket_errors += 1
-                return
+                break
             self.recv_datagrams += 1
-            self._on_datagram(address, data)
-
-    def _on_datagram(self, address: Address, data: bytes) -> None:
-        node = self._endpoints.get(address)
-        try:
-            # A node that reads only headers (the sequencing element)
-            # gets groupcast bodies undecoded.
-            packet = decode_datagram(data,
-                                     getattr(node, "opaque_bodies", False))
-        except CodecError:
-            self.decode_errors += 1
-            return
-        if node is None:
-            self._drop(packet, "dead-destination")
-            return
-        self.packets_delivered += 1
-        if self.tracer is not None:
-            self.tracer.packet_deliver(packet)
-        node.deliver(packet)
+            try:
+                packets.append(decode_datagram(data, self._opaque))
+            except CodecError:
+                self.decode_errors += 1
+        rank = self._rank
+        unknown = len(rank)
+        packets.sort(key=lambda packet: rank.get(packet.dst, unknown))
+        for packet in packets:
+            node = self._endpoints.get(packet.dst)
+            if node is None:
+                self._drop(packet, "dead-destination")
+                continue
+            self.packets_delivered += 1
+            if self.tracer is not None:
+                self.tracer.packet_deliver(packet)
+            node.deliver(packet)
 
     # -- observability -----------------------------------------------------
     def instrument(self, registry) -> None:
@@ -424,7 +434,8 @@ class AsyncioUdpRuntime(Runtime):
         # histogram readable in that range.
         self._hist_datagram_bytes = registry.histogram(
             "udp", "datagram_bytes", scale=64.0)
-        self._hist_loop_lag = registry.histogram("runtime", "loop_lag")
+        self._hist_loop_lag = registry.histogram(
+            "runtime", "loop_lag", growth=_LOOP_LAG_GROWTH)
         if self._started and not self._closed:
             self._arm_lag_probe()
 
@@ -442,44 +453,24 @@ class AsyncioUdpRuntime(Runtime):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Attach readers, open the egress socket, and flush sends
-        queued during cluster construction. Never enters the event
-        loop, so it is callable both from harness code and from inside
-        a running coroutine."""
+        """Attach the socket's reader. Never enters the event loop, so
+        it is callable both from harness code and from inside a running
+        coroutine."""
         if self._started:
             return
         self._started = True
-        for address, sock in self._socks.items():
-            self._attach_reader(address, sock)
-        egress = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        egress.setblocking(False)
-        egress.bind((self.host, 0))
-        self._egress = egress
-        pending, self._pending_sends = self._pending_sends, []
-        for dst, data in pending:
-            addr = self._resolve(dst)
-            if addr is not None:
-                self.frames_sent += 1
-                self._sendto(data, addr)
+        self.aloop.add_reader(self._sock.fileno(), self._on_readable)
         if self._hist_loop_lag is not None:
             self._arm_lag_probe()
 
-    def _close_socket(self, sock: socket.socket) -> None:
-        if self._started:
-            self.aloop.remove_reader(sock.fileno())
-        sock.close()
-
     def stop(self) -> None:
-        """Close every socket and the event loop (irreversible)."""
+        """Close the socket and the event loop (irreversible)."""
         if self._closed:
             return
         self._closed = True
-        for sock in self._socks.values():
-            self._close_socket(sock)
-        self._socks.clear()
-        if self._egress is not None:
-            self._egress.close()
-            self._egress = None
+        if self._started:
+            self.aloop.remove_reader(self._sock.fileno())
+        self._sock.close()
         if not self.aloop.is_running():
             self.aloop.close()
 

@@ -46,7 +46,7 @@ import sys
 from itertools import chain
 from operator import attrgetter
 from types import MemberDescriptorType as _MemberDescriptor
-from typing import Any, Iterable
+from typing import Any, Container, Iterable
 
 from repro.errors import ReproError
 from repro.store.kv import MISSING
@@ -798,15 +798,15 @@ def _write_packet_tail(out: bytearray, packet: Any) -> None:
         _encode(out, packet.payload, 0, {})
 
 
-def decode_packet(buffer: bytes, opaque: bool = False) -> Any:
+def decode_packet(buffer: bytes, opaque: Container[str] = ()) -> Any:
     """Inverse of :func:`encode_packet`. The decoded packet keeps the
     sender-assigned ``packet_id``/``trace_id`` so causal tracing and
     sequencer bookkeeping are stable across the wire.
 
-    With ``opaque`` a groupcast's body is not decoded: the packet
-    carries ``payload=None`` and the body bytes as ``body``, for
-    :func:`body_type` / :func:`decode_body` and to be forwarded as
-    they are."""
+    A groupcast whose ``dst`` (read from the header) is in ``opaque``
+    keeps its body undecoded: the packet carries ``payload=None`` and
+    the body bytes as ``body``, for :func:`body_type` /
+    :func:`decode_body` and to be forwarded as they are."""
     if _Packet is None:
         _bind_packet_types()
     view = buffer if type(buffer) is bytes and buffer[:4] == _MAGIC \
@@ -849,7 +849,7 @@ def decode_packet(buffer: bytes, opaque: bool = False) -> Any:
         _set_epoch(multistamp, epoch)
         _set_stamps(multistamp, tuple(stamps))
     packet = _object_new(_Packet)
-    if opaque and groupcast is not None:
+    if groupcast is not None and dst in opaque:
         packet.payload = None
         packet.body = bytes(view[pos:])
     else:

@@ -14,7 +14,7 @@ Bootstrap is a two-phase port-map exchange, because UDP ports are
 ephemeral (no static assignment could survive collisions across
 processes):
 
-1. every worker binds its endpoints' sockets, connects back to the
+1. every worker binds its runtime's one socket, connects back to the
    launcher, and reports ``address -> port`` in :class:`WorkerHello`;
 2. the launcher merges all hellos with the driver's own local ports
    and broadcasts the complete map in :class:`ClusterStart`; workers
@@ -61,7 +61,7 @@ _LEN = struct.Struct(">I")
 
 @dataclass(frozen=True)
 class WorkerHello:
-    """Worker -> launcher, immediately after binding its sockets."""
+    """Worker -> launcher, immediately after binding its socket."""
 
     role: str
     rank: int

@@ -8,9 +8,11 @@ bootstrap — no process ever holds a reference to another process's
 protocol objects, so every interaction that the single-process runtime
 could have satisfied in memory is forced onto the wire.
 
-The socket layer — drained ``add_reader`` receive, raw ``sendto``
-egress, synchronous start/stop — is the parent's, unchanged. This
-subclass adds only what is multi-process:
+The socket layer — one socket per process for every local endpoint
+(``_rt.<rank>`` included), a drained ``add_reader`` receive that
+demultiplexes on each frame's ``dst``, ``sendto`` egress, synchronous
+start/stop — is the parent's, unchanged. This subclass adds only what
+is multi-process:
 
 - **remote port map** — :meth:`~WorkerUdpRuntime.install_port_map`
   overlays the launcher's host/port plan on the local endpoints.
@@ -57,8 +59,8 @@ def control_address(rank: int) -> Address:
 
 class _RuntimeControl(Node):
     """Per-process endpoint for runtime-level control messages. It is
-    a real endpoint with a real socket, so routing state propagates
-    over exactly the same data plane the protocol uses."""
+    a real endpoint on the process's socket, so routing state
+    propagates over exactly the same data plane the protocol uses."""
 
     def __init__(self, runtime: "WorkerUdpRuntime", rank: int):
         super().__init__(control_address(rank), runtime)
@@ -92,8 +94,8 @@ class WorkerUdpRuntime(AsyncioUdpRuntime):
     def install_port_map(self, host: str,
                          port_map: dict[Address, int]) -> None:
         """Adopt the launcher's merged address plan. Local endpoints
-        keep their own sockets; everything else resolves to a remote
-        socket address from here on."""
+        stay on this process's socket; everything else resolves to a
+        remote socket address from here on."""
         self._peer_controls = []
         for address, port in port_map.items():
             if address not in self._ports:

@@ -4,7 +4,7 @@ One worker hosts one role's protocol objects (see
 :mod:`repro.harness.topology`) on a :class:`~repro.runtime.udp_mp.
 WorkerUdpRuntime` and follows the launcher's control-plane protocol:
 
-1. bind sockets, connect to the launcher, send :class:`WorkerHello`;
+1. bind its socket, connect to the launcher, send :class:`WorkerHello`;
 2. wait for :class:`ClusterStart`, install the merged port map, bring
    the transport (and, for the controller role, the controller) up,
    ack;

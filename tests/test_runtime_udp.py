@@ -113,13 +113,12 @@ def test_duplicate_registration_rejected(runtime):
         Echo("dup", runtime)
 
 
-# -- socket ownership: every fd closed exactly once -----------------------
+# -- socket ownership: one socket per runtime, closed exactly once --------
 
 def test_stop_closes_every_socket_exactly_once(monkeypatch):
-    """The runtime owns its fds outright: unregister() after start()
-    detaches that endpoint's reader and closes its socket; stop()
-    closes every remaining endpoint socket and the egress socket. Each
-    is closed exactly once, and a second stop() closes nothing again."""
+    """The runtime owns one socket for every endpoint it hosts:
+    unregister() closes nothing, stop() closes the socket exactly once,
+    and a second stop() closes nothing again."""
     closes: dict[int, int] = {}
     original_close = socket.socket.close
 
@@ -133,32 +132,78 @@ def test_stop_closes_every_socket_exactly_once(monkeypatch):
     Echo("b", rt)
     Echo("gone", rt)
     rt.start()
-    gone = rt._socks["gone"]
-    gone_fd = gone.fileno()
+    sock = rt._sock
     rt.unregister("gone")
-    assert closes.get(id(gone), 0) == 1
-    # remove_reader() reports whether a reader was still attached.
-    assert rt.aloop.remove_reader(gone_fd) is False
-    owned = list(rt._socks.values()) + [rt._egress]
-    assert len(owned) == 3
+    assert not rt.has_endpoint("gone")
+    assert closes == {}
+    rt.stop()                     # also closes the loop's self-pipe
+    assert closes.get(id(sock)) == 1
+    assert sock.fileno() == -1
+    after_first = dict(closes)
     rt.stop()
-    rt.stop()
-    for sock in owned + [gone]:
-        assert closes.get(id(sock), 0) == 1
-        assert sock.fileno() == -1
+    assert closes == after_first
 
 
 def test_stop_before_start_closes_orphan_sockets():
-    """Sockets bound in register() before start() have no reader yet:
-    stop() must still close them (and leave none with a live fd)."""
+    """The socket is bound when the runtime is built, before any reader
+    is attached: stop() must still close it."""
     rt = AsyncioUdpRuntime(seed=1)
     Echo("a", rt)
     Echo("b", rt)
-    socks = list(rt._socks.values())
-    assert all(sock.fileno() != -1 for sock in socks)
+    sock = rt._sock
+    assert sock.fileno() != -1
     rt.stop()
-    assert all(sock.fileno() == -1 for sock in socks)
+    assert sock.fileno() == -1
     rt.stop()                     # idempotent
+
+
+def test_runtime_holds_one_udp_fd_whatever_its_endpoint_count(monkeypatch):
+    """Fifty endpoints share the runtime's one UDP socket; no other UDP
+    socket is opened, at register() or at start()."""
+    opened = []
+
+    class Recording(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.type == socket.SOCK_DGRAM:
+                opened.append(self)
+
+    monkeypatch.setattr(socket, "socket", Recording)
+    rt = AsyncioUdpRuntime(seed=1)
+    try:
+        nodes = [Echo(f"n{i}", rt) for i in range(50)]
+        rt.start()
+        assert len([s for s in opened if s.fileno() != -1]) == 1
+        assert set(rt._ports.values()) == {rt._sock.getsockname()[1]}
+        nodes[0].send("n49", ("hello",))
+        assert rt.run_until(lambda: nodes[49].seen == [("hello",)],
+                            timeout=5.0)
+    finally:
+        rt.stop()
+
+
+def test_frame_for_an_unregistered_local_dst_is_dropped_at_receive(runtime):
+    """The receiver demultiplexes on the frame's dst: a frame that
+    reaches the runtime's port for an address it does not host is a
+    counted dead-destination drop, handed to no endpoint."""
+    from repro.runtime.codec import encode_packet
+
+    tracer = runtime.attach_tracer()
+    a = Echo("a", runtime)
+    runtime.start()
+    frame = encode_packet(Packet(src="x", dst="nobody", payload=("lost",)))
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sender.sendto(frame, runtime._resolve("a"))
+    finally:
+        sender.close()
+    assert runtime.run_until(lambda: runtime.packets_dropped == 1,
+                             timeout=5.0)
+    assert runtime.recv_datagrams == 1
+    assert runtime.packets_delivered == 0
+    assert a.seen == []
+    [drop] = tracer.select("drop")
+    assert drop.data["reason"] == "dead-destination"
 
 
 def test_timers_wake_near_their_deadline(runtime):
@@ -180,13 +225,13 @@ def test_timers_wake_near_their_deadline(runtime):
     assert statistics.median(lateness) < 0.4e-3
 
 
-def test_register_past_the_select_fd_limit_raises(runtime, monkeypatch):
-    """select(2) cannot watch an fd past FD_SETSIZE: registration says
-    so instead of a ValueError escaping from inside the loop."""
+def test_register_past_the_select_fd_limit_raises(monkeypatch):
+    """select(2) cannot watch an fd past FD_SETSIZE: the runtime says so
+    where it creates its one socket, before any endpoint registers,
+    instead of a ValueError escaping from inside the loop."""
     monkeypatch.setattr(asyncio_udp, "_SELECT_FD_LIMIT", 0)
     with pytest.raises(NetworkError, match="select.*limit of 0"):
-        Echo("a", runtime)
-    assert not runtime.has_endpoint("a")
+        AsyncioUdpRuntime(seed=1)
 
 
 # -- real costs only: no modelled delay on real sockets --------------------
@@ -266,6 +311,7 @@ def test_element_stamps_inside_the_delivering_callback():
         assert sum(stamped_inside) == element.packets_stamped >= 1
         assert fanned_inside and all(fanned_inside)
         assert timers == []
+        assert element.stamp_wakeups == 0
     finally:
         runtime.stop()
 
@@ -312,6 +358,46 @@ def test_reader_drains_a_burst_in_few_wakeups(runtime):
     assert 1 <= runtime.recv_wakeups < runtime.recv_datagrams
 
 
+def test_burst_to_many_endpoints_is_delivered_whole(runtime):
+    """400 datagrams for 20 endpoints, all queued in the one socket's
+    kernel buffer before the loop runs, arrive whole."""
+    sender = Echo("sender", runtime)
+    sinks = [Echo(f"s{i}", runtime) for i in range(20)]
+    runtime.start()
+    for i in range(20):
+        for sink in sinks:
+            sender.send(sink.address, ("burst", i))
+    assert runtime.send_errors == 0
+    assert runtime.run_until(
+        lambda: all(len(sink.seen) == 20 for sink in sinks), timeout=10.0)
+    assert runtime.packets_dropped == 0
+    assert all(sink.seen == [("burst", i) for i in range(20)]
+               for sink in sinks)
+
+
+def test_drain_delivers_in_registration_order(runtime):
+    """One drain delivers what it read endpoint by endpoint in
+    registration order, FIFO per endpoint: traffic for an endpoint
+    registered early (a sequencer, the controller) does not wait behind
+    a burst queued earlier for one registered later."""
+    order = []
+
+    class Recorder(Node):
+        def handle(self, src, message, packet):
+            order.append((self.address, message))
+
+    first = Recorder("first", runtime)
+    last = Recorder("last", runtime)
+    runtime.start()
+    for i in range(3):
+        last.send("last", i)
+    first.send("first", "ping")
+    assert runtime.run_until(lambda: len(order) == 4, timeout=5.0)
+    assert runtime.recv_wakeups == 1
+    assert order == [("first", "ping"), ("last", 0), ("last", 1),
+                     ("last", 2)]
+
+
 # -- fan-out accounting (counter-asymmetry regression) --------------------
 
 def test_fanout_copies_counted_separately_from_sends(runtime):
@@ -356,13 +442,12 @@ def test_sequencer_encodes_a_two_shard_payload_once(monkeypatch):
     cluster = build_udp_cluster(n_shards=2, n_replicas=3)
     runtime = cluster.runtime
     received = []
-    on_datagram = runtime._on_datagram
 
-    def record(address, data):
-        received.append((address, data))
-        on_datagram(address, data)
+    def record(data, opaque):
+        received.append(data)
+        return decode_datagram(data, opaque)
 
-    monkeypatch.setattr(runtime, "_on_datagram", record)
+    monkeypatch.setattr(asyncio_udp, "decode_datagram", record)
     element = cluster.sequencers[0]
     try:
         client = cluster.make_client()
@@ -389,11 +474,12 @@ def test_sequencer_encodes_a_two_shard_payload_once(monkeypatch):
         assert runtime.fanout_copies - copies_before == 6 * attempts
         assert element.bodies_decoded == 0
         bodies = {}
-        for address, data in received:
-            body = decode_datagram(data, opaque=True).body
-            if body is not None \
-                    and body_type(body) is IndependentTxnRequest:
-                bodies.setdefault(address, []).append(body)
+        everyone = set(runtime._endpoints)
+        for data in received:
+            packet = decode_datagram(data, everyone)
+            if packet.body is not None \
+                    and body_type(packet.body) is IndependentTxnRequest:
+                bodies.setdefault(packet.dst, []).append(packet.body)
         sent = bodies.pop(element.address)
         assert len(sent) == attempts and len(bodies) == 6
         for address, copies in bodies.items():

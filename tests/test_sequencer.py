@@ -14,7 +14,7 @@ from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.net.network import NetConfig, Network
 from repro.net.oum import OUMSequencer
 from repro.net.sequencer import INGRESS_BOUND, MultiSequencer, \
-    SequencerProfile
+    SequencerPing, SequencerProfile
 from repro.sim.event_loop import EventLoop
 
 from conftest import install_alone
@@ -137,6 +137,34 @@ def test_profiles_match_table1_capacities():
     assert 1.0 / endhost.per_packet_service == pytest.approx(1.61e6)
     assert middlebox.added_latency == pytest.approx(13.64e-6)
     assert endhost.added_latency == pytest.approx(24.60e-6)
+
+
+def test_simulated_element_schedules_one_wakeup_per_packet():
+    """The simulator charges the element's traversal latency as one
+    scheduled callback per packet it receives, counted in the
+    ``stamp_wakeups`` gauge (the real-socket twin, which schedules
+    none, is in test_runtime_udp.py)."""
+    from repro.obs import MetricsRegistry
+
+    loop, net, seq, sinks, sender = build()
+    registry = MetricsRegistry()
+    seq.instrument(registry)
+    delivered = []
+    deliver = seq.deliver
+
+    def counting(packet):
+        delivered.append(packet)
+        deliver(packet)
+
+    seq.deliver = counting
+    for i in range(5):
+        sender.send_groupcast((0, 1), i)
+    sender.send("seq0", SequencerPing(nonce=1))    # control plane too
+    loop.run_until_idle()
+    assert seq.packets_stamped == 5
+    assert len(delivered) == 6
+    assert seq.stamp_wakeups == 6
+    assert registry.snapshot()["seq0"]["stamp_wakeups"] == 6
 
 
 def test_crashed_sequencer_stamps_nothing():

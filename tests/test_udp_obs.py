@@ -100,6 +100,28 @@ def test_instrument_registers_udp_health_metrics():
         runtime.stop()
 
 
+def test_loop_lag_p99_resolves_sub_millisecond_differences():
+    """The loop-lag histogram's buckets are fine enough that lags of
+    1.2 and 1.5 ms read apart, each within 10% of the truth (power-of-
+    two buckets read 2.048 ms for both)."""
+    p99s = []
+    for lag in (1.2e-3, 1.5e-3):
+        runtime = AsyncioUdpRuntime(seed=2)
+        registry = MetricsRegistry()
+        try:
+            runtime.instrument(registry)
+            hist = runtime._hist_loop_lag
+            for _ in range(99):
+                hist.record(lag)
+            hist.record(50e-3)        # a stall above the p99
+            p99 = registry.snapshot()["runtime"]["loop_lag"]["p99"]
+        finally:
+            runtime.stop()
+        assert p99 == pytest.approx(lag, rel=0.10)
+        p99s.append(p99)
+    assert p99s[0] < p99s[1]
+
+
 def test_counter_gauges_are_marked_monotone():
     """The sampler's delta/rate treatment keys off the monotone flag;
     the runtime's counter-style gauges must declare it."""
