@@ -72,65 +72,3 @@ def test_fig14_sequencer_failover_timeline(benchmark):
         for replica in replicas:
             if not replica.crashed:
                 assert replica.epoch_num == 2
-
-
-def test_fig14_chain_repair_vs_epoch_bump(benchmark):
-    """Extended fig14: identical workload and controller timing, the
-    paper's single sequencer vs a 2-node chain-replicated sequencer.
-    The epoch path pays detection + fabric-wide reroute + epoch change;
-    splice repair pays detection + a tail state read + one chain rule,
-    so its outage window must be strictly smaller."""
-    def run():
-        from repro.harness import ExperimentConfig, build_cluster, \
-            run_failover_experiment
-        from repro.harness.cluster import ClusterConfig
-        from repro.sim.randomness import SplitRandom
-        from repro.store import ProcedureRegistry
-        from repro.workloads import (Partitioner, YCSBConfig,
-                                     YCSBWorkload,
-                                     register_ycsb_procedures)
-        from repro.workloads.ycsb import load_ycsb
-
-        def measure(chain):
-            registry = ProcedureRegistry()
-            register_ycsb_procedures(registry)
-            partitioner = Partitioner(2)
-            config = ClusterConfig(system="eris", n_shards=2, seed=7,
-                                   controller=CONTROLLER,
-                                   sequencer_chain=chain)
-            cluster = build_cluster(
-                config, registry, partitioner,
-                loader=lambda stores, p: load_ycsb(stores, p, 1000))
-            workload = YCSBWorkload(
-                YCSBConfig(workload="srw", n_keys=1000),
-                partitioner, SplitRandom(8))
-            result, window = run_failover_experiment(
-                cluster, workload, KILL_AT, ExperimentConfig(
-                    n_clients=60, warmup=5e-3, duration=250e-3,
-                    drain=20e-3, timeseries_bucket=5e-3))
-            return cluster, result, window
-
-        return measure(0), measure(2)
-
-    (epoch_cluster, epoch_result, epoch_window), \
-        (chain_cluster, chain_result, chain_window) = \
-        benchmark.pedantic(run, iterations=1, rounds=1)
-
-    print_paper_comparison(
-        "Fig 14 (extended) — failover outage window: epoch bump vs "
-        "chain splice repair",
-        ["path", "outage (ms)", "mechanism"],
-        [["epoch bump", f"{epoch_window * 1000:.1f}",
-          f"reroute + epoch change (epoch -> "
-          f"{epoch_cluster.controller.current_epoch})"],
-         ["chain repair", f"{chain_window * 1000:.1f}",
-          f"splice (repairs={chain_cluster.controller.chain_repairs}, "
-          f"epoch stays {chain_cluster.controller.current_epoch})"]],
-        notes="Same detection timeout for both; the chain saves the "
-              "fabric-wide reroute and the stop-the-world epoch change.")
-
-    assert epoch_cluster.controller.failovers == 1
-    assert chain_cluster.controller.failovers == 0
-    assert chain_cluster.controller.chain_repairs == 1
-    assert chain_cluster.controller.current_epoch == 1
-    assert 0 < chain_window < epoch_window < float("inf")

@@ -269,9 +269,9 @@ class AppliedUpto:
     clear rule).
 
     Sent as an *unstamped* sequenced groupcast so it is routed to
-    whatever element currently stamps for the shard (the plain
-    sequencer, a standby after failover, or the chain head), which
-    absorbs it without assigning a sequence number. ``upto`` is the
+    whatever element currently stamps for the shard (the first
+    sequencer or a standby after failover), which absorbs it without
+    assigning a sequence number. ``upto`` is the
     highest sequence number of ``epoch`` this replica has fed to its
     execution engine; because logs are epoch-monotone and in-epoch
     sequence numbers are contiguous, one (epoch, seq) pair summarizes

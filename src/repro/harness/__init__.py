@@ -20,18 +20,13 @@ from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
-    failover_window,
     run_experiment,
-    run_failover_experiment,
 )
 from repro.harness.checkers import (
     check_atomicity,
     check_replica_consistency,
     check_serializability,
     check_trace_atomicity,
-    check_trace_chain_gapless_logs,
-    check_trace_chain_no_stale_release,
-    check_trace_chain_stamp_monotonicity,
     check_trace_replica_consistency,
     check_trace_serializability,
     run_all_checks,
@@ -47,16 +42,11 @@ __all__ = [
     "build_cluster",
     "ExperimentConfig",
     "ExperimentResult",
-    "failover_window",
     "run_experiment",
-    "run_failover_experiment",
     "check_atomicity",
     "check_replica_consistency",
     "check_serializability",
     "check_trace_atomicity",
-    "check_trace_chain_gapless_logs",
-    "check_trace_chain_no_stale_release",
-    "check_trace_chain_stamp_monotonicity",
     "check_trace_replica_consistency",
     "check_trace_serializability",
     "run_trace_checks",

@@ -307,105 +307,6 @@ def check_trace_atomicity(trace: TraceLike) -> None:
                         "trace: ")
 
 
-# -- chain-replicated sequencer invariants ---------------------------------
-#
-# These only apply to traces from chain-mode clusters (they key on the
-# ``chain_release`` / ``chain_repair`` events the chain emits); on any
-# other trace they are vacuous no-ops.
-
-def _has_chain_events(events: list[dict]) -> bool:
-    return any(e["kind"] in ("chain_release", "chain_repair")
-               for e in events)
-
-
-def check_trace_chain_stamp_monotonicity(trace: TraceLike) -> None:
-    """Stamps stay monotonic across splice repairs: per (epoch, group),
-    no sequence number is ever released twice, and a release by a
-    repaired chain (higher version) is strictly greater than everything
-    any older version released — repair carries the surviving tail's
-    counters forward, so a regression means a re-assigned sequence
-    number escaped the fence. Within one version, *release order* may
-    legitimately be inverted by non-FIFO links (receivers reorder by
-    the stamp itself), so only duplication and cross-repair regression
-    are violations."""
-    events = _trace_events(trace)
-    released: dict[tuple[int, int], set[int]] = {}
-    high_water: dict[tuple[int, int], dict[int, int]] = {}
-    for event in events:
-        if event["kind"] != "chain_release":
-            continue
-        epoch, version = event["epoch"], event["version"]
-        for group, seq in event["stamps"]:
-            key = (epoch, group)
-            seen = released.setdefault(key, set())
-            if seq in seen:
-                raise InvariantViolation(
-                    f"duplicate chain release: epoch {epoch} group "
-                    f"{group} seq {seq} released twice "
-                    f"(node {event['node']}, version {version})")
-            seen.add(seq)
-            by_version = high_water.setdefault(key, {})
-            for older, top in by_version.items():
-                if older < version and seq <= top:
-                    raise InvariantViolation(
-                        f"chain stamp regression across repair: epoch "
-                        f"{epoch} group {group} version {version} "
-                        f"released seq {seq}, but version {older} had "
-                        f"already released up to {top} "
-                        f"(node {event['node']})")
-            if seq > by_version.get(version, 0):
-                by_version[version] = seq
-
-
-def check_trace_chain_gapless_logs(trace: TraceLike) -> None:
-    """No replica's final log contains a duplicate or internally
-    skipped sequence number (per epoch). Externally-lost stamps become
-    NO-OP entries via the §6.3/§6.5 drop machinery, so any *internal*
-    gap or duplicate in a replica group's observed sequence means chain
-    repair leaked or replayed a stamp."""
-    events = _trace_events(trace)
-    if not _has_chain_events(events):
-        return
-    for shard, logs in _trace_live_logs(events).items():
-        for node, order in logs.items():
-            per_epoch: dict[int, list[int]] = {}
-            for slot, _entry_kind, _txn in order:
-                _shard, epoch, seq = slot
-                per_epoch.setdefault(epoch, []).append(seq)
-            for epoch, seqs in per_epoch.items():
-                if len(set(seqs)) != len(seqs):
-                    dup = sorted(s for s in set(seqs) if seqs.count(s) > 1)
-                    raise InvariantViolation(
-                        f"shard {shard} replica {node} observed duplicate "
-                        f"sequence number(s) {dup[:5]} in epoch {epoch}")
-                expected = set(range(min(seqs), max(seqs) + 1))
-                missing = sorted(expected - set(seqs))
-                if missing:
-                    raise InvariantViolation(
-                        f"shard {shard} replica {node} skipped sequence "
-                        f"number(s) {missing[:5]} in epoch {epoch}")
-
-
-def check_trace_chain_no_stale_release(trace: TraceLike) -> None:
-    """After a splice repair installs chain version V, no release
-    carrying a version < V may appear — a stale (spliced-out) tail that
-    keeps serving stamps after repair is exactly the failure the
-    install fence exists to prevent."""
-    events = _trace_events(trace)
-    repaired_version = 0
-    for event in events:
-        kind = event["kind"]
-        if kind == "chain_repair":
-            repaired_version = max(repaired_version, event["version"])
-        elif kind == "chain_release" \
-                and event["version"] < repaired_version:
-            raise InvariantViolation(
-                f"stale-tail release: node {event['node']} released "
-                f"stamps {event['stamps']} at chain version "
-                f"{event['version']} after repair installed version "
-                f"{repaired_version}")
-
-
 # -- coordination-free read fast-path invariants ---------------------------
 #
 # The check keys on the ``fast_read`` events the read fast path emits;
@@ -494,9 +395,6 @@ def run_trace_checks(trace: TraceLike) -> None:
     check_trace_replica_consistency(events)
     check_trace_serializability(events)
     check_trace_atomicity(events)
-    check_trace_chain_stamp_monotonicity(events)
-    check_trace_chain_gapless_logs(events)
-    check_trace_chain_no_stale_release(events)
     check_trace_fast_reads(events)
 
 

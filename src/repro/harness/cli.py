@@ -92,14 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="counters: fraction of increments/"
                              "tag-unions (remainder are resets)")
     parser.add_argument("--drop-rate", type=float, default=0.0)
-    parser.add_argument("--chain", type=int, default=0, metavar="N",
-                        help="front Eris with an N-node chain-replicated "
-                             "sequencer (N=2..3; 0 = single sequencer)")
     parser.add_argument("--kill-sequencer", type=float, default=None,
                         metavar="T",
-                        help="kill the active sequencing element (chain "
-                             "head, or the routed sequencer) at simulated "
-                             "time T")
+                        help="kill the active sequencing element (the "
+                             "routed sequencer) at simulated time T")
     parser.add_argument("--warmup", type=float, default=4e-3,
                         help="simulated seconds before measurement")
     parser.add_argument("--duration", type=float, default=10e-3,
@@ -175,9 +171,6 @@ def build_udpsmoke_parser() -> argparse.ArgumentParser:
                              "fraction of cross-shard increments)")
     parser.add_argument("--keys", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--chain", type=int, default=0, metavar="N",
-                        help="front Eris with an N-node chain-replicated "
-                             "sequencer (N=2..3; 0 = single sequencer)")
     parser.add_argument("--trace", metavar="PATH",
                         help="record a full causal trace (clocked off "
                              "the asyncio loop's monotonic clock) and "
@@ -315,7 +308,7 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
             n_clients=args.clients, min_commits=args.min_commits,
             timeout=args.timeout, workload=args.workload,
             distributed_fraction=args.distributed, n_keys=args.keys,
-            seed=args.seed, chain=args.chain,
+            seed=args.seed,
             processes=args.processes, run_dir=args.run_dir,
             trace_path=args.trace, metrics_path=args.metrics_out,
             metrics_interval=args.metrics_interval,
@@ -334,7 +327,6 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
                else "asyncio-udp (loopback)")
     rows = [["backend", backend],
             ["shards x replicas", f"{args.shards} x {args.replicas}"],
-            ["chain", args.chain or "off"],
             ["committed", result.committed],
             ["aborted", result.aborted],
             ["retries", result.retries],
@@ -360,7 +352,6 @@ def udpsmoke_main(argv: Sequence[str]) -> int:
 def run(args: argparse.Namespace):
     config = ClusterConfig(system=args.system, n_shards=args.shards,
                            n_replicas=args.replicas, seed=args.seed,
-                           sequencer_chain=getattr(args, "chain", 0),
                            net=NetConfig(drop_rate=args.drop_rate))
     registry = ProcedureRegistry()
     count_filter = None

@@ -80,12 +80,6 @@ class ClusterConfig:
     #: runtime pays real CPU instead (``Runtime.models_cost``).
     sequencer_profile: str = "middlebox"
     n_sequencers: int = 2              # primary + standbys (Eris)
-    #: Sequencing chain (Eris only): length of the chain of
-    #: ``MultiSequencer`` elements fronting the system. 0 keeps the
-    #: paper's single soft-state sequencer (a chain of one, the first
-    #: standby); 2–3 enables splice repair (``n_sequencers`` then counts
-    #: the epoch-fallback standbys alone).
-    sequencer_chain: int = 0
     server_service_time: float = 2e-6  # CPU per received message (sim)
     execution_cost: float = 0.5e-6     # CPU per executed txn (sim)
     client_retry_timeout: float = 2e-3
@@ -111,14 +105,6 @@ class ClusterConfig:
         if self.sequencer_profile not in _PROFILES:
             raise ConfigurationError(
                 f"unknown sequencer profile {self.sequencer_profile!r}")
-        if self.sequencer_chain:
-            if self.system != "eris":
-                raise ConfigurationError(
-                    "sequencer_chain requires system='eris'")
-            if not 2 <= self.sequencer_chain <= 3:
-                raise ConfigurationError(
-                    f"sequencer_chain must be 2 or 3, "
-                    f"got {self.sequencer_chain}")
 
 
 class SystemClient:
@@ -222,18 +208,13 @@ class Cluster:
         self.network.config.drop_rate = rate
 
     def crash_active_sequencer(self) -> None:
-        """Crash the chain head — the element the route points at."""
-        self.crash_chain_node(0)
+        """Crash the sequencing element the route points at."""
+        if self.controller is None:
+            raise ConfigurationError("no controller in this deployment")
+        self.network.endpoint(self.controller.active_address).crash()
 
     def crash_replica(self, shard: int, index: int) -> None:
         self.replicas[shard][index].crash()
-
-    def crash_chain_node(self, index: int) -> None:
-        """Crash the ``index``-th element of the *current* sequencing
-        chain (0 = head, -1 = tail)."""
-        if self.controller is None:
-            raise ConfigurationError("no controller in this deployment")
-        self.network.endpoint(self.controller.chain[index]).crash()
 
 
 def build_cluster(config: ClusterConfig, registry: ProcedureRegistry,
@@ -274,7 +255,7 @@ def _build_eris(cluster: Cluster) -> None:
         if role == topology.controller_address:
             cluster.controller.start()
     if cluster.config.system == "eris-oum":
-        # No controller: the first standby is the chain of one for good.
+        # No controller: the first standby sequences for good.
         head = topology.standby_addrs[0]
         cluster.runtime.endpoint(head).apply_install(
             ChainInstall(version=1, epoch=1, members=(head,)))

@@ -148,54 +148,3 @@ def run_experiment(cluster: Cluster, workload,
         duration=config.duration,
         timeseries=series.series() if series is not None else [],
     )
-
-
-# -- Figure 14: sequencer-failover outage windows --------------------------
-
-def failover_window(timeseries: list[tuple[float, float]],
-                    kill_time: float,
-                    threshold: float = 0.05) -> float:
-    """Length of the throughput outage a failure opened at
-    ``kill_time``: from the kill until the first bucket *after the
-    outage* whose rate climbs back above ``threshold`` x the pre-kill
-    peak. The bucket straddling the kill still holds pre-kill commits,
-    so recovery is only declared once a below-threshold bucket has
-    actually been seen. Returns 0 if no outage registers at this
-    bucket granularity, ``inf`` if throughput never recovers."""
-    baseline = max((rate for time, rate in timeseries
-                    if time <= kill_time), default=0.0)
-    cutoff = threshold * baseline
-    outage_seen = False
-    for time, rate in timeseries:
-        if time <= kill_time:
-            continue
-        if rate <= cutoff:
-            outage_seen = True
-        elif outage_seen:
-            return time - kill_time
-    if outage_seen:
-        return math.inf
-    return 0.0
-
-
-def run_failover_experiment(cluster: Cluster, workload, kill_at: float,
-                            config: Optional[ExperimentConfig] = None
-                            ) -> tuple[ExperimentResult, float]:
-    """Extended fig14: run ``workload`` under closed-loop load, kill
-    the active sequencing element (the chain head, where the route
-    points) at absolute time ``kill_at``, and measure the outage window
-    until throughput recovers.
-
-    Returns ``(result, window)`` where ``window`` compares directly
-    between the epoch-bump path (``sequencer_chain=0``) and the
-    chain-repair path (``sequencer_chain>=2``).
-    """
-    config = config or ExperimentConfig(timeseries_bucket=5e-3)
-    if not config.timeseries_bucket:
-        raise ValueError("failover experiment needs a timeseries bucket")
-    from repro.harness.faults import FaultPlan
-
-    FaultPlan(cluster).kill_sequencer_at(kill_at)
-    result = run_experiment(cluster, workload, config)
-    window = failover_window(result.timeseries, kill_at)
-    return result, window

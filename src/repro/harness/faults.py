@@ -35,13 +35,6 @@ class FaultPlan:
         self.cluster.loop.schedule_at(at_time, apply)
         return self
 
-    def kill_chain_node_at(self, at_time: float, index: int) -> "FaultPlan":
-        def apply() -> None:
-            self.cluster.crash_chain_node(index)
-            self._log(f"chain-node-killed index={index}")
-        self.cluster.loop.schedule_at(at_time, apply)
-        return self
-
     def kill_replica_at(self, at_time: float, shard: int,
                         index: int) -> "FaultPlan":
         def apply() -> None:

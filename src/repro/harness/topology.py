@@ -16,9 +16,8 @@ in build order:
 ========================  ==============================================
 role                       hosts
 ========================  ==============================================
-``chain:<i>``              one element of a multi-element sequencing chain
-``seq:<i>``                one standby sequencer (the first is the
-                           chain of one when there is no chain)
+``seq:<i>``                one sequencer (the first is active, the
+                           rest are the standbys failover walks)
 ``fc``                     the failure coordinator
 ``controller``             the SDN controller (absent for ``eris-oum``)
 ``replica:<shard>:<i>``    one :class:`~repro.core.replica.ErisReplica`
@@ -43,10 +42,8 @@ class ErisTopology:
 
     #: shard -> replica addresses, in replica-index order.
     shard_addrs: dict[int, list[str]]
-    #: Sequencing-chain elements, head first (empty = the chain is
-    #: ``standby_addrs[0]`` alone).
-    chain_addrs: tuple[str, ...]
-    #: Standby sequencers the epoch failover walks.
+    #: Sequencers: the first is active, the epoch failover walks the
+    #: rest.
     standby_addrs: tuple[str, ...]
     fc_address: str = "fc"
     #: None when the deployment has no controller role (the OUM
@@ -65,11 +62,10 @@ def eris_topology(config) -> ErisTopology:
         shard: [f"eris-r{shard}.{i}" for i in range(config.n_replicas)]
         for shard in range(config.n_shards)
     }
-    chain_addrs = tuple(f"chain{i}" for i in range(config.sequencer_chain))
     standby_addrs = tuple(f"seq{i}"
                           for i in range(max(1, config.n_sequencers)))
     controller = None if config.system == "eris-oum" else "controller"
-    return ErisTopology(shard_addrs=shard_addrs, chain_addrs=chain_addrs,
+    return ErisTopology(shard_addrs=shard_addrs,
                         standby_addrs=standby_addrs,
                         controller_address=controller)
 
@@ -78,8 +74,7 @@ def topology_roles(topology: ErisTopology) -> list[str]:
     """Every role of the deployment, in build order. The in-process
     build follows it (the determinism digests pin that order), and a
     per-node run numbers its worker ranks by it."""
-    roles = [f"chain:{i}" for i in range(len(topology.chain_addrs))]
-    roles += [f"seq:{i}" for i in range(len(topology.standby_addrs))]
+    roles = [f"seq:{i}" for i in range(len(topology.standby_addrs))]
     roles.append(topology.fc_address)
     if topology.controller_address is not None:
         roles.append(topology.controller_address)
@@ -95,8 +90,6 @@ def role_addresses(topology: ErisTopology, role: str) -> list[str]:
     if kind == "replica":
         shard, index = (int(part) for part in rest.split(":"))
         return [topology.shard_addrs[shard][index]]
-    if kind == "chain":
-        return [topology.chain_addrs[int(rest)]]
     if kind == "seq":
         return [topology.standby_addrs[int(rest)]]
     if role in (topology.controller_address, topology.fc_address):
@@ -150,7 +143,7 @@ def build_role(cluster, role: str, topology: ErisTopology,
         replica.msg_service_time = config.server_service_time
         cluster.stores.setdefault(shard, []).append(store)
         cluster.replicas.setdefault(shard, []).append(replica)
-    elif kind in ("chain", "seq"):
+    elif kind == "seq":
         cls = OUMSequencer if config.system == "eris-oum" \
             else MultiSequencer
         cluster.sequencers.append(cls(
@@ -163,7 +156,6 @@ def build_role(cluster, role: str, topology: ErisTopology,
         cluster.controller = SDNController(
             topology.controller_address, runtime,
             sequencers=list(topology.standby_addrs),
-            config=config.controller,
-            chain=list(topology.chain_addrs) or None)
+            config=config.controller)
     else:
         raise ConfigurationError(f"unknown role {role!r}")

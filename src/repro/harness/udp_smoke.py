@@ -97,7 +97,7 @@ class SmokeResult:
 
 
 def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
-                         seed: int = 7, chain: int = 0) -> ClusterConfig:
+                         seed: int = 7) -> ClusterConfig:
     """The canonical UDP-smoke :class:`ClusterConfig`.
 
     Every process of a per-node run derives it from the same
@@ -107,7 +107,6 @@ def smoke_cluster_config(n_shards: int = 2, n_replicas: int = 3,
         system="eris", backend="udp", n_shards=n_shards,
         n_replicas=n_replicas, seed=seed,
         client_retry_timeout=100e-3,
-        sequencer_chain=chain,
         eris=ErisConfig(**_UDP_ERIS),
         controller=ControllerConfig(**_UDP_CONTROLLER),
     )
@@ -124,15 +123,10 @@ def smoke_registry() -> ProcedureRegistry:
 
 
 def build_udp_cluster(n_shards: int = 2, n_replicas: int = 3,
-                      n_keys: int = 200, seed: int = 7,
-                      chain: int = 0) -> Cluster:
-    """An Eris cluster on the asyncio-UDP runtime, keys loaded.
-
-    ``chain`` fronts the system with an N-node chain-replicated
-    sequencer as in the simulator experiments."""
+                      n_keys: int = 200, seed: int = 7) -> Cluster:
+    """An Eris cluster on the asyncio-UDP runtime, keys loaded."""
     config = smoke_cluster_config(n_shards=n_shards,
-                                  n_replicas=n_replicas, seed=seed,
-                                  chain=chain)
+                                  n_replicas=n_replicas, seed=seed)
     return build_cluster(
         config, smoke_registry(), Partitioner(n_shards),
         loader=lambda stores, p: load_keys(stores, p, n_keys))
@@ -221,7 +215,7 @@ class _PerNode:
         self.launcher = ClusterLauncher(run_dir)
         self.spec = {"shards": config.n_shards,
                      "replicas": config.n_replicas, "keys": n_keys,
-                     "seed": config.seed, "chain": config.sequencer_chain,
+                     "seed": config.seed,
                      "trace": trace, "metrics": metrics,
                      "metrics_interval": metrics_interval,
                      "run_dir": run_dir,
@@ -289,7 +283,7 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
                   n_clients: int = 4, min_commits: int = 50,
                   timeout: float = 30.0, workload: str = "mrmw",
                   distributed_fraction: float = 0.5, n_keys: int = 200,
-                  seed: int = 7, check: bool = True, chain: int = 0,
+                  seed: int = 7, check: bool = True,
                   processes: str = "single",
                   run_dir: Optional[str] = None,
                   trace_path: Optional[str] = None,
@@ -341,13 +335,13 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
             raise ConfigurationError("run_dir requires processes='per-node'")
         host = _InProcess(build_udp_cluster(
             n_shards=n_shards, n_replicas=n_replicas, n_keys=n_keys,
-            seed=seed, chain=chain))
+            seed=seed))
     elif processes == "per-node":
         if run_dir is None:
             run_dir = tempfile.mkdtemp(prefix="repro-udp-mp-")
         host = _PerNode(
             smoke_cluster_config(n_shards=n_shards, n_replicas=n_replicas,
-                                 seed=seed, chain=chain),
+                                 seed=seed),
             n_keys, run_dir, trace=trace_path is not None,
             metrics=metrics_path is not None,
             metrics_interval=metrics_interval,

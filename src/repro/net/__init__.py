@@ -6,9 +6,7 @@ This package provides the paper's Section 5 network substrate:
 - :mod:`repro.net.network` — the fabric: latency/drop models, delivery.
 - :mod:`repro.net.endpoint` — the ``Node`` base class with a CPU model.
 - :mod:`repro.net.groupcast` — group membership (§5.2).
-- :mod:`repro.net.sequencer` — the multi-stamping sequencer (§5.3/5.4):
-  a chain of one or more elements, splice-repaired when longer than
-  one (extension; NetChain/Harmonia-style).
+- :mod:`repro.net.sequencer` — the multi-stamping sequencer (§5.3/5.4).
 - :mod:`repro.net.oum` — single-counter global sequencer (§5.1 strawman).
 - :mod:`repro.net.controller` — SDN controller and sequencer failover.
 - :mod:`repro.net.libsequencer` — end-host sequence tracking that turns
@@ -19,9 +17,8 @@ from repro.net.endpoint import Node
 from repro.net.groupcast import GroupMembership
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.net.network import NetConfig, Network
-from repro.net.sequencer import ChainForward, ChainInstall, \
-    ChainInstallAck, ChainState, ChainStateRequest, MultiSequencer, \
-    SequencerProfile
+from repro.net.sequencer import ChainInstall, ChainInstallAck, \
+    MultiSequencer, SequencerProfile
 from repro.net.oum import OUMSequencer
 from repro.net.controller import SDNController
 from repro.net.libsequencer import MultiSequencedChannel, Upcall, UpcallKind
@@ -38,9 +35,6 @@ __all__ = [
     "MultiSequencer",
     "SequencerProfile",
     "OUMSequencer",
-    "ChainForward",
-    "ChainStateRequest",
-    "ChainState",
     "ChainInstall",
     "ChainInstallAck",
     "SDNController",

@@ -1,37 +1,23 @@
-"""The sequencing element (§5.3–5.4): a chain of one or more
-multi-stamping sequencers.
+"""The sequencing element (§5.3–5.4): one multi-stamping sequencer.
 
-Every sequenced groupcast packet is routed to the chain's **head**. The
-head parses the groupcast header, atomically increments one counter
-per destination group, and writes the resulting
+Every sequenced groupcast packet is routed to the element. It parses
+the groupcast header, atomically increments one counter per
+destination group, writes the resulting
 :class:`~repro.net.message.MultiStamp` (with its epoch number) into the
-packet. The **tail** releases the stamped packet, fanning per-recipient
-copies out to every member of every destination group.
+packet, and fans per-recipient copies out to every member of every
+destination group.
 
-The paper's sequencer is the chain of one: head and tail are the same
-element, so it fans the stamped packet out directly. All of its counter
-state is *soft*: when it fails the SDN controller installs a standby in
-a strictly higher epoch with every counter at zero, and receivers order
-messages lexicographically by (epoch, sequence) — the paper's design,
-which pushes recovery to the Eris epoch-change protocol.
+All of its counter state is *soft*: when it fails the SDN controller
+installs a standby in a strictly higher epoch with every counter at
+zero, and receivers order messages lexicographically by (epoch,
+sequence) — the paper's design, which pushes recovery to the Eris
+epoch-change protocol. DESIGN.md ("The chain verdict") gives the
+measurements behind not replicating the counters across elements.
 
-A longer chain (NetChain/Harmonia-style, beyond the paper) keeps the
-counters alive across a single element failure. The head sends one
-:class:`ChainForward` per stamp down the chain; every element absorbs
-it into its own counters (element-wise max, so ``head >= mid >=
-tail``); only the tail releases it, so a stamp is externally visible
-only once fully replicated. The controller repairs a failed element by
-*splicing* the chain — a strictly-higher-version
-:class:`ChainInstall` into the survivors, carrying the surviving
-tail's counters — without touching the epoch. Forwards carrying a
-stale version are rejected, so a spliced-out tail can release nothing.
-Stamps assigned but never released are gaps to the receivers: the
-packet-drop case Eris already handles (§6.3/§6.5).
-
-An element stamps, forwards and releases only under an installed
-configuration, and derives its role from its position in the member
-list. An install in the element's epoch merges the installed counters
-(a splice); an install in a higher epoch restarts them (a failover).
+An element stamps only under an installed configuration
+(:class:`ChainInstall`, a configuration of one member); an element the
+configuration does not name retires. An install in a higher epoch
+restarts the counters (a failover).
 
 Three deployment profiles mirror §5.4 / Table 1: an in-switch design, a
 network-processor middlebox, and a commodity end host. They differ only
@@ -39,27 +25,25 @@ in per-packet processing capacity and added latency, which only a
 runtime that ``models_cost`` (the simulator) charges.
 
 Every groupcast is stamped and released synchronously on arrival (see
-DESIGN.md, "Batching: measured and removed"). The head also runs the
+DESIGN.md, "Batching: measured and removed"). The element also runs the
 **coordination-free read fast path**: a Harmonia-style per-key
 *dirty-set* of in-flight conflicting writes, maintained at stamp time
 (§3.2 is where Eris pins the serial order; the dirty-set tracks which
 prefix of that order every replica has executed). READ_ONLY
 transactions whose keys are clean are forwarded to a single replica
 instead of being stamped for the §5.1 full-quorum path. Tracking starts
-at the first READ_ONLY transaction the head sees, so a workload without
-reads pays nothing for it. The activation, install and clear rules,
-false-positive semantics, and the chain interaction are specified in
-DESIGN.md ("The dirty-set protocol").
+at the first READ_ONLY transaction the element sees, so a workload
+without reads pays nothing for it. The activation, install and clear
+rules and the false-positive semantics are specified in DESIGN.md
+("The dirty-set protocol").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
 
 from repro.net.endpoint import Node
-from repro.net.message import Address, GroupcastHeader, GroupId, \
-    MultiStamp, Packet
+from repro.net.message import Address, MultiStamp, Packet
 from repro.net.network import Network
 from repro.runtime.codec import CodecError, body_type, decode_body
 
@@ -99,52 +83,19 @@ class SequencerPong:
 
 @dataclass(frozen=True)
 class ChainInstall:
-    """Controller -> element: a chain configuration. A receiver absent
-    from ``members`` retires (the fencing that keeps a falsely-suspected
-    element from serving stale stamps); members adopt the config and
-    ack."""
+    """Controller -> element: the sequencing configuration. A receiver
+    absent from ``members`` retires and stamps nothing; a member adopts
+    the config and acks."""
 
     version: int
     epoch: int
     members: tuple[Address, ...]
-    counters: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class ChainInstallAck:
     version: int
     sender: Address
-
-
-@dataclass(frozen=True)
-class ChainStateRequest:
-    """Controller -> surviving tail: read your counter state."""
-
-    nonce: int
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Tail -> controller: counter snapshot for splice repair."""
-
-    nonce: int
-    version: int
-    epoch: int
-    counters: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ChainForward:
-    """One counter write propagating head -> tail. Carries everything
-    the tail needs to release the original groupcast packet."""
-
-    version: int
-    epoch: int
-    stamps: tuple[tuple[GroupId, int], ...]
-    origin: Address
-    payload: Any
-    groups: tuple[GroupId, ...]
-    trace_id: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -179,11 +130,11 @@ class SequencerProfile:
 
 
 class MultiSequencer(Node):
-    """One element of the sequencing chain: the head multi-stamps
-    groupcast packets, the tail releases them.
+    """The sequencing element: multi-stamps groupcast packets and fans
+    them out.
 
-    Until a configuration is installed the element is ``retired`` and
-    refuses to stamp, forward, or release.
+    Until a configuration naming it is installed the element is
+    ``retired`` and stamps nothing.
     """
 
     opaque_bodies = True
@@ -199,15 +150,10 @@ class MultiSequencer(Node):
         # Fabric-arrival timestamps for queue-delay attribution, keyed
         # by packet id. Populated only while a tracer is attached.
         self._ingress: dict[int, float] = {}
-        # -- chain configuration (installed by the SDN controller) ---------
+        # -- configuration (installed by the SDN controller) ---------------
         self.version = 0
-        self.members: tuple[Address, ...] = ()
         self.retired = True
-        self.is_head = False
-        self.is_tail = False
-        self.successor: Optional[Address] = None
-        self.forwards_propagated = 0
-        self.releases = 0
+        #: Groupcasts dropped because the element is retired.
         self.stale_rejected = 0
         #: Received bodies this element had to decode (see _open).
         self.bodies_decoded = 0
@@ -240,22 +186,16 @@ class MultiSequencer(Node):
 
     # -- configuration (installed by the SDN controller) -------------------
     def apply_install(self, install: ChainInstall) -> bool:
-        """Adopt (or be fenced by) a chain configuration. Returns True
-        when this element is a member of the new chain (ack-worthy);
-        idempotent for re-delivered installs of the current version."""
+        """Adopt (or be fenced by) a configuration. Returns True when
+        this element is a member of it (ack-worthy); idempotent for
+        re-delivered installs of the current version."""
         if install.version < self.version:
             return False  # stale retransmission of an old install
         if install.epoch < self.epoch:
             raise ValueError(
                 f"epoch must not decrease: {install.epoch} < {self.epoch}")
-        members = tuple(install.members)
         self.version = install.version
-        self.members = members
-        self.retired = self.address not in members
-        self.is_head = not self.retired and members[0] == self.address
-        self.is_tail = not self.retired and members[-1] == self.address
-        self.successor = None if self.retired or self.is_tail \
-            else members[members.index(self.address) + 1]
+        self.retired = self.address not in install.members
         if self.retired:
             if self.tracer is not None:
                 self.tracer.record("chain_retired", self.address,
@@ -273,17 +213,10 @@ class MultiSequencer(Node):
             self._dirty.clear()
             self._blind_high.clear()
             self._applied.clear()
-        # Counters only ever move forward: merge the installed snapshot
-        # (the surviving tail's state) element-wise with our own, which
-        # is >= it for every group we have seen.
-        counters = self.counters
-        for gid, seq in install.counters.items():
-            if counters.get(gid, 0) < seq:
-                counters[gid] = seq
         if self.tracer is not None:
             self.tracer.record("chain_install", self.address,
                                version=install.version,
-                               members=list(members))
+                               members=list(install.members))
         return True
 
     def on_ChainInstall(self, src: Address, msg: ChainInstall,
@@ -291,12 +224,6 @@ class MultiSequencer(Node):
         if self.apply_install(msg):
             self.send(src, ChainInstallAck(version=msg.version,
                                            sender=self.address))
-
-    def on_ChainStateRequest(self, src: Address, msg: ChainStateRequest,
-                             packet: Packet) -> None:
-        self.send(src, ChainState(nonce=msg.nonce, version=self.version,
-                                  epoch=self.epoch,
-                                  counters=dict(self.counters)))
 
     def on_SequencerPing(self, src: Address, msg: SequencerPing,
                          packet: Packet) -> None:
@@ -310,8 +237,8 @@ class MultiSequencer(Node):
         self.messages_processed += 1
         if packet.groupcast is None:
             if packet.dst == self.address:
-                # Control-plane traffic for the element itself (pings,
-                # installs, state reads) and chain forwards.
+                # Control-plane traffic for the element itself (pings
+                # and installs).
                 self.handle(packet.src, packet.payload, packet)
             elif packet.dst is not None:
                 # Not groupcast traffic; a real switch just forwards.
@@ -331,12 +258,11 @@ class MultiSequencer(Node):
         tracking on and is stamped normally. Any other packet costs
         two class checks and no call.
 
-        Only the installed head stamps. A retired (fenced or
-        not-yet-installed) element, or a non-head that still receives
-        routed traffic mid-splice, drops instead. The check lives here
-        rather than at delivery: on the simulator ``deliver`` holds a
-        packet for the profile's ``added_latency`` before ``_process``,
-        so a splice landing in between still fences it."""
+        A retired (fenced or not-yet-installed) element drops instead.
+        The check lives here rather than at delivery: on the simulator
+        ``deliver`` holds a packet for the profile's ``added_latency``
+        before ``_process``, so a fence landing in between still
+        applies."""
         if packet.payload is None and not self._open(packet):
             return
         payload = packet.payload
@@ -354,10 +280,14 @@ class MultiSequencer(Node):
                     self._start_tracking()
                 elif self._maybe_fast_read(packet, txn):
                     return
-        if not self.is_head:
+        if self.retired:
             self._ingress.pop(packet.packet_id, None)
-            self._reject(packet.trace_id, version=self.version,
-                         reason="not-head")
+            self.stale_rejected += 1
+            if self.tracer is not None:
+                self.tracer.record(
+                    "chain_stale", self.address,
+                    cause=packet.trace_id if packet.trace_id is not None
+                    else -1, version=self.version, reason="retired")
             return
         self._emit(self.stamp(packet))
 
@@ -365,11 +295,11 @@ class MultiSequencer(Node):
         """Decode a body the transport left undecoded, if the element
         must read it. §5.3's sequencer reads only the groupcast header,
         so a body stays bytes unless it is a watermark report, a
-        transaction the client flagged READ_ONLY, a write the dirty-set
-        must record, or a payload a chain forward carries. Returns
-        False, dropping the packet, for such a body that cannot be
-        decoded; any other body is stamped and forwarded unread."""
-        if (self.is_tail and not self.tracking
+        transaction the client flagged READ_ONLY, or a write the
+        dirty-set must record. Returns False, dropping the packet, for
+        such a body that cannot be decoded; any other body is stamped
+        and forwarded unread."""
+        if (not self.tracking
                 and not packet.groupcast.read_only
                 and body_type(packet.body) is not _messages.AppliedUpto):
             return True
@@ -382,20 +312,12 @@ class MultiSequencer(Node):
         return True
 
     def _emit(self, stamped: Packet) -> None:
-        """Send a stamped packet on: a tail (a chain of one) releases it
-        with one fan-out, so a real transport encodes the shared body
-        once; any other head forwards it down the chain."""
-        if self.is_tail:
-            runtime = self.runtime
-            runtime.fan_out(stamped, runtime.groups.members_of(
-                stamped.groupcast.groups))
-            return
-        stamp = stamped.multistamp
-        self.send(self.successor, ChainForward(
-            version=self.version, epoch=stamp.epoch, stamps=stamp.stamps,
-            origin=stamped.src, payload=stamped.payload,
-            groups=stamped.groupcast.groups, trace_id=stamped.trace_id))
-        self.forwards_propagated += 1
+        """Release a stamped packet with one fan-out to every member of
+        every destination group, so a real transport encodes the shared
+        body once."""
+        runtime = self.runtime
+        runtime.fan_out(stamped, runtime.groups.members_of(
+            stamped.groupcast.groups))
 
     def stamp(self, packet: Packet) -> Packet:
         """Atomically assign one sequence number per destination group."""
@@ -416,63 +338,6 @@ class MultiSequencer(Node):
                 queue_delay=self._queue_delay(packet))
         return packet
 
-    def on_ChainForward(self, src: Address, msg: ChainForward,
-                        packet: Packet) -> None:
-        """Version-fence and absorb one propagated write, then pass it
-        on — or, at the tail, release it. Writes from a previous chain
-        incarnation are rejected: the splice already accounted or
-        dropped them, and accepting one could release a sequence number
-        the repaired chain has reassigned (the stale-tail bug the fence
-        prevents)."""
-        if self.retired or msg.version != self.version:
-            self._reject(msg.trace_id, version=msg.version,
-                         current=self.version, reason="version-mismatch")
-            return
-        counters = self.counters
-        for gid, seq in msg.stamps:
-            if counters.get(gid, 0) < seq:
-                counters[gid] = seq
-        # Replicate the head's dirty-set bookkeeping down the chain
-        # (DESIGN.md: chain interaction), whether or not the head tracks
-        # yet: every released write passed through every survivor in
-        # chain order, so a spliced-in head's dirty entries are a
-        # superset of the in-flight writes that can still be released,
-        # and it can serve the dirty-set check without an epoch change.
-        self._note_stamped(msg.payload, msg.epoch, msg.stamps)
-        if self.is_tail:
-            self._release(msg)
-        else:
-            self.send(self.successor, msg)
-            self.forwards_propagated += 1
-
-    def _release(self, msg: ChainForward) -> None:
-        """Serve a fully replicated stamp: reconstruct the groupcast
-        packet (same causal id, so span attribution still telescopes
-        through the original message) and fan out to every member of
-        every destination group."""
-        released = Packet(src=msg.origin, dst=None, payload=msg.payload,
-                          groupcast=GroupcastHeader(tuple(msg.groups)),
-                          multistamp=MultiStamp(epoch=msg.epoch,
-                                                stamps=tuple(msg.stamps)),
-                          sequenced=True)
-        released.trace_id = msg.trace_id
-        self.releases += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "chain_release", self.address,
-                cause=msg.trace_id if msg.trace_id is not None else -1,
-                epoch=msg.epoch, version=self.version,
-                stamps=[[gid, seq] for gid, seq in msg.stamps])
-        runtime = self.runtime
-        runtime.fan_out(released, runtime.groups.members_of(msg.groups))
-
-    def _reject(self, trace_id: Optional[int], **detail) -> None:
-        self.stale_rejected += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "chain_stale", self.address,
-                cause=trace_id if trace_id is not None else -1, **detail)
-
     # -- coordination-free read fast path (DESIGN.md: dirty-set protocol) -
     def _start_tracking(self) -> None:
         """*Activation rule*: raise every group's blind mark to its
@@ -489,8 +354,7 @@ class MultiSequencer(Node):
         (poisoning every key on the shard). The head runs it at stamp
         time — before the write is released or applied anywhere — so
         the dirty window conservatively covers the write's entire
-        in-flight life; chain elements run it again as each write
-        passes them (:meth:`on_ChainForward`).
+        in-flight life.
         """
         txn = getattr(payload, "txn", None)
         if txn is not None and txn.op_class == "read_only":
@@ -564,9 +428,8 @@ class MultiSequencer(Node):
         stamped write of every read key are covered by all-replica
         execution watermarks. The blind check doubles as a freshness
         guard — even at mark 0 it demands current-epoch reports from
-        every replica, so a fresh sequencer (or a chain head spliced in
-        mid-epoch) serves no fast reads until the shard demonstrably
-        catches up to its epoch.
+        every replica, so a fresh sequencer serves no fast reads until
+        the shard demonstrably catches up to its epoch.
         """
         if not self._covered(group, self._blind_high.get(group, 0)):
             return False
@@ -593,10 +456,9 @@ class MultiSequencer(Node):
 
     def _may_serve_fast_reads(self) -> bool:
         """Is this element currently authorized to answer the dirty-set
-        check? Only the installed head: a fenced, middle or tail
-        element's dirty view is not authoritative, since only the head
-        sees every stamp as it happens."""
-        return self.is_head
+        check? Only an installed one: a fenced element's dirty view is
+        not authoritative."""
+        return not self.retired
 
     def _maybe_fast_read(self, packet: Packet, txn) -> bool:
         """Serve a clean fast-read candidate from one replica, bypassing
@@ -654,10 +516,6 @@ class MultiSequencer(Node):
         registry.gauge(self.address, "stamp_wakeups",
                        fn=lambda: self.stamp_wakeups, monotone=True)
         registry.gauge(self.address, "chain_version", fn=lambda: self.version)
-        registry.gauge(self.address, "chain_releases",
-                       fn=lambda: self.releases)
-        registry.gauge(self.address, "chain_forwards",
-                       fn=lambda: self.forwards_propagated)
         registry.gauge(self.address, "chain_stale_rejected",
                        fn=lambda: self.stale_rejected)
 

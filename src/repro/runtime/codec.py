@@ -932,14 +932,11 @@ def _ensure_registry() -> None:
         core_messages.AppliedUpto,
         core_messages.FastReadRequest,
         core_messages.FastReadReply,
-        # sequencing chain: control plane and forwards
+        # sequencing element: control plane
         sequencer.SequencerPing,
         sequencer.SequencerPong,
         sequencer.ChainInstall,
         sequencer.ChainInstallAck,
-        sequencer.ChainStateRequest,
-        sequencer.ChainState,
-        sequencer.ChainForward,
         # Viewstamped Replication
         vr.VRPrepare,
         vr.VRPrepareOK,

@@ -142,7 +142,7 @@ class Runtime:
     def endpoint(self, address: "Address") -> Any:
         """The co-located endpoint object registered under ``address``.
 
-        Control-plane convenience (the SDN controller installs chain
+        Control-plane convenience (the SDN controller installs
         configurations into sequencers through it); only valid for
         endpoints living in this runtime's process.
         """

@@ -63,7 +63,7 @@ def build_node_parser() -> argparse.ArgumentParser:
                     "the launcher; not meant to be run by hand).")
     parser.add_argument("--role", required=True,
                         help="role string (replica:<shard>:<i>, "
-                             "seq:<i>, chain:<i>, controller, fc)")
+                             "seq:<i>, controller, fc)")
     parser.add_argument("--rank", type=int, required=True)
     parser.add_argument("--control-host", default="127.0.0.1")
     parser.add_argument("--control-port", type=int, required=True)
@@ -90,7 +90,7 @@ class Worker:
         self.run_dir = spec["run_dir"]
         config = smoke_cluster_config(
             n_shards=spec["shards"], n_replicas=spec["replicas"],
-            seed=spec["seed"], chain=spec["chain"])
+            seed=spec["seed"])
         self.runtime = WorkerUdpRuntime(rank=rank, seed=config.seed)
         self.recorder = FlightRecorder(
             capacity=spec.get("recorder_capacity", DEFAULT_CAPACITY))

@@ -24,8 +24,8 @@ from repro.workloads.ycsb import load_ycsb
 
 
 def install_alone(sequencer, epoch: int = 1, version: int = 1) -> None:
-    """Install ``sequencer`` as a chain of one — the paper's single
-    sequencer — as the SDN controller would."""
+    """Install ``sequencer`` as the paper's single sequencer, as the
+    SDN controller would."""
     from repro.net.sequencer import ChainInstall
 
     sequencer.apply_install(ChainInstall(

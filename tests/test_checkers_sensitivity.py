@@ -220,113 +220,3 @@ def test_checkers_pass_on_fresh_cluster():
         check_serializability(state)
         check_atomicity(state)
         check_replica_consistency(state)
-
-
-# -- chain-sequencer invariants (trace-backed) -----------------------------
-
-from repro.harness.checkers import (
-    check_trace_chain_gapless_logs,
-    check_trace_chain_no_stale_release,
-    check_trace_chain_stamp_monotonicity,
-    run_trace_checks,
-)
-
-
-def release(ts, node, version, stamps, epoch=1):
-    return {"ts": ts, "kind": "chain_release", "node": node, "cause": -1,
-            "epoch": epoch, "version": version,
-            "stamps": [list(s) for s in stamps]}
-
-
-def repair(ts, version, members, epoch=1):
-    return {"ts": ts, "kind": "chain_repair", "node": "controller",
-            "cause": -1, "version": version, "members": members,
-            "epoch": epoch}
-
-
-def append(ts, node, shard, index, seq, txn, epoch=1):
-    return {"ts": ts, "kind": "log_append", "node": node, "cause": -1,
-            "shard": shard, "index": index, "entry_kind": "txn",
-            "slot": [shard, epoch, seq], "txn": txn,
-            "participants": [shard]}
-
-
-def test_chain_monotonicity_fires_on_forged_duplicate_release():
-    trace = [release(1e-3, "chain1", 1, [(0, 1)]),
-             release(2e-3, "chain1", 1, [(0, 2)]),
-             release(3e-3, "chain1", 1, [(0, 2)])]     # forged duplicate
-    with pytest.raises(InvariantViolation, match="released twice"):
-        check_trace_chain_stamp_monotonicity(trace)
-
-
-def test_chain_monotonicity_fires_on_regression_across_repair():
-    # Version 1 released up to seq 5; the repaired chain (version 2)
-    # re-assigns seq 3 — the counter merge must have been lost.
-    trace = [release(1e-3, "chain2", 1, [(0, 5)]),
-             repair(2e-3, 2, ["chain0", "chain1"]),
-             release(3e-3, "chain1", 2, [(0, 3)])]
-    with pytest.raises(InvariantViolation, match="regression across repair"):
-        check_trace_chain_stamp_monotonicity(trace)
-
-
-def test_chain_monotonicity_accepts_reordered_releases_within_version():
-    """Non-FIFO links can invert release order inside one incarnation;
-    receivers reorder by the stamp, so this must NOT fire."""
-    trace = [release(1e-3, "chain2", 1, [(0, 2)]),
-             release(2e-3, "chain2", 1, [(0, 1)]),
-             release(3e-3, "chain2", 1, [(1, 1)])]
-    check_trace_chain_stamp_monotonicity(trace)
-
-
-def test_stale_release_checker_fires_after_repair():
-    # A spliced-out tail keeps serving version-1 stamps after the
-    # controller installed version 2.
-    trace = [release(1e-3, "chain2", 1, [(0, 1)]),
-             repair(2e-3, 2, ["chain0", "chain1"]),
-             release(3e-3, "chain2", 1, [(0, 2)])]     # stale tail
-    with pytest.raises(InvariantViolation, match="stale-tail release"):
-        check_trace_chain_no_stale_release(trace)
-
-
-def test_stale_release_checker_accepts_releases_before_repair():
-    trace = [release(1e-3, "chain2", 1, [(0, 1)]),
-             release(2e-3, "chain2", 1, [(0, 2)]),
-             repair(3e-3, 2, ["chain0", "chain1"]),
-             release(4e-3, "chain1", 2, [(0, 3)])]
-    check_trace_chain_no_stale_release(trace)
-
-
-def test_gapless_checker_fires_on_skipped_sequence():
-    trace = [repair(0.5e-3, 2, ["chain0"]),            # marks a chain trace
-             append(1e-3, "eris-r0.0", 0, 1, 1, "c:1"),
-             append(2e-3, "eris-r0.0", 0, 2, 2, "c:2"),
-             append(3e-3, "eris-r0.0", 0, 3, 4, "c:4")]  # seq 3 skipped
-    with pytest.raises(InvariantViolation, match="skipped sequence"):
-        check_trace_chain_gapless_logs(trace)
-
-
-def test_gapless_checker_fires_on_duplicate_sequence():
-    trace = [repair(0.5e-3, 2, ["chain0"]),
-             append(1e-3, "eris-r0.0", 0, 1, 1, "c:1"),
-             append(2e-3, "eris-r0.0", 0, 2, 1, "c:1r")]  # seq 1 twice
-    with pytest.raises(InvariantViolation, match="duplicate sequence"):
-        check_trace_chain_gapless_logs(trace)
-
-
-def test_gapless_checker_is_vacuous_without_chain_events():
-    """The chain invariants are gated on chain traffic: a plain Eris
-    trace with the same gap must not fire (its gaps are judged by the
-    existing §6.7 checkers, not the chain ones)."""
-    trace = [append(1e-3, "eris-r0.0", 0, 1, 1, "c:1"),
-             append(2e-3, "eris-r0.0", 0, 2, 4, "c:4")]
-    check_trace_chain_gapless_logs(trace)
-
-
-def test_chain_checkers_accept_a_clean_chain_trace():
-    trace = [release(1e-3, "chain2", 1, [(0, 1), (1, 1)]),
-             append(1.2e-3, "eris-r0.0", 0, 1, 1, "c:1"),
-             append(1.2e-3, "eris-r1.0", 1, 1, 1, "c:1"),
-             repair(2e-3, 2, ["chain0", "chain1"]),
-             release(3e-3, "chain1", 2, [(0, 2)]),
-             append(3.2e-3, "eris-r0.0", 0, 2, 2, "c:2")]
-    run_trace_checks(trace)

@@ -470,67 +470,18 @@ def test_unregistered_dataclass_encode_raises_codec_error():
         encode_message(NotOnTheWire(x=1))
 
 
-# -- chain-replicated sequencer messages ----------------------------------
+# -- sequencer control plane -----------------------------------------------
 
 @CARRIAGES
-def test_chain_forward_roundtrips_with_payload_and_without(carriage):
-    from repro.net.sequencer import ChainForward
+def test_chain_install_control_plane_roundtrips(carriage):
+    from repro.net.sequencer import ChainInstall, ChainInstallAck
 
-    loaded = ChainForward(version=3, epoch=2, stamps=((0, 7), (1, 9)),
-                          origin="client-4", payload=_SAMPLE_TXN,
-                          groups=(0, 1), trace_id=88)
-    assert carriage.decode(carriage.encode(loaded)) == loaded
-
-    bare = ChainForward(version=1, epoch=1, stamps=((2, 1),),
-                        origin="client-1", payload=None, groups=(2,))
-    decoded = carriage.decode(carriage.encode(bare))
-    assert decoded == bare and decoded.trace_id is None
-
-
-@CARRIAGES
-def test_chain_repair_control_plane_roundtrips(carriage):
-    from repro.net.sequencer import (ChainInstall, ChainInstallAck,
-                                    ChainState, ChainStateRequest)
-
-    install = ChainInstall(version=4, epoch=2,
-                           members=("chain1", "chain2"),
-                           counters={0: 17, 1: 3, 5: 0})
-    decoded = carriage.decode(carriage.encode(install))
-    assert decoded == install
-    assert decoded.counters == {0: 17, 1: 3, 5: 0}   # int keys survive
-
-    for msg in (ChainStateRequest(nonce=9),
-                ChainState(nonce=9, version=4, epoch=2, counters={0: 17}),
-                ChainInstallAck(version=4, sender="chain2")):
+    for msg in (ChainInstall(version=4, epoch=2, members=("seq1",)),
+                ChainInstallAck(version=4, sender="seq1")):
         assert carriage.decode(carriage.encode(msg)) == msg
 
 
 def test_chain_messages_are_registered():
     names = set(registered_message_types())
-    for required in ("ChainForward", "ChainStateRequest", "ChainState",
-                     "ChainInstall", "ChainInstallAck"):
-        assert required in names
-
-
-def test_chain_forward_wrong_field_count_raises_codec_error():
-    from repro.net.sequencer import ChainForward
-
-    good = encode_message(ChainForward(version=1, epoch=1, stamps=(),
-                                       origin="c", payload=None,
-                                       groups=(), trace_id=5))
-    assert good[-1] == 0x80 | 5                # trace_id, the last field
-    with pytest.raises(CodecError, match="truncated"):
-        decode_message(good[:-1])
-
-
-def test_chain_install_malformed_counters_raises_codec_error():
-    from repro.net.sequencer import ChainInstall
-
-    good = encode_message(ChainInstall(version=1, epoch=1,
-                                       members=("a",), counters={0: 1}))
-    # {0: 1} is dict tag 0x0B, count 1, then two small ints; claim two
-    # entries and repeat the key.
-    bad = good.replace(b"\x0b\x01\x80\x81", b"\x0b\x02\x80\x81\x80\x82")
-    assert bad != good
-    with pytest.raises(CodecError, match="duplicate dict keys"):
-        decode_message(bad)
+    assert {"ChainInstall", "ChainInstallAck"} <= names
+    assert not names & {"ChainForward", "ChainStateRequest", "ChainState"}

@@ -44,26 +44,11 @@ PRE_OPTIMIZATION_COMMITTED = 1133
 PRE_OPTIMIZATION_PACKETS_SENT = 6172
 PRE_OPTIMIZATION_THROUGHPUT = 377666.6666666667
 
-# Same configuration fronted by a 3-node chain-replicated sequencer
-# (chain forwards + tail release change the event stream, so the chain
-# has its own pinned digest). Captured at chain introduction; the chain
-# must stay deterministic and codec-clean from here on.
-CHAIN_DIGEST = \
-    "cd132a76585324f66473d490261cdda84ece58cafb182c666d547ac0c192481f"
-CHAIN_FIRED = 14420
-CHAIN_COMMITTED = 595
-CHAIN_PACKETS_SENT = 4804
-CHAIN_THROUGHPUT = 198333.33333333334
-
-# Event streams through each way the sequencing element can fail, under
-# a controller that detects within 2 ms: the paper's single sequencer
-# killed (epoch failover to the standby), a 3-element chain's head
-# killed (splice repair, no epoch change), and a 2-element chain lost
-# whole (fallback to the epoch path). Captured before the single
-# sequencer became a one-element chain; each must stay bit-identical.
+# The event stream through a sequencer failure, under a controller that
+# detects within 2 ms: the paper's single sequencer killed (epoch
+# failover to the standby). It must stay bit-identical.
 FAST_CONTROLLER = ControllerConfig(ping_interval=1e-3, failure_threshold=2,
-                                   reroute_delay=4e-3,
-                                   chain_repair_delay=1e-3)
+                                   reroute_delay=4e-3)
 KILL_AT = 3e-3
 
 
@@ -71,34 +56,17 @@ def _kill_sequencer(cluster):
     cluster.crash_active_sequencer()
 
 
-def _kill_chain_head(cluster):
-    cluster.crash_chain_node(0)
-
-
-def _kill_whole_chain(cluster):
-    for index in range(len(cluster.controller.chain)):
-        cluster.crash_chain_node(index)
-
-
 FAILOVER_PINS = {
-    # name: (sequencer_chain, kill, digest, fired, committed)
+    # name: (kill, digest, fired, committed)
     "sequencer-kill": (
-        0, _kill_sequencer,
+        _kill_sequencer,
         "f4bb4d1e39b3b6be87c394e6e706d041997d13d32eb3bf25c8d85032fa0605db",
         63689, 4864),
-    "chain-head-kill": (
-        3, _kill_chain_head,
-        "c1b7d34374a268503aaad4b4168bd6bf2ab8707e646c6798f2eb6a25c06e730e",
-        64768, 3965),
-    "whole-chain-loss": (
-        2, _kill_whole_chain,
-        "b7d1d6b4441f2df4866bc9e13cc0c2fbde8cf277059f066b2824f2de3d82c9d8",
-        59632, 4460),
 }
 
 
 def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
-                   sequencer_chain: int = 0, instrument: bool = False,
+                   instrument: bool = False,
                    sample_series_to: str = "", kill=None):
     """One small fig6-style Eris measurement with an event fingerprint.
 
@@ -114,7 +82,6 @@ def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
     partitioner = Partitioner(2)
     cluster = build_cluster(
         ClusterConfig(system="eris", n_shards=2, seed=42, tracing=tracing,
-                      sequencer_chain=sequencer_chain,
                       net=NetConfig(paranoid_codec=paranoid_codec),
                       **({"controller": FAST_CONTROLLER} if kill else {})),
         registry, partitioner,
@@ -154,7 +121,6 @@ def run_small_eris(tracing: bool = False, paranoid_codec: bool = False,
         "packets_delivered": cluster.network.packets_delivered,
         "seq": cluster.loop._seq,
         "failovers": cluster.controller.failovers,
-        "chain_repairs": cluster.controller.chain_repairs,
     }
 
 
@@ -253,63 +219,12 @@ def test_paranoid_codec_carries_reads_of_absent_keys():
     assert result.aborted == 0
 
 
-def test_chain_off_leaves_pinned_sequence_untouched():
-    """``sequencer_chain=0`` must be byte-identical to the paper's
-    single-sequencer path: the chain hooks ride behind the existing
-    abstraction, so with the chain off nothing about the event stream
-    changes — the original digest still holds (also asserted by the
-    tests above, restated here as the chain PR's explicit guarantee)."""
-    run = run_small_eris(sequencer_chain=0)
-    assert run["digest"] == PRE_OPTIMIZATION_DIGEST
-    assert run["throughput"] == pytest.approx(PRE_OPTIMIZATION_THROUGHPUT)
-
-
-def test_chain_mode_same_seed_runs_are_bit_identical():
-    first = run_small_eris(sequencer_chain=3)
-    second = run_small_eris(sequencer_chain=3)
-    assert first == second
-
-
-def test_chain_mode_matches_pinned_sequence():
-    run = run_small_eris(sequencer_chain=3)
-    assert run["digest"] == CHAIN_DIGEST
-    assert run["fired"] == CHAIN_FIRED
-    assert run["committed"] == CHAIN_COMMITTED
-    assert run["packets_sent"] == CHAIN_PACKETS_SENT
-    assert run["throughput"] == pytest.approx(CHAIN_THROUGHPUT)
-
-
-def test_chain_mode_paranoid_codec_is_bit_identical():
-    """Every chain message (ChainForward and the repair control plane)
-    survives a wire round-trip per delivery without perturbing the
-    pinned chain event stream."""
-    run = run_small_eris(sequencer_chain=3, paranoid_codec=True)
-    assert run["digest"] == CHAIN_DIGEST
-    assert run["fired"] == CHAIN_FIRED
-    assert run["committed"] == CHAIN_COMMITTED
-
-
-def test_chain_mode_ewc2_paranoid_codec_is_bit_identical(monkeypatch):
-    """Chain traffic (ChainForward batches included) crosses the
-    paranoid round-trip as EWC2 frames, one per delivery, and still
-    reproduces the pinned chain stream."""
-    magics = _record_frame_magics(monkeypatch)
-    run = run_small_eris(sequencer_chain=3, paranoid_codec=True)
-    assert run["digest"] == CHAIN_DIGEST
-    assert run["fired"] == CHAIN_FIRED
-    assert run["committed"] == CHAIN_COMMITTED
-    assert len(magics) == run["packets_delivered"] > 0
-    assert set(magics) == {b"EWC3"}
-
-
 @pytest.mark.parametrize("name", sorted(FAILOVER_PINS))
 def test_failover_event_stream_matches_pinned_sequence(name):
-    chain, kill, digest, fired, committed = FAILOVER_PINS[name]
-    run = run_small_eris(sequencer_chain=chain, kill=kill)
-    # The kill really took the path the case is named after.
-    repaired = name == "chain-head-kill"
-    assert run["chain_repairs"] == int(repaired)
-    assert run["failovers"] == int(not repaired)
+    kill, digest, fired, committed = FAILOVER_PINS[name]
+    run = run_small_eris(kill=kill)
+    # The kill really failed the sequencer over.
+    assert run["failovers"] == 1
     assert (run["digest"], run["fired"], run["committed"]) == \
         (digest, fired, committed)
 

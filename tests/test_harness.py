@@ -76,18 +76,17 @@ def test_eris_roles_are_built_in_topology_order():
     OUM ablation has no controller role and routes straight to seq0."""
     from repro.harness.topology import eris_topology, topology_roles
 
-    chained = make_ycsb_cluster(sequencer_chain=2)
-    roles = topology_roles(eris_topology(chained.config))
-    assert roles[:5] == ["chain:0", "chain:1", "seq:0", "seq:1", "fc"]
-    assert roles[5] == "controller" and roles[6] == "replica:0:0"
-    assert [s.address for s in chained.sequencers] == [
-        "chain0", "chain1", "seq0", "seq1"]
-    assert chained.controller.chain == ["chain0", "chain1"]
+    eris = make_ycsb_cluster()
+    roles = topology_roles(eris_topology(eris.config))
+    assert roles[:3] == ["seq:0", "seq:1", "fc"]
+    assert roles[3] == "controller" and roles[4] == "replica:0:0"
+    assert [s.address for s in eris.sequencers] == ["seq0", "seq1"]
+    assert eris.controller.active_address == "seq0"
     oum = make_ycsb_cluster(system="eris-oum")
     assert "controller" not in topology_roles(eris_topology(oum.config))
     assert oum.controller is None
     assert oum.runtime.sequencer_address == "seq0"
-    for cluster in (chained, oum):
+    for cluster in (eris, oum):
         assert [[r.address for r in cluster.replicas[shard]]
                 for shard in (0, 1)] == [
             [f"eris-r{shard}.{i}" for i in range(3)] for shard in (0, 1)]

@@ -160,14 +160,14 @@ def test_epoch_monotone_and_gap_free_across_failovers():
 
 def test_install_epoch_must_increase_once_stamped():
     """Only a strictly higher epoch restarts the counters: an install in
-    the same epoch (a splice) merges them, a lower one is refused."""
+    the same epoch keeps them, a lower one is refused."""
     loop, net, seqs, sender = build()
     sender.send_groupcast((0,), "txn")
     loop.run_until_idle()
     assert seqs[0].packets_stamped == 1
     with pytest.raises(ValueError):
         install_alone(seqs[0], epoch=0, version=2)  # lower: rejected
-    install_alone(seqs[0], epoch=1, version=2)  # same epoch: merged
+    install_alone(seqs[0], epoch=1, version=2)  # same epoch: kept
     assert seqs[0].counters == {0: 1}
     install_alone(seqs[0], epoch=2, version=3)  # higher: counters restart
     assert seqs[0].counters == {}

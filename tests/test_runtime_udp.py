@@ -643,11 +643,12 @@ def test_undecodable_body_becomes_a_dropped_slot():
 # -- removed knobs -----------------------------------------------------------
 
 def test_runtime_rejects_bad_wire_and_batch_knobs():
-    """One wire format, no batching layers, no commutative early apply
-    and no timer slack: the options that used to turn them on are gone,
-    not ignored."""
+    """One wire format, no batching layers, no commutative early apply,
+    no timer slack and no sequencing chain: the options that used to
+    turn them on are gone, not ignored."""
     from repro.core.replica import ErisConfig
     from repro.harness.cluster import ClusterConfig
+    from repro.net.controller import ControllerConfig
     from repro.net.sequencer import MultiSequencer
     from repro.runtime.udp_mp import WorkerUdpRuntime
     from repro.store import ProcedureRegistry
@@ -657,6 +658,8 @@ def test_runtime_rejects_bad_wire_and_batch_knobs():
         lambda: AsyncioUdpRuntime(batch_frames=8),
         lambda: ClusterConfig(sequencer_batch=2),
         lambda: ClusterConfig(chain_pipeline=2),
+        lambda: ClusterConfig(sequencer_chain=2),
+        lambda: ControllerConfig(chain_repair_delay=10e-3),
         lambda: ClusterConfig(udp_batch_frames=2),
         lambda: ErisConfig(reply_coalesce=2),
         lambda: MultiSequencer("seq0", None, stamp_batch=2),

@@ -2,22 +2,25 @@
 
 import pytest
 
+from repro.baselines.common import WorkloadOp
 from repro.core.messages import (
     AppliedUpto,
     FastReadRequest,
     IndependentTxnRequest,
 )
 from repro.core.transaction import IndependentTransaction, TxnId
+from repro.harness.checkers import run_all_checks, run_trace_checks
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.endpoint import Node
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.net.network import NetConfig, Network
 from repro.net.oum import OUMSequencer
-from repro.net.sequencer import INGRESS_BOUND, MultiSequencer, \
-    SequencerPing, SequencerProfile
+from repro.net.sequencer import INGRESS_BOUND, ChainInstall, \
+    MultiSequencer, SequencerPing, SequencerPong, SequencerProfile
 from repro.sim.event_loop import EventLoop
 
-from conftest import install_alone
+from conftest import drive, install_alone, logged_txn_ids, \
+    make_ycsb_cluster, submit_and_wait
 
 
 class Sink(Node):
@@ -361,3 +364,163 @@ def test_force_failover_skips_detection():
     loop.run(until=0.05)
     assert controller.failovers == 1
     assert net.sequencer_address == "seq1"
+
+
+# -- the failure detector: late is not dead --------------------------------
+
+class LatePonger(MultiSequencer):
+    """Answers every ping ``lag`` seconds late, as a loaded element
+    does."""
+
+    lag = 0.0
+
+    def on_SequencerPing(self, src, msg, packet):
+        self.call_later(self.lag, self.send, src, SequencerPong(msg.nonce))
+
+
+@pytest.mark.parametrize("lag_intervals, failovers", [(1.5, 0), (3.5, 1)])
+def test_late_pongs_count_until_the_threshold(lag_intervals, failovers):
+    """A pong of any ping since the install proves the element alive:
+    pongs one and a half ping intervals late keep it serving. Only
+    ``failure_threshold`` intervals without a pong of any outstanding
+    ping fail it over."""
+    loop = EventLoop()
+    net = Network(loop, NetConfig(jitter=0.0))
+    late = LatePonger("seq0", net)
+    late.lag = lag_intervals * 5e-3
+    standby = MultiSequencer("seq1", net)
+    controller = SDNController(
+        "ctrl", net, [late.address, standby.address],
+        ControllerConfig(ping_interval=5e-3, failure_threshold=3,
+                         reroute_delay=20e-3))
+    controller.start()
+    loop.run(until=0.3)
+    assert controller.failovers == failovers
+    assert net.sequencer_address == ("seq1" if failovers else "seq0")
+
+
+# -- failover in a whole cluster -------------------------------------------
+
+def rmw_op(keys, partitioner):
+    return WorkloadOp(proc="ycsb_rmw", args={"keys": tuple(keys)},
+                      participants=partitioner.participants_for(keys),
+                      read_keys=frozenset(keys), write_keys=frozenset(keys))
+
+
+def make_failover_cluster():
+    return make_ycsb_cluster(
+        n_shards=2, tracing=True,
+        controller=ControllerConfig(ping_interval=3e-3, failure_threshold=2,
+                                    reroute_delay=10e-3))
+
+
+class _SequencersLookRemote:
+    """The controller's runtime with every sequencing element in
+    another process: installs into them must travel as messages."""
+
+    def __init__(self, runtime, remote):
+        self._runtime = runtime
+        self._remote = set(remote)
+
+    def __getattr__(self, name):
+        return getattr(self._runtime, name)
+
+    def has_endpoint(self, address):
+        return address not in self._remote \
+            and self._runtime.has_endpoint(address)
+
+
+def test_lost_failover_install_is_resent_until_acked():
+    """The paper's single sequencer dies and the install into the
+    standby is lost on the wire. The controller must resend it until
+    the standby acks; the standby must not stamp before it arrives
+    (it would reuse the dead sequencer's epoch-1 stamps)."""
+    cluster = make_failover_cluster()
+    client = cluster.make_client()
+    for i in range(3):
+        submit_and_wait(cluster, client, rmw_op([i], cluster.partitioner))
+    controller = cluster.controller
+    controller.runtime = _SequencersLookRemote(cluster.network,
+                                               controller.sequencers)
+    lost = []
+
+    def lose_first_install(packet):
+        if isinstance(packet.payload, ChainInstall) and not lost:
+            lost.append(packet.dst)
+            return True
+        return False
+
+    cluster.network.drop_filter = lose_first_install
+    cluster.crash_active_sequencer()
+    drive(cluster, 0.1)
+    standby = cluster.network.endpoint("seq1")
+    assert lost == ["seq1"]
+    assert controller.failovers == 1
+    assert standby.epoch == 2 and not standby.retired
+    result = submit_and_wait(cluster, client,
+                             rmw_op([0, 9], cluster.partitioner),
+                             timeout=1.0)
+    assert result.committed
+    run_trace_checks(cluster.tracer)
+    run_all_checks(cluster)
+
+
+@pytest.mark.parametrize("routes", [[None, "seq1"]],
+                         ids=["chain-of-one-lost"])
+def test_route_withdrawn_once_per_failure(routes, monkeypatch):
+    """One failure, one withdrawal and one re-route: on the per-node
+    runtime every route change is a broadcast to every peer process."""
+    cluster = make_failover_cluster()
+    installed = []
+    install = cluster.network.install_sequencer_route
+
+    def record(address):
+        installed.append(address)
+        install(address)
+
+    monkeypatch.setattr(cluster.network, "install_sequencer_route", record)
+    cluster.crash_active_sequencer()
+    drive(cluster, 0.1)
+    assert installed == routes
+
+
+def test_falsely_suspected_sequencer_is_fenced_by_the_epoch():
+    """Drop the live sequencer's pongs so the controller fails it over
+    while it still runs. Nothing retires it, so it still stamps in
+    epoch 1 — and once the replicas are in epoch 2, none may log what
+    it stamps."""
+    cluster = make_failover_cluster()
+    client = cluster.make_client()
+    for i in range(3):
+        submit_and_wait(cluster, client, rmw_op([i], cluster.partitioner))
+    controller = cluster.controller
+    old = cluster.network.endpoint(controller.active_address)
+    cluster.network.drop_filter = (
+        lambda p: p.src == old.address and p.dst == controller.address)
+    drive(cluster, 0.05)
+    cluster.network.drop_filter = None
+    assert controller.failovers == 1 and controller.current_epoch == 2
+    assert not old.crashed and old.epoch == 1
+    # New-epoch traffic on both shards runs the §6.5 epoch change.
+    result = submit_and_wait(cluster, client,
+                             rmw_op([0, 1], cluster.partitioner),
+                             timeout=1.0)
+    assert result.committed
+    drive(cluster, 0.05)
+    replicas = [r for group in cluster.replicas.values() for r in group]
+    assert all(replica.epoch_num == 2 for replica in replicas)
+
+    stale_id = TxnId(client="stale-client", seq=1)
+    request = IndependentTxnRequest(IndependentTransaction(
+        txn_id=stale_id, proc="ycsb_rmw", args={"keys": (0, 1)},
+        participants=(0, 1), read_keys=frozenset([0, 1]),
+        write_keys=frozenset([0, 1]), op_class="generic"))
+    stamped = old.packets_stamped
+    old.deliver(Packet(src="stale-client", dst=None, payload=request,
+                       groupcast=GroupcastHeader((0, 1)), sequenced=True))
+    drive(cluster, 0.05)
+    assert old.packets_stamped == stamped + 1     # stamped in epoch 1
+    for replica in replicas:
+        assert stale_id not in logged_txn_ids(replica)
+    run_trace_checks(cluster.tracer)
+    run_all_checks(cluster)

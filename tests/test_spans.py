@@ -290,28 +290,3 @@ def test_chrome_export_handles_orphan_recoveries(tmp_path):
     names = [e.get("args", {}).get("name") for e in payload["traceEvents"]
              if e["ph"] == "M" and e["name"] == "process_name"]
     assert names == ["unattached recoveries"]
-
-
-def test_chain_sequencer_run_keeps_phase_decomposition_exact():
-    """With a 3-node chain fronting the system, the 7-phase
-    decomposition still telescopes: the head emits the stamp event, the
-    tail's released packet keeps the original causal id, and the
-    head->tail propagation shows up inside seq_to_replica rather than
-    breaking the sum."""
-    cluster = make_ycsb_cluster(n_shards=2, tracing=True,
-                                sequencer_chain=3)
-    client = cluster.make_client()
-    for key in range(8):
-        submit_and_wait(cluster, client, rmw_op([key], cluster.partitioner))
-    submit_and_wait(cluster, client, rmw_op([0, 1], cluster.partitioner))
-    forest = build_spans(cluster.tracer.events)
-    assert len(forest.txns) == 9
-    assert len(forest.attributed()) == 9
-    for txn in forest.txns:
-        assert txn.committed and not txn.timedout
-        assert all(txn.phases[name] >= 0.0 for name in PHASES)
-        assert sum(txn.phases.values()) == pytest.approx(
-            txn.end_to_end, rel=1e-12)
-        # Chain replication is two extra in-network hops before the
-        # release; that cost must be attributed, not lost.
-        assert txn.phases["seq_to_replica"] > 0.0

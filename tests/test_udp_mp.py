@@ -40,13 +40,11 @@ def test_topology_matches_single_process_address_plan():
     """Worker processes and the single-process builder must derive the
     identical address strings from the same config — those strings are
     what travels in packets."""
-    config = ClusterConfig(system="eris", n_shards=2, n_replicas=3,
-                           sequencer_chain=3)
+    config = ClusterConfig(system="eris", n_shards=2, n_replicas=3)
     topo = eris_topology(config)
     assert topo.shard_addrs == {0: ["eris-r0.0", "eris-r0.1", "eris-r0.2"],
                                 1: ["eris-r1.0", "eris-r1.1", "eris-r1.2"]}
-    assert topo.chain_addrs == ("chain0", "chain1", "chain2")
-    assert topo.standby_addrs[0] == "seq0"
+    assert topo.standby_addrs == ("seq0", "seq1")
     assert topo.fc_address == "fc"
     assert topo.controller_address == "controller"
     assert topo.shard_sizes == {0: 3, 1: 3}
@@ -56,7 +54,7 @@ def test_topology_roles_cover_every_address_once():
     config = ClusterConfig(system="eris", n_shards=2, n_replicas=3)
     topo = eris_topology(config)
     roles = topology_roles(topo)
-    # 6 replicas + standby sequencers + controller + fc, no chain.
+    # 6 replicas + sequencers + controller + fc.
     assert len(roles) == 6 + len(topo.standby_addrs) + 2
     addresses = [addr for role in roles
                  for addr in role_addresses(topo, role)]
