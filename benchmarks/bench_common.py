@@ -25,22 +25,8 @@ from repro.harness import (
 )
 from repro.net.network import NetConfig
 from repro.sim.randomness import SplitRandom
-from repro.store import ProcedureRegistry
-from repro.workloads import (
-    Partitioner,
-    YCSBConfig,
-    YCSBWorkload,
-    register_ycsb_procedures,
-)
-from repro.workloads.tpcc import (
-    TPCCConfig,
-    TPCCWorkload,
-    load_tpcc,
-    register_tpcc_procedures,
-    tpcc_partitioner,
-)
+from repro.workloads import build_workload
 from repro.workloads.tpcc.schema import TPCCScale
-from repro.workloads.ycsb import load_ycsb
 
 #: Systems in the order the paper's figure legends list them.
 ALL_SYSTEMS = ("eris", "granola", "tapir", "lockstore", "ntur")
@@ -81,22 +67,17 @@ class YCSBBench:
 
 def run_ycsb(point: YCSBBench):
     """Build a cluster, run one YCSB+T measurement, return the result."""
-    registry = ProcedureRegistry()
-    register_ycsb_procedures(registry)
-    partitioner = Partitioner(point.n_shards)
     config = ClusterConfig(system=point.system, n_shards=point.n_shards,
                            seed=point.seed,
                            net=NetConfig(drop_rate=point.drop_rate),
                            **point.config_overrides)
-    cluster = build_cluster(
-        config, registry, partitioner,
-        loader=lambda stores, p: load_ycsb(stores, p, point.n_keys))
-    workload = YCSBWorkload(
-        YCSBConfig(workload=point.workload, n_keys=point.n_keys,
-                   distributed_fraction=point.distributed_fraction,
-                   zipf_theta=point.zipf_theta),
-        partitioner, SplitRandom(point.seed + 1))
-    result = run_experiment(cluster, workload, ExperimentConfig(
+    workload = build_workload(
+        point.workload, point.n_shards, SplitRandom(point.seed + 1),
+        n_keys=point.n_keys, distributed=point.distributed_fraction,
+        zipf=point.zipf_theta)
+    cluster = build_cluster(config, workload.registry, workload.partitioner,
+                            loader=workload.loader)
+    result = run_experiment(cluster, workload.ops, ExperimentConfig(
         n_clients=point.n_clients, warmup=point.warmup,
         duration=point.duration, drain=point.drain,
         timeseries_bucket=point.timeseries_bucket))
@@ -113,20 +94,15 @@ def run_tpcc(system: str, n_shards: int = N_SHARDS,
              n_clients: int = 120,
              warmup: float = WARMUP, duration: float = DURATION):
     """One TPC-C measurement; throughput counts new-order commits."""
-    registry = ProcedureRegistry()
-    register_tpcc_procedures(registry)
-    partitioner = tpcc_partitioner(n_shards)
     config = ClusterConfig(system=system, n_shards=n_shards, seed=SEED)
-    cluster = build_cluster(
-        config, registry, partitioner,
-        loader=lambda stores, p: load_tpcc(stores, p, TPCC_SCALE))
-    workload = TPCCWorkload(
-        TPCCConfig(scale=TPCC_SCALE, remote_fraction=remote_fraction),
-        partitioner, SplitRandom(SEED + 1))
-    result = run_experiment(cluster, workload, ExperimentConfig(
+    workload = build_workload("tpcc", n_shards, SplitRandom(SEED + 1),
+                              tpcc_scale=TPCC_SCALE,
+                              remote_fraction=remote_fraction)
+    cluster = build_cluster(config, workload.registry, workload.partitioner,
+                            loader=workload.loader)
+    result = run_experiment(cluster, workload.ops, ExperimentConfig(
         n_clients=n_clients, warmup=warmup, duration=duration,
-        drain=DRAIN,
-        count_filter=lambda op: op.proc == "tpcc_new_order"))
+        drain=DRAIN, count_filter=workload.count_filter))
     return cluster, result
 
 

@@ -44,14 +44,8 @@ from repro.harness.experiment import (                         # noqa: E402
     run_experiment,
 )
 from repro.sim.randomness import SplitRandom                   # noqa: E402
-from repro.store.procedures import OpClass, ProcedureRegistry  # noqa: E402
-from repro.workloads import (                                  # noqa: E402
-    CountersConfig,
-    CountersWorkload,
-    Partitioner,
-    load_counters,
-    register_counters_procedures,
-)
+from repro.store.procedures import OpClass                     # noqa: E402
+from repro.workloads import build_workload                     # noqa: E402
 
 COUNTERS_PATH = os.path.join(REPO_ROOT, "BENCH_counters.json")
 
@@ -101,21 +95,14 @@ def run_point(alpha: float, ordered: bool) -> dict:
     config = ClusterConfig(
         system="eris", n_shards=N_SHARDS, seed=SEED,
         eris=ErisConfig(watermark_interval=WATERMARK_INTERVAL))
-    registry = ProcedureRegistry()
-    register_counters_procedures(registry)
-    partitioner = Partitioner(N_SHARDS)
-    workload_config = CountersConfig(
-        n_keys=N_KEYS,
+    workload = build_workload(
+        "counters", N_SHARDS, SplitRandom(SEED + 1), n_keys=N_KEYS,
         read_fraction=round(READ_SHARE * alpha, 6),
         commutative_fraction=round(COMMUTATIVE_SHARE * alpha, 6))
-    cluster = build_cluster(
-        config, registry, partitioner,
-        loader=lambda stores, p: load_counters(stores, p, N_KEYS))
-    workload = CountersWorkload(workload_config, partitioner,
-                                SplitRandom(SEED + 1))
-    if ordered:
-        workload = FullyOrdered(workload)
-    result = run_experiment(cluster, workload, ExperimentConfig(
+    cluster = build_cluster(config, workload.registry, workload.partitioner,
+                            loader=workload.loader)
+    ops = FullyOrdered(workload.ops) if ordered else workload.ops
+    result = run_experiment(cluster, ops, ExperimentConfig(
         n_clients=N_CLIENTS, warmup=WARMUP, duration=DURATION,
         drain=DRAIN))
     point = {

@@ -25,24 +25,15 @@ def test_fig14_sequencer_failover_timeline(benchmark):
             run_experiment
         from repro.harness.cluster import ClusterConfig
         from repro.sim.randomness import SplitRandom
-        from repro.store import ProcedureRegistry
-        from repro.workloads import (Partitioner, YCSBConfig,
-                                     YCSBWorkload,
-                                     register_ycsb_procedures)
-        from repro.workloads.ycsb import load_ycsb
+        from repro.workloads import build_workload
 
-        registry = ProcedureRegistry()
-        register_ycsb_procedures(registry)
-        partitioner = Partitioner(2)
         config = ClusterConfig(system="eris", n_shards=2, seed=7,
                                controller=CONTROLLER)
-        cluster = build_cluster(
-            config, registry, partitioner,
-            loader=lambda stores, p: load_ycsb(stores, p, 1000))
-        workload = YCSBWorkload(YCSBConfig(workload="srw", n_keys=1000),
-                                partitioner, SplitRandom(8))
+        workload = build_workload("srw", 2, SplitRandom(8), n_keys=1000)
+        cluster = build_cluster(config, workload.registry,
+                                workload.partitioner, loader=workload.loader)
         FaultPlan(cluster).kill_sequencer_at(KILL_AT)
-        result = run_experiment(cluster, workload, ExperimentConfig(
+        result = run_experiment(cluster, workload.ops, ExperimentConfig(
             n_clients=60, warmup=5e-3, duration=250e-3, drain=20e-3,
             timeseries_bucket=10e-3))
         return cluster, result

@@ -12,7 +12,7 @@ import pytest
 
 from repro.net.endpoint import Node
 from repro.net.network import NetConfig, Network
-from repro.net.sequencer import ChainInstall, MultiSequencer, \
+from repro.net.sequencer import MultiSequencer, SequencerInstall, \
     SequencerProfile
 from repro.sim.event_loop import EventLoop
 
@@ -40,8 +40,7 @@ def measure_profile(profile: SequencerProfile, offered_rate: float,
     sink = _Sink("sink", net)
     net.groups.define(0, ["sink"])
     sequencer = MultiSequencer("seq", net, profile)
-    sequencer.apply_install(ChainInstall(version=1, epoch=1,
-                                         members=("seq",)))
+    sequencer.apply_install(SequencerInstall(epoch=1))
     net.install_sequencer_route("seq")
     sender = _Sink("sender", net)
     interval = 1.0 / offered_rate
@@ -58,8 +57,7 @@ def measure_latency(profile: SequencerProfile) -> float:
     net = Network(loop, NetConfig(base_latency=0.0, jitter=0.0))
     sink = _Sink("sink", net)
     net.groups.define(0, ["sink"])
-    MultiSequencer("seq", net, profile).apply_install(
-        ChainInstall(version=1, epoch=1, members=("seq",)))
+    MultiSequencer("seq", net, profile).apply_install(SequencerInstall(1))
     net.install_sequencer_route("seq")
     sender = _Sink("sender", net)
     sent_at = loop.now

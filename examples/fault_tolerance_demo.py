@@ -27,27 +27,17 @@ from repro.harness.checkers import run_all_checks
 from repro.harness.faults import FaultPlan
 from repro.net.controller import ControllerConfig
 from repro.sim.randomness import SplitRandom
-from repro.store import ProcedureRegistry
-from repro.workloads import (
-    Partitioner,
-    YCSBConfig,
-    YCSBWorkload,
-    register_ycsb_procedures,
-)
-from repro.workloads.ycsb import load_ycsb
+from repro.workloads import build_workload
 
 
 def main() -> None:
-    registry = ProcedureRegistry()
-    register_ycsb_procedures(registry)
-    partitioner = Partitioner(2)
+    workload = build_workload("srw", 2, SplitRandom(5), n_keys=1000)
     cluster = build_cluster(
         ClusterConfig(system="eris", n_shards=2,
                       controller=ControllerConfig(ping_interval=5e-3,
                                                   failure_threshold=3,
                                                   reroute_delay=20e-3)),
-        registry, partitioner,
-        loader=lambda stores, p: load_ycsb(stores, p, 1000))
+        workload.registry, workload.partitioner, loader=workload.loader)
 
     plan = (FaultPlan(cluster)
             .set_drop_rate_at(0.05, 0.02)     # 2% loss at t=50ms
@@ -55,9 +45,7 @@ def main() -> None:
             .kill_replica_at(0.12, shard=0, index=0)   # DL of shard 0
             .kill_sequencer_at(0.20))
 
-    workload = YCSBWorkload(YCSBConfig(workload="srw", n_keys=1000),
-                            partitioner, SplitRandom(5))
-    result = run_experiment(cluster, workload, ExperimentConfig(
+    result = run_experiment(cluster, workload.ops, ExperimentConfig(
         n_clients=40, warmup=5e-3, duration=320e-3, drain=50e-3,
         timeseries_bucket=10e-3))
 

@@ -18,14 +18,7 @@ from repro.harness import (
 )
 from repro.harness.checkers import run_all_checks
 from repro.sim.randomness import SplitRandom
-from repro.store import ProcedureRegistry
-from repro.workloads.tpcc import (
-    TPCCConfig,
-    TPCCWorkload,
-    load_tpcc,
-    register_tpcc_procedures,
-    tpcc_partitioner,
-)
+from repro.workloads import build_workload
 from repro.workloads.tpcc.schema import TPCCScale, customer_key
 
 SCALE = TPCCScale(n_warehouses=6, districts_per_warehouse=4,
@@ -33,18 +26,14 @@ SCALE = TPCCScale(n_warehouses=6, districts_per_warehouse=4,
 
 
 def run_system(system: str):
-    registry = ProcedureRegistry()
-    register_tpcc_procedures(registry)
-    partitioner = tpcc_partitioner(n_shards=3)
+    workload = build_workload("tpcc", 3, SplitRandom(99), tpcc_scale=SCALE,
+                              remote_fraction=0.10)
     cluster = build_cluster(
         ClusterConfig(system=system, n_shards=3),
-        registry, partitioner,
-        loader=lambda stores, p: load_tpcc(stores, p, SCALE))
-    workload = TPCCWorkload(TPCCConfig(scale=SCALE, remote_fraction=0.10),
-                            partitioner, SplitRandom(99))
-    result = run_experiment(cluster, workload, ExperimentConfig(
+        workload.registry, workload.partitioner, loader=workload.loader)
+    result = run_experiment(cluster, workload.ops, ExperimentConfig(
         n_clients=100, warmup=4e-3, duration=10e-3, drain=5e-3,
-        count_filter=lambda op: op.proc == "tpcc_new_order"))
+        count_filter=workload.count_filter))
     return cluster, result
 
 

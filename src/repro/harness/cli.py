@@ -42,28 +42,8 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.results import format_metrics, format_table, write_csv
 from repro.net.network import NetConfig
 from repro.sim.randomness import SplitRandom
-from repro.store import ProcedureRegistry
-from repro.workloads import (
-    CountersConfig,
-    CountersWorkload,
-    Partitioner,
-    YCSBConfig,
-    YCSBWorkload,
-    load_counters,
-    register_counters_procedures,
-    register_ycsb_procedures,
-)
-from repro.workloads.tpcc import (
-    TPCCConfig,
-    TPCCWorkload,
-    load_tpcc,
-    register_tpcc_procedures,
-    tpcc_partitioner,
-)
+from repro.workloads import WORKLOADS, build_workload
 from repro.workloads.tpcc.schema import TPCCScale
-from repro.workloads.ycsb import load_ycsb
-
-WORKLOADS = ("srw", "mrmw", "crmw", "tpcc", "counters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,66 +333,35 @@ def run(args: argparse.Namespace):
     config = ClusterConfig(system=args.system, n_shards=args.shards,
                            n_replicas=args.replicas, seed=args.seed,
                            net=NetConfig(drop_rate=args.drop_rate))
-    registry = ProcedureRegistry()
-    count_filter = None
-    if args.workload == "counters":
-        register_counters_procedures(registry)
-        partitioner = Partitioner(args.shards)
-        cluster = build_cluster(
-            config, registry, partitioner,
-            loader=lambda stores, p: load_counters(stores, p, args.keys))
-        workload = CountersWorkload(
-            CountersConfig(n_keys=args.keys,
-                           read_fraction=args.read_fraction,
-                           commutative_fraction=args.commutative_fraction,
-                           multi_shard_fraction=args.distributed,
-                           zipf_theta=args.zipf),
-            partitioner, SplitRandom(args.seed + 1))
-    elif args.workload == "tpcc":
-        register_tpcc_procedures(registry)
-        scale = TPCCScale(n_warehouses=args.warehouses)
-        partitioner = tpcc_partitioner(args.shards)
-        cluster = build_cluster(
-            config, registry, partitioner,
-            loader=lambda stores, p: load_tpcc(stores, p, scale))
-        workload = TPCCWorkload(
-            TPCCConfig(scale=scale, remote_fraction=args.remote),
-            partitioner, SplitRandom(args.seed + 1))
-        count_filter = lambda op: op.proc == "tpcc_new_order"  # noqa: E731
-    else:
-        register_ycsb_procedures(registry)
-        partitioner = Partitioner(args.shards)
-        cluster = build_cluster(
-            config, registry, partitioner,
-            loader=lambda stores, p: load_ycsb(stores, p, args.keys))
-        workload = YCSBWorkload(
-            YCSBConfig(workload=args.workload, n_keys=args.keys,
-                       distributed_fraction=args.distributed,
-                       zipf_theta=args.zipf),
-            partitioner, SplitRandom(args.seed + 1))
-    kill_at = getattr(args, "kill_sequencer", None)
-    if kill_at is not None:
+    workload = build_workload(
+        args.workload, args.shards, SplitRandom(args.seed + 1),
+        n_keys=args.keys, distributed=args.distributed, zipf=args.zipf,
+        read_fraction=args.read_fraction,
+        commutative_fraction=args.commutative_fraction,
+        tpcc_scale=TPCCScale(n_warehouses=args.warehouses),
+        remote_fraction=args.remote)
+    cluster = build_cluster(config, workload.registry, workload.partitioner,
+                            loader=workload.loader)
+    if args.kill_sequencer is not None:
         from repro.harness.faults import FaultPlan
-        FaultPlan(cluster).kill_sequencer_at(kill_at)
+        FaultPlan(cluster).kill_sequencer_at(args.kill_sequencer)
     sampler = None
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
+    if args.metrics_out:
         from repro.obs import MetricsSampler
         cluster.instrument_metrics()
-        sampler = MetricsSampler(
-            cluster.runtime, cluster.metrics,
-            interval=getattr(args, "metrics_interval", 1e-3))
+        sampler = MetricsSampler(cluster.runtime, cluster.metrics,
+                                 interval=args.metrics_interval)
         sampler.start()
     try:
-        result = run_experiment(cluster, workload, ExperimentConfig(
+        result = run_experiment(cluster, workload.ops, ExperimentConfig(
             n_clients=args.clients, warmup=args.warmup,
-            duration=args.duration, count_filter=count_filter,
-            trace_path=getattr(args, "trace", None)))
+            duration=args.duration, count_filter=workload.count_filter,
+            trace_path=args.trace))
     finally:
         if sampler is not None:
             sampler.stop()
-            count = sampler.export(metrics_out)
-            print(f"metrics series: {count} samples -> {metrics_out}")
+            count = sampler.export(args.metrics_out)
+            print(f"metrics series: {count} samples -> {args.metrics_out}")
     return cluster, result
 
 

@@ -25,7 +25,7 @@ from repro.core.replica import ErisConfig
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.network import NetConfig, Network
-from repro.net.sequencer import ChainInstall, MultiSequencer, \
+from repro.net.sequencer import MultiSequencer, SequencerInstall, \
     SequencerProfile
 from repro.obs import MetricsRegistry, Tracer
 from repro.replication.vr import VRConfig
@@ -257,8 +257,7 @@ def _build_eris(cluster: Cluster) -> None:
     if cluster.config.system == "eris-oum":
         # No controller: the first standby sequences for good.
         head = topology.standby_addrs[0]
-        cluster.runtime.endpoint(head).apply_install(
-            ChainInstall(version=1, epoch=1, members=(head,)))
+        cluster.runtime.endpoint(head).apply_install(SequencerInstall(1))
         cluster.runtime.install_sequencer_route(head)
 
 

@@ -57,30 +57,22 @@ class ExperimentResult:
                 f"({self.committed} committed, {self.aborted} failed)")
 
 
-class _ClosedLoopClient:
-    """One client: submit, wait, repeat — until the window closes."""
+def closed_loop(client: SystemClient, next_op: Callable[[], WorkloadOp],
+                on_complete: Callable[[WorkloadOp, OpResult], None],
+                keep_going: Callable[[], bool]) -> None:
+    """Drive one client closed-loop: submit ``next_op()``, hand the op
+    and its result to ``on_complete``, and submit the next op while
+    ``keep_going()`` holds."""
+    def issue() -> None:
+        op = next_op()
+        client.submit(op, lambda result: done(op, result))
 
-    def __init__(self, client: SystemClient, workload, stop_time: float,
-                 on_complete):
-        self.client = client
-        self.workload = workload
-        self.stop_time = stop_time
-        self.on_complete = on_complete
-        self.active = True
+    def done(op: WorkloadOp, result: OpResult) -> None:
+        on_complete(op, result)
+        if keep_going():
+            issue()
 
-    def start(self) -> None:
-        self._issue()
-
-    def _issue(self) -> None:
-        op = self.workload.next_op()
-        self.client.submit(op, lambda result, op=op: self._done(op, result))
-
-    def _done(self, op: WorkloadOp, result: OpResult) -> None:
-        self.on_complete(op, result)
-        if self.client.node.now < self.stop_time:
-            self._issue()
-        else:
-            self.active = False
+    issue()
 
 
 def run_experiment(cluster: Cluster, workload,
@@ -120,14 +112,14 @@ def run_experiment(cluster: Cluster, workload,
         if series is not None:
             series.record(loop.now)
 
-    drivers = []
+    def in_window() -> bool:
+        return loop.now < window_end
+
     for i in range(config.n_clients):
-        client = cluster.make_client()
-        driver = _ClosedLoopClient(client, workload, window_end, on_complete)
-        drivers.append(driver)
         # Stagger starts slightly so the first wave is not a thundering
         # herd of identical timestamps.
-        loop.schedule(i * 1e-6, driver.start)
+        loop.schedule(i * 1e-6, closed_loop, cluster.make_client(),
+                      workload.next_op, on_complete, in_window)
 
     loop.run(until=window_end + config.drain)
 

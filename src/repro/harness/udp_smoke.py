@@ -21,7 +21,6 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.baselines.common import OpResult
 from repro.core.replica import ErisConfig
 from repro.errors import (
     ConfigurationError,
@@ -35,6 +34,7 @@ from repro.harness.cluster import (
     build_cluster,
     wire_eris,
 )
+from repro.harness.experiment import closed_loop
 from repro.net.controller import ControllerConfig
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.sampler import MetricsSampler
@@ -42,11 +42,8 @@ from repro.obs.trace import Tracer, merge_trace_shards
 from repro.sim.randomness import SplitRandom
 from repro.store import ProcedureRegistry
 from repro.workloads import (
-    CountersConfig,
-    CountersWorkload,
     Partitioner,
-    YCSBConfig,
-    YCSBWorkload,
+    build_workload,
     register_counters_procedures,
     register_ycsb_procedures,
 )
@@ -225,18 +222,13 @@ class _PerNode:
         runtime = self.cluster.runtime
         launcher = self.launcher
 
-        async def bootstrap() -> None:
-            # Clients exist already: their reply ports travel in the
-            # merged port map so replicas can answer them.
-            await launcher.open()
-            launcher.spawn(self.roles, self.spec)
-            await launcher.await_hellos()
-            port_map = launcher.merged_port_map(dict(runtime._ports))
-            runtime.install_port_map(launcher.host, port_map)
-            runtime.start()
-            await launcher.broadcast_start(port_map)
-
-        runtime.aloop.run_until_complete(bootstrap())
+        # Clients exist already: their reply ports travel in the merged
+        # port map so replicas can answer them. Datagrams that reach
+        # this process before its transport is up wait in its socket.
+        port_map = runtime.aloop.run_until_complete(
+            launcher.start(self.roles, self.spec, dict(runtime._ports)))
+        runtime.install_port_map(launcher.host, port_map)
+        runtime.start()
         # The controller worker broadcasts the sequencer route as it
         # starts; clients are useless until it lands here.
         if not self.wait(lambda: (runtime.sequencer_address is not None
@@ -254,19 +246,16 @@ class _PerNode:
                                              poll=0.005)
 
     def collect(self, drain: float):
-        """The state-collection RPC, then a graceful stop (workers
-        export their shards): the merged snapshots and the workers'
-        summed runtime counters."""
-        aloop = self.cluster.runtime.aloop
-        replies = aloop.run_until_complete(
-            self.launcher.collect_states(drain=drain))
-        aloop.run_until_complete(self.launcher.shutdown())
+        """The stop exchange: every worker drains, exports its shards,
+        and acks with its snapshots and runtime counters, which come
+        back merged and summed."""
+        acks = self.cluster.runtime.aloop.run_until_complete(
+            self.launcher.shutdown(drain=drain))
         counters: dict[str, int] = {}
-        for reply in replies:
-            for name, value in reply.counters:
+        for ack in acks:
+            for name, value in ack.counters:
                 counters[name] = counters.get(name, 0) + value
-        return [snap for reply in replies
-                for snap in reply.snapshots], counters
+        return [snap for ack in acks for snap in ack.snapshots], counters
 
     def trace(self, tracer: Tracer, path: str) -> list:
         shards = [os.path.join(self.run_dir, f"trace-{rank}.jsonl")
@@ -359,34 +348,21 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
         cluster.instrument_metrics()
         sampler = MetricsSampler(runtime, cluster.metrics,
                                  interval=metrics_interval)
-    if workload == "counters":
-        workload_gen = CountersWorkload(
-            CountersConfig(n_keys=n_keys,
-                           multi_shard_fraction=distributed_fraction),
-            cluster.partitioner, SplitRandom(seed))
-    else:
-        workload_gen = YCSBWorkload(
-            YCSBConfig(workload=workload, n_keys=n_keys,
-                       distributed_fraction=distributed_fraction),
-            cluster.partitioner, SplitRandom(seed))
-
+    ops = build_workload(workload, n_shards, SplitRandom(seed),
+                         n_keys=n_keys,
+                         distributed=distributed_fraction).ops
     stats = {"committed": 0, "aborted": 0, "retries": 0}
-    clients = [cluster.make_client() for _ in range(n_clients)]
 
-    def issue(client) -> None:
-        op = workload_gen.next_op()
-        client.submit(op, lambda result, c=client: done(c, result))
-
-    def done(client, result: OpResult) -> None:
+    def on_complete(_op, result) -> None:
         stats["retries"] += result.retries
-        if result.committed:
-            stats["committed"] += 1
-        else:
-            stats["aborted"] += 1
-        # Closed loop: one outstanding op per client until the target
-        # commit count is reached.
-        if stats["committed"] < min_commits:
-            issue(client)
+        stats["committed" if result.committed else "aborted"] += 1
+
+    def keep_going() -> bool:
+        # One outstanding op per client until the target commit count
+        # is reached.
+        return stats["committed"] < min_commits
+
+    clients = [cluster.make_client() for _ in range(n_clients)]
 
     interrupt = GracefulInterrupt()
 
@@ -404,7 +380,7 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
                 sampler.start()
             start = runtime.now
             for client in clients:
-                issue(client)
+                closed_loop(client, ops.next_op, on_complete, keep_going)
             if _mid_run is not None:
                 _mid_run(host)
             reached = host.wait(
@@ -413,8 +389,8 @@ def run_udp_smoke(n_shards: int = 2, n_replicas: int = 3,
             result.wall_seconds = runtime.now - start
             if not reached:
                 # Raised before collecting: a cluster too wedged to
-                # commit may not answer the state RPC either, and that
-                # error must not hide this one.
+                # commit may not answer the stop exchange either, and
+                # that error must not hide this one.
                 where = (f" across {host.processes} processes (logs in "
                          f"{run_dir})" if run_dir else "")
                 raise ExperimentError(

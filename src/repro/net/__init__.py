@@ -17,8 +17,8 @@ from repro.net.endpoint import Node
 from repro.net.groupcast import GroupMembership
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.net.network import NetConfig, Network
-from repro.net.sequencer import ChainInstall, ChainInstallAck, \
-    MultiSequencer, SequencerProfile
+from repro.net.sequencer import MultiSequencer, SequencerInstall, \
+    SequencerInstallAck, SequencerProfile
 from repro.net.oum import OUMSequencer
 from repro.net.controller import SDNController
 from repro.net.libsequencer import MultiSequencedChannel, Upcall, UpcallKind
@@ -35,8 +35,8 @@ __all__ = [
     "MultiSequencer",
     "SequencerProfile",
     "OUMSequencer",
-    "ChainInstall",
-    "ChainInstallAck",
+    "SequencerInstall",
+    "SequencerInstallAck",
     "SDNController",
     "MultiSequencedChannel",
     "Upcall",

@@ -13,7 +13,7 @@ strictly higher epoch and the route re-pointed at it. Replicas then
 run the §6.5 epoch change.
 
 Installs are direct calls into an element living in this process; a
-remote element gets a :class:`~repro.net.sequencer.ChainInstall`, resent
+remote element gets a :class:`~repro.net.sequencer.SequencerInstall`, resent
 every ``ping_interval`` until acknowledged.
 
 The paper replicates the controller "using standard means"; here it is
@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.net.endpoint import Node
 from repro.net.message import Address, Packet
 from repro.net.network import Network
-from repro.net.sequencer import ChainInstall, ChainInstallAck, \
+from repro.net.sequencer import SequencerInstall, SequencerInstallAck, \
     SequencerPing, SequencerPong
 
 
@@ -55,7 +55,6 @@ class SDNController(Node):
         self.sequencers = list(sequencers)
         self.active_index = 0
         self.current_epoch = 1
-        self.install_version = 0
         self.failovers = 0
         self._route: Optional[Address] = None
         self._nonce = 0
@@ -66,7 +65,7 @@ class SDNController(Node):
         self._awaiting = False
         self._missed = 0
         self._failing_over = False
-        #: The active element acknowledged ``install_version``.
+        #: The active element acknowledged ``current_epoch``.
         self._acked = False
         self._ping_timer = self.periodic(self.config.ping_interval,
                                          self._ping)
@@ -98,33 +97,32 @@ class SDNController(Node):
     def _install(self) -> None:
         """Install the active element alone, in the current epoch, with
         empty counters, and start a fresh watch on it."""
-        self.install_version += 1
         self._watch_from = self._nonce
         self._awaiting = False
         self._missed = 0
         self._acked = False
         member = self.active_address
-        install = ChainInstall(version=self.install_version,
-                               epoch=self.current_epoch, members=(member,))
+        install = SequencerInstall(epoch=self.current_epoch)
         if self.runtime.has_endpoint(member):
             self.runtime.endpoint(member).apply_install(install)
         else:
-            self._resend_install(install)
+            self._resend_install(member, install)
 
-    def _resend_install(self, install: ChainInstall) -> None:
-        """Send ``install`` to its member, and again every
+    def _resend_install(self, member: Address,
+                        install: SequencerInstall) -> None:
+        """Send ``install`` to ``member``, and again every
         ``ping_interval`` until it acks — or until a newer install
         supersedes it. A member that never answers is found dead by the
         health check, which starts that newer one."""
-        if install.version != self.install_version or self._acked:
+        if install.epoch != self.current_epoch or self._acked:
             return
-        self.send(install.members[0], install)
+        self.send(member, install)
         self.call_later(self.config.ping_interval,
-                        self._resend_install, install)
+                        self._resend_install, member, install)
 
-    def on_ChainInstallAck(self, src: Address, msg: ChainInstallAck,
-                           packet: Packet) -> None:
-        if msg.version == self.install_version:
+    def on_SequencerInstallAck(self, src: Address, msg: SequencerInstallAck,
+                               packet: Packet) -> None:
+        if msg.epoch == self.current_epoch:
             self._acked = True
 
     # -- health checking ----------------------------------------------------
@@ -138,7 +136,7 @@ class SDNController(Node):
             self._missed += 1
             if self._missed >= self.config.failure_threshold:
                 if self.tracer is not None:
-                    self.tracer.record("chain_lost", self.address,
+                    self.tracer.record("sequencer_lost", self.address,
                                        dead=[self.active_address])
                 self._begin_failover()
                 return

@@ -14,10 +14,10 @@ sequence) — the paper's design, which pushes recovery to the Eris
 epoch-change protocol. DESIGN.md ("The chain verdict") gives the
 measurements behind not replicating the counters across elements.
 
-An element stamps only under an installed configuration
-(:class:`ChainInstall`, a configuration of one member); an element the
-configuration does not name retires. An install in a higher epoch
-restarts the counters (a failover).
+An element stamps only once the controller has installed it
+(:class:`SequencerInstall`). An install in a higher epoch restarts the
+counters (a failover); one in the same epoch keeps them, and one in a
+lower epoch is a reordered resend and is refused.
 
 Three deployment profiles mirror §5.4 / Table 1: an in-switch design, a
 network-processor middlebox, and a commodity end host. They differ only
@@ -82,20 +82,16 @@ class SequencerPong:
 
 
 @dataclass(frozen=True)
-class ChainInstall:
-    """Controller -> element: the sequencing configuration. A receiver
-    absent from ``members`` retires and stamps nothing; a member adopts
-    the config and acks."""
+class SequencerInstall:
+    """Controller -> element: stamp in ``epoch``. The receiver adopts
+    it and acks."""
 
-    version: int
     epoch: int
-    members: tuple[Address, ...]
 
 
 @dataclass(frozen=True)
-class ChainInstallAck:
-    version: int
-    sender: Address
+class SequencerInstallAck:
+    epoch: int
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,8 @@ class MultiSequencer(Node):
     """The sequencing element: multi-stamps groupcast packets and fans
     them out.
 
-    Until a configuration naming it is installed the element is
-    ``retired`` and stamps nothing.
+    Until the controller installs it the element is ``retired`` and
+    stamps nothing.
     """
 
     opaque_bodies = True
@@ -150,8 +146,7 @@ class MultiSequencer(Node):
         # Fabric-arrival timestamps for queue-delay attribution, keyed
         # by packet id. Populated only while a tracer is attached.
         self._ingress: dict[int, float] = {}
-        # -- configuration (installed by the SDN controller) ---------------
-        self.version = 0
+        # -- installed by the SDN controller --------------------------------
         self.retired = True
         #: Groupcasts dropped because the element is retired.
         self.stale_rejected = 0
@@ -185,22 +180,13 @@ class MultiSequencer(Node):
         self.watermarks_absorbed = 0
 
     # -- configuration (installed by the SDN controller) -------------------
-    def apply_install(self, install: ChainInstall) -> bool:
-        """Adopt (or be fenced by) a configuration. Returns True when
-        this element is a member of it (ack-worthy); idempotent for
-        re-delivered installs of the current version."""
-        if install.version < self.version:
-            return False  # stale retransmission of an old install
+    def apply_install(self, install: SequencerInstall) -> bool:
+        """Adopt an install; returns True when adopted (ack-worthy). An
+        install below the element's epoch can be a reordered resend
+        and is refused; re-delivering the current one is idempotent."""
         if install.epoch < self.epoch:
-            raise ValueError(
-                f"epoch must not decrease: {install.epoch} < {self.epoch}")
-        self.version = install.version
-        self.retired = self.address not in install.members
-        if self.retired:
-            if self.tracer is not None:
-                self.tracer.record("chain_retired", self.address,
-                                   version=install.version)
             return False
+        self.retired = False
         if install.epoch > self.epoch:
             # A failover: the previous epoch's soft state is gone.
             # Fast-path state is epoch-scoped too: a fresh epoch starts
@@ -214,16 +200,14 @@ class MultiSequencer(Node):
             self._blind_high.clear()
             self._applied.clear()
         if self.tracer is not None:
-            self.tracer.record("chain_install", self.address,
-                               version=install.version,
-                               members=list(install.members))
+            self.tracer.record("sequencer_install", self.address,
+                               epoch=install.epoch)
         return True
 
-    def on_ChainInstall(self, src: Address, msg: ChainInstall,
-                        packet: Packet) -> None:
+    def on_SequencerInstall(self, src: Address, msg: SequencerInstall,
+                            packet: Packet) -> None:
         if self.apply_install(msg):
-            self.send(src, ChainInstallAck(version=msg.version,
-                                           sender=self.address))
+            self.send(src, SequencerInstallAck(epoch=msg.epoch))
 
     def on_SequencerPing(self, src: Address, msg: SequencerPing,
                          packet: Packet) -> None:
@@ -285,9 +269,9 @@ class MultiSequencer(Node):
             self.stale_rejected += 1
             if self.tracer is not None:
                 self.tracer.record(
-                    "chain_stale", self.address,
+                    "sequencer_stale", self.address,
                     cause=packet.trace_id if packet.trace_id is not None
-                    else -1, version=self.version, reason="retired")
+                    else -1, reason="retired")
             return
         self._emit(self.stamp(packet))
 
@@ -515,8 +499,7 @@ class MultiSequencer(Node):
                        fn=lambda: self.bodies_decoded, monotone=True)
         registry.gauge(self.address, "stamp_wakeups",
                        fn=lambda: self.stamp_wakeups, monotone=True)
-        registry.gauge(self.address, "chain_version", fn=lambda: self.version)
-        registry.gauge(self.address, "chain_stale_rejected",
+        registry.gauge(self.address, "stale_rejected",
                        fn=lambda: self.stale_rejected)
 
     def service_time_for(self, packet: Packet) -> float:

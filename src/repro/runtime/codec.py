@@ -935,8 +935,8 @@ def _ensure_registry() -> None:
         # sequencing element: control plane
         sequencer.SequencerPing,
         sequencer.SequencerPong,
-        sequencer.ChainInstall,
-        sequencer.ChainInstallAck,
+        sequencer.SequencerInstall,
+        sequencer.SequencerInstallAck,
         # Viewstamped Replication
         vr.VRPrepare,
         vr.VRPrepareOK,

@@ -15,18 +15,20 @@ ephemeral (no static assignment could survive collisions across
 processes):
 
 1. every worker binds its runtime's one socket, connects back to the
-   launcher, and reports ``address -> port`` in :class:`WorkerHello`;
+   launcher, and reports its role's ``address -> port`` plan in
+   :class:`WorkerHello` before any protocol object exists;
 2. the launcher merges all hellos with the driver's own local ports
    and broadcasts the complete map in :class:`ClusterStart`; workers
-   install it, bring their transport up, and ack.
+   build their role, install the map, bring their transport up, and
+   ack. No protocol timer runs before every process can be reached.
 
-After the workload, :class:`StateRequest` collects per-replica
-:class:`~repro.core.log.ReplicaSnapshot` payloads (the
-state-collection RPC behind the distributed §6.7 checkers), and
-:class:`ClusterStop` asks workers to export their trace/metrics shards
-and exit cleanly. Supervision is poll-based: a worker that exits
-before it was told to is a failure, and the launcher tears the rest
-down and raises.
+After the workload, :class:`ClusterStop` asks every worker to drain,
+export its trace/metrics shards, and answer a :class:`StopAck` that
+carries its per-replica :class:`~repro.core.log.ReplicaSnapshot`
+payloads (the state behind the distributed §6.7 checkers) and runtime
+counters before it exits. Supervision is poll-based: a worker that
+exits before it was told to is a failure, and the launcher tears the
+rest down and raises.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import signal
 import struct
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.log import ReplicaSnapshot
@@ -66,8 +68,8 @@ class WorkerHello:
     role: str
     rank: int
     pid: int
-    #: (protocol address, bound UDP port) for every local endpoint,
-    #: including the runtime-control endpoint ``_rt.<rank>``.
+    #: (protocol address, bound UDP port) for every address the role
+    #: hosts, plus the runtime-control endpoint ``_rt.<rank>``.
     ports: tuple[tuple[str, int], ...]
 
 
@@ -85,15 +87,16 @@ class StartAck:
 
 
 @dataclass(frozen=True)
-class StateRequest:
-    """Launcher -> worker: quiesce for ``drain`` seconds, then report
-    end-of-run state."""
+class ClusterStop:
+    """Launcher -> worker: drain for ``drain`` seconds, report, exit."""
 
     drain: float
 
 
 @dataclass(frozen=True)
-class StateReply:
+class StopAck:
+    """Worker -> launcher: end-of-run state, shards exported, exiting."""
+
     rank: int
     role: str
     snapshots: tuple[ReplicaSnapshot, ...]
@@ -101,20 +104,8 @@ class StateReply:
     counters: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class ClusterStop:
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class StopAck:
-    """Worker -> launcher: shards exported, exiting."""
-
-    rank: int
-
-
-register_messages([WorkerHello, ClusterStart, StartAck, StateRequest,
-                   StateReply, ClusterStop, StopAck])
+register_messages([WorkerHello, ClusterStart, StartAck, ClusterStop,
+                   StopAck])
 
 
 # -- framing ---------------------------------------------------------------
@@ -146,7 +137,7 @@ class _Worker:
     hello: Optional[WorkerHello] = None
     reader: Optional[asyncio.StreamReader] = None
     writer: Optional[asyncio.StreamWriter] = None
-    stopped: bool = field(default=False)
+    stopped: bool = False
 
     @property
     def recorder_path(self) -> str:
@@ -165,41 +156,69 @@ class ClusterLauncher:
     def __init__(self, run_dir: str, host: str = "127.0.0.1"):
         self.run_dir = run_dir
         self.host = host
-        self.control_port: Optional[int] = None
         self.workers: dict[int, _Worker] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pending_conns: list[tuple[WorkerHello,
-                                        asyncio.StreamReader,
-                                        asyncio.StreamWriter]] = []
         os.makedirs(run_dir, exist_ok=True)
 
-    # -- control server ----------------------------------------------------
-    async def open(self) -> int:
-        """Start the control-plane listener; returns its TCP port."""
+    # -- start -------------------------------------------------------------
+    async def start(self, roles: list[str], spec: dict,
+                    driver_ports: dict[str, int],
+                    timeout: float = 30.0) -> dict[str, int]:
+        """Spawn one worker per role, wait for every hello, and
+        broadcast the merged port map — every worker's reported ports
+        plus the driver's own — in :class:`ClusterStart`. Returns the
+        map once every worker has built its role and acked."""
         self._server = await asyncio.start_server(
             self._on_connect, self.host, 0)
-        self.control_port = self._server.sockets[0].getsockname()[1]
-        return self.control_port
+        self._spawn(roles, spec, self._server.sockets[0].getsockname()[1])
+        loop = asyncio.get_event_loop()
+        deadline = loop.time() + timeout
+        while any(w.hello is None for w in self.workers.values()):
+            self.check_children()
+            if loop.time() > deadline:
+                missing = [w.role for w in self.workers.values()
+                           if w.hello is None]
+                raise ExperimentError(
+                    f"workers never reported in: {missing} "
+                    f"(logs in {self.run_dir})")
+            await asyncio.sleep(0.01)
+        port_map = dict(driver_ports)
+        for worker in self.workers.values():
+            for address, port in worker.hello.ports:
+                if address in port_map:
+                    raise ExperimentError(
+                        f"address {address!r} bound by two processes")
+                port_map[address] = port
+        start = ClusterStart(host=self.host,
+                             port_map=tuple(sorted(port_map.items())))
+        for worker in self.workers.values():
+            write_frame(worker.writer, start)
+            await worker.writer.drain()
+        for worker in self.workers.values():
+            ack = await asyncio.wait_for(read_frame(worker.reader), timeout)
+            if not isinstance(ack, StartAck) or ack.rank != worker.rank:
+                raise ExperimentError(
+                    f"worker {worker.role} sent {ack!r} instead of a "
+                    f"start ack")
+        return port_map
 
     async def _on_connect(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         try:
             hello = await read_frame(reader)
         except (asyncio.IncompleteReadError, CodecError, OSError):
+            hello = None
+        worker = (self.workers.get(hello.rank)
+                  if isinstance(hello, WorkerHello) else None)
+        if worker is None or worker.hello is not None:
             writer.close()
             return
-        if not isinstance(hello, WorkerHello):
-            writer.close()
-            return
-        self._pending_conns.append((hello, reader, writer))
+        worker.hello, worker.reader, worker.writer = hello, reader, writer
 
-    # -- spawning ----------------------------------------------------------
-    def spawn(self, roles: list[str], spec: dict) -> None:
+    def _spawn(self, roles: list[str], spec: dict, control_port: int) -> None:
         """One worker process per role; ranks start at 1 (the driver is
         rank 0). Worker stdout/stderr go to per-rank log files in the
         run directory so a post-mortem can see every process's view."""
-        if self.control_port is None:
-            raise ExperimentError("launcher control server not open")
         import repro
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(
@@ -216,69 +235,13 @@ class ClusterLauncher:
                     [sys.executable, "-m", "repro", "node",
                      "--role", role, "--rank", str(rank),
                      "--control-host", self.host,
-                     "--control-port", str(self.control_port),
+                     "--control-port", str(control_port),
                      "--spec", json.dumps(spec)],
                     stdout=log, stderr=subprocess.STDOUT, env=env)
             finally:
                 log.close()
             self.workers[rank] = _Worker(rank=rank, role=role, proc=proc,
                                          log_path=log_path)
-
-    # -- bootstrap ---------------------------------------------------------
-    async def await_hellos(self, timeout: float = 30.0) -> None:
-        """Wait for every spawned worker to connect and report ports."""
-        deadline = asyncio.get_event_loop().time() + timeout
-        expected = len(self.workers)
-        connected = 0
-        while connected < expected:
-            while self._pending_conns:
-                hello, reader, writer = self._pending_conns.pop()
-                worker = self.workers.get(hello.rank)
-                if worker is None or worker.hello is not None:
-                    writer.close()
-                    continue
-                worker.hello = hello
-                worker.reader = reader
-                worker.writer = writer
-                connected += 1
-            if connected >= expected:
-                break
-            self.check_children()
-            if asyncio.get_event_loop().time() > deadline:
-                missing = [w.role for w in self.workers.values()
-                           if w.hello is None]
-                raise ExperimentError(
-                    f"workers never reported in: {missing} "
-                    f"(logs in {self.run_dir})")
-            await asyncio.sleep(0.01)
-
-    def merged_port_map(self, driver_ports: dict[str, int]) -> dict[str,
-                                                                    int]:
-        """Union of every worker's reported ports and the driver's own
-        local ports; duplicate protocol addresses are a wiring bug."""
-        merged: dict[str, int] = dict(driver_ports)
-        for worker in self.workers.values():
-            for address, port in worker.hello.ports:
-                if address in merged:
-                    raise ExperimentError(
-                        f"address {address!r} bound by two processes")
-                merged[address] = port
-        return merged
-
-    async def broadcast_start(self, port_map: dict[str, int],
-                              timeout: float = 30.0) -> None:
-        """Ship the merged map; wait for every worker's ack."""
-        start = ClusterStart(host=self.host,
-                             port_map=tuple(sorted(port_map.items())))
-        for worker in self.workers.values():
-            write_frame(worker.writer, start)
-            await worker.writer.drain()
-        for worker in self.workers.values():
-            ack = await asyncio.wait_for(read_frame(worker.reader), timeout)
-            if not isinstance(ack, StartAck) or ack.rank != worker.rank:
-                raise ExperimentError(
-                    f"worker {worker.role} sent {ack!r} instead of a "
-                    f"start ack")
 
     # -- supervision -------------------------------------------------------
     def check_children(self) -> None:
@@ -299,45 +262,31 @@ class ClusterLauncher:
                     f"{worker.proc.pid}) exited with code {code} "
                     f"mid-run; log: {worker.log_path}{dump_note}")
 
-    # -- state collection --------------------------------------------------
-    async def collect_states(self, drain: float,
-                             timeout: float = 30.0) -> list[StateReply]:
-        """The end-of-run state-collection RPC: every worker quiesces
-        for ``drain`` seconds, snapshots its replicas, and replies.
-        The driver's own loop keeps running while it awaits, so its
-        in-flight client traffic drains over the same interval."""
-        request = StateRequest(drain=drain)
-        for worker in self.workers.values():
-            write_frame(worker.writer, request)
-            await worker.writer.drain()
-        replies = []
-        for worker in self.workers.values():
-            reply = await asyncio.wait_for(read_frame(worker.reader),
-                                           timeout + drain)
-            if not isinstance(reply, StateReply):
-                raise ExperimentError(
-                    f"worker {worker.role} sent {reply!r} instead of a "
-                    f"state reply")
-            replies.append(reply)
-        return replies
-
     # -- shutdown ----------------------------------------------------------
-    async def shutdown(self, timeout: float = 15.0) -> None:
-        """Graceful stop: workers export their shards, ack, and exit 0."""
+    async def shutdown(self, drain: float,
+                       timeout: float = 15.0) -> list[StopAck]:
+        """Graceful stop: every worker drains for ``drain`` seconds,
+        exports its shards, answers a :class:`StopAck` with its end-of-
+        run state, and exits 0. The driver's own loop keeps running
+        while it awaits, so its in-flight client traffic drains over
+        the same interval."""
         for worker in self.workers.values():
-            if worker.writer is None:
-                continue
             worker.stopped = True
-            write_frame(worker.writer, ClusterStop())
+            write_frame(worker.writer, ClusterStop(drain=drain))
             await worker.writer.drain()
+        acks = []
         for worker in self.workers.values():
-            if worker.reader is None:
-                continue
             try:
-                await asyncio.wait_for(read_frame(worker.reader), timeout)
+                ack = await asyncio.wait_for(read_frame(worker.reader),
+                                             timeout + drain)
             except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                    CodecError, OSError):
-                pass
+                    CodecError, OSError) as exc:
+                ack = exc
+            if not isinstance(ack, StopAck) or ack.rank != worker.rank:
+                raise ExperimentError(
+                    f"worker {worker.role} sent {ack!r} instead of a "
+                    f"stop ack; log: {worker.log_path}")
+            acks.append(ack)
         loop = asyncio.get_event_loop()
         deadline = loop.time() + timeout
         for worker in self.workers.values():
@@ -347,6 +296,7 @@ class ClusterLauncher:
                 worker.proc.kill()
                 worker.proc.wait()
         self._close_server()
+        return acks
 
     def emergency_teardown(self) -> None:
         """Non-graceful teardown after a failure: SIGTERM everyone (so

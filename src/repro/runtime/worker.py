@@ -4,16 +4,19 @@ One worker hosts one role's protocol objects (see
 :mod:`repro.harness.topology`) on a :class:`~repro.runtime.udp_mp.
 WorkerUdpRuntime` and follows the launcher's control-plane protocol:
 
-1. bind its socket, connect to the launcher, send :class:`WorkerHello`;
-2. wait for :class:`ClusterStart`, install the merged port map, bring
-   the transport (and, for the controller role, the controller) up,
-   ack;
+1. bind its socket, connect to the launcher, and send
+   :class:`WorkerHello` with its role's addresses — before any protocol
+   object exists, so no protocol timer can fire while other processes
+   are still unreachable;
+2. on :class:`ClusterStart`, build the role and load its keys, install
+   the merged port map, bring the transport (and, for the controller
+   role, the controller) up, and ack;
 3. serve until told to stop — the UDP data plane runs on the same
    event loop as the control connection, so protocol traffic flows
    while the worker waits for control frames;
-4. on :class:`StateRequest`, quiesce and reply with replica snapshots
-   and runtime counters; on :class:`ClusterStop`, export trace and
-   metrics shards and exit 0.
+4. on :class:`ClusterStop`, drain, export trace and metrics shards,
+   answer a :class:`StopAck` with replica snapshots and runtime
+   counters, and exit 0.
 
 Failure paths always leave evidence: SIGTERM and unexpected crashes
 dump the flight-recorder ring to the run directory before exiting
@@ -39,8 +42,6 @@ from repro.runtime.launcher import (
     ClusterStart,
     ClusterStop,
     StartAck,
-    StateReply,
-    StateRequest,
     StopAck,
     WorkerHello,
     read_frame,
@@ -73,16 +74,17 @@ def build_node_parser() -> argparse.ArgumentParser:
 
 
 class Worker:
-    """One role's runtime, protocol objects, and control client."""
+    """One role's runtime, protocol objects, and control client. The
+    protocol objects are built only by :meth:`start`."""
 
     def __init__(self, role: str, rank: int, spec: dict):
         from repro.harness.cluster import Cluster, wire_eris
-        from repro.harness.topology import build_role, replica_config
+        from repro.harness.topology import role_addresses
         from repro.harness.udp_smoke import (
             smoke_cluster_config,
             smoke_registry,
         )
-        from repro.workloads.partition import Partitioner, load_keys
+        from repro.workloads.partition import Partitioner
 
         self.role = role
         self.rank = rank
@@ -100,18 +102,14 @@ class Worker:
         self.tracer = self.runtime.attach_tracer(Tracer(
             recorder=self.recorder, retain=bool(spec.get("trace")),
             cause_base=rank * CAUSE_ID_STRIDE))
-        partitioner = Partitioner(spec["shards"])
-        self.cluster = Cluster(config, smoke_registry(), partitioner,
+        self.cluster = Cluster(config, smoke_registry(),
+                               Partitioner(spec["shards"]),
                                runtime=self.runtime)
-        build_role(self.cluster, role, wire_eris(self.cluster),
-                   replica_config(config))
-        load_keys(self.cluster.stores, partitioner, spec["keys"])
+        self.topology = wire_eris(self.cluster)
+        self.ports = dict(self.runtime._ports)
+        for address in role_addresses(self.topology, role):
+            self.ports[address] = self.runtime._port
         self.sampler: Optional[MetricsSampler] = None
-        if spec.get("metrics"):
-            self.cluster.instrument_metrics()
-            self.sampler = MetricsSampler(
-                self.runtime, self.cluster.metrics,
-                interval=spec.get("metrics_interval", 0.05))
 
     # -- shard paths -------------------------------------------------------
     def _shard_path(self, prefix: str) -> str:
@@ -126,11 +124,43 @@ class Worker:
                                     "rank": self.rank})
         return path
 
-    # -- state -------------------------------------------------------------
-    def state_reply(self) -> StateReply:
+    # -- start and stop ----------------------------------------------------
+    def start(self, start: ClusterStart) -> None:
+        """Build the role, load its keys, and bring it up on the
+        merged port map."""
+        from repro.harness.topology import build_role, replica_config
+        from repro.workloads.partition import load_keys
+
+        cluster = self.cluster
+        build_role(cluster, self.role, self.topology,
+                   replica_config(cluster.config))
+        load_keys(cluster.stores, cluster.partitioner, self.spec["keys"])
+        if self.spec.get("metrics"):
+            cluster.instrument_metrics()
+            self.sampler = MetricsSampler(
+                self.runtime, cluster.metrics,
+                interval=self.spec.get("metrics_interval", 0.05))
+        self.runtime.install_port_map(start.host, dict(start.port_map))
+        self.runtime.start()
+        if cluster.controller is not None:
+            cluster.controller.start()
+        if self.sampler is not None:
+            self.sampler.start()
+
+    async def stop(self, drain: float) -> StopAck:
+        """Drain, export the shards, and report end-of-run state."""
         from repro.harness.udp_smoke import SMOKE_COUNTERS
 
-        return StateReply(
+        # The loop keeps delivering datagrams and firing protocol
+        # timers while we sleep, so in-flight syncs and FC traffic
+        # settle before the snapshot.
+        await asyncio.sleep(drain)
+        if self.spec.get("trace"):
+            self.tracer.export(self._shard_path("trace"))
+        if self.sampler is not None:
+            self.sampler.stop()
+            self.sampler.export(self._shard_path("metrics"))
+        return StopAck(
             rank=self.rank, role=self.role,
             snapshots=tuple(ReplicaSnapshot.of(r)
                             for replicas in self.cluster.replicas.values()
@@ -138,51 +168,28 @@ class Worker:
             counters=tuple((name, getattr(self.runtime, name))
                            for name in SMOKE_COUNTERS))
 
-    def export_shards(self) -> StopAck:
-        if self.spec.get("trace"):
-            self.tracer.export(self._shard_path("trace"))
-        if self.sampler is not None:
-            self.sampler.stop()
-            self.sampler.export(self._shard_path("metrics"))
-        return StopAck(rank=self.rank)
-
     # -- the control-plane session ----------------------------------------
     async def serve(self, host: str, port: int) -> int:
         reader, writer = await asyncio.open_connection(host, port)
         write_frame(writer, WorkerHello(
             role=self.role, rank=self.rank, pid=os.getpid(),
-            ports=tuple(sorted(self.runtime._ports.items()))))
+            ports=tuple(sorted(self.ports.items()))))
         await writer.drain()
 
         start = await read_frame(reader)
         if not isinstance(start, ClusterStart):
             raise RuntimeError(f"expected ClusterStart, got {start!r}")
-        self.runtime.install_port_map(start.host, dict(start.port_map))
-        self.runtime.start()
-        if self.cluster.controller is not None:
-            self.cluster.controller.start()
-        if self.sampler is not None:
-            self.sampler.start()
+        self.start(start)
         write_frame(writer, StartAck(rank=self.rank))
         await writer.drain()
 
-        while True:
-            message = await read_frame(reader)
-            if isinstance(message, StateRequest):
-                # Quiesce: the loop keeps delivering datagrams and
-                # firing protocol timers while we sleep, so in-flight
-                # syncs and FC traffic settle before the snapshot.
-                await asyncio.sleep(message.drain)
-                write_frame(writer, self.state_reply())
-                await writer.drain()
-            elif isinstance(message, ClusterStop):
-                write_frame(writer, self.export_shards())
-                await writer.drain()
-                writer.close()
-                return EXIT_OK
-            else:
-                raise RuntimeError(f"unexpected control frame "
-                                   f"{message!r}")
+        stop = await read_frame(reader)
+        if not isinstance(stop, ClusterStop):
+            raise RuntimeError(f"unexpected control frame {stop!r}")
+        write_frame(writer, await self.stop(stop.drain))
+        await writer.drain()
+        writer.close()
+        return EXIT_OK
 
 
 def worker_main(argv: Sequence[str]) -> int:

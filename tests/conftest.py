@@ -23,13 +23,12 @@ from repro.workloads import Partitioner, register_ycsb_procedures
 from repro.workloads.ycsb import load_ycsb
 
 
-def install_alone(sequencer, epoch: int = 1, version: int = 1) -> None:
+def install_alone(sequencer, epoch: int = 1) -> bool:
     """Install ``sequencer`` as the paper's single sequencer, as the
-    SDN controller would."""
-    from repro.net.sequencer import ChainInstall
+    SDN controller would; True when the element adopts the install."""
+    from repro.net.sequencer import SequencerInstall
 
-    sequencer.apply_install(ChainInstall(
-        version=version, epoch=epoch, members=(sequencer.address,)))
+    return sequencer.apply_install(SequencerInstall(epoch=epoch))
 
 
 @pytest.fixture

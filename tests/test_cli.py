@@ -7,6 +7,7 @@ import pytest
 
 from repro.harness.cli import build_parser, main, run
 from repro.harness.results import write_csv
+from repro.workloads import WORKLOADS
 
 
 def test_parser_defaults():
@@ -27,13 +28,20 @@ def test_list_systems(capsys):
     assert "eris" in out and "lockstore" in out
 
 
-def test_run_srw_small(capsys):
-    code = main(["--system", "eris", "--workload", "srw",
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_run_srw_small(workload, capsys):
+    """Every workload of the table runs end to end and commits (TPC-C
+    counts new-order commits only)."""
+    code = main(["--system", "eris", "--workload", workload,
                  "--shards", "2", "--clients", "5", "--keys", "100",
+                 "--distributed", "0.5", "--warehouses", "2",
                  "--warmup", "0.002", "--duration", "0.005"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "txn/s" in out and "eris" in out
+    header, _, row = capsys.readouterr().out.splitlines()[-3:]
+    assert "txn/s" in header
+    assert row.split()[:2] == ["eris", workload]
+    committed = header.split().index("committed")
+    assert int(row.split()[committed]) > 0
 
 
 def test_run_returns_result_object():
@@ -44,14 +52,6 @@ def test_run_returns_result_object():
     cluster, result = run(args)
     assert result.committed > 0
     assert cluster.config.system == "ntur"
-
-
-def test_run_tpcc_small():
-    args = build_parser().parse_args(
-        ["--workload", "tpcc", "--warehouses", "2", "--shards", "2",
-         "--clients", "5", "--warmup", "0.002", "--duration", "0.005"])
-    cluster, result = run(args)
-    assert result.committed > 0   # new-order commits only
 
 
 def test_csv_export(tmp_path, capsys):

@@ -17,8 +17,6 @@ relies on:
 
 import random
 
-import pytest
-
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.endpoint import Node
 from repro.net.network import NetConfig, Network
@@ -165,9 +163,9 @@ def test_install_epoch_must_increase_once_stamped():
     sender.send_groupcast((0,), "txn")
     loop.run_until_idle()
     assert seqs[0].packets_stamped == 1
-    with pytest.raises(ValueError):
-        install_alone(seqs[0], epoch=0, version=2)  # lower: rejected
-    install_alone(seqs[0], epoch=1, version=2)  # same epoch: kept
+    assert not install_alone(seqs[0], epoch=0)  # lower: refused
     assert seqs[0].counters == {0: 1}
-    install_alone(seqs[0], epoch=2, version=3)  # higher: counters restart
+    assert install_alone(seqs[0], epoch=1)  # same epoch: kept
+    assert seqs[0].counters == {0: 1}
+    assert install_alone(seqs[0], epoch=2)  # higher: counters restart
     assert seqs[0].counters == {}

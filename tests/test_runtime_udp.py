@@ -322,15 +322,14 @@ def test_udp_queue_delay_subtracts_no_modelled_latency(runtime,
     only what the runtime charged: on real sockets, nothing. The clock
     is frozen so the wait is exactly the 5 us set here."""
     from repro.net.sequencer import (
-        ChainInstall,
         MultiSequencer,
+        SequencerInstall,
         SequencerProfile,
     )
 
     tracer = runtime.attach_tracer()
     element = MultiSequencer("seq", runtime, SequencerProfile.middlebox())
-    element.apply_install(ChainInstall(version=1, epoch=1,
-                                       members=("seq",)))
+    element.apply_install(SequencerInstall(epoch=1))
     member = Echo("m0", runtime)
     runtime.groups.define(0, [member.address])
     packet = Packet(src="c", dst=None, payload=("txn",),

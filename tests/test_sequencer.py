@@ -15,8 +15,8 @@ from repro.net.endpoint import Node
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.net.network import NetConfig, Network
 from repro.net.oum import OUMSequencer
-from repro.net.sequencer import INGRESS_BOUND, ChainInstall, \
-    MultiSequencer, SequencerPing, SequencerPong, SequencerProfile
+from repro.net.sequencer import INGRESS_BOUND, MultiSequencer, \
+    SequencerInstall, SequencerPing, SequencerPong, SequencerProfile
 from repro.sim.event_loop import EventLoop
 
 from conftest import drive, install_alone, logged_txn_ids, \
@@ -106,7 +106,7 @@ def test_emit_fans_out_once_per_stamp_in_group_order():
 
 def test_epoch_attached_to_stamp():
     loop, net, seq, sinks, sender = build()
-    install_alone(seq, epoch=5, version=2)
+    install_alone(seq, epoch=5)
     sender.send_groupcast((0,), "x")
     loop.run_until_idle()
     assert sinks[0][0].packets[0].multistamp.epoch == 5
@@ -117,7 +117,7 @@ def test_install_epoch_resets_counters():
     sender.send_groupcast((0,), "x")
     loop.run_until_idle()
     assert seq.counters[0] == 1
-    install_alone(seq, epoch=2, version=2)
+    install_alone(seq, epoch=2)
     assert seq.counters == {}
     sender.send_groupcast((0,), "y")
     loop.run_until_idle()
@@ -125,12 +125,14 @@ def test_install_epoch_resets_counters():
 
 
 def test_install_lower_epoch_rejected_after_stamping():
+    """A lower-epoch install can be a reordered resend: it is refused
+    without raising, and the element keeps its epoch and counters."""
     loop, net, seq, sinks, sender = build()
-    install_alone(seq, epoch=5, version=2)
+    install_alone(seq, epoch=5)
     sender.send_groupcast((0,), "x")
     loop.run_until_idle()
-    with pytest.raises(ValueError):
-        install_alone(seq, epoch=4, version=3)
+    assert not install_alone(seq, epoch=4)
+    assert seq.epoch == 5 and seq.counters == {0: 1}
 
 
 def test_profiles_match_table1_capacities():
@@ -445,7 +447,7 @@ def test_lost_failover_install_is_resent_until_acked():
     lost = []
 
     def lose_first_install(packet):
-        if isinstance(packet.payload, ChainInstall) and not lost:
+        if isinstance(packet.payload, SequencerInstall) and not lost:
             lost.append(packet.dst)
             return True
         return False

@@ -277,7 +277,8 @@ def test_trace_merge_cli(tmp_path, capsys):
 def test_launcher_messages_round_trip_through_codec():
     from repro.runtime.launcher import (
         ClusterStart,
-        StateReply,
+        ClusterStop,
+        StopAck,
         WorkerHello,
     )
     hello = WorkerHello(role="replica:0:1", rank=3, pid=123,
@@ -289,9 +290,38 @@ def test_launcher_messages_round_trip_through_codec():
     snap = ReplicaSnapshot(address="eris-r0.0", shard=0, replica_index=0,
                            view_num=1, is_dl=True, crashed=False, fed=4,
                            entries=(), store=((5, 7),))
-    reply = StateReply(rank=1, role="replica:0:0", snapshots=(snap,),
-                       counters=(("packets_sent", 10),))
-    assert decode_message(encode_message(reply)) == reply
+    stop = ClusterStop(drain=0.06)
+    assert decode_message(encode_message(stop)) == stop
+    ack = StopAck(rank=1, role="replica:0:0", snapshots=(snap,),
+                  counters=(("packets_sent", 10),))
+    assert decode_message(encode_message(ack)) == ack
+
+
+# -- the per-node worker ---------------------------------------------------
+
+def test_worker_builds_no_role_before_cluster_start(tmp_path):
+    """A worker reports its role's addresses, all on its one socket,
+    but builds the role only on ClusterStart: with no ClusterStart, a
+    follower's DL timer never fires, however long the other processes
+    take to report in."""
+    import asyncio
+
+    from repro.harness.udp_smoke import _UDP_ERIS
+    from repro.runtime.worker import Worker
+
+    worker = Worker("replica:0:1", rank=5, spec={
+        "shards": 2, "replicas": 3, "keys": 50, "seed": 7,
+        "run_dir": str(tmp_path)})
+    try:
+        worker.runtime.aloop.run_until_complete(
+            asyncio.sleep(_UDP_ERIS["view_change_timeout"] + 0.1))
+        assert not [e for e in worker.recorder.events()
+                    if e.kind == "view_change_start"]
+        assert not worker.cluster.replicas
+        port = worker.runtime._port
+        assert worker.ports == {"eris-r0.1": port, control_address(5): port}
+    finally:
+        worker.runtime.stop()
 
 
 # -- end-to-end multi-process runs -----------------------------------------
@@ -347,20 +377,20 @@ def test_mp_missed_commits_not_hidden_by_collect_timeout(tmp_path,
                                                         monkeypatch):
     """A per-node run that misses ``min_commits`` reports the missed
     commit count, even when the cluster is too wedged to answer the
-    state-collection RPC."""
+    stop exchange."""
     import asyncio
 
     from repro.harness import udp_smoke
     from repro.runtime.launcher import ClusterLauncher
 
-    async def wedged(self, drain, timeout=30.0):
+    async def wedged(self, drain=0.0, timeout=15.0):
         raise asyncio.TimeoutError
 
     monkeypatch.setattr(udp_smoke._PerNode, "start",
                         lambda self, timeout, interrupted: None)
     monkeypatch.setattr(udp_smoke._PerNode, "wait",
                         lambda self, predicate, timeout: False)
-    monkeypatch.setattr(ClusterLauncher, "collect_states", wedged)
+    monkeypatch.setattr(ClusterLauncher, "shutdown", wedged)
     with pytest.raises(ExperimentError, match="transactions committed"):
         run_udp_smoke(processes="per-node", min_commits=10, n_clients=1,
                       timeout=0.1, run_dir=str(tmp_path / "run"),
