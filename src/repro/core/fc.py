@@ -210,7 +210,9 @@ class FailureCoordinator(Node):
             state.timer.stop()
         if decision is None:
             return
-        for addr in set(recipients) | extra:
+        # A fixed order: under loss, the order of these sends decides
+        # which of them the loss RNG drops.
+        for addr in dict.fromkeys([*recipients, *sorted(extra)]):
             self.send(addr, decision)
 
     # -- epoch change (§6.5) --------------------------------------------------

@@ -199,14 +199,14 @@ class _PerNode:
                  trace: bool, metrics: bool, metrics_interval: float,
                  recorder_capacity: int):
         from repro.harness.topology import topology_roles
+        from repro.runtime.asyncio_udp import AsyncioUdpRuntime
         from repro.runtime.launcher import ClusterLauncher
-        from repro.runtime.udp_mp import WorkerUdpRuntime
 
         self.run_dir = run_dir
         self.cluster = Cluster(config, smoke_registry(),
                                Partitioner(config.n_shards),
-                               runtime=WorkerUdpRuntime(rank=0,
-                                                        seed=config.seed))
+                               runtime=AsyncioUdpRuntime(seed=config.seed,
+                                                         rank=0))
         self.roles = topology_roles(wire_eris(self.cluster))
         self.processes = 1 + len(self.roles)
         self.launcher = ClusterLauncher(run_dir)
@@ -226,7 +226,8 @@ class _PerNode:
         # port map so replicas can answer them. Datagrams that reach
         # this process before its transport is up wait in its socket.
         port_map = runtime.aloop.run_until_complete(
-            launcher.start(self.roles, self.spec, dict(runtime._ports)))
+            launcher.start(self.roles, self.spec,
+                           dict.fromkeys(runtime._endpoints, runtime._port)))
         runtime.install_port_map(launcher.host, port_map)
         runtime.start()
         # The controller worker broadcasts the sequencer route as it

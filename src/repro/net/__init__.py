@@ -3,7 +3,7 @@
 This package provides the paper's Section 5 network substrate:
 
 - :mod:`repro.net.message` — packets, the groupcast header, multi-stamps.
-- :mod:`repro.net.network` — the fabric: latency/drop models, delivery.
+- :mod:`repro.net.network` — the simulated link: latency/drop models.
 - :mod:`repro.net.endpoint` — the ``Node`` base class with a CPU model.
 - :mod:`repro.net.groupcast` — group membership (§5.2).
 - :mod:`repro.net.sequencer` — the multi-stamping sequencer (§5.3/5.4).

@@ -11,8 +11,8 @@ deployment would emit are what travels.
 Groupcast is provided the way §5.4's end-host deployment provides it:
 a sequencer endpoint (the unmodified :class:`~repro.net.sequencer.
 MultiSequencer`) receives sequenced groupcasts addressed to it,
-stamps them, and fans unicast copies back out. The SDN controller's
-"route installation" becomes an entry in this runtime's routing state.
+stamps them, and fans unicast copies back out. Routing and delivery
+are the fabric core's (:class:`~repro.runtime.interface.Runtime`).
 
 Backend properties (full matrix in DESIGN.md):
 
@@ -29,8 +29,7 @@ Backend properties (full matrix in DESIGN.md):
 - **determinism** — none; scheduling is the OS's business here. The
   §6.7 safety checkers still must pass on every run.
 
-The socket layer is one path, shared with the multi-process subclass
-(:mod:`repro.runtime.udp_mp`):
+The socket layer is one path, in process and per node alike:
 
 - **receive** — one ``loop.add_reader`` callback reads up to
   ``_RECV_BATCH`` queued datagrams per wakeup, for every co-hosted
@@ -46,6 +45,10 @@ The socket layer is one path, shared with the multi-process subclass
   full kernel buffer (EAGAIN) or any other ``OSError`` is counted in
   ``send_errors`` and the datagram is lost, which Eris's drop machinery
   already tolerates.
+- **per node** — given a process ``rank``, the runtime hosts
+  ``_rt.<rank>``, resolves what it does not host through the
+  launcher's port map, and broadcasts each sequencer route to every
+  other process's ``_rt.<rank>`` as a :class:`RouteInstall`.
 - **lifecycle** — the socket is bound when the runtime is built, so
   the kernel buffers early arrivals and build-time sends until
   :meth:`start` attaches the reader. :meth:`start` and :meth:`stop` are
@@ -62,16 +65,18 @@ from __future__ import annotations
 import asyncio
 import selectors
 import socket
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import NetworkError
-from repro.net.groupcast import GroupMembership
+from repro.net.endpoint import Node
 from repro.net.message import Address, Packet
 from repro.runtime.codec import (
     CodecError,
     decode_datagram,
     encode_packet,
     encode_packet_tail,
+    register_messages,
 )
 from repro.runtime.interface import Runtime, TimerHandle
 from repro.sim.randomness import SplitRandom
@@ -170,13 +175,48 @@ class _AsyncioPeriodic:
         self._fn(*self._args)
 
 
+@dataclass(frozen=True)
+class RouteInstall:
+    """One process's runtime -> every other process's runtime: point
+    the sequenced-groupcast route at ``address`` (None = black hole,
+    used while no sequencer is routable)."""
+
+    address: Optional[Address]
+
+
+register_messages([RouteInstall])
+
+
+def control_address(rank: int) -> Address:
+    """The runtime-control endpoint address of process ``rank``."""
+    return f"_rt.{rank}"
+
+
+class _RuntimeControl(Node):
+    """Per-process endpoint for runtime-level control messages. It is
+    a real endpoint on the process's socket, so routing state
+    propagates over exactly the same data plane the protocol uses."""
+
+    def __init__(self, runtime: "AsyncioUdpRuntime", rank: int):
+        super().__init__(control_address(rank), runtime)
+
+    def on_RouteInstall(self, src: Address, msg: RouteInstall,
+                        packet: Packet) -> None:
+        self.runtime._install_route_local(msg.address)
+
+
 class AsyncioUdpRuntime(Runtime):
-    """Runtime over real UDP sockets on loopback, driven by asyncio."""
+    """Runtime over real UDP sockets on loopback, driven by asyncio;
+    with a ``rank``, one process's slice of a per-node cluster."""
 
     backend = "asyncio-udp"
+    component = "udp"
     models_cost = False
 
-    def __init__(self, seed: int = 0, host: str = "127.0.0.1"):
+    def __init__(self, seed: int = 0, host: str = "127.0.0.1",
+                 rank: Optional[int] = None):
+        if rank is not None and rank < 0:
+            raise NetworkError(f"rank must be >= 0: {rank}")
         super().__init__()
         self.host = host
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -190,27 +230,23 @@ class AsyncioUdpRuntime(Runtime):
         sock.bind((host, 0))
         self._sock = sock
         self._port: int = sock.getsockname()[1]
+        self._local = (host, self._port)
         self.aloop = asyncio.SelectorEventLoop(selectors.SelectSelector())
         self.base_rng = SplitRandom(seed)
-        self.groups = GroupMembership()
-        self.sequencer_address: Optional[Address] = None
-        self._endpoints: dict[Address, Any] = {}
-        #: Local address -> port (always ``_port``), the addresses whose
-        #: node has ``opaque_bodies``, and the delivery order (rank).
-        self._ports: dict[Address, int] = {}
+        #: The local addresses whose node has ``opaque_bodies``, and the
+        #: delivery order.
         self._opaque: set[Address] = set()
-        self._rank: dict[Address, int] = {}
+        self._order: dict[Address, int] = {}
+        #: Remote address -> (host, port), from the launcher's port map;
+        #: local addresses take precedence.
+        self._remote: dict[Address, tuple[str, int]] = {}
+        #: Runtime-control endpoints of the other processes: where a
+        #: route installed here is broadcast.
+        self._peer_controls: list[Address] = []
         self._started = False
         self._closed = False
-        self.packets_sent = 0
-        self.packets_delivered = 0
-        self.packets_dropped = 0
+        self.route_installs = 0
         self.decode_errors = 0
-        #: Per-recipient copies made by fan_out. Mirrors the simulated
-        #: fabric's counter of the same name: ``packets_sent`` counts
-        #: protocol-level sends, fan-out multiplication is accounted
-        #: here — previously these copies were invisible to both.
-        self.fanout_copies = 0
         #: Encoded packet frames handed to the send path, one per
         #: packet.
         self.frames_sent = 0
@@ -226,13 +262,14 @@ class AsyncioUdpRuntime(Runtime):
         #: is the syscall amortization the drained reader buys.
         self.recv_wakeups = 0
         self.recv_datagrams = 0
-        self.tracer = None
         # Health instrumentation, attached by instrument(); each hot
         # path pays one ``is not None`` check while unattached.
         self._hist_datagram_bytes = None
         self._hist_loop_lag = None
         self._lag_probe_interval = 0.005
         self._lag_probe_expected: Optional[float] = None
+        self._control = (_RuntimeControl(self, rank)
+                         if rank is not None else None)
 
     # -- clock / scheduling / randomness -----------------------------------
     @property
@@ -256,85 +293,59 @@ class AsyncioUdpRuntime(Runtime):
     def rng_stream(self, name: str) -> SplitRandom:
         return self.base_rng.split(name)
 
-    # -- registration ------------------------------------------------------
+    # -- registration and name resolution ----------------------------------
     def register(self, node: Any) -> None:
+        super().register(node)
         address = node.address
-        if address in self._endpoints:
-            raise NetworkError(f"duplicate endpoint address {address!r}")
-        self._endpoints[address] = node
-        self._ports[address] = self._port
-        self._rank[address] = len(self._rank)
+        self._order[address] = len(self._order)
         if getattr(node, "opaque_bodies", False):
             self._opaque.add(address)
 
     def unregister(self, address: Address) -> None:
-        self._endpoints.pop(address, None)
-        self._ports.pop(address, None)
-        self._rank.pop(address, None)
+        super().unregister(address)
+        self._order.pop(address, None)
         self._opaque.discard(address)
 
-    def endpoint(self, address: Address) -> Any:
-        try:
-            return self._endpoints[address]
-        except KeyError:
-            raise NetworkError(f"unknown endpoint {address!r}") from None
-
-    def has_endpoint(self, address: Address) -> bool:
-        return address in self._endpoints
-
-    # -- routing (exercised by the SDN controller) -------------------------
-    def install_sequencer_route(self, address: Optional[Address]) -> None:
-        self.sequencer_address = address
-
-    # -- sending -----------------------------------------------------------
-    def send(self, packet: Packet) -> None:
-        self.packets_sent += 1
-        if self.tracer is not None:
-            self.tracer.packet_send(packet)
-        if packet.groupcast is not None and packet.multistamp is None:
-            self._route_groupcast(packet)
-        else:
-            if packet.dst is None:
-                raise NetworkError("unicast packet without destination")
-            self._transmit(packet)
-
-    def fan_out(self, packet: Packet,
-                destinations: tuple[Address, ...]) -> None:
-        """Send one copy per destination, encoding the copies' shared
-        tail (groupcast header, multi-stamp, payload) once."""
-        self.fanout_copies += len(destinations)
-        tail = encode_packet_tail(packet)
-        for dst in destinations:
-            self._transmit(packet.copy_to(dst), tail)
-
-    def _route_groupcast(self, packet: Packet) -> None:
-        if not packet.sequenced:
-            self.fan_out(packet,
-                         self.groups.members_of(packet.groupcast.groups))
-            return
-        if (self.sequencer_address is None
-                or self._resolve(self.sequencer_address) is None):
-            self._drop(packet, "no-sequencer-route")
-            return
-        self._transmit(packet.copy_to(self.sequencer_address))
-
-    def _drop(self, packet: Packet, reason: str) -> None:
-        self.packets_dropped += 1
-        if self.tracer is not None:
-            self.tracer.packet_drop(packet, reason)
+    def install_port_map(self, host: str,
+                         port_map: dict[Address, int]) -> None:
+        """Adopt the launcher's merged address plan. Local endpoints
+        stay on this process's socket; everything else resolves to a
+        remote socket address from here on."""
+        self._peer_controls = []
+        for address, port in port_map.items():
+            if address not in self._endpoints:
+                self._remote[address] = (host, port)
+            if address.startswith("_rt.") \
+                    and address != self._control.address:
+                self._peer_controls.append(address)
 
     def _resolve(self, dst: Optional[Address]) -> Optional[tuple[str, int]]:
-        """Logical address → socket address, or ``None`` if unknown.
+        """Logical address → socket address, or ``None`` if unknown:
+        the local endpoints first, then the launcher's port map."""
+        if dst in self._endpoints:
+            return self._local
+        return self._remote.get(dst)
 
-        The single place name resolution happens: this runtime knows
-        only its locally bound endpoints, while the multi-process
-        subclass overlays a remote host/port map distributed by the
-        launcher. Everything downstream (transmit, pending flush) is
-        location-transparent."""
-        port = self._ports.get(dst)
-        if port is None:
-            return None
-        return (self.host, port)
+    def _routable(self, address: Address) -> bool:
+        return self._resolve(address) is not None
+
+    # -- routing (exercised by the SDN controller) -------------------------
+    def _install_route_local(self, address: Optional[Address]) -> None:
+        self.route_installs += 1
+        self.sequencer_address = address
+
+    def install_sequencer_route(self, address: Optional[Address]) -> None:
+        """Install locally and broadcast to every peer process: the
+        route is consulted by whichever runtime *sends* a sequenced
+        groupcast, and senders are everywhere."""
+        self._install_route_local(address)
+        for peer in self._peer_controls:
+            self.send(Packet(src=self._control.address, dst=peer,
+                             payload=RouteInstall(address)))
+
+    # -- sending -----------------------------------------------------------
+    def _fanout_tail(self, packet: Packet) -> bytes:
+        return encode_packet_tail(packet)
 
     def _transmit(self, packet: Packet, tail: Optional[bytes] = None) -> None:
         addr = self._resolve(packet.dst)
@@ -384,18 +395,12 @@ class AsyncioUdpRuntime(Runtime):
                 packets.append(decode_datagram(data, self._opaque))
             except CodecError:
                 self.decode_errors += 1
-        rank = self._rank
-        unknown = len(rank)
-        packets.sort(key=lambda packet: rank.get(packet.dst, unknown))
+        order = self._order
+        unknown = len(order)
+        packets.sort(key=lambda packet: order.get(packet.dst, unknown))
+        arrive = self._arrive
         for packet in packets:
-            node = self._endpoints.get(packet.dst)
-            if node is None:
-                self._drop(packet, "dead-destination")
-                continue
-            self.packets_delivered += 1
-            if self.tracer is not None:
-                self.tracer.packet_deliver(packet)
-            node.deliver(packet)
+            arrive(packet)
 
     # -- observability -----------------------------------------------------
     def instrument(self, registry) -> None:
@@ -407,29 +412,15 @@ class AsyncioUdpRuntime(Runtime):
         event-loop lag (scheduled-vs-actual callback latency, the
         real-transport analog of simulated-time exactness).
         """
-        registry.gauge("udp", "packets_sent",
-                       lambda: self.packets_sent, monotone=True)
-        registry.gauge("udp", "packets_delivered",
-                       lambda: self.packets_delivered, monotone=True)
-        registry.gauge("udp", "packets_dropped",
-                       lambda: self.packets_dropped, monotone=True)
-        registry.gauge("udp", "decode_errors",
-                       lambda: self.decode_errors, monotone=True)
-        registry.gauge("udp", "fanout_copies",
-                       lambda: self.fanout_copies, monotone=True)
-        registry.gauge("udp", "frames_sent",
-                       lambda: self.frames_sent, monotone=True)
-        registry.gauge("udp", "datagrams_sent",
-                       lambda: self.datagrams_sent, monotone=True)
-        registry.gauge("udp", "send_errors",
-                       lambda: self.send_errors, monotone=True)
-        registry.gauge("udp", "socket_errors",
-                       lambda: self.socket_errors, monotone=True)
-        registry.gauge("udp", "recv_wakeups",
-                       lambda: self.recv_wakeups, monotone=True)
-        registry.gauge("udp", "recv_datagrams",
-                       lambda: self.recv_datagrams, monotone=True)
-        registry.gauge("udp", "endpoints", lambda: len(self._endpoints))
+        super().instrument(registry)
+        for counter in ("decode_errors", "frames_sent", "datagrams_sent",
+                        "send_errors", "socket_errors", "recv_wakeups",
+                        "recv_datagrams", "route_installs"):
+            registry.gauge("udp", counter,
+                           lambda counter=counter: getattr(self, counter),
+                           monotone=True)
+        registry.gauge("udp", "remote_addresses",
+                       lambda: len(self._remote))
         # Datagrams are 64 B .. 64 KB: a coarser base bucket keeps the
         # histogram readable in that range.
         self._hist_datagram_bytes = registry.histogram(

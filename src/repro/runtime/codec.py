@@ -976,4 +976,4 @@ def _ensure_registry() -> None:
     # The per-node control plane registers on import. Load it here
     # too, so every process interns the same type table whatever else
     # it happened to import.
-    from repro.runtime import launcher, udp_mp  # noqa: F401
+    from repro.runtime import asyncio_udp, launcher  # noqa: F401

@@ -1,8 +1,8 @@
 """Worker process entry point: ``python -m repro node --role ...``.
 
 One worker hosts one role's protocol objects (see
-:mod:`repro.harness.topology`) on a :class:`~repro.runtime.udp_mp.
-WorkerUdpRuntime` and follows the launcher's control-plane protocol:
+:mod:`repro.harness.topology`) on an :class:`~repro.runtime.asyncio_udp.
+AsyncioUdpRuntime` with its process rank and follows the launcher's control-plane protocol:
 
 1. bind its socket, connect to the launcher, and send
    :class:`WorkerHello` with its role's addresses — before any protocol
@@ -47,7 +47,7 @@ from repro.runtime.launcher import (
     read_frame,
     write_frame,
 )
-from repro.runtime.udp_mp import WorkerUdpRuntime
+from repro.runtime.asyncio_udp import AsyncioUdpRuntime
 
 #: Exit codes: abnormal-termination dumps use distinct codes so the
 #: supervisor's error message says *how* the worker died.
@@ -93,7 +93,7 @@ class Worker:
         config = smoke_cluster_config(
             n_shards=spec["shards"], n_replicas=spec["replicas"],
             seed=spec["seed"])
-        self.runtime = WorkerUdpRuntime(rank=rank, seed=config.seed)
+        self.runtime = AsyncioUdpRuntime(seed=config.seed, rank=rank)
         self.recorder = FlightRecorder(
             capacity=spec.get("recorder_capacity", DEFAULT_CAPACITY))
         # Disjoint causal-id space per process: ids assigned here never
@@ -106,7 +106,8 @@ class Worker:
                                Partitioner(spec["shards"]),
                                runtime=self.runtime)
         self.topology = wire_eris(self.cluster)
-        self.ports = dict(self.runtime._ports)
+        self.ports = dict.fromkeys(self.runtime._endpoints,
+                                   self.runtime._port)
         for address in role_addresses(self.topology, role):
             self.ports[address] = self.runtime._port
         self.sampler: Optional[MetricsSampler] = None

@@ -229,6 +229,32 @@ def test_failover_event_stream_matches_pinned_sequence(name):
         (digest, fired, committed)
 
 
+def test_lossy_run_does_not_depend_on_the_hash_seed():
+    """Under loss, the order of a node's sends decides which of them
+    the loss RNG drops, so no send loop may follow a set's string-hash
+    order: two interpreters with different ``PYTHONHASHSEED`` must
+    print the same result row for the same seed."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    command = [sys.executable, "-m", "repro.harness.cli", "--system", "eris",
+               "--workload", "mrmw", "--distributed", "0.5", "--shards", "2",
+               "--clients", "40", "--drop-rate", "0.02", "--warmup", "0.002",
+               "--duration", "0.02", "--seed", "7"]
+    runs = [subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src,
+                                      PYTHONHASHSEED=seed))
+            for seed in ("1", "5")]
+    outputs = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert "eris" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 # -- telemetry vs the pinned stream ----------------------------------------
 
 def test_metrics_instrumentation_leaves_pinned_sequence_untouched():

@@ -108,54 +108,6 @@ def test_crashed_node_drops_deliveries():
     assert b.received == []
 
 
-def test_duplicate_address_rejected():
-    loop, net = make_net()
-    Recorder("a", net)
-    with pytest.raises(NetworkError):
-        Recorder("a", net)
-
-
-def test_unsequenced_groupcast_fans_out_directly():
-    loop, net = make_net()
-    members = [Recorder(f"m{i}", net) for i in range(3)]
-    net.groups.define(0, [m.address for m in members])
-    sender = Recorder("s", net)
-    sender.send_groupcast((0,), "news", sequenced=False)
-    loop.run_until_idle()
-    assert all(len(m.received) == 1 for m in members)
-
-
-def test_sequenced_groupcast_blackholes_without_route():
-    loop, net = make_net()
-    members = [Recorder(f"m{i}", net) for i in range(3)]
-    net.groups.define(0, [m.address for m in members])
-    sender = Recorder("s", net)
-    sender.send_groupcast((0,), "lost")
-    loop.run_until_idle()
-    assert all(m.received == [] for m in members)
-    assert net.packets_dropped == 1
-
-
-def test_fanout_copies_counted_separately_from_sends():
-    """One groupcast is one protocol-level send; the three per-member
-    copies land in ``fanout_copies`` only. Both backends (sim fabric
-    and UDP runtime) follow this split — see the matching test in
-    test_runtime_udp.py."""
-    loop, net = make_net()
-    members = [Recorder(f"m{i}", net) for i in range(3)]
-    net.groups.define(0, [m.address for m in members])
-    sender = Recorder("s", net)
-    sender.send_groupcast((0,), "news", sequenced=False)
-    loop.run_until_idle()
-    assert net.packets_sent == 1
-    assert net.fanout_copies == 3
-    assert net.packets_delivered == 3
-    sender.send("m0", "direct")          # unicast adds no fan-out copy
-    loop.run_until_idle()
-    assert net.packets_sent == 2
-    assert net.fanout_copies == 3
-
-
 def test_unknown_wire_format_rejected():
     """The fabric has one wire format and no option to pick another."""
     with pytest.raises(TypeError):

@@ -25,9 +25,9 @@ from repro.harness.udp_smoke import run_udp_smoke
 from repro.obs import CAUSE_ID_STRIDE, Tracer, load_trace
 from repro.obs.trace import merge_trace_shards
 from repro.runtime.codec import decode_datagram, encode_message, decode_message
-from repro.runtime.udp_mp import (
+from repro.runtime.asyncio_udp import (
+    AsyncioUdpRuntime,
     RouteInstall,
-    WorkerUdpRuntime,
     control_address,
 )
 
@@ -69,7 +69,7 @@ def test_role_addresses_rejects_unknown_role():
         role_addresses(topo, "switch:0")
 
 
-# -- WorkerUdpRuntime ------------------------------------------------------
+# -- the runtime of one process in a cluster ------------------------------
 
 class _Sink:
     def __init__(self, address, runtime):
@@ -83,10 +83,10 @@ class _Sink:
 
 
 def test_worker_runtime_resolves_local_before_remote():
-    runtime = WorkerUdpRuntime(rank=1, seed=3)
+    runtime = AsyncioUdpRuntime(seed=3, rank=1)
     try:
         sink = _Sink("a", runtime)
-        local_port = runtime._ports["a"]
+        local_port = runtime._port
         runtime.install_port_map("127.0.0.1", {"a": 99999, "b": 4242})
         assert runtime._resolve("a") == ("127.0.0.1", local_port)
         assert runtime._resolve("b") == ("127.0.0.1", 4242)
@@ -100,12 +100,13 @@ def test_worker_runtime_delivers_over_real_sockets():
     """Two worker runtimes in one process, wired only through the port
     map: datagrams cross real sockets and land via the drained reader
     (wakeup/datagram counters move)."""
-    a = WorkerUdpRuntime(rank=1, seed=3)
-    b = WorkerUdpRuntime(rank=2, seed=4)
+    a = AsyncioUdpRuntime(seed=3, rank=1)
+    b = AsyncioUdpRuntime(seed=4, rank=2)
     try:
         _Sink("alpha", a)
         sink_b = _Sink("beta", b)
-        port_map = dict(a._ports) | dict(b._ports)
+        port_map = (dict.fromkeys(a._endpoints, a._port)
+                    | dict.fromkeys(b._endpoints, b._port))
         a.install_port_map("127.0.0.1", port_map)
         b.install_port_map("127.0.0.1", port_map)
         a.start()
@@ -128,7 +129,7 @@ def test_worker_runtime_delivers_over_real_sockets():
 def test_route_install_broadcasts_to_peer_controls():
     """install_sequencer_route must reach every peer process's runtime
     control endpoint as a RouteInstall packet on the wire."""
-    runtime = WorkerUdpRuntime(rank=0, seed=3)
+    runtime = AsyncioUdpRuntime(seed=3, rank=0)
     peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     peer.bind(("127.0.0.1", 0))
     peer.settimeout(5.0)
@@ -151,7 +152,7 @@ def test_route_install_broadcasts_to_peer_controls():
 
 
 def test_route_install_receive_path_installs_locally():
-    runtime = WorkerUdpRuntime(rank=2, seed=3)
+    runtime = AsyncioUdpRuntime(seed=3, rank=2)
     try:
         assert runtime.sequencer_address is None
         from repro.net.message import Packet
@@ -167,7 +168,7 @@ def test_route_install_receive_path_installs_locally():
 def test_worker_runtime_rejects_bad_knobs():
     from repro.errors import NetworkError
     with pytest.raises(NetworkError):
-        WorkerUdpRuntime(rank=-1)
+        AsyncioUdpRuntime(rank=-1)
 
 
 # -- snapshots + distributed checkers --------------------------------------
