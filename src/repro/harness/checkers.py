@@ -20,8 +20,9 @@ the entries above the base, so a cut weakens no check:
 
 - **serializability** — build the cross-shard precedence graph over
   transactions from each shard's committed log order; strict
-  serializability requires it be acyclic (checked with networkx). This
-  is the executable counterpart of the paper's second §6.7 invariant.
+  serializability requires it be acyclic (checked by :func:`find_cycle`,
+  an iterative depth-first search). This is the executable counterpart
+  of the paper's second §6.7 invariant.
 - **atomicity** — a transaction committed at any participant appears in
   the log of *every* participant shard.
 - **replica consistency** — within each shard, live replicas' logs are
@@ -32,8 +33,6 @@ the entries above the base, so a cut weakens no check:
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Union
-
-import networkx as nx
 
 from repro.core.log import ReplicaSnapshot, fold_digest, last_seq_of
 from repro.errors import InvariantViolation
@@ -61,20 +60,45 @@ def _first_occurrences(txns: Iterable) -> list:
     return order
 
 
+def find_cycle(successors: dict) -> Optional[list[tuple]]:
+    """A cycle of the graph ``successors`` (node → list of next nodes)
+    as its ``(u, v)`` edges, or None. Iterative, so a chain of 10⁵
+    transactions needs no recursion; roots and successors are visited
+    in insertion order, so one graph always yields the same cycle."""
+    done: set = set()
+    for root in successors:
+        if root in done:
+            continue
+        path = {root: 0}        # node → depth, in path order
+        pending = [iter(successors[root])]
+        while pending:
+            for node in pending[-1]:
+                if node in path:
+                    cycle = list(path)[path[node]:] + [node]
+                    return list(zip(cycle, cycle[1:]))
+                if node not in done:
+                    path[node] = len(path)
+                    pending.append(iter(successors.get(node, ())))
+                    break
+            else:
+                pending.pop()
+                done.add(path.popitem()[0])
+    return None
+
+
 def _check_acyclic(orders: dict[int, list], source: str) -> None:
     """The cross-shard precedence graph over per-shard commit orders
     must have no cycle."""
-    graph = nx.DiGraph()
+    successors: dict = {}
     for order in orders.values():
         # Consecutive edges suffice: shard order is total, so the
         # transitive closure covers all same-shard pairs.
-        graph.add_edges_from(zip(order, order[1:]))
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return
-    raise InvariantViolation(
-        f"{source}precedence cycle across shards: {cycle[:10]}")
+        for before, after in zip(order, order[1:]):
+            successors.setdefault(before, []).append(after)
+    cycle = find_cycle(successors)
+    if cycle is not None:
+        raise InvariantViolation(
+            f"{source}precedence cycle across shards: {cycle[:10]}")
 
 
 def _check_participants(orders: dict[int, list], participants: dict,
@@ -423,8 +447,10 @@ def run_all_checks(cluster: Optional[StateLike] = None,
                 if trace is None:
                     trace = cluster.tracer
                 cluster = snapshot_cluster(cluster)
-            check_serializability(cluster)
-            check_atomicity(cluster)
+            # One commit-order pass feeds both cross-shard checks.
+            orders, participants = _state_orders(cluster)
+            _check_acyclic(orders, "")
+            _check_participants(orders, participants, "")
             check_replica_consistency(cluster)
         if trace is not None:
             run_trace_checks(trace)

@@ -2,9 +2,16 @@
 hand-built inconsistent states and confirm they fire — from a live
 cluster and from the snapshots a per-node worker ships alike."""
 
-import pytest
+import itertools
+import re
+import sys
+from array import array
 
-from repro.core.log import ReplicaSnapshot
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.log import CutSummary, ReplicaSnapshot
 from repro.core.messages import TxnRecord
 from repro.core.transaction import IndependentTransaction, SlotId, TxnId
 from repro.errors import InvariantViolation
@@ -12,6 +19,7 @@ from repro.harness.checkers import (
     check_atomicity,
     check_replica_consistency,
     check_serializability,
+    find_cycle,
 )
 from repro.net.message import MultiStamp
 from repro.runtime.codec import decode_message, encode_message
@@ -220,3 +228,77 @@ def test_checkers_pass_on_fresh_cluster():
         check_serializability(state)
         check_atomicity(state)
         check_replica_consistency(state)
+
+
+# -- the cycle finder against a brute-force oracle ---------------------------
+#
+# Snapshots built straight from per-shard commit orders: each shard's DL
+# has cut its whole log, so its order lives in the packed cut summary,
+# which keeps even a 200,000-transaction order small.
+
+def cut_dl(shard, order):
+    """A shard's DL snapshot whose cut prefix commits the multi-shard
+    transactions ``TxnId("c", seq)`` for each seq of ``order``."""
+    packed = array("q")
+    for seq in order:
+        packed.extend((0, seq, 1))
+    if sys.byteorder != "little":
+        packed.byteswap()
+    return ReplicaSnapshot(
+        address=f"eris-r{shard}.0", shard=shard, replica_index=0,
+        view_num=0, is_dl=True, crashed=False, fed=len(order), entries=(),
+        store=(), cut=CutSummary(base=len(order), table=("c", (0, 1)),
+                                 order=packed.tobytes()))
+
+
+def serializable(orders):
+    """Brute force: some total order of every transaction keeps each
+    shard's order."""
+    txns = sorted(set().union(*orders))
+    for total in itertools.permutations(txns):
+        position = {txn: i for i, txn in enumerate(total)}
+        if all(position[a] < position[b]
+               for order in orders for a, b in zip(order, order[1:])):
+            return True
+    return False
+
+
+SHARD_ORDERS = st.integers(2, 3).flatmap(lambda shards: st.lists(
+    st.permutations(range(1, 9)).flatmap(
+        lambda txns: st.integers(0, 8).map(lambda n: txns[:n])),
+    min_size=shards, max_size=shards))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SHARD_ORDERS)
+def test_serializability_checker_raises_exactly_on_a_cycle(orders):
+    """The checker raises iff no total order fits every shard's order;
+    the cycle it reports is a closed walk of consecutive shard pairs."""
+    state = [cut_dl(shard, order) for shard, order in enumerate(orders)]
+    if serializable(orders):
+        check_serializability(state)
+        return
+    with pytest.raises(InvariantViolation, match="cycle") as err:
+        check_serializability(state)
+    seqs = [int(seq) for seq in re.findall(r"seq=(\d+)", str(err.value))]
+    edges = list(zip(seqs[::2], seqs[1::2]))
+    assert edges and edges[-1][1] == edges[0][0]
+    assert all(v == u for (_, v), (u, _) in zip(edges, edges[1:]))
+    pairs = {pair for order in orders for pair in zip(order, order[1:])}
+    assert set(edges) <= pairs
+
+
+def test_cycle_finder_needs_no_recursion_on_long_histories():
+    """A 200,000-transaction chain passes, and a cycle through 100,000
+    transactions is found whole, far past the interpreter's recursion
+    limit."""
+    chain = range(1, 200_001)
+    check_serializability([cut_dl(0, chain), cut_dl(1, chain)])
+    ring = range(1, 100_001)
+    with pytest.raises(InvariantViolation, match="cycle"):
+        check_serializability([cut_dl(0, ring), cut_dl(1, [100_000, 1])])
+    successors = {seq: [seq + 1] for seq in ring}
+    successors[100_000] = [1]
+    cycle = find_cycle(successors)
+    assert len(cycle) == 100_000 and cycle[0] == (1, 2)
+    assert cycle[-1] == (100_000, 1)
