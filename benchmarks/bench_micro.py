@@ -63,7 +63,6 @@ from repro.net.message import GroupcastHeader, Packet          # noqa: E402
 from repro.net.network import NetConfig, Network               # noqa: E402
 from repro.net.endpoint import Node                            # noqa: E402
 from repro.sim.event_loop import EventLoop                     # noqa: E402
-from repro.sim.process import Timer                            # noqa: E402
 
 MICRO_PATH = os.path.join(REPO_ROOT, "BENCH_micro.json")
 FIG6_PATH = os.path.join(REPO_ROOT, "BENCH_fig6.json")
@@ -132,8 +131,9 @@ def bench_timer_restart(n_timers: int, rounds: int) -> tuple[float, int]:
     The heap size is the anti-pollution check: before the ``reschedule``
     primitive every restart leaked one cancelled entry until it drained.
     """
-    loop = EventLoop()
-    timers = [Timer(loop, 1.0, lambda: None) for _ in range(n_timers)]
+    net = Network(EventLoop())
+    loop = net.loop
+    timers = [net.timer(1.0, lambda: None) for _ in range(n_timers)]
     t0 = time.process_time()
     for _ in range(rounds):
         for timer in timers:

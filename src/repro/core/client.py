@@ -37,7 +37,7 @@ from repro.core.transaction import IndependentTransaction, TxnId
 from repro.net.endpoint import Node
 from repro.net.message import Address, GroupId, Packet
 from repro.net.network import Network
-from repro.sim.process import Timer
+from repro.runtime.interface import Timer
 
 
 @dataclass

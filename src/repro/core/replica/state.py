@@ -25,7 +25,7 @@ from repro.net.libsequencer import MultiSequencedChannel
 from repro.net.message import Address, GroupId, Packet
 from repro.net.network import Network
 from repro.net.oum import OUMSequencer
-from repro.runtime.interface import TimerHandle
+from repro.runtime.interface import PeriodicTimer, Timer
 from repro.store.kv import KVStore
 from repro.store.procedures import ProcedureRegistry
 
@@ -89,8 +89,8 @@ class ReplicaState(Node):
     them."""
 
     #: Role timers, created by :mod:`.sync` and :mod:`.view_change`.
-    _sync_timer: TimerHandle
-    _vc_timer: TimerHandle
+    _sync_timer: PeriodicTimer
+    _vc_timer: Timer
 
     def __init__(self, address: Address, network: Network, shard: GroupId,
                  replica_index: int, shard_addrs: list[Address],

@@ -37,7 +37,7 @@ from typing import Any, Iterable, Optional, Union
 from repro.core.log import ReplicaSnapshot, fold_digest, last_seq_of
 from repro.errors import InvariantViolation
 from repro.harness.cluster import Cluster, live_dl
-from repro.obs.trace import TraceEvent, Tracer, load_trace
+from repro.obs.trace import Tracer, _as_dicts, load_trace
 
 # -- the invariant core ----------------------------------------------------
 #
@@ -242,14 +242,13 @@ TraceLike = Union[str, Tracer, list]
 
 
 def _trace_events(trace: TraceLike) -> list[dict]:
+    """The flat event records of ``trace`` (metadata lines such as a
+    flight-recorder dump header dropped)."""
     if isinstance(trace, str):
         trace = load_trace(trace)
     if isinstance(trace, Tracer):
         trace = trace.events
-    flat = [e.to_dict() if isinstance(e, TraceEvent) else e for e in trace]
-    # Tolerate metadata lines (flight-recorder dump headers have no
-    # "kind"): the checkers consume only event records.
-    return [e for e in flat if "kind" in e]
+    return _as_dicts(trace)
 
 
 def trace_replica_orders(trace: TraceLike
@@ -257,8 +256,13 @@ def trace_replica_orders(trace: TraceLike
     """Per shard, per replica, the log as ``(slot, kind, txn)`` tuples
     in append order, reconstructed from ``log_append`` events with
     ``log_adopt`` (view/epoch-change log replacement) applied."""
+    return _replica_orders(_trace_events(trace))
+
+
+def _replica_orders(events: list[dict]
+                    ) -> dict[int, dict[str, list[tuple]]]:
     orders: dict[int, dict[str, list[tuple]]] = {}
-    for event in _trace_events(trace):
+    for event in events:
         kind = event["kind"]
         if kind == "log_append":
             shard_orders = orders.setdefault(event["shard"], {})
@@ -294,22 +298,22 @@ def _trace_live_logs(events: list[dict]
     crashed = {e["node"] for e in events if e["kind"] == "crash"}
     return {shard: {node: log for node, log in logs.items()
                     if node not in crashed}
-            for shard, logs in trace_replica_orders(events).items()}
+            for shard, logs in _replica_orders(events).items()}
 
 
-def _trace_orders(events: list[dict]) -> dict[int, list[str]]:
+def _trace_orders(live_logs: dict[int, dict[str, list[tuple]]]
+                  ) -> dict[int, list[str]]:
     """Per shard, the commit order of the longest live replica log."""
     return {shard: _first_occurrences(
                 txn for _slot, kind, txn in max(logs.values(), key=len,
                                                 default=[])
                 if kind == "txn")
-            for shard, logs in _trace_live_logs(events).items()}
+            for shard, logs in live_logs.items()}
 
 
-def check_trace_replica_consistency(trace: TraceLike) -> None:
-    """Within each shard, every pair of live recorded replica logs must
-    be prefix-consistent on (slot, kind)."""
-    for shard, logs in _trace_live_logs(_trace_events(trace)).items():
+def _check_trace_prefixes(live_logs: dict[int, dict[str, list[tuple]]]
+                          ) -> None:
+    for shard, logs in live_logs.items():
         nodes = sorted(logs)
         for i, a in enumerate(nodes):
             for b in nodes[i + 1:]:
@@ -317,18 +321,25 @@ def check_trace_replica_consistency(trace: TraceLike) -> None:
                               b, (e[:2] for e in logs[b]), "trace: ")
 
 
+def check_trace_replica_consistency(trace: TraceLike) -> None:
+    """Within each shard, every pair of live recorded replica logs must
+    be prefix-consistent on (slot, kind)."""
+    _check_trace_prefixes(_trace_live_logs(_trace_events(trace)))
+
+
 def check_trace_serializability(trace: TraceLike) -> None:
     """Cross-shard precedence graph over the traced per-shard commit
     orders must be acyclic."""
-    _check_acyclic(_trace_orders(_trace_events(trace)), "trace: ")
+    _check_acyclic(_trace_orders(_trace_live_logs(_trace_events(trace))),
+                   "trace: ")
 
 
 def check_trace_atomicity(trace: TraceLike) -> None:
     """A traced transaction logged at any shard appears at every
     participant shard."""
     events = _trace_events(trace)
-    _check_participants(_trace_orders(events), _trace_participants(events),
-                        "trace: ")
+    _check_participants(_trace_orders(_trace_live_logs(events)),
+                        _trace_participants(events), "trace: ")
 
 
 # -- coordination-free read fast-path invariants ---------------------------
@@ -362,7 +373,10 @@ def check_trace_fast_reads(trace: TraceLike) -> None:
     resolved every epoch-e stamp as applied or permanently dropped, and
     a perm-dropped write never committed).
     """
-    events = _trace_events(trace)
+    _check_fast_reads(_trace_events(trace))
+
+
+def _check_fast_reads(events: list[dict]) -> None:
     members = _fastpath_shard_members(events)
     #: group -> list of in-flight writes [epoch, seq, write_keys|None]
     writes: dict[int, list] = {}
@@ -414,12 +428,16 @@ def check_trace_fast_reads(trace: TraceLike) -> None:
 
 
 def run_trace_checks(trace: TraceLike) -> None:
-    """All trace-backed invariant checks on one event stream."""
+    """All trace-backed invariant checks on one event stream, in the
+    order of the ``check_trace_*`` functions, from one flattening and
+    one live-log reconstruction."""
     events = _trace_events(trace)
-    check_trace_replica_consistency(events)
-    check_trace_serializability(events)
-    check_trace_atomicity(events)
-    check_trace_fast_reads(events)
+    live_logs = _trace_live_logs(events)
+    _check_trace_prefixes(live_logs)
+    orders = _trace_orders(live_logs)
+    _check_acyclic(orders, "trace: ")
+    _check_participants(orders, _trace_participants(events), "trace: ")
+    _check_fast_reads(events)
 
 
 def run_all_checks(cluster: Optional[StateLike] = None,

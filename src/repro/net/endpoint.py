@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 from repro.errors import NetworkError
 from repro.net.message import Address, GroupcastHeader, Packet
-from repro.runtime.interface import Runtime, TimerHandle
+from repro.runtime.interface import PeriodicTimer, Runtime, Timer
 
 
 class Node:
@@ -106,10 +106,10 @@ class Node:
         return packet
 
     # -- timers --------------------------------------------------------------
-    def timer(self, delay: float, fn, *args) -> TimerHandle:
+    def timer(self, delay: float, fn, *args) -> Timer:
         return self.runtime.timer(delay, fn, *args)
 
-    def periodic(self, period: float, fn, *args) -> TimerHandle:
+    def periodic(self, period: float, fn, *args) -> PeriodicTimer:
         return self.runtime.periodic(period, fn, *args)
 
     # -- CPU model -----------------------------------------------------------

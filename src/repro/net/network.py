@@ -14,10 +14,14 @@ Latency is sampled independently per packet, so the fabric naturally
 reorders messages under jitter; that is intentional, since tolerating
 reordering is precisely what multi-sequencing provides.
 
-:class:`Network` implements :class:`repro.runtime.interface.Runtime`:
-protocol nodes reach the clock, timers, and randomness through it and
-never touch the event loop directly, so the same protocol classes run
-over :mod:`repro.runtime.asyncio_udp` unchanged. Payloads are passed
+:class:`Network` implements :class:`repro.runtime.interface.Runtime`
+by supplying its clock and its link: ``now`` is the event loop's
+simulated time, and the timer primitives are one
+:meth:`EventLoop.schedule` per first arm and one
+:meth:`EventLoop.reschedule` per restart. Protocol nodes reach the
+clock, timers and randomness through the runtime and never touch the
+event loop directly, so the same protocol classes run over
+:mod:`repro.runtime.asyncio_udp` unchanged. Payloads are passed
 by reference for speed; :attr:`NetConfig.paranoid_codec` makes every
 delivery round-trip through the wire codec instead, which catches any
 handler that mutates a received message or relies on cross-recipient
@@ -31,9 +35,8 @@ from typing import Any, Callable, Optional
 
 from repro.errors import NetworkError
 from repro.net.message import Address, Packet
-from repro.runtime.interface import Runtime, TimerHandle
-from repro.sim.event_loop import EventLoop
-from repro.sim.process import PeriodicTimer, Timer
+from repro.runtime.interface import Runtime, Timer
+from repro.sim.event_loop import Event, EventLoop
 from repro.sim.randomness import SplitRandom
 
 
@@ -66,21 +69,19 @@ class NetConfig:
 
 class Network(Runtime):
     """The simulator's runtime: the clock is the event loop's
-    simulated time, timers are simulator timers, randomness is split
-    off the experiment seed, and :meth:`_transmit` is the simulated
-    link."""
+    simulated time, randomness is split off the experiment seed, and
+    :meth:`_transmit` is the simulated link."""
 
     backend = "sim"
     component = "net"
 
     def __init__(self, loop: EventLoop, config: Optional[NetConfig] = None,
                  rng: Optional[SplitRandom] = None):
-        super().__init__()
+        super().__init__(rng or SplitRandom(0))
         config = config or NetConfig()
         config.validate()
         self.loop = loop
         self.config = config
-        self.base_rng = rng or SplitRandom(0)
         self.rng = self.base_rng.split("network")
         self._link_clock: dict[tuple[Address, Address], float] = {}
         # Addresses exempt from random drops (e.g. the FC control plane
@@ -90,7 +91,7 @@ class Network(Runtime):
         #: returns True are silently discarded.
         self.drop_filter: Optional[Callable[[Packet], bool]] = None
 
-    # -- runtime interface: clock / scheduling / randomness ---------------
+    # -- runtime interface: clock / scheduling ---------------------------
     @property
     def now(self) -> float:
         return self.loop.now
@@ -102,16 +103,18 @@ class Network(Runtime):
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any):
         return self.loop.schedule_at(time, fn, *args)
 
-    def timer(self, delay: float, fn: Callable[..., Any],
-              *args: Any) -> TimerHandle:
-        return Timer(self.loop, delay, fn, *args)
+    def _rearm(self, handle: Optional[Event], delay: float,
+               timer: Timer) -> Event:
+        # A restart re-arms in place: ``reschedule`` pushes a later
+        # deadline without growing the heap, and re-arms a fired event
+        # without allocating a replacement.
+        loop = self.loop
+        if handle is None:
+            return loop.schedule(delay, timer._fire)
+        return loop.reschedule(handle, loop.now + delay)
 
-    def periodic(self, period: float, fn: Callable[..., Any],
-                 *args: Any) -> TimerHandle:
-        return PeriodicTimer(self.loop, period, fn, *args)
-
-    def rng_stream(self, name: str) -> SplitRandom:
-        return self.base_rng.split(name)
+    def _cancel(self, handle: Event) -> None:
+        self.loop.cancel(handle)
 
     # -- registration ----------------------------------------------------
     def unregister(self, address: Address) -> None:

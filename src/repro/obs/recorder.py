@@ -28,11 +28,10 @@ how many events have passed through.
 
 from __future__ import annotations
 
-import json
-import os
+import itertools
 from typing import Any, Optional
 
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import TraceEvent, load_trace, write_jsonl
 
 #: Default ring capacity: enough to hold several full transactions'
 #: worth of packet lifecycle events on the smoke topologies while
@@ -97,8 +96,9 @@ class FlightRecorder:
         consumers can recognize and skip it); the rest is the retained
         event window in the same flat schema ``Tracer.export`` uses,
         so ``trace``/``trace analyze`` tooling reads a dump directly.
-        Temp-file + rename, like the tracer's export: a crash during
-        the dump never leaves a half-written file.
+        Written through :func:`~repro.obs.trace.write_jsonl`, like the
+        tracer's export: a crash during the dump never leaves a
+        half-written file.
         """
         events = self.events()
         header: dict[str, Any] = {
@@ -107,27 +107,14 @@ class FlightRecorder:
                  "recorded": len(events), "dropped": self.dropped},
                 **(context or {}))
         }
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps(header) + "\n")
-                for event in events:
-                    handle.write(json.dumps(event.to_dict()) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_jsonl(path, itertools.chain(
+            [header], (event.to_dict() for event in events)))
         return len(events)
 
 
 def load_recorder_dump(path: str) -> tuple[dict[str, Any], list[dict]]:
     """Read a dump back as ``(header, events)``; raises ValueError on a
     file that is not a flight-recorder dump."""
-    from repro.obs.trace import load_trace
-
     lines = load_trace(path)
     if not lines or "flight_recorder" not in lines[0]:
         raise ValueError(f"{path}: not a flight-recorder dump "

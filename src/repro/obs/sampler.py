@@ -33,12 +33,12 @@ series is byte-stable across seeded reruns — pinned by
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
-import os
 from typing import Any, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.trace import read_jsonl, write_jsonl
 
 
 def _sanitize_hist(snapshot: dict) -> dict:
@@ -123,26 +123,15 @@ class MetricsSampler:
 
     # -- export ------------------------------------------------------------
     def export(self, path: str) -> int:
-        """Write the series as JSONL (metadata line first); returns the
-        sample count. Temp-file + rename, like the tracer's export."""
+        """Write the series as JSONL (metadata line first) through
+        :func:`~repro.obs.trace.write_jsonl`; returns the sample
+        count."""
         meta = {"metrics_series": {
             "interval": self.interval,
             "backend": getattr(self.runtime, "backend", "unknown"),
             "start": self._start_t if self._start_t is not None else 0.0,
         }}
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps(meta) + "\n")
-                for sample in self.samples:
-                    handle.write(json.dumps(sample) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_jsonl(path, itertools.chain([meta], self.samples))
         return len(self.samples)
 
 
@@ -150,21 +139,11 @@ def load_series(path: str) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Read a series file back as ``(meta, samples)``."""
     meta: dict[str, Any] = {}
     samples: list[dict[str, Any]] = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: malformed series line: {exc}"
-                ) from exc
-            if "metrics_series" in obj:
-                meta = obj["metrics_series"]
-            else:
-                samples.append(obj)
+    for obj in read_jsonl(path, "series"):
+        if "metrics_series" in obj:
+            meta = obj["metrics_series"]
+        else:
+            samples.append(obj)
     return meta, samples
 
 

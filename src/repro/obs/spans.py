@@ -57,13 +57,11 @@ Three consumers sit on top:
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.obs.metrics import Histogram
-from repro.obs.trace import _as_dicts
+from repro.obs.trace import _as_dicts, write_jsonl
 
 #: Telescoping phase order (sums to end-to-end latency per transaction).
 PHASES = (
@@ -588,7 +586,8 @@ def export_chrome_trace(forest: SpanForest, path: str) -> int:
     request to the sequencer, fan-out copies, per-replica processing,
     replies, recoveries — reads left-to-right on one screen. Timestamps
     are microseconds of simulated time. Returns the event count; the
-    write is temp-file + rename, like :meth:`Tracer.export`.
+    document is written through :func:`~repro.obs.trace.write_jsonl`
+    (as its one line), like :meth:`Tracer.export`.
     """
     trace_events: list[dict[str, Any]] = []
 
@@ -628,15 +627,5 @@ def export_chrome_trace(forest: SpanForest, path: str) -> int:
         name_process(0, "unattached recoveries", tids)
 
     payload = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_jsonl(path, [payload])
     return len(trace_events)

@@ -211,48 +211,60 @@ class Tracer:
                 if e.kind == kind and (node is None or e.node == node)]
 
     def export(self, path: str) -> int:
-        """Write the trace as JSONL; returns the event count.
-
-        The write goes through a sibling temp file renamed into place,
-        so a run that crashes (or a disk that fills) mid-export never
-        leaves a truncated, half-parseable JSONL behind — ``path``
-        either holds the previous complete trace or the new one.
-        """
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as handle:
-                for event in self.events:
-                    handle.write(json.dumps(event.to_dict()) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Write the trace as JSONL through :func:`write_jsonl`;
+        returns the event count."""
+        write_jsonl(path, (event.to_dict() for event in self.events))
         return len(self.events)
 
 
-def load_trace(path: str) -> list[dict[str, Any]]:
-    """Read a JSONL trace back as a list of flat event dicts.
+def write_jsonl(path: str, records: Iterable[Any]) -> None:
+    """Write ``records`` to ``path``, one JSON document per line.
+
+    The write goes through a sibling temp file renamed into place, so a
+    run that crashes (or a disk that fills, or a record that does not
+    serialize) mid-write never leaves a truncated, half-parseable file
+    behind — ``path`` either holds the previous complete file or the
+    new one. Every exporter of the observability stack writes through
+    here.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w") as handle:
+            for record in records:
+                handle.write(json.dumps(record) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def read_jsonl(path: str, what: str = "trace") -> Iterable[Any]:
+    """The JSON documents of ``path``, one per non-blank line.
 
     A malformed line raises :class:`ValueError` naming the file and
-    1-based line number, so a corrupt export is diagnosable without
-    bisecting the file by hand.
+    1-based line number (``what`` names the file kind), so a corrupt
+    export is diagnosable without bisecting the file by hand.
     """
-    events = []
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                yield json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
-                    f"{path}:{lineno}: malformed trace line: {exc}"
+                    f"{path}:{lineno}: malformed {what} line: {exc}"
                 ) from exc
-    return events
+
+
+def load_trace(path: str) -> list[dict[str, Any]]:
+    """Read a JSONL trace back as a list of flat event dicts (see
+    :func:`read_jsonl` for how a malformed line is reported)."""
+    return list(read_jsonl(path))
 
 
 def merge_trace_shards(paths: list[str],
@@ -270,7 +282,7 @@ def merge_trace_shards(paths: list[str],
     merged stream would silently fuse unrelated message lifecycles.
 
     With ``out_path`` the merged stream is also written as JSONL
-    (temp-file + rename, like ``Tracer.export``), readable by every
+    (through :func:`write_jsonl`, like ``Tracer.export``), readable by every
     trace consumer — ``trace``, ``trace analyze``, the trace-backed
     §6.7 checkers.
     """
@@ -295,18 +307,7 @@ def merge_trace_shards(paths: list[str],
     merged.sort(key=lambda item: item[:3])
     events = [event for _ts, _shard, _line, event in merged]
     if out_path is not None:
-        tmp = f"{out_path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as handle:
-                for event in events:
-                    handle.write(json.dumps(event) + "\n")
-            os.replace(tmp, out_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_jsonl(out_path, events)
     return events
 
 

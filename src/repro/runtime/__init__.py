@@ -7,8 +7,10 @@ VR, and all four baselines) is written against the narrow
 timers, clock, seeded randomness, endpoint lifecycle — and never
 against a concrete fabric. The fabric itself — endpoint registry,
 sequencer route, send, fan-out, drops and arrival — is written once,
-in :class:`~repro.runtime.interface.Runtime`; two backends add a
-clock, timers and a link to it:
+in :class:`~repro.runtime.interface.Runtime`, with the one
+:class:`~repro.runtime.interface.Timer` /
+:class:`~repro.runtime.interface.PeriodicTimer` pair and the named RNG
+streams; two backends add a clock and a link to it:
 
 - :class:`repro.net.network.Network` — the discrete-event simulator's
   link (deterministic, microsecond-scale latency, loss and FIFO
@@ -36,11 +38,12 @@ from repro.runtime.codec import (
     encode_packet,
     registered_message_types,
 )
-from repro.runtime.interface import Runtime, TimerHandle
+from repro.runtime.interface import PeriodicTimer, Runtime, Timer
 
 __all__ = [
     "Runtime",
-    "TimerHandle",
+    "Timer",
+    "PeriodicTimer",
     "CodecError",
     "encode_message",
     "decode_message",

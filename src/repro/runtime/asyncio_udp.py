@@ -78,7 +78,7 @@ from repro.runtime.codec import (
     encode_packet_tail,
     register_messages,
 )
-from repro.runtime.interface import Runtime, TimerHandle
+from repro.runtime.interface import Runtime, Timer
 from repro.sim.randomness import SplitRandom
 
 #: Receive size: the maximum UDP payload fits with room to spare.
@@ -102,77 +102,9 @@ _SELECT_FD_LIMIT = 1024
 #: reads at most 9% above the true lag.
 _LOOP_LAG_GROWTH = 2 ** 0.125
 
-
-class _AsyncioTimer:
-    """Restartable one-shot timer over the runtime's ``call_later``
-    with the same semantics as the simulator's
-    :class:`repro.sim.process.Timer`: ``start()`` (re)arms, discarding
-    any previous deadline."""
-
-    def __init__(self, runtime: "AsyncioUdpRuntime", delay: float,
-                 fn: Callable[..., Any], *args: Any):
-        self._runtime = runtime
-        self.delay = delay
-        self._fn = fn
-        self._args = args
-        self._handle: Optional[asyncio.TimerHandle] = None
-
-    def start(self, delay: Optional[float] = None) -> None:
-        d = self.delay if delay is None else delay
-        if self._handle is not None:
-            self._handle.cancel()
-        self._handle = self._runtime.call_later(d, self._fire)
-
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def restart(self, delay: Optional[float] = None) -> None:
-        self.start(delay)
-
-    @property
-    def active(self) -> bool:
-        return self._handle is not None and not self._handle.cancelled()
-
-    def _fire(self) -> None:
-        self._handle = None
-        self._fn(*self._args)
-
-
-class _AsyncioPeriodic:
-    """Periodic timer matching :class:`repro.sim.process.PeriodicTimer`."""
-
-    def __init__(self, runtime: "AsyncioUdpRuntime", period: float,
-                 fn: Callable[..., Any], *args: Any):
-        self._runtime = runtime
-        self.period = period
-        self._fn = fn
-        self._args = args
-        self._handle: Optional[asyncio.TimerHandle] = None
-        self._stopped = True
-
-    def start(self, initial_delay: Optional[float] = None) -> None:
-        self.stop()
-        self._stopped = False
-        delay = self.period if initial_delay is None else initial_delay
-        self._handle = self._runtime.call_later(delay, self._fire)
-
-    def stop(self) -> None:
-        self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    @property
-    def active(self) -> bool:
-        return not self._stopped
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._handle = self._runtime.call_later(self.period, self._fire)
-        self._fn(*self._args)
+#: Period of the loop-lag probe, armed by :meth:`AsyncioUdpRuntime.
+#: instrument`.
+_LAG_PROBE_INTERVAL = 0.005
 
 
 @dataclass(frozen=True)
@@ -217,7 +149,7 @@ class AsyncioUdpRuntime(Runtime):
                  rank: Optional[int] = None):
         if rank is not None and rank < 0:
             raise NetworkError(f"rank must be >= 0: {rank}")
-        super().__init__()
+        super().__init__(SplitRandom(seed))
         self.host = host
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         if sock.fileno() >= _SELECT_FD_LIMIT:
@@ -232,7 +164,6 @@ class AsyncioUdpRuntime(Runtime):
         self._port: int = sock.getsockname()[1]
         self._local = (host, self._port)
         self.aloop = asyncio.SelectorEventLoop(selectors.SelectSelector())
-        self.base_rng = SplitRandom(seed)
         #: The local addresses whose node has ``opaque_bodies``, and the
         #: delivery order.
         self._opaque: set[Address] = set()
@@ -266,12 +197,12 @@ class AsyncioUdpRuntime(Runtime):
         # path pays one ``is not None`` check while unattached.
         self._hist_datagram_bytes = None
         self._hist_loop_lag = None
-        self._lag_probe_interval = 0.005
-        self._lag_probe_expected: Optional[float] = None
+        self._lag_probe = self.periodic(_LAG_PROBE_INTERVAL, self._probe_lag)
+        self._lag_probe_due = 0.0
         self._control = (_RuntimeControl(self, rank)
                          if rank is not None else None)
 
-    # -- clock / scheduling / randomness -----------------------------------
+    # -- clock / scheduling ------------------------------------------------
     @property
     def now(self) -> float:
         return self.aloop.time()
@@ -282,16 +213,14 @@ class AsyncioUdpRuntime(Runtime):
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any):
         return self.aloop.call_at(time, fn, *args)
 
-    def timer(self, delay: float, fn: Callable[..., Any],
-              *args: Any) -> TimerHandle:
-        return _AsyncioTimer(self, delay, fn, *args)
+    def _rearm(self, handle: Optional[asyncio.TimerHandle], delay: float,
+               timer: Timer) -> asyncio.TimerHandle:
+        if handle is not None:
+            handle.cancel()
+        return self.call_later(delay, timer._fire)
 
-    def periodic(self, period: float, fn: Callable[..., Any],
-                 *args: Any) -> TimerHandle:
-        return _AsyncioPeriodic(self, period, fn, *args)
-
-    def rng_stream(self, name: str) -> SplitRandom:
-        return self.base_rng.split(name)
+    def _cancel(self, handle: asyncio.TimerHandle) -> None:
+        handle.cancel()
 
     # -- registration and name resolution ----------------------------------
     def register(self, node: Any) -> None:
@@ -431,16 +360,16 @@ class AsyncioUdpRuntime(Runtime):
             self._arm_lag_probe()
 
     def _arm_lag_probe(self) -> None:
-        self._lag_probe_expected = self.now + self._lag_probe_interval
-        self.aloop.call_later(self._lag_probe_interval, self._lag_probe_fire)
+        """Arm the loop-lag probe unless it is armed already: a repeated
+        :meth:`instrument` neither adds a probe nor resets it."""
+        if not self._lag_probe.active:
+            self._lag_probe_due = self.now + _LAG_PROBE_INTERVAL
+            self._lag_probe.start()
 
-    def _lag_probe_fire(self) -> None:
-        if self._closed or self._hist_loop_lag is None:
-            return
-        expected = self._lag_probe_expected
-        if expected is not None:
-            self._hist_loop_lag.record(max(0.0, self.now - expected))
-        self._arm_lag_probe()
+    def _probe_lag(self) -> None:
+        now = self.now
+        self._hist_loop_lag.record(max(0.0, now - self._lag_probe_due))
+        self._lag_probe_due = now + _LAG_PROBE_INTERVAL
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -459,6 +388,7 @@ class AsyncioUdpRuntime(Runtime):
         if self._closed:
             return
         self._closed = True
+        self._lag_probe.stop()
         if self._started:
             self.aloop.remove_reader(self._sock.fileno())
         self._sock.close()

@@ -21,19 +21,23 @@ observability        :attr:`tracer` (optional causal tracer)
 lifecycle            :meth:`start` / :meth:`stop`
 ==================  =====================================================
 
-The transport, registry and routing rows are written here, once.
-Backends differ in the clock, timers, randomness and link (see the
-backend matrix in DESIGN.md), never in what the protocol observes:
-the simulator keys its clock to the event loop and delivers payloads
-by reference (or, in paranoid-codec mode, through the wire codec);
-the asyncio-UDP backend keys its clock to ``loop.time()`` and every
+Everything but the clock and the link is written here, once: the
+transport, registry and routing rows, the :class:`Timer` and
+:class:`PeriodicTimer` every node arms, and the named RNG streams
+split off the runtime's base seed. A backend supplies its clock
+(:attr:`now`, :meth:`call_later`, :meth:`call_at`, and the two timer
+primitives :meth:`_rearm` and :meth:`_cancel`) and its link
+(:meth:`_transmit`); see the backend matrix in DESIGN.md. The
+simulator keys its clock to the event loop and delivers payloads by
+reference (or, in paranoid-codec mode, through the wire codec); the
+asyncio-UDP backend keys its clock to ``loop.time()`` and every
 message crosses a real socket serialized by the codec.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional, Protocol, TYPE_CHECKING, runtime_checkable
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError
 
@@ -42,32 +46,67 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.randomness import SplitRandom
 
 
-@runtime_checkable
-class TimerHandle(Protocol):
-    """A restartable one-shot or periodic timer.
+class Timer:
+    """A restartable one-shot timer, created unarmed.
 
-    ``start()`` (re)arms; for one-shot timers a restart discards the
-    previous deadline — the usual semantics for retransmission timers
-    pushed back on every response. ``stop()`` cancels; stopping an
-    unarmed timer is harmless.
+    ``start()`` (re)arms; if it was already armed, the previous
+    deadline is discarded — the usual semantics for protocol
+    retransmission timers pushed back on every response. ``stop()``
+    cancels; stopping an unarmed timer is harmless.
     """
 
-    delay: float
+    def __init__(self, runtime: "Runtime", delay: float,
+                 fn: Callable[..., Any], *args: Any):
+        self._runtime = runtime
+        self.delay = delay
+        self._fn = fn
+        self._args = args
+        self._handle: Any = None
 
-    def start(self, delay: Optional[float] = None) -> None: ...
+    def start(self, delay: Optional[float] = None) -> None:
+        self._handle = self._runtime._rearm(
+            self._handle, self.delay if delay is None else delay, self)
 
-    def stop(self) -> None: ...
+    def stop(self) -> None:
+        if self._handle is not None:
+            self._runtime._cancel(self._handle)
+            self._handle = None
 
-    def restart(self, delay: Optional[float] = None) -> None: ...
+    def restart(self, delay: Optional[float] = None) -> None:
+        self.start(delay)
 
     @property
-    def active(self) -> bool: ...
+    def active(self) -> bool:
+        return self._handle is not None
+
+    def _fire(self) -> None:
+        self._handle = None
+        self._fn(*self._args)
+
+
+class PeriodicTimer(Timer):
+    """A :class:`Timer` that re-arms itself: fires ``fn`` every
+    ``delay`` seconds (its period) from ``start()`` until ``stop()``,
+    which may be called from ``fn`` itself."""
+
+    def start(self, initial_delay: Optional[float] = None) -> None:
+        """(Re)arm; ``initial_delay`` replaces only the first period."""
+        super().start(initial_delay)
+
+    def _fire(self) -> None:
+        # Re-armed before ``fn`` runs, so ``fn`` may stop the timer; the
+        # handle that just fired is passed back, which the simulator
+        # re-arms without allocating.
+        self._handle = self._runtime._rearm(self._handle, self.delay, self)
+        self._fn(*self._args)
 
 
 class Runtime:
     """The fabric core every backend shares: registry, routing, send,
-    fan-out, drops and arrival, with their counters. A backend supplies
-    its clock, timers and randomness, and :meth:`_transmit`."""
+    fan-out, drops and arrival, with their counters, the timers and the
+    named RNG streams. A backend supplies its clock (with the timer
+    primitives :meth:`_rearm` and :meth:`_cancel`) and its link,
+    :meth:`_transmit`."""
 
     #: Short backend identifier ("sim", "asyncio-udp", ...).
     backend: str = "abstract"
@@ -83,7 +122,7 @@ class Runtime:
     #: double-charge.
     models_cost: bool = True
 
-    def __init__(self) -> None:
+    def __init__(self, rng: "SplitRandom") -> None:
         # Imported here: repro.net's package import reaches this module.
         from repro.net.groupcast import GroupMembership
 
@@ -92,6 +131,8 @@ class Runtime:
         # experiments are deterministic (a module-global counter kept
         # counting across runs).
         self._tag_counter = itertools.count(1)
+        #: The runtime seed's stream; :meth:`rng_stream` splits it.
+        self.base_rng = rng
         self.groups = GroupMembership()
         self._endpoints: dict["Address", Any] = {}
         self.sequencer_address: Optional["Address"] = None
@@ -132,20 +173,33 @@ class Runtime:
         :attr:`now`)."""
         raise NotImplementedError
 
-    def timer(self, delay: float, fn: Callable[..., Any],
-              *args: Any) -> TimerHandle:
-        """A restartable one-shot timer (created unarmed)."""
+    def _rearm(self, handle: Any, delay: float, timer: Timer) -> Any:
+        """Arm ``timer._fire`` to run ``delay`` seconds from now,
+        replacing ``handle`` (one this method returned for ``timer``,
+        pending or already fired; None for none); returns the handle
+        to keep. :class:`Timer` and :class:`PeriodicTimer` are written
+        over this and :meth:`_cancel`. The timer, not a bound
+        ``_fire``, is passed so that a restart allocates nothing."""
         raise NotImplementedError
 
-    def periodic(self, period: float, fn: Callable[..., Any],
-                 *args: Any) -> TimerHandle:
-        """A periodic timer (created unarmed)."""
+    def _cancel(self, handle: Any) -> None:
+        """Cancel a pending handle from :meth:`_rearm`."""
         raise NotImplementedError
+
+    def timer(self, delay: float, fn: Callable[..., Any],
+              *args: Any) -> Timer:
+        """A restartable one-shot timer (created unarmed)."""
+        return Timer(self, delay, fn, *args)
+
+    def periodic(self, period: float, fn: Callable[..., Any],
+                 *args: Any) -> PeriodicTimer:
+        """A periodic timer (created unarmed)."""
+        return PeriodicTimer(self, period, fn, *args)
 
     # -- randomness --------------------------------------------------------
     def rng_stream(self, name: str) -> "SplitRandom":
         """A named, seeded RNG stream derived from the runtime seed."""
-        raise NotImplementedError
+        return self.base_rng.split(name)
 
     # -- endpoint registry -------------------------------------------------
     def register(self, node: Any) -> None:

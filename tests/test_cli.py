@@ -309,3 +309,16 @@ def test_docs_check_matches_whole_flags():
     assert docs_check.check_command(
         "repro", ["--commutative-fraction", "0.2", "--read-fraction",
                   "0.5"]) == []
+
+
+def test_docs_check_resolves_dotted_names():
+    """A backticked ``repro.…`` name must be a module or an attribute
+    chain under one; prose around the span is not a name."""
+    docs_check = _load_docs_check()
+    assert docs_check.check_names(
+        "`repro.runtime.interface.Timer.start`, `repro.sim`, "
+        "`repro.harness.cli trace`") == []
+    problems = docs_check.check_names(
+        "`repro.sim.process` and `repro.runtime.interface.TimerHandle`")
+    assert len(problems) == 2
+    assert "`repro.sim.process`" in problems[1]

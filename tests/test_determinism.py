@@ -23,7 +23,6 @@ from repro.harness import (
 from repro.net.controller import ControllerConfig
 from repro.net.network import NetConfig, Network
 from repro.sim.event_loop import EventLoop
-from repro.sim.process import Timer
 from repro.sim.randomness import SplitRandom
 from repro.store import ProcedureRegistry
 from repro.workloads import (
@@ -294,8 +293,9 @@ def test_event_heap_stays_bounded_under_timer_restart_churn():
     """Restartable timers re-armed millions of times must not grow the
     heap: the deferred reschedule keeps one entry per live timer (the
     naive implementation left one cancelled entry per restart)."""
-    loop = EventLoop()
-    timers = [Timer(loop, 1.0, lambda: None) for _ in range(50)]
+    net = Network(EventLoop())
+    loop = net.loop
+    timers = [net.timer(1.0, lambda: None) for _ in range(50)]
     for round_no in range(2000):
         for timer in timers:
             timer.start()
@@ -307,13 +307,14 @@ def test_event_heap_stays_bounded_under_timer_restart_churn():
 def test_event_heap_compaction_bounds_cancel_churn():
     """Timers cancelled outright (stop without restart) accumulate
     lazily-deleted entries only until compaction kicks in."""
-    loop = EventLoop()
+    net = Network(EventLoop())
+    loop = net.loop
     for _ in range(50_000):
-        timer = Timer(loop, 1.0, lambda: None)
+        timer = net.timer(1.0, lambda: None)
         timer.start()
         timer.stop()
     live = 100
-    keep = [Timer(loop, 1.0, lambda: None) for _ in range(live)]
+    keep = [net.timer(1.0, lambda: None) for _ in range(live)]
     for timer in keep:
         timer.start()
     assert loop.compactions > 0

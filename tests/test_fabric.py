@@ -1,5 +1,6 @@
 """The fabric core both backends share: the endpoint registry,
-groupcast routing, and the send/fan-out counters.
+groupcast routing, the send/fan-out counters, and the one
+:class:`Timer` / :class:`PeriodicTimer` pair.
 
 Each test runs once on the simulator (:class:`Network`) and once on
 real loopback sockets (:class:`AsyncioUdpRuntime`) and asserts the
@@ -98,3 +99,148 @@ def test_fanout_copies_counted_separately_from_sends(runtime):
     assert runtime.packets_sent == 2
     assert runtime.fanout_copies == 3
     assert runtime.packets_delivered == 4
+
+
+# -- timers ---------------------------------------------------------------
+#
+# Every window is closed by a callback armed on the same runtime, so the
+# UDP cases do not race the wall clock: a late loop runs whatever is
+# due in deadline order. Simulated time is exact; real time only runs
+# late, so on UDP a fire time is a lower bound and a periodic timer may
+# tick fewer times than the simulator does, never more.
+
+#: Slack for the asyncio clock, which fires a handle up to its clock
+#: resolution early.
+_EARLY = 1e-6
+
+
+def advance(runtime, seconds):
+    """Let ``seconds`` pass: simulated time on the simulator, real time
+    (the loop running) on UDP."""
+    if isinstance(runtime, Network):
+        runtime.loop.run(until=runtime.now + seconds)
+    else:
+        runtime.run_for(seconds)
+
+
+def assert_fired_at(runtime, times, start, expected):
+    """``times`` are a timer's fire times and ``expected`` its
+    deadlines as offsets from ``start``: exact on the simulator; on UDP
+    the first always fires and every one fires no earlier."""
+    if isinstance(runtime, Network):
+        assert times == [pytest.approx(start + e) for e in expected]
+        return
+    assert 1 <= len(times) <= len(expected)
+    for got, offset in zip(times, expected):
+        assert got >= start + offset - _EARLY
+
+
+def test_timer_fires_after_delay(runtime):
+    fired = []
+    start = runtime.now
+    timer = runtime.timer(5e-3, lambda: fired.append(runtime.now))
+    timer.start()
+    runtime.call_later(4e-3, fired.append, "4 ms")
+    advance(runtime, 6e-3)
+    assert fired[0] == "4 ms"
+    assert_fired_at(runtime, fired[1:], start, [5e-3])
+
+
+def test_timer_stop_cancels(runtime):
+    fired = []
+    timer = runtime.timer(5e-3, fired.append, "x")
+    timer.start()
+    timer.stop()
+    advance(runtime, 10e-3)
+    assert fired == []
+
+
+def test_timer_restart_pushes_deadline(runtime):
+    fired = []
+    start = runtime.now
+    timer = runtime.timer(5e-3, lambda: fired.append(runtime.now))
+    timer.start()
+    runtime.call_later(3e-3, timer.restart)
+    advance(runtime, 12e-3)
+    assert len(fired) == 1
+    assert_fired_at(runtime, fired, start, [8e-3])
+
+
+def test_timer_custom_delay_overrides_default(runtime):
+    fired = []
+    start = runtime.now
+    timer = runtime.timer(5e-3, lambda: fired.append(runtime.now))
+    timer.start(delay=1e-3)
+    advance(runtime, 3e-3)
+    assert len(fired) == 1
+    assert_fired_at(runtime, fired, start, [1e-3])
+
+
+def test_timer_active_property(runtime):
+    timer = runtime.timer(5e-3, lambda: None)
+    assert not timer.active
+    timer.start()
+    assert timer.active
+    timer.stop()
+    assert not timer.active
+
+
+def test_periodic_fires_repeatedly(runtime):
+    fired = []
+    start = runtime.now
+    timer = runtime.periodic(2e-3, lambda: fired.append(runtime.now))
+    timer.start()
+    runtime.call_later(7e-3, timer.stop)
+    advance(runtime, 10e-3)
+    assert_fired_at(runtime, fired, start, [2e-3, 4e-3, 6e-3])
+    for earlier, later in zip(fired, fired[1:]):
+        assert later - earlier >= 2e-3 - _EARLY
+
+
+def test_periodic_stop_halts_firing(runtime):
+    fired = []
+    start = runtime.now
+    timer = runtime.periodic(2e-3, lambda: fired.append(runtime.now))
+    timer.start()
+    runtime.call_later(5e-3, timer.stop)
+    advance(runtime, 20e-3)
+    assert not timer.active
+    assert_fired_at(runtime, fired, start, [2e-3, 4e-3])
+
+
+def test_periodic_initial_delay(runtime):
+    fired = []
+    start = runtime.now
+    timer = runtime.periodic(5e-3, lambda: fired.append(runtime.now))
+    timer.start(initial_delay=1e-3)
+    runtime.call_later(7e-3, timer.stop)
+    advance(runtime, 10e-3)
+    assert_fired_at(runtime, fired, start, [1e-3, 6e-3])
+
+
+def test_periodic_stop_from_callback(runtime):
+    fired = []
+    timer = runtime.periodic(1e-3, lambda: (fired.append(1),
+                                            timer.stop()))
+    timer.start()
+    advance(runtime, 10e-3)
+    assert len(fired) == 1
+    assert not timer.active
+
+
+def test_timers_fire_and_restart(runtime):
+    fired = []
+    timer = runtime.timer(0.01, lambda: fired.append("one-shot"))
+    periodic = runtime.periodic(0.01, lambda: fired.append("tick"))
+    timer.start()
+    timer.restart()          # push the deadline; still exactly one fire
+    periodic.start()
+    done = lambda: "one-shot" in fired and fired.count("tick") >= 3
+    if isinstance(runtime, Network):
+        runtime.loop.run(until=0.05)
+    else:
+        runtime.run_until(done, timeout=5.0)
+    assert done()
+    periodic.stop()
+    assert fired.count("one-shot") == 1
+    assert not periodic.active

@@ -1,8 +1,11 @@
 """The package has no runtime dependencies: importing the harness and
 the per-node worker loads nothing but the standard library and
-``repro`` itself."""
+``repro`` itself. And the protocol layer is backend-neutral: nothing
+under ``repro.core`` imports the simulator."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -23,3 +26,23 @@ def test_harness_and_worker_import_only_the_standard_library():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, check=True, timeout=60).stdout.strip()
     assert out == "[]"
+
+
+def test_core_never_imports_the_simulator():
+    """Protocol code reaches clock, timers and randomness through the
+    runtime, so it runs unchanged on every backend."""
+    core = pathlib.Path(repro.__file__).parent / "core"
+    offenders = []
+    for path in sorted(core.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders.extend(f"{path.relative_to(core)}: {name}"
+                             for name in names
+                             if name == "repro.sim"
+                             or name.startswith("repro.sim."))
+    assert offenders == []

@@ -8,14 +8,20 @@ import pytest
 from repro.net.message import GroupcastHeader, MultiStamp, Packet
 from repro.obs import (
     Counter,
+    FlightRecorder,
     Gauge,
     Histogram,
     MetricsRegistry,
+    MetricsSampler,
     Tracer,
     load_trace,
+    merge_trace_shards,
     nearest_rank_index,
     summarize_trace,
 )
+from repro.obs import trace as trace_module
+from repro.obs.spans import Span, SpanForest, export_chrome_trace
+from repro.obs.trace import TraceEvent
 
 
 def _packet(src="a", dst="b", payload="hello", **kwargs) -> Packet:
@@ -159,6 +165,52 @@ def test_export_failure_preserves_existing_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         tracer.export(str(path))
     # The crash left neither a truncated export nor a temp file behind.
+    assert path.read_text() == "precious previous export\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _write_tracer(path, monkeypatch):
+    tracer = Tracer()
+    tracer.record("probe", "n", bad=object())
+    tracer.export(path)
+
+
+def _write_merged(path, monkeypatch):
+    monkeypatch.setattr(trace_module, "load_trace", lambda shard: [
+        {"ts": 0.0, "kind": "probe", "node": "n", "bad": object()}])
+    merge_trace_shards(["shard-0.jsonl"], out_path=path)
+
+
+def _write_recorder(path, monkeypatch):
+    recorder = FlightRecorder(capacity=4)
+    recorder.append(TraceEvent(ts=0.0, kind="probe", node="n",
+                               data={"bad": object()}))
+    recorder.dump(path, reason="test")
+
+
+def _write_series(path, monkeypatch):
+    sampler = MetricsSampler(None, MetricsRegistry())
+    sampler.samples.append({"t": 0.0, "seq": 0, "bad": object()})
+    sampler.export(path)
+
+
+def _write_chrome(path, monkeypatch):
+    orphan = Span("recovery", 0.0, 1.0, "n", attrs={"bad": object()})
+    export_chrome_trace(SpanForest(txns=[], orphans=[orphan]), path)
+
+
+@pytest.mark.parametrize("write", [_write_tracer, _write_merged,
+                                   _write_recorder, _write_series,
+                                   _write_chrome])
+def test_unserializable_record_leaves_previous_file(tmp_path, monkeypatch,
+                                                    write):
+    """Every exporter writes through one atomic writer: a record that
+    cannot be serialized fails the write but leaves the previous file
+    intact and no ``.tmp.`` sibling behind."""
+    path = tmp_path / "out.jsonl"
+    path.write_text("precious previous export\n")
+    with pytest.raises(TypeError):
+        write(str(path), monkeypatch)
     assert path.read_text() == "precious previous export\n"
     assert list(tmp_path.iterdir()) == [path]
 

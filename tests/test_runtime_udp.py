@@ -57,21 +57,6 @@ def test_unicast_roundtrip_over_loopback(runtime):
     assert runtime.packets_delivered >= 2
 
 
-def test_timers_fire_and_restart(runtime):
-    fired = []
-    timer = runtime.timer(0.01, lambda: fired.append("one-shot"))
-    periodic = runtime.periodic(0.01, lambda: fired.append("tick"))
-    timer.start()
-    timer.restart()          # push the deadline; still exactly one fire
-    periodic.start()
-    assert runtime.run_until(
-        lambda: "one-shot" in fired and fired.count("tick") >= 3,
-        timeout=5.0)
-    periodic.stop()
-    assert fired.count("one-shot") == 1
-    assert not periodic.active
-
-
 def test_runtime_owns_fresh_tags_and_rng(runtime):
     node = Echo("n", runtime)
     assert node.fresh_tag("n") == "n:1"

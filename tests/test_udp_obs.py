@@ -22,6 +22,7 @@ from repro.obs import (
     load_series,
     load_trace,
 )
+from repro.runtime import asyncio_udp
 from repro.runtime.asyncio_udp import AsyncioUdpRuntime
 
 
@@ -98,6 +99,30 @@ def test_instrument_registers_udp_health_metrics():
         assert snap["runtime"]["loop_lag"]["count"] >= 1
     finally:
         runtime.stop()
+
+
+def test_repeated_instrument_arms_one_lag_probe():
+    """Every ``Cluster.metrics_snapshot`` calls ``instrument`` again; a
+    repeated call must neither add a probe nor reset the armed one. One
+    probe records at most one sample per period, so one call and three
+    stay under the same bound."""
+    for calls in (1, 3):
+        runtime = AsyncioUdpRuntime(seed=2)
+        registry = MetricsRegistry()
+        try:
+            runtime.start()
+            begin = runtime.now
+            runtime.instrument(registry)
+            armed = runtime._lag_probe._handle
+            for _ in range(calls - 1):
+                runtime.instrument(registry)
+            assert runtime._lag_probe._handle is armed
+            runtime.run_for(0.1)
+            elapsed = runtime.now - begin
+            count = registry.snapshot()["runtime"]["loop_lag"]["count"]
+        finally:
+            runtime.stop()
+        assert 1 <= count <= elapsed / asyncio_udp._LAG_PROBE_INTERVAL + 1
 
 
 def test_loop_lag_p99_resolves_sub_millisecond_differences():

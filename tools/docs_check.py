@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Documentation drift gate.
 
-The docs promise two kinds of machine-checkable facts, and this script
-fails CI when either goes stale:
+The docs promise three kinds of machine-checkable facts, and this
+script fails CI when any goes stale:
 
 1. **CLI commands.** Every ``python -m repro ...`` /
    ``python -m repro.harness.cli ...`` invocation shown in the docs is
@@ -12,6 +12,10 @@ fails CI when either goes stale:
    of silently rotting in the README.
 2. **Relative links.** Every relative markdown link must point at a
    file that exists in the repository.
+3. **Code names.** Every backticked dotted name ``repro.…`` must
+   resolve: its longest importable module prefix is imported and the
+   rest walked as attributes. A deleted module, class or function
+   fails here instead of being described as if it still existed.
 
 Usage::
 
@@ -21,6 +25,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import shlex
@@ -39,6 +44,8 @@ MODULES = ("repro", "repro.harness.cli")
 
 COMMAND_RE = re.compile(r"python\s+-m\s+(repro(?:\.harness\.cli)?)\s+(.*)")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: A code span that is exactly a dotted ``repro`` name.
+NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 #: A subcommand word: lowercase letters/dashes only — operands such as
 #: file paths (dots, slashes) terminate the subcommand chain.
 WORD_RE = re.compile(r"^[a-z][a-z-]*$")
@@ -121,10 +128,36 @@ def check_links(doc_path: str, text: str) -> list[str]:
     return problems
 
 
+def resolves(name: str) -> bool:
+    """Whether dotted ``name`` is a module, or an attribute chain under
+    its longest importable module prefix."""
+    src = os.path.join(REPO_ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_names(text: str) -> list[str]:
+    return [f"`{name}` does not resolve to a module or attribute"
+            for name in sorted(set(NAME_RE.findall(text)))
+            if not resolves(name)]
+
+
 def check_doc(doc_path: str) -> list[str]:
     with open(doc_path, encoding="utf-8") as handle:
         text = handle.read()
-    problems = check_links(doc_path, text)
+    problems = check_links(doc_path, text) + check_names(text)
     seen: set[tuple] = set()
     for module, tokens in extract_commands(text):
         key = (module, tuple(tokens))
