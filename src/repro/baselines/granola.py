@@ -33,16 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.baselines.common import DoneFn, OpResult, WorkloadOp
+from repro.baselines.common import WorkloadOp
 from repro.errors import TransactionAborted
-from repro.net.endpoint import Node
+from repro.net.endpoint import ClientNode, DoneFn, Pending
 from repro.net.message import Address, Packet
 from repro.net.network import Network
 from repro.replication.vr import VRConfig, VRReplica
 from repro.store.kv import KVStore
 from repro.store.locks import LockManager, LockOutcome, LockPolicy
 from repro.store.procedures import ProcedureRegistry, TxnContext
-from repro.store.undo import UndoLog
 
 
 @dataclass(frozen=True)
@@ -328,47 +327,38 @@ class GranolaReplica(VRReplica):
         self.send(client, GLockAck(tag=msg.tag, shard=self.shard))
 
 
-@dataclass
-class _PendingOp:
+@dataclass(eq=False, kw_only=True)
+class _PendingOp(Pending):
     op: WorkloadOp
-    done: DoneFn
-    start: float
-    tag: str
     phase: str                       # "request" | "lock" | "commit"
     replies: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     acks: set = field(default_factory=set)
     commit: bool = True
     writes: tuple = ()
-    timer: Any = None
 
 
-class GranolaClient(Node):
+class GranolaClient(ClientNode):
     """Submits independent ops directly; drives locking mode for
     general ops."""
 
     def __init__(self, address: Address, network: Network,
                  shard_leaders: dict[int, Address],
                  retry_timeout: float = 10e-3):
-        super().__init__(address, network)
+        super().__init__(address, network, retry_timeout)
         self.shard_leaders = dict(shard_leaders)
-        self.retry_timeout = retry_timeout
-        self._pending: dict[str, _PendingOp] = {}
 
     def submit(self, op: WorkloadOp, done: DoneFn) -> None:
         tag = self.fresh_tag(self.address)
-        phase = "lock" if op.is_general else "request"
-        pending = _PendingOp(op=op, done=done, start=self.now, tag=tag,
-                             phase=phase)
-        pending.timer = self.timer(self.retry_timeout, self._retransmit, tag)
-        pending.timer.start()
-        self._pending[tag] = pending
+        pending = _PendingOp(done=done, start=self.now, op=op,
+                             phase="lock" if op.is_general else "request")
+        self._open(tag, pending)
         self._send_phase(pending)
 
     def _send_phase(self, pending: _PendingOp) -> None:
         op = pending.op
         if pending.phase == "request":
-            message = GRequest(tag=pending.tag, proc=op.proc, args=op.args,
+            message = GRequest(tag=pending.key, proc=op.proc, args=op.args,
                                participants=op.participants,
                                read_keys=op.read_keys,
                                write_keys=op.write_keys)
@@ -379,14 +369,14 @@ class GranolaClient(Node):
             # Locks are acquired one shard at a time in ascending shard
             # order (resource ordering): no cross-shard wait cycle can
             # form, at the cost of one lock round trip per participant.
-            message = GLockPrepare(tag=pending.tag, read_keys=op.read_keys,
+            message = GLockPrepare(tag=pending.key, read_keys=op.read_keys,
                                    write_keys=op.write_keys)
             for shard in sorted(op.participants):
                 if shard not in pending.replies:
                     self.send(self.shard_leaders[shard], message)
                     break
         else:
-            message = GLockCommit(tag=pending.tag, commit=pending.commit,
+            message = GLockCommit(tag=pending.key, commit=pending.commit,
                                   writes=pending.writes)
             for shard in op.participants:
                 if shard not in pending.acks:
@@ -400,8 +390,8 @@ class GranolaClient(Node):
         pending.replies[msg.shard] = msg
         if len(pending.replies) == len(pending.op.participants):
             committed = all(r.committed for r in pending.replies.values())
-            self._complete(pending, committed,
-                           {s: r.result for s, r in pending.replies.items()})
+            self._finish(pending, committed,
+                         {s: r.result for s, r in pending.replies.items()})
 
     # -- locking-mode path ----------------------------------------------------
     def on_GLockReply(self, src: Address, msg: GLockReply,
@@ -429,22 +419,4 @@ class GranolaClient(Node):
             return
         pending.acks.add(msg.shard)
         if len(pending.acks) == len(pending.op.participants):
-            self._complete(pending, pending.commit, pending.values)
-
-    # -- shared ----------------------------------------------------------
-    def _retransmit(self, tag: str) -> None:
-        pending = self._pending.get(tag)
-        if pending is None:
-            return
-        self._send_phase(pending)
-        pending.timer.start()
-
-    def _complete(self, pending: _PendingOp, committed: bool,
-                  result: Any) -> None:
-        self._pending.pop(pending.tag, None)
-        pending.timer.stop()
-        pending.done(OpResult(
-            committed=committed,
-            latency=self.now - pending.start,
-            result=result,
-        ))
+            self._finish(pending, pending.commit, pending.values)

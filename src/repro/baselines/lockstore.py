@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.baselines.common import DoneFn, OpResult, WorkloadOp
+from repro.baselines.common import WorkloadOp
 from repro.errors import TransactionAborted
-from repro.net.endpoint import Node
+from repro.net.endpoint import ClientNode, DoneFn, Pending
 from repro.net.message import Address, Packet
 from repro.net.network import Network
 from repro.replication.vr import VRConfig, VRReplica
@@ -231,65 +231,65 @@ class LockStoreReplica(VRReplica):
         self.send(client, LSAck(tag=msg.tag, shard=self.shard))
 
 
-@dataclass
-class _PendingTxn:
+@dataclass(eq=False, kw_only=True)
+class _PendingTxn(Pending):
     op: WorkloadOp
-    done: DoneFn
-    start: float
-    tag: str
-    ts: tuple
-    phase: str                   # "prepare" | "decide"
+    ts: Optional[tuple] = None
+    phase: str = "prepare"       # "prepare" | "decide"
     votes: dict = field(default_factory=dict)
     acks: set = field(default_factory=set)
     commit: bool = True
     writes: tuple = ()
-    retries: int = 0
     one_phase: bool = False
-    timer: Any = None
 
 
-class LockStoreClient(Node):
+class LockStoreClient(ClientNode):
     """2PC coordinator with wait-die retry loops."""
+
+    max_retries = 200
 
     def __init__(self, address: Address, network: Network,
                  shard_leaders: dict[int, Address],
                  retry_timeout: float = 10e-3,
-                 backoff: float = 0.5e-3,
-                 max_retries: int = 200,
                  one_phase: bool = False):
-        super().__init__(address, network)
+        super().__init__(address, network, retry_timeout)
         self.shard_leaders = dict(shard_leaders)
-        self.retry_timeout = retry_timeout
-        self.backoff = backoff
-        self.max_retries = max_retries
         #: One-phase commit for single-shard transactions. Off by
         #: default: the paper's Lock-Store runs the full 2PC exchange
         #: for every transaction (its measured 4.5x gap matches the
         #: two-round cost). The ablation benchmark flips this on.
         self.one_phase = one_phase
-        self._pending: dict[str, _PendingTxn] = {}
-        self.aborts_retried = 0
 
-    def submit(self, op: WorkloadOp, done: DoneFn,
-               ts: Optional[tuple] = None) -> None:
+    def submit(self, op: WorkloadOp, done: DoneFn) -> None:
+        self._attempt(_PendingTxn(done=done, start=self.now, op=op))
+
+    def _attempt(self, pending: _PendingTxn) -> None:
         tag = self.fresh_tag(self.address)
-        # Wait-die priority: unique and totally ordered (time, tag) —
-        # ties would let conflicting transactions all wait and deadlock.
-        pending = _PendingTxn(op=op, done=done, start=self.now,
-                              tag=tag,
-                              ts=(self.now, tag) if ts is None else ts,
-                              phase="prepare")
-        pending.timer = self.timer(self.retry_timeout, self._retransmit, tag)
-        pending.timer.start()
-        self._pending[tag] = pending
-        self._send_prepares(pending)
+        if pending.ts is None:
+            # Wait-die priority: unique and totally ordered (time, tag)
+            # — ties would let conflicting transactions all wait and
+            # deadlock. A retry after an abort keeps its first one, so
+            # it ages into the oldest and eventually wins.
+            pending.ts = (self.now, tag)
+        pending.phase = "prepare"
+        pending.votes = {}
+        self._open(tag, pending)
+        self._send_phase(pending)
 
-    def _send_prepares(self, pending: _PendingTxn) -> None:
+    def _send_phase(self, pending: _PendingTxn) -> None:
         op = pending.op
+        if pending.phase == "decide":
+            message = LSDecision(tag=pending.key, commit=pending.commit,
+                                 writes=pending.writes if pending.commit
+                                 else ())
+            for shard in op.participants:
+                if shard not in pending.acks:
+                    self.send(self.shard_leaders[shard], message)
+            return
         pending.one_phase = (self.one_phase and not op.is_distributed
                              and not op.is_general)
         message = LSPrepare(
-            tag=pending.tag, ts=pending.ts, proc=op.proc, args=op.args,
+            tag=pending.key, ts=pending.ts, proc=op.proc, args=op.args,
             read_keys=op.read_keys, write_keys=op.write_keys,
             is_general=op.is_general, one_phase=pending.one_phase,
         )
@@ -305,10 +305,9 @@ class LockStoreClient(Node):
         if pending.one_phase:
             if msg.vote == "abort":
                 # Wait-die lock abort on the one-phase path: retry.
-                self._retry(pending)
+                self._abort(pending)
             else:
-                self._complete(pending, committed=msg.committed,
-                               result=msg.result)
+                self._finish(pending, msg.committed, msg.result)
             return
         pending.votes[msg.shard] = msg
         if msg.vote == "abort":
@@ -331,10 +330,7 @@ class LockStoreClient(Node):
         pending.phase = "decide"
         pending.commit = commit
         pending.acks = set()
-        message = LSDecision(tag=pending.tag, commit=commit,
-                             writes=pending.writes if commit else ())
-        for shard in pending.op.participants:
-            self.send(self.shard_leaders[shard], message)
+        self._send_phase(pending)
 
     def on_LSAck(self, src: Address, msg: LSAck, packet: Packet) -> None:
         pending = self._pending.get(msg.tag)
@@ -343,58 +339,8 @@ class LockStoreClient(Node):
         pending.acks.add(msg.shard)
         if len(pending.acks) == len(pending.op.participants):
             if pending.commit:
-                result = {shard: vote.result
-                          for shard, vote in pending.votes.items()}
-                self._complete(pending, committed=True, result=result)
+                self._finish(pending, True,
+                             {shard: vote.result
+                              for shard, vote in pending.votes.items()})
             else:
-                self._retry(pending)
-
-    def _retry(self, pending: _PendingTxn) -> None:
-        """Wait-die abort: back off briefly and retry with the original
-        timestamp (guaranteeing eventual progress)."""
-        del self._pending[pending.tag]
-        pending.timer.stop()
-        pending.retries += 1
-        self.aborts_retried += 1
-        if pending.retries > self.max_retries:
-            pending.done(OpResult(committed=False,
-                                  latency=self.now - pending.start,
-                                  retries=pending.retries))
-            return
-        self.call_later(self.backoff, self._resubmit, pending)
-
-    def _resubmit(self, pending: _PendingTxn) -> None:
-        tag = self.fresh_tag(self.address)
-        fresh = _PendingTxn(op=pending.op, done=pending.done,
-                            start=pending.start, tag=tag, ts=pending.ts,
-                            phase="prepare", retries=pending.retries)
-        fresh.timer = self.timer(self.retry_timeout, self._retransmit, tag)
-        fresh.timer.start()
-        self._pending[tag] = fresh
-        self._send_prepares(fresh)
-
-    def _retransmit(self, tag: str) -> None:
-        pending = self._pending.get(tag)
-        if pending is None:
-            return
-        if pending.phase == "prepare":
-            self._send_prepares(pending)
-        else:
-            message = LSDecision(tag=pending.tag, commit=pending.commit,
-                                 writes=pending.writes if pending.commit
-                                 else ())
-            for shard in pending.op.participants:
-                if shard not in pending.acks:
-                    self.send(self.shard_leaders[shard], message)
-        pending.timer.start()
-
-    def _complete(self, pending: _PendingTxn, committed: bool,
-                  result: Any) -> None:
-        self._pending.pop(pending.tag, None)
-        pending.timer.stop()
-        pending.done(OpResult(
-            committed=committed,
-            latency=self.now - pending.start,
-            result=result,
-            retries=pending.retries,
-        ))
+                self._abort(pending)

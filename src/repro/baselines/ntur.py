@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
-from repro.baselines.common import DoneFn, OpResult, WorkloadOp
+from repro.baselines.common import WorkloadOp
 from repro.errors import TransactionAborted
-from repro.net.endpoint import Node
+from repro.net.endpoint import ClientNode, DoneFn, Node, Pending
 from repro.net.message import Address, Packet
 from repro.net.network import Network
 from repro.store.kv import KVStore
@@ -99,11 +99,9 @@ class NTURServer(Node):
                                  committed=True, result=None))
 
 
-@dataclass
-class _Pending:
+@dataclass(eq=False, kw_only=True)
+class _Pending(Pending):
     op: WorkloadOp
-    done: DoneFn
-    start: float
     phase: str                      # "execute" | "read" | "write"
     awaiting: set = field(default_factory=set)
     committed: bool = True
@@ -111,33 +109,26 @@ class _Pending:
     values: dict = field(default_factory=dict)
 
 
-class NTURClient(Node):
+class NTURClient(ClientNode):
     """Fire-and-collect client; no retries (nothing is guaranteed)."""
 
     def __init__(self, address: Address, network: Network,
-                 shard_servers: dict[int, Address],
-                 retry_timeout: float = 10e-3):
-        super().__init__(address, network)
+                 shard_servers: dict[int, Address]):
+        super().__init__(address, network, retry_timeout=None)
         self.shard_servers = dict(shard_servers)
-        self.retry_timeout = retry_timeout
-        self._pending: dict[str, _Pending] = {}
 
     def submit(self, op: WorkloadOp, done: DoneFn) -> None:
         tag = self.fresh_tag(self.address)
+        pending = _Pending(done=done, start=self.now, op=op,
+                           phase="read" if op.is_general else "execute",
+                           awaiting=set(op.participants))
+        self._open(tag, pending)
         if op.is_general:
-            pending = _Pending(op=op, done=done, start=self.now,
-                               phase="read",
-                               awaiting=set(op.participants))
-            self._pending[tag] = pending
             keys = tuple(op.read_keys | op.write_keys)
             for shard in op.participants:
                 self.send(self.shard_servers[shard],
                           NTURRead(tag=tag, keys=keys))
         else:
-            pending = _Pending(op=op, done=done, start=self.now,
-                               phase="execute",
-                               awaiting=set(op.participants))
-            self._pending[tag] = pending
             for shard in op.participants:
                 self.send(self.shard_servers[shard],
                           NTURExecute(tag=tag, proc=op.proc, args=op.args))
@@ -158,7 +149,7 @@ class NTURClient(Node):
             writes = pending.op.compute(pending.values) \
                 if pending.op.compute else None
             if writes is None:
-                self._finish(msg.tag, pending, committed=False)
+                self._finish(pending, False, pending.results)
                 return
             pending.phase = "write"
             pending.awaiting = set(pending.op.participants)
@@ -167,12 +158,4 @@ class NTURClient(Node):
                 self.send(self.shard_servers[shard],
                           NTURWrite(tag=msg.tag, writes=shipped))
             return
-        self._finish(msg.tag, pending, committed=pending.committed)
-
-    def _finish(self, tag: str, pending: _Pending, committed: bool) -> None:
-        del self._pending[tag]
-        pending.done(OpResult(
-            committed=committed,
-            latency=self.now - pending.start,
-            result=pending.results,
-        ))
+        self._finish(pending, pending.committed, pending.results)

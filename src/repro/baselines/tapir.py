@@ -24,11 +24,11 @@ general ops; the commit carries the client-computed writes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
-from repro.baselines.common import DoneFn, OpResult, WorkloadOp
+from repro.baselines.common import WorkloadOp
 from repro.errors import TransactionAborted
-from repro.net.endpoint import Node
+from repro.net.endpoint import ClientNode, DoneFn, Node, Pending
 from repro.net.message import Address, Packet
 from repro.net.network import Network
 from repro.store.kv import KVStore
@@ -184,14 +184,11 @@ class TapirReplica(Node):
         self._finished.add(msg.tag)
 
 
-@dataclass
-class _PendingTxn:
+@dataclass(eq=False, kw_only=True)
+class _PendingTxn(Pending):
     op: WorkloadOp
-    done: DoneFn
-    start: float
-    tag: str
-    ts: float
-    phase: str                 # prepare | slow | decide
+    ts: float = 0.0
+    phase: str = "prepare"     # prepare | slow | decide
     votes: dict = field(default_factory=dict)   # (shard, idx) -> reply
     slow_acks: set = field(default_factory=set)
     slow_needed: set = field(default_factory=set)
@@ -199,30 +196,24 @@ class _PendingTxn:
     commit: bool = True
     writes: tuple = ()
     result: Any = None
-    retries: int = 0
     fast_timer: Any = None
-    retry_timer: Any = None
 
 
-class TapirClient(Node):
+class TapirClient(ClientNode):
     """Drives the IR fast/slow path and OCC retries."""
+
+    max_retries = 200
+    #: How long the fast path waits for every replica's vote before
+    #: the slow path settles for a majority.
+    fast_timeout = 1e-3
 
     def __init__(self, address: Address, network: Network,
                  shard_replicas: dict[int, list[Address]],
-                 fast_timeout: float = 1e-3,
-                 retry_timeout: float = 10e-3,
-                 backoff: float = 0.5e-3,
-                 max_retries: int = 200):
-        super().__init__(address, network)
+                 retry_timeout: float = 10e-3):
+        super().__init__(address, network, retry_timeout)
         self.shard_replicas = {s: list(a) for s, a in shard_replicas.items()}
-        self.fast_timeout = fast_timeout
-        self.retry_timeout = retry_timeout
-        self.backoff = backoff
-        self.max_retries = max_retries
-        self._pending: dict[str, _PendingTxn] = {}
         self.fast_path_commits = 0
         self.slow_path_commits = 0
-        self.aborts_retried = 0
 
     def _n(self, shard: int) -> int:
         return len(self.shard_replicas[shard])
@@ -230,29 +221,38 @@ class TapirClient(Node):
     def _f_plus_1(self, shard: int) -> int:
         return self._n(shard) // 2 + 1
 
-    def submit(self, op: WorkloadOp, done: DoneFn, retries: int = 0,
-               start: Optional[float] = None) -> None:
+    def submit(self, op: WorkloadOp, done: DoneFn) -> None:
+        self._attempt(_PendingTxn(done=done, start=self.now, op=op))
+
+    def _attempt(self, pending: _PendingTxn) -> None:
+        """One OCC attempt under a fresh tag and timestamp."""
         tag = self.fresh_tag(self.address)
-        pending = _PendingTxn(op=op, done=done,
-                              start=self.now if start is None else start,
-                              tag=tag, ts=self.now, phase="prepare",
-                              retries=retries)
+        pending.ts = self.now
+        pending.phase = "prepare"
+        pending.votes, pending.acks = {}, {}
+        pending.writes, pending.result = (), None
         pending.fast_timer = self.timer(self.fast_timeout,
                                         self._fast_window_closed, tag)
-        pending.retry_timer = self.timer(self.retry_timeout,
-                                         self._retransmit, tag)
         pending.fast_timer.start()
-        pending.retry_timer.start()
-        self._pending[tag] = pending
-        self._send_prepares(pending)
+        self._open(tag, pending)
+        self._send_phase(pending)
 
-    def _send_prepares(self, pending: _PendingTxn) -> None:
-        op = pending.op
-        message = TPrepare(tag=pending.tag, ts=pending.ts, proc=op.proc,
-                           args=op.args, read_keys=op.read_keys,
-                           write_keys=op.write_keys,
-                           is_general=op.is_general)
-        for shard in op.participants:
+    def _send_phase(self, pending: _PendingTxn) -> None:
+        if pending.phase == "prepare":
+            op = pending.op
+            message = TPrepare(tag=pending.key, ts=pending.ts, proc=op.proc,
+                               args=op.args, read_keys=op.read_keys,
+                               write_keys=op.write_keys,
+                               is_general=op.is_general)
+        elif pending.phase == "slow":
+            message = TSlowConfirm(tag=pending.key)
+        else:
+            message = TDecision(tag=pending.key, commit=pending.commit,
+                                writes=pending.writes)
+        self._send_all(pending, message)
+
+    def _send_all(self, pending: _PendingTxn, message: Any) -> None:
+        for shard in pending.op.participants:
             for addr in self.shard_replicas[shard]:
                 self.send(addr, message)
 
@@ -264,7 +264,7 @@ class TapirClient(Node):
             return
         pending.votes[(msg.shard, msg.replica_index)] = msg
         if msg.vote == "abort":
-            self._abort_and_retry(pending)
+            self._decide(pending, commit=False)
             return
         if all(
             sum(1 for (s, _), v in pending.votes.items()
@@ -287,9 +287,7 @@ class TapirClient(Node):
             pending.phase = "slow"
             pending.slow_needed = set(pending.op.participants)
             pending.slow_acks = set()
-            for shard in pending.op.participants:
-                for addr in self.shard_replicas[shard]:
-                    self.send(addr, TSlowConfirm(tag=tag))
+            self._send_phase(pending)
         else:
             pending.fast_timer.start()  # keep waiting; retransmit covers
 
@@ -318,14 +316,10 @@ class TapirClient(Node):
                     values.update(vote.result)
             writes = pending.op.compute(values)
             if writes is None:
-                pending.commit = commit = False
+                pending.commit = False
             else:
                 pending.writes = tuple(writes.items())
-        message = TDecision(tag=pending.tag, commit=commit,
-                            writes=pending.writes)
-        for shard in pending.op.participants:
-            for addr in self.shard_replicas[shard]:
-                self.send(addr, message)
+        self._send_phase(pending)
 
     def on_TDecisionAck(self, src: Address, msg: TDecisionAck,
                         packet: Packet) -> None:
@@ -339,64 +333,12 @@ class TapirClient(Node):
             pending.commit = False
         if all(len(pending.acks.get(shard, ())) >= self._f_plus_1(shard)
                for shard in pending.op.participants):
-            self._finalize(pending)
+            self._send_all(pending, TFinalize(tag=pending.key))
+            if pending.commit:
+                self._finish(pending, True, pending.result)
+            else:
+                self._abort(pending)
 
-    def _finalize(self, pending: _PendingTxn) -> None:
-        for shard in pending.op.participants:
-            for addr in self.shard_replicas[shard]:
-                self.send(addr, TFinalize(tag=pending.tag))
-        if pending.commit:
-            self._complete(pending, committed=True)
-        else:
-            self._retry_after_abort(pending)
-
-    # -- aborts and retries ------------------------------------------------------
-    def _abort_and_retry(self, pending: _PendingTxn) -> None:
-        self._decide(pending, commit=False)
-
-    def _retry_after_abort(self, pending: _PendingTxn) -> None:
-        self._teardown(pending)
-        pending.retries += 1
-        self.aborts_retried += 1
-        if pending.retries > self.max_retries:
-            pending.done(OpResult(committed=False,
-                                  latency=self.now - pending.start,
-                                  retries=pending.retries))
-            return
-        self.call_later(
-            self.backoff,
-            lambda: self.submit(pending.op, pending.done,
-                                retries=pending.retries,
-                                start=pending.start))
-
-    def _retransmit(self, tag: str) -> None:
-        pending = self._pending.get(tag)
-        if pending is None:
-            return
-        if pending.phase == "prepare":
-            self._send_prepares(pending)
-        elif pending.phase == "slow":
-            for shard in pending.op.participants:
-                for addr in self.shard_replicas[shard]:
-                    self.send(addr, TSlowConfirm(tag=tag))
-        else:
-            message = TDecision(tag=pending.tag, commit=pending.commit,
-                                writes=pending.writes)
-            for shard in pending.op.participants:
-                for addr in self.shard_replicas[shard]:
-                    self.send(addr, message)
-        pending.retry_timer.start()
-
-    def _complete(self, pending: _PendingTxn, committed: bool) -> None:
-        self._teardown(pending)
-        pending.done(OpResult(
-            committed=committed,
-            latency=self.now - pending.start,
-            result=pending.result,
-            retries=pending.retries,
-        ))
-
-    def _teardown(self, pending: _PendingTxn) -> None:
-        self._pending.pop(pending.tag, None)
+    def _finish(self, pending: _PendingTxn, committed, result=None) -> None:
         pending.fast_timer.stop()
-        pending.retry_timer.stop()
+        super()._finish(pending, committed, result)

@@ -15,7 +15,7 @@ Layering follows Figure 3:
   inside :mod:`repro.core.engine`.
 """
 
-from repro.core.client import ErisClient, TxnOutcome
+from repro.core.client import ErisClient
 from repro.core.engine import ExecutionEngine
 from repro.core.fc import FailureCoordinator
 from repro.core.general import GeneralTransactionManager
@@ -25,7 +25,6 @@ from repro.core.transaction import IndependentTransaction, SlotId, TxnId
 
 __all__ = [
     "ErisClient",
-    "TxnOutcome",
     "ExecutionEngine",
     "FailureCoordinator",
     "GeneralTransactionManager",

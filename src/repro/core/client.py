@@ -11,7 +11,9 @@ one round trip with no server-to-server communication at all
 Clients retry unacknowledged transactions (the retry is stamped fresh
 by the sequencer; replicas' at-most-once tables suppress
 re-execution, §6.1), so the client also provides the reliability
-backstop against packets the in-network layer dropped.
+backstop against packets the in-network layer dropped. The retry loop
+is the client core's, :class:`~repro.net.endpoint.ClientNode`, shared
+with every baseline.
 
 Clients also carry each shard's stable point to the others: a DL's
 reply to a multi-shard transaction may name how far every replica of
@@ -34,56 +36,35 @@ from repro.core.messages import (
 )
 from repro.core.quorum import ViewConsistentQuorum
 from repro.core.transaction import IndependentTransaction, TxnId
-from repro.net.endpoint import Node
+from repro.net.endpoint import ClientNode, DoneFn, Pending
 from repro.net.message import Address, GroupId, Packet
 from repro.net.network import Network
-from repro.runtime.interface import Timer
 
 
-@dataclass
-class TxnOutcome:
-    """What the application sees when a transaction finishes."""
-
-    txn_id: TxnId
-    committed: bool
-    results: dict[GroupId, Any]
-    latency: float
-    retries: int = 0
-
-
-@dataclass
-class _PendingTxn:
+@dataclass(eq=False, kw_only=True)
+class _PendingTxn(Pending):
     txn: IndependentTransaction
-    callback: Callable[[TxnOutcome], None]
-    start_time: float
     quorums: dict[GroupId, ViewConsistentQuorum]
     satisfied: dict[GroupId, Any] = field(default_factory=dict)
-    timer: Optional[Timer] = None
-    retries: int = 0
 
 
-@dataclass
-class _PendingRecon:
-    """Waiters for one outstanding (replica, key) reconnaissance read."""
+@dataclass(eq=False, kw_only=True)
+class _PendingRecon(Pending):
+    """Waiters for one outstanding reconnaissance read, keyed by its
+    ``(replica, key)`` in ``_recon_pending``; it never calls ``done``."""
 
     callbacks: list[Callable[[Any, Any], None]]
-    timer: Optional[Timer] = None
-    retries: int = 0
 
 
-class ErisClient(Node):
+class ErisClient(ClientNode):
     """Submits independent transactions and tracks quorum replies."""
 
     def __init__(self, address: Address, network: Network,
                  shard_sizes: dict[GroupId, int],
-                 retry_timeout: float = 1e-3,
-                 max_retries: int = 100):
-        super().__init__(address, network)
+                 retry_timeout: float = 1e-3):
+        super().__init__(address, network, retry_timeout)
         self.shard_sizes = dict(shard_sizes)
-        self.retry_timeout = retry_timeout
-        self.max_retries = max_retries
         self._seq = 0
-        self._pending: dict[TxnId, _PendingTxn] = {}
         #: Lowest seq given up after ``max_retries``: a stale copy of
         #: it may still be logged and executed at some participants, so
         #: it holds the completion floor for good.
@@ -96,16 +77,6 @@ class ErisClient(Node):
         # *different* replicas are distinct requests and must not share
         # waiters — a stale replica's reply may satisfy only its own.
         self._recon_pending: dict[tuple[Address, Any], _PendingRecon] = {}
-        self.committed_count = 0
-        self.aborted_count = 0
-        #: Submissions abandoned after ``max_retries`` retransmissions
-        #: without reaching quorum. Every completed submission lands in
-        #: exactly one of committed/aborted/timedout, so
-        #: ``committed_count + aborted_count + timedout_count`` equals
-        #: the number of callbacks fired.
-        self.timedout_count = 0
-        self.retry_count = 0
-        self.recon_retry_count = 0
         #: Transactions completed by a single-replica FastReadReply.
         self.fast_read_count = 0
 
@@ -119,16 +90,17 @@ class ErisClient(Node):
         proc: str,
         args: dict,
         participants: tuple[GroupId, ...],
-        callback: Callable[[TxnOutcome], None],
+        callback: DoneFn,
         read_keys: frozenset = frozenset(),
         write_keys: frozenset = frozenset(),
         kind: str = "independent",
         op_class: str = "generic",
     ) -> TxnId:
-        """Fire one independent transaction; ``callback`` runs when a
-        view-consistent quorum from every participant arrives (or, for
-        a READ_ONLY transaction the sequencer routed down the fast
-        path, when a single :class:`FastReadReply` does)."""
+        """Fire one independent transaction; ``callback`` gets its
+        :class:`OpResult` (``result`` maps shard to the DL's result)
+        when a view-consistent quorum from every participant arrives
+        (or, for a READ_ONLY transaction the sequencer routed down the
+        fast path, when a single :class:`FastReadReply` does)."""
         txn_id = self.next_txn_id()
         txn = IndependentTransaction(
             txn_id=txn_id,
@@ -142,17 +114,15 @@ class ErisClient(Node):
             floor_gap=txn_id.seq - self._completion_floor(txn_id.seq),
         )
         pending = _PendingTxn(
+            done=callback,
+            start=self.now,
             txn=txn,
-            callback=callback,
-            start_time=self.now,
             quorums={shard: ViewConsistentQuorum(self.shard_sizes[shard])
                      for shard in txn.participants},
         )
-        pending.timer = self.timer(self.retry_timeout, self._retry, txn.txn_id)
-        pending.timer.start()
-        self._pending[txn.txn_id] = pending
-        self._transmit(txn)
-        return txn.txn_id
+        self._open(txn_id, pending)
+        self._send_phase(pending)
+        return txn_id
 
     def _completion_floor(self, seq: int) -> int:
         """The lowest seq, ``seq`` included, not yet seen complete at
@@ -167,7 +137,12 @@ class ErisClient(Node):
             seq = self._abandoned_floor
         return seq
 
-    def _transmit(self, txn: IndependentTransaction, retry: int = 0) -> None:
+    def _send_phase(self, pending: Pending) -> None:
+        if type(pending) is _PendingRecon:
+            replica, key = pending.key
+            self.send(replica, ReconRead(key=key))
+            return
+        txn = pending.txn
         stable = None
         if self._stable_news:
             stable = tuple(value for shard, point in self._stable_news.items()
@@ -182,37 +157,32 @@ class ErisClient(Node):
             # ties the attempt to its request packet's fan-out tree.
             tracer.record("txn_submit", self.address,
                           cause=packet.trace_id, txn=txn.txn_id.label(),
-                          retry=retry,
+                          retry=pending.retries,
                           participants=list(txn.participants))
 
-    def _retry(self, txn_id: TxnId) -> None:
-        pending = self._pending.get(txn_id)
-        if pending is None:
+    def _give_up(self, pending: Pending) -> None:
+        if type(pending) is _PendingRecon:
+            # The replica is unreachable: its waiters read None.
+            del self._recon_pending[pending.key]
+            for callback in pending.callbacks:
+                callback(pending.key[1], None)
             return
-        pending.retries += 1
-        self.retry_count += 1
-        if pending.retries > self.max_retries:
-            del self._pending[txn_id]
-            if self._abandoned_floor is None \
-                    or txn_id.seq < self._abandoned_floor:
-                self._abandoned_floor = txn_id.seq
-            # The give-up is a completed (failed) submission and must be
-            # counted, or committed+aborted+timedout drifts from the
-            # number of finished submissions and harness failure-rate
-            # stats silently undercount.
-            self.timedout_count += 1
-            outcome = TxnOutcome(txn_id=txn_id, committed=False, results={},
-                                 latency=self.now - pending.start_time,
-                                 retries=pending.retries)
-            if self.tracer is not None:
-                self.tracer.record(
-                    "txn_complete", self.address, txn=txn_id.label(),
-                    committed=False, timedout=True,
-                    retries=pending.retries)
-            pending.callback(outcome)
-            return
-        self._transmit(pending.txn, retry=pending.retries)
-        pending.timer.start()
+        seq = pending.key.seq
+        if self._abandoned_floor is None or seq < self._abandoned_floor:
+            self._abandoned_floor = seq
+        self._finish(pending, None)
+
+    def _finish(self, pending: _PendingTxn, committed: Optional[bool],
+                result: Any = None, **trace: Any) -> None:
+        """Record ``txn_complete`` (plus the ``trace`` fields), then
+        complete through the core."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.record(
+                "txn_complete", self.address, txn=pending.key.label(),
+                committed=bool(committed), timedout=committed is None,
+                retries=pending.retries, **trace)
+        super()._finish(pending, committed, result)
 
     # -- replies ----------------------------------------------------------
     def on_TxnReply(self, src: Address, msg: TxnReply, packet: Packet) -> None:
@@ -232,37 +202,16 @@ class ErisClient(Node):
         satisfied_key = quorum.satisfied()
         if satisfied_key is None:
             return
-        pending.satisfied[msg.shard] = quorum.dl_payload(satisfied_key)
-        if len(pending.satisfied) == len(pending.txn.participants):
-            self._complete(pending)
-
-    def _complete(self, pending: _PendingTxn) -> None:
-        del self._pending[pending.txn.txn_id]
-        if pending.timer is not None:
-            pending.timer.stop()
-        # Independent transactions reach the same deterministic decision
-        # on every participant; mixed votes cannot happen for them. For
-        # preliminary transactions the client aggregates the per-shard
-        # validation votes itself.
-        committed = all(ok for ok, _ in pending.satisfied.values())
-        if committed:
-            self.committed_count += 1
-        else:
-            self.aborted_count += 1
-        outcome = TxnOutcome(
-            txn_id=pending.txn.txn_id,
-            committed=committed,
-            results={shard: result
-                     for shard, (_, result) in pending.satisfied.items()},
-            latency=self.now - pending.start_time,
-            retries=pending.retries,
-        )
-        if self.tracer is not None:
-            self.tracer.record(
-                "txn_complete", self.address,
-                txn=pending.txn.txn_id.label(), committed=committed,
-                timedout=False, retries=pending.retries)
-        pending.callback(outcome)
+        satisfied = pending.satisfied
+        satisfied[msg.shard] = quorum.dl_payload(satisfied_key)
+        if len(satisfied) == len(pending.txn.participants):
+            # Independent transactions reach the same deterministic
+            # decision on every participant; for preliminary
+            # transactions the client aggregates the per-shard
+            # validation votes itself.
+            self._finish(pending, all(ok for ok, _ in satisfied.values()),
+                         {shard: result
+                          for shard, (_, result) in satisfied.items()})
 
     def on_FastReadReply(self, src: Address, msg: FastReadReply,
                          packet: Packet) -> None:
@@ -275,29 +224,12 @@ class ErisClient(Node):
         this transaction (a retry raced the reply), the pending entry
         is gone and the reply is ignored.
         """
-        pending = self._pending.pop(msg.txn_id, None)
+        pending = self._pending.get(msg.txn_id)
         if pending is None:
             return
-        if pending.timer is not None:
-            pending.timer.stop()
-        if msg.committed:
-            self.committed_count += 1
-        else:
-            self.aborted_count += 1
         self.fast_read_count += 1
-        outcome = TxnOutcome(
-            txn_id=msg.txn_id,
-            committed=msg.committed,
-            results={msg.shard: msg.result},
-            latency=self.now - pending.start_time,
-            retries=pending.retries,
-        )
-        if self.tracer is not None:
-            self.tracer.record(
-                "txn_complete", self.address, txn=msg.txn_id.label(),
-                committed=msg.committed, timedout=False,
-                retries=pending.retries, fast_read=True)
-        pending.callback(outcome)
+        self._finish(pending, msg.committed, {msg.shard: msg.result},
+                     fast_read=True)
 
     # -- reconnaissance reads (§7.1) ------------------------------------------
     def recon(self, replica: Address, key: Any,
@@ -310,46 +242,24 @@ class ErisClient(Node):
         sent to a specific replica cannot be satisfied by another
         (possibly stale) replica's answer. §7.1's general transactions
         depend on recon for their reads, so a dropped ``ReconReply``
-        must not strand them: the read is retransmitted on the client's
-        retry timeout; after ``max_retries`` attempts the waiters fire
-        with ``None`` (replica unreachable)."""
+        must not strand them: the read retries in the client core's
+        loop; after ``max_retries`` attempts the waiters fire with
+        ``None`` (replica unreachable)."""
         rkey = (replica, key)
         entry = self._recon_pending.get(rkey)
         if entry is not None:
             entry.callbacks.append(callback)
             return
-        entry = _PendingRecon(callbacks=[callback])
-        entry.timer = self.timer(self.retry_timeout, self._recon_retry, rkey)
-        entry.timer.start()
-        self._recon_pending[rkey] = entry
-        self.send(replica, ReconRead(key=key))
-
-    def _recon_retry(self, rkey: tuple[Address, Any]) -> None:
-        entry = self._recon_pending.get(rkey)
-        if entry is None:
-            return
-        entry.retries += 1
-        self.recon_retry_count += 1
-        replica, key = rkey
-        if entry.retries > self.max_retries:
-            del self._recon_pending[rkey]
-            for callback in entry.callbacks:
-                callback(key, None)
-            return
-        self.send(replica, ReconRead(key=key))
-        entry.timer.start()
+        entry = _PendingRecon(done=None, start=self.now,
+                              callbacks=[callback])
+        self._open(rkey, entry, self._recon_pending)
+        self._send_phase(entry)
 
     def on_ReconReply(self, src: Address, msg: ReconReply,
                       packet: Packet) -> None:
         entry = self._recon_pending.pop((src, msg.key), None)
         if entry is None:
             return
-        if entry.timer is not None:
-            entry.timer.stop()
+        entry.timer.stop()
         for callback in entry.callbacks:
             callback(msg.key, msg.value)
-
-    # -- introspection ------------------------------------------------------
-    @property
-    def inflight(self) -> int:
-        return len(self._pending)

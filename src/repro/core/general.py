@@ -24,19 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
-from repro.core.client import ErisClient, TxnOutcome
+from repro.core.client import ErisClient
 from repro.core.transaction import TxnId
+from repro.net.endpoint import OpResult
 from repro.net.message import GroupId
 
 
 @dataclass
-class GeneralOutcome:
-    """Result of a full two-phase general transaction."""
+class GeneralOutcome(OpResult):
+    """Result of a full two-phase general transaction: ``result`` holds
+    the values the preliminary read, ``retries`` both phases' retries."""
 
-    gtid: TxnId
-    committed: bool
-    values: dict
-    latency: float
+    gtid: Optional[TxnId] = None
     reason: str = ""
 
 
@@ -65,6 +64,8 @@ class GeneralTransactionManager:
         """Run one general transaction; ``callback`` fires after the
         conclusory transaction completes on every participant."""
         start = self.client.now
+        # The callback reads ``gtid`` when the preliminary completes,
+        # which is always after ``submit`` has returned it.
         gtid = self.client.submit(
             proc="__prelim__",
             args={"expected": expected} if expected else {},
@@ -72,23 +73,24 @@ class GeneralTransactionManager:
             read_keys=frozenset(read_keys),
             write_keys=frozenset(write_keys),
             kind="preliminary",
-            callback=lambda outcome: self._on_preliminary(
-                outcome, participants, compute, callback, start),
+            callback=lambda prelim: self._on_preliminary(
+                gtid, prelim, participants, compute, callback, start),
         )
         return gtid
 
-    def _on_preliminary(self, outcome: TxnOutcome,
+    def _on_preliminary(self, gtid: TxnId, prelim: OpResult,
                         participants: tuple[GroupId, ...],
                         compute: ComputeFn,
                         callback: Callable[[GeneralOutcome], None],
                         start: float) -> None:
         values: dict = {}
-        for result in outcome.results.values():
+        # A preliminary that timed out has no per-shard results.
+        for result in (prelim.result or {}).values():
             if isinstance(result, dict):
                 values.update(result.get("values", {}))
         writes: Optional[dict] = None
         reason = ""
-        if not outcome.committed:
+        if not prelim.committed:
             reason = "validation failed"  # stale reconnaissance (§7.1)
         else:
             writes = compute(values)
@@ -97,17 +99,16 @@ class GeneralTransactionManager:
         commit = writes is not None
         self.client.submit(
             proc="__conclusory__",
-            args={"gtid": outcome.txn_id, "commit": commit,
-                  "writes": writes or {}},
+            args={"gtid": gtid, "commit": commit, "writes": writes or {}},
             participants=participants,
             kind="conclusory",
             callback=lambda conclusory: self._on_conclusory(
-                outcome.txn_id, commit and conclusory.committed, values,
-                reason, callback, start),
+                gtid, commit and conclusory.committed, values, reason,
+                prelim.retries + conclusory.retries, callback, start),
         )
 
     def _on_conclusory(self, gtid: TxnId, committed: bool, values: dict,
-                       reason: str,
+                       reason: str, retries: int,
                        callback: Callable[[GeneralOutcome], None],
                        start: float) -> None:
         if committed:
@@ -115,10 +116,11 @@ class GeneralTransactionManager:
         else:
             self.aborted += 1
         callback(GeneralOutcome(
-            gtid=gtid,
             committed=committed,
-            values=values,
             latency=self.client.now - start,
+            result=values,
+            retries=retries,
+            gtid=gtid,
             reason=reason,
         ))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.baselines.common import DoneFn, OpResult, WorkloadOp
+from repro.baselines.common import WorkloadOp
 from repro.baselines.granola import GranolaClient, GranolaReplica
 from repro.baselines.lockstore import LockStoreClient, LockStoreReplica
 from repro.baselines.ntur import NTURClient, NTURServer
@@ -23,6 +23,7 @@ from repro.core.fc import FailureCoordinator
 from repro.core.general import GeneralTransactionManager
 from repro.core.replica import ErisConfig
 from repro.errors import ConfigurationError, InvariantViolation
+from repro.net.endpoint import DoneFn
 from repro.net.controller import ControllerConfig, SDNController
 from repro.net.network import NetConfig, Network
 from repro.net.sequencer import MultiSequencer, SequencerInstall, \
@@ -288,25 +289,13 @@ def wire_eris(cluster: Cluster):
 
         def submit(op: WorkloadOp, done: DoneFn) -> None:
             if op.is_general:
-                general.execute(
-                    op.read_keys, op.write_keys, op.participants,
-                    op.compute or (lambda values: {}),
-                    lambda outcome: done(OpResult(
-                        committed=outcome.committed,
-                        latency=outcome.latency)),
-                )
+                general.execute(op.read_keys, op.write_keys, op.participants,
+                                op.compute or (lambda values: {}), done)
             else:
-                node.submit(
-                    op.proc, op.args, op.participants,
-                    lambda outcome: done(OpResult(
-                        committed=outcome.committed,
-                        latency=outcome.latency,
-                        result=outcome.results,
-                        retries=outcome.retries)),
-                    read_keys=op.read_keys,
-                    write_keys=op.write_keys,
-                    op_class=op.op_class,
-                )
+                node.submit(op.proc, op.args, op.participants, done,
+                            read_keys=op.read_keys,
+                            write_keys=op.write_keys,
+                            op_class=op.op_class)
 
         return SystemClient(submit, node)
 

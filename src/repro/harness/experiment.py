@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.baselines.common import OpResult, WorkloadOp
+from repro.baselines.common import WorkloadOp
 from repro.harness.cluster import Cluster, SystemClient
+from repro.net.endpoint import OpResult
 from repro.sim.stats import LatencyRecorder, ThroughputMeter, TimeSeries
 
 

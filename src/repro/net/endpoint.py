@@ -23,12 +23,18 @@ A node talks to the outside world exclusively through its
 :class:`~repro.runtime.interface.Runtime` (clock, timers, transport),
 so the same protocol classes run over the simulator and over real
 sockets (:mod:`repro.runtime.asyncio_udp`) without modification.
+
+**Client core.** :class:`ClientNode` is the one client every system
+shares (§6.1's retry, in eRPC's shape): a pending table, a retry timer
+per op, give-up, abort-and-resubmit and one completion record,
+:class:`OpResult`. A system's client supplies only its messages.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.errors import NetworkError
 from repro.net.message import Address, GroupcastHeader, Packet
@@ -182,3 +188,139 @@ class Node:
         self.crashed = True
         if self.tracer is not None:
             self.tracer.record("crash", self.address)
+
+
+@dataclass
+class OpResult:
+    """Uniform completion record handed to the harness."""
+
+    committed: bool
+    latency: float
+    result: Any = None
+    retries: int = 0
+
+
+#: Uniform completion callback: ``done(OpResult)``.
+DoneFn = Callable[[OpResult], None]
+
+
+@dataclass(eq=False)
+class Pending:
+    """One op in flight. A system's client subclasses it (keyword-only)
+    with its per-phase state."""
+
+    done: DoneFn
+    start: float
+    key: Any = None
+    timer: Optional[Timer] = None
+    retries: int = 0
+
+
+class ClientNode(Node):
+    """The client core: one pending table, one retry loop, one
+    completion.
+
+    ``_pending`` maps each op's key (a tag, or Eris's ``TxnId``) to its
+    :class:`Pending`, in insertion order. :meth:`_open` arms the op's
+    retry timer before its first send; each expiry counts a retry and
+    either calls :meth:`_send_phase` again and re-arms, or, past
+    ``max_retries``, gives the op up as timed out. :meth:`_abort` backs
+    off and starts a fresh :meth:`_attempt` under a new tag.
+    :meth:`_finish` completes an op into exactly one of
+    ``committed_count`` / ``aborted_count`` / ``timedout_count``. A
+    client whose ``retry_timeout`` is None never retries (NT-UR).
+    """
+
+    #: Retransmissions (and abort resubmissions) before giving up.
+    max_retries: int = 100
+    #: Pause between an aborted attempt and its resubmission.
+    backoff: float = 0.5e-3
+
+    def __init__(self, address: Address, runtime: Runtime,
+                 retry_timeout: Optional[float]):
+        super().__init__(address, runtime)
+        self.retry_timeout = retry_timeout
+        self._pending: dict[Any, Pending] = {}
+        self.committed_count = 0
+        self.aborted_count = 0
+        #: Ops given up after ``max_retries`` retransmissions. Every
+        #: completed op lands in exactly one of committed/aborted/
+        #: timedout, so their sum is the number of ``done`` calls.
+        self.timedout_count = 0
+        self.retry_count = 0
+        self.aborts_retried = 0
+
+    @property
+    def inflight(self) -> int:
+        return len(self._pending)
+
+    # -- the protocol's part ---------------------------------------------------
+    def _send_phase(self, pending: Pending) -> None:
+        """Send what ``pending``'s current phase needs; the retry loop
+        calls it again on every timeout."""
+        raise NotImplementedError
+
+    def _attempt(self, pending: Pending) -> None:
+        """Start a fresh attempt of an aborted op (see :meth:`_abort`)."""
+        raise NotImplementedError
+
+    # -- the core --------------------------------------------------------------
+    def _open(self, key: Any, pending: Pending,
+              table: Optional[dict] = None) -> None:
+        """Track ``pending`` under ``key`` in ``table`` (``_pending``
+        unless given) and arm its retry timer; the caller sends next."""
+        if table is None:
+            table = self._pending
+        pending.key = key
+        if self.retry_timeout is not None:
+            # The timer names the op by key, not by reference: a stopped
+            # timer's event may sit in the heap until its deadline, and
+            # must not keep a finished op alive that long.
+            timer = pending.timer = self.timer(self.retry_timeout,
+                                               self._timeout, table, key)
+            timer.start()
+        table[key] = pending
+
+    def _timeout(self, table: dict, key: Any) -> None:
+        pending = table.get(key)
+        if pending is None:
+            return
+        pending.retries += 1
+        self.retry_count += 1
+        if pending.retries > self.max_retries:
+            self._give_up(pending)
+            return
+        self._send_phase(pending)
+        pending.timer.start()
+
+    def _give_up(self, pending: Pending) -> None:
+        """Past ``max_retries``: complete ``pending`` as timed out."""
+        self._finish(pending, None)
+
+    def _abort(self, pending: Pending) -> None:
+        """The attempt aborted on a conflict: past ``max_retries`` the
+        op completes aborted; otherwise it starts over after
+        ``backoff``."""
+        pending.retries += 1
+        self.aborts_retried += 1
+        if pending.retries > self.max_retries:
+            self._finish(pending, False)
+            return
+        del self._pending[pending.key]
+        pending.timer.stop()
+        self.call_later(self.backoff, self._attempt, pending)
+
+    def _finish(self, pending: Pending, committed: Optional[bool],
+                result: Any = None) -> None:
+        """Complete ``pending``; ``committed`` None means it timed out."""
+        del self._pending[pending.key]
+        if pending.timer is not None:
+            pending.timer.stop()
+        if committed:
+            self.committed_count += 1
+        elif committed is None:
+            self.timedout_count += 1
+        else:
+            self.aborted_count += 1
+        pending.done(OpResult(bool(committed), self.now - pending.start,
+                              result, pending.retries))

@@ -16,11 +16,10 @@ reordering is precisely what multi-sequencing provides.
 
 :class:`Network` implements :class:`repro.runtime.interface.Runtime`
 by supplying its clock and its link: ``now`` is the event loop's
-simulated time, and the timer primitives are one
-:meth:`EventLoop.schedule` per first arm and one
-:meth:`EventLoop.reschedule` per restart. Protocol nodes reach the
-clock, timers and randomness through the runtime and never touch the
-event loop directly, so the same protocol classes run over
+simulated time, and the timer primitives are the loop's own
+:meth:`EventLoop.rearm` and :meth:`EventLoop.cancel`. Protocol nodes
+reach the clock, timers and randomness through the runtime and never
+touch the event loop directly, so the same protocol classes run over
 :mod:`repro.runtime.asyncio_udp` unchanged. Payloads are passed
 by reference for speed; :attr:`NetConfig.paranoid_codec` makes every
 delivery round-trip through the wire codec instead, which catches any
@@ -35,8 +34,8 @@ from typing import Any, Callable, Optional
 
 from repro.errors import NetworkError
 from repro.net.message import Address, Packet
-from repro.runtime.interface import Runtime, Timer
-from repro.sim.event_loop import Event, EventLoop
+from repro.runtime.interface import Runtime
+from repro.sim.event_loop import EventLoop
 from repro.sim.randomness import SplitRandom
 
 
@@ -81,6 +80,10 @@ class Network(Runtime):
         config = config or NetConfig()
         config.validate()
         self.loop = loop
+        # The timer primitives are the loop's own: a restart re-arms in
+        # place, one call below ``Timer.start``.
+        self._rearm = loop.rearm
+        self._cancel = loop.cancel
         self.config = config
         self.rng = self.base_rng.split("network")
         self._link_clock: dict[tuple[Address, Address], float] = {}
@@ -102,19 +105,6 @@ class Network(Runtime):
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any):
         return self.loop.schedule_at(time, fn, *args)
-
-    def _rearm(self, handle: Optional[Event], delay: float,
-               timer: Timer) -> Event:
-        # A restart re-arms in place: ``reschedule`` pushes a later
-        # deadline without growing the heap, and re-arms a fired event
-        # without allocating a replacement.
-        loop = self.loop
-        if handle is None:
-            return loop.schedule(delay, timer._fire)
-        return loop.reschedule(handle, loop.now + delay)
-
-    def _cancel(self, handle: Event) -> None:
-        self.loop.cancel(handle)
 
     # -- registration ----------------------------------------------------
     def unregister(self, address: Address) -> None:

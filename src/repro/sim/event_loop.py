@@ -20,7 +20,7 @@ Three hot-path properties are maintained:
   could never fire, and re-heapifying cannot change the pop order of
   the survivors (their ``(time, seq)`` keys are untouched and globally
   unique), so the event sequence is bit-identical with or without it.
-* ``reschedule`` re-arms an already-scheduled event without pushing a
+* ``rearm`` re-arms an already-scheduled event without pushing a
   replacement entry: when the new deadline is not earlier than the
   in-heap key, the event just records it and is re-keyed lazily when
   the old key surfaces. Each call consumes exactly one sequence number
@@ -45,10 +45,10 @@ _heappop = heapq.heappop
 
 class Event:
     """A scheduled callback. Cancel with :meth:`EventLoop.cancel`,
-    re-arm with :meth:`EventLoop.reschedule`.
+    re-arm with :meth:`EventLoop.rearm`.
 
     ``time``/``seq`` are the heap key the entry was pushed with; after a
-    deferred :meth:`~EventLoop.reschedule` they are updated to the new
+    deferred :meth:`~EventLoop.rearm` they are updated to the new
     deadline when the stale key surfaces, so they always reflect the key
     the event will actually fire under once it is dispatched.
     """
@@ -65,7 +65,7 @@ class Event:
         # True while a heap entry keyed (time, seq) references this
         # event; the entry may already be logically dead (cancelled).
         self.in_heap = False
-        # Pending deferred reschedule: when ``deadline_seq >= 0`` the
+        # Pending deferred re-arm: when ``deadline_seq >= 0`` the
         # event fires at (deadline, deadline_seq) instead of its heap
         # key; the run loop re-keys it lazily.
         self.deadline = 0.0
@@ -166,22 +166,28 @@ class EventLoop:
             self._dead += 1
             self._maybe_compact()
 
-    def reschedule(self, event: Event, time: float) -> Event:
-        """Move ``event`` to fire at absolute ``time``; returns the
-        (possibly new) :class:`Event` handle to keep.
+    def rearm(self, event: Optional[Event], delay: float,
+              timer: Any = None) -> Event:
+        """Arm ``timer`` to fire ``delay`` seconds from now, or, given
+        the ``event`` it fired or is armed under, move that event there;
+        returns the :class:`Event` handle to keep. This is the
+        simulator's timer primitive: :class:`~repro.net.network.Network`
+        binds it as ``_rearm``, so a restart is one call below
+        ``Timer.start``.
 
-        Equivalent to cancelling ``event`` and scheduling its callback
-        afresh — including consuming exactly one sequence number, so the
-        fired event order is identical — but without growing the heap in
-        the common case (deadline pushed later, e.g. a retransmission
-        timer re-armed on every reply): the in-heap entry is re-keyed
-        lazily when its old key surfaces. A fired event's handle may be
-        passed back in; the object is then re-armed without allocating.
+        Moving an event is equivalent to cancelling it and scheduling
+        its callback afresh — including consuming exactly one sequence
+        number, so the fired event order is identical — but without
+        growing the heap in the common case (deadline pushed later, e.g.
+        a retransmission timer re-armed on every reply): the in-heap
+        entry is re-keyed lazily when its old key surfaces. A fired
+        event is re-armed without allocating.
         """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot reschedule at t={time} before now={self.now}"
-            )
+        if event is None:
+            return self.schedule(delay, timer._fire)
+        if delay < 0:
+            raise SimulationError(f"cannot re-arm into the past (delay={delay})")
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         if event.in_heap:
@@ -262,7 +268,7 @@ class EventLoop:
                     continue
                 dseq = event.deadline_seq
                 if dseq >= 0:
-                    # Deferred reschedule: re-key at the real deadline.
+                    # Deferred re-arm: re-key at the real deadline.
                     heappop(heap)
                     time = event.deadline
                     event.time = time

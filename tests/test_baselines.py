@@ -270,16 +270,85 @@ def test_granola_locking_mode_serializes_conflicts():
     assert cluster.stores[0][0].get(0) is not MISSING
 
 
-@pytest.mark.parametrize("system", ["ntur", "lockstore", "tapir",
-                                    "granola", "eris", "eris-oum"])
+# -- every system: the one client core -------------------------------------
+
+RETRYING = ["lockstore", "tapir", "granola", "eris", "eris-oum"]
+SYSTEMS = ["ntur"] + RETRYING
+
+
+def submit_mixed_load(cluster, clients, done, n_ops=30):
+    for i in range(n_ops):
+        keys = [i % 5, 5 + i % 3] if i % 3 == 0 else [i % 7]
+        clients[i % 5].submit(rmw_op(keys, cluster.partitioner),
+                              lambda result, i=i: done.append((i, result)))
+
+
+def assert_each_op_counted_once(clients, done, n_ops=30):
+    assert sorted(i for i, _ in done) == list(range(n_ops))
+    assert sum(c.node.committed_count + c.node.aborted_count
+               + c.node.timedout_count for c in clients) == len(done)
+    assert all(c.node.inflight == 0 for c in clients)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_every_system_runs_mixed_load(system):
     cluster = make_ycsb_cluster(system=system)
     clients = [cluster.make_client() for _ in range(5)]
     done = []
-    for i in range(30):
-        keys = [i % 5, 5 + i % 3] if i % 3 == 0 else [i % 7]
-        clients[i % 5].submit(rmw_op(keys, cluster.partitioner),
-                              done.append)
+    submit_mixed_load(cluster, clients, done)
     drive(cluster, 0.5)
     assert len(done) == 30
-    assert all(r.committed for r in done)
+    assert all(r.committed for _, r in done)
+    assert_each_op_counted_once(clients, done)
+
+
+@pytest.mark.parametrize("system", RETRYING)
+def test_every_client_retries_a_lost_first_transmission(system):
+    """Every message an op's first attempt sends is dropped: the client
+    core retransmits and each op commits, counting its retry."""
+    cluster = make_ycsb_cluster(system=system)
+    clients = [cluster.make_client() for _ in range(5)]
+    nodes = {client.node.address: client.node for client in clients}
+
+    def first_transmission(packet):
+        node = nodes.get(packet.src)
+        if node is None:
+            return False
+        payload = packet.payload
+        key = payload.txn.txn_id if hasattr(payload, "txn") else payload.tag
+        pending = node._pending.get(key)
+        return pending is not None and pending.retries == 0
+
+    cluster.network.drop_filter = first_transmission
+    done = []
+    submit_mixed_load(cluster, clients, done)
+    drive(cluster, 0.5)
+    assert len(done) == 30
+    assert all(r.committed and r.retries >= 1 for _, r in done)
+    assert_each_op_counted_once(clients, done)
+
+
+@pytest.mark.parametrize("system", RETRYING)
+def test_every_client_gives_up_once_past_max_retries(system):
+    cluster = make_ycsb_cluster(system=system)
+    clients = [cluster.make_client() for _ in range(5)]
+    timers = []
+    for client in clients:
+        node = client.node
+        node.max_retries = 0
+
+        def recording_timer(*args, make=node.timer):
+            timers.append(make(*args))
+            return timers[-1]
+
+        node.timer = recording_timer
+    addresses = {client.node.address for client in clients}
+    cluster.network.drop_filter = lambda packet: packet.dst in addresses
+    done = []
+    submit_mixed_load(cluster, clients, done)
+    drive(cluster, 0.5)
+    assert len(done) == 30
+    assert not any(r.committed for _, r in done)
+    assert sum(c.node.timedout_count for c in clients) == 30
+    assert_each_op_counted_once(clients, done)
+    assert timers and not any(timer.active for timer in timers)

@@ -41,7 +41,7 @@ def test_quorum_needs_majority_including_dl():
     assert not outcomes          # majority but no DL
     client.on_TxnReply("r0", reply(txn_id, 0, 0, result="R"), None)
     assert outcomes and outcomes[0].committed
-    assert outcomes[0].results[0] == "R"
+    assert outcomes[0].result[0] == "R"
 
 
 def test_dl_alone_is_not_quorum():
@@ -293,4 +293,4 @@ def test_recon_gives_up_with_none_after_max_retries():
     client.recon("dead-replica", "k", lambda key, value: got.append(value))
     loop.run(until=1.0)
     assert got == [None]
-    assert client.recon_retry_count == 4
+    assert client.retry_count == 4

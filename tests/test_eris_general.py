@@ -38,6 +38,29 @@ def test_cross_shard_swap_commits():
     run_all_checks(cluster)
 
 
+def test_swap_reports_both_phases_retries_and_its_reads():
+    """A general op's OpResult carries the preliminary's and the
+    conclusory's retries and the values the preliminary read."""
+    cluster = make_ycsb_cluster(n_shards=2)
+    client = cluster.make_client()
+    part = cluster.partitioner
+    submit_and_wait(cluster, client, write_op(0, "A", part))
+    submit_and_wait(cluster, client, write_op(1, "B", part))
+    node = client.node
+
+    def first_preliminary_reply(packet):
+        pending = node._pending.get(getattr(packet.payload, "txn_id", None))
+        return (packet.dst == node.address and pending is not None
+                and pending.txn.kind == "preliminary"
+                and pending.retries == 0)
+
+    cluster.network.drop_filter = first_preliminary_reply
+    result = submit_and_wait(cluster, client, swap_op(0, 1, part))
+    assert result.committed
+    assert result.retries >= 1
+    assert result.result == {0: "A", 1: "B"}
+
+
 def test_swap_takes_two_independent_txn_rounds():
     cluster = make_ycsb_cluster(n_shards=2)
     client = cluster.make_client()

@@ -170,7 +170,7 @@ def test_reschedule_moves_deadline_later():
     loop = EventLoop()
     fired = []
     event = loop.schedule(2e-3, lambda: fired.append(loop.now))
-    moved = loop.reschedule(event, 5e-3)
+    moved = loop.rearm(event, 5e-3)
     loop.run_until_idle()
     assert fired == [pytest.approx(5e-3)]
     assert len(fired) == 1
@@ -181,7 +181,7 @@ def test_reschedule_moves_deadline_earlier():
     loop = EventLoop()
     fired = []
     event = loop.schedule(5e-3, lambda: fired.append(loop.now))
-    loop.reschedule(event, 1e-3)
+    loop.rearm(event, 1e-3)
     loop.run_until_idle()
     assert fired == [pytest.approx(1e-3)]
 
@@ -201,10 +201,10 @@ def test_reschedule_matches_cancel_plus_schedule_tie_break():
     loop_a.schedule(2e-3, order_a.append, "y")
     loop_a.run_until_idle()
 
-    # Loop B: same operations via reschedule.
+    # Loop B: same operations via rearm.
     ev = loop_b.schedule(1e-3, order_b.append, "timer")
     loop_b.schedule(2e-3, order_b.append, "x")
-    loop_b.reschedule(ev, 2e-3)
+    loop_b.rearm(ev, 2e-3)
     loop_b.schedule(2e-3, order_b.append, "y")
     loop_b.run_until_idle()
 
@@ -216,7 +216,7 @@ def test_reschedule_after_fire_rearms_same_object():
     fired = []
     event = loop.schedule(1e-3, lambda: fired.append(loop.now))
     loop.run_until_idle()
-    rearmed = loop.reschedule(event, 4e-3)
+    rearmed = loop.rearm(event, 3e-3)   # fired at 1 ms
     assert rearmed is event                 # reused, not reallocated
     loop.run_until_idle()
     assert fired == [pytest.approx(1e-3), pytest.approx(4e-3)]
@@ -228,14 +228,14 @@ def test_reschedule_into_past_rejected():
     loop.schedule(1e-3, lambda: None)
     loop.run(max_events=1)
     with pytest.raises(SimulationError):
-        loop.reschedule(event, 0.5e-3)
+        loop.rearm(event, -0.5e-3)
 
 
 def test_rescheduled_then_cancelled_event_never_fires():
     loop = EventLoop()
     fired = []
     event = loop.schedule(1e-3, fired.append, "x")
-    loop.reschedule(event, 3e-3)
+    loop.rearm(event, 3e-3)
     loop.cancel(event)
     loop.run_until_idle()
     assert fired == []
@@ -247,7 +247,7 @@ def test_pending_is_exact_through_cancel_and_reschedule():
     assert loop.pending == 4
     loop.cancel(events[0])
     assert loop.pending == 3
-    loop.reschedule(events[1], 9e-3)        # deferred: still one entry
+    loop.rearm(events[1], 9e-3)        # deferred: still one entry
     assert loop.pending == 3
     loop.run_until_idle()
     assert loop.pending == 0
@@ -275,6 +275,6 @@ def test_on_event_hook_sees_fired_time_and_seq():
     loop.on_event = lambda e: seen.append((e.time, e.seq))
     loop.schedule(2e-3, lambda: None)
     event = loop.schedule(1e-3, lambda: None)
-    loop.reschedule(event, 3e-3)
+    loop.rearm(event, 3e-3)
     loop.run_until_idle()
     assert seen == [(pytest.approx(2e-3), 0), (pytest.approx(3e-3), 2)]
